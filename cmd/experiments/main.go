@@ -1,6 +1,6 @@
 // Command experiments regenerates every exhibit of the poster — Table 1,
 // the five figures, and the three ablations — and prints the result
-// tables. See EXPERIMENTS.md for the paper-vs-measured record.
+// tables.
 //
 // Usage:
 //

@@ -2,7 +2,7 @@
 // measurable experiment: the Table-1 semantic-diversity taxonomy and the
 // five figures, plus the ablations DESIGN.md calls out. Each runner
 // returns a formatted table whose shape must satisfy the poster's
-// qualitative claims; EXPERIMENTS.md records paper-vs-measured.
+// qualitative claims.
 package experiments
 
 import (

@@ -74,20 +74,18 @@ func (g *funcGauge) value() float64 {
 }
 
 // Histogram is a fixed-bucket histogram. Buckets are upper bounds
-// (Prometheus `le`), exposed cumulatively; observation is two atomic
-// adds and one CAS loop for the float sum.
+// (Prometheus `le`), exposed cumulatively; observation is one atomic
+// add and one CAS loop for the float sum.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1, last is +Inf
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits
+	sum    atomic.Uint64   // float64 bits
 }
 
 // Observe records v.
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + v)
@@ -104,7 +102,46 @@ func (h *Histogram) ObserveSeconds(ns int64) {
 }
 
 // Count returns how many observations were recorded.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	counts, _ := h.Cumulative()
+	return counts[len(counts)-1]
+}
+
+// Cumulative returns the cumulative bucket counts — one per bound plus
+// a final +Inf entry, which is therefore the observation count — and
+// the sum of the observed values.
+func (h *Histogram) Cumulative() (counts []uint64, sum float64) {
+	counts = make([]uint64, len(h.counts))
+	var cum uint64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		counts[i] = cum
+	}
+	return counts, math.Float64frombits(h.sum.Load())
+}
+
+// Quantile estimates the q-quantile as the upper bound of the bucket
+// holding the nearest-rank observation, ceil(q·n) — the conservative
+// convention Prometheus uses without interpolation. An observation in
+// the +Inf bucket reports twice the last bound (a finite stand-in that
+// JSON can carry); an empty histogram reports 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	counts, _ := h.Cumulative()
+	total := counts[len(counts)-1]
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	if rank < 1 {
+		rank = 1
+	}
+	for i, b := range h.bounds {
+		if counts[i] >= rank {
+			return b
+		}
+	}
+	return h.bounds[len(h.bounds)-1] * 2
+}
 
 // DurationBuckets are the shared bounds (seconds) for every stage
 // duration histogram: 100µs to 10s, roughly logarithmic.
@@ -231,15 +268,14 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			case *funcGauge:
 				writeSample(w, f.name, key, "", formatFloat(in.value()))
 			case *Histogram:
-				var cum uint64
+				counts, sum := in.Cumulative()
 				for i, b := range in.bounds {
-					cum += in.counts[i].Load()
-					writeSample(w, f.name+"_bucket", key, `le="`+formatFloat(b)+`"`, formatUint(cum))
+					writeSample(w, f.name+"_bucket", key, `le="`+formatFloat(b)+`"`, formatUint(counts[i]))
 				}
-				cum += in.counts[len(in.bounds)].Load()
-				writeSample(w, f.name+"_bucket", key, `le="+Inf"`, formatUint(cum))
-				writeSample(w, f.name+"_sum", key, "", formatFloat(math.Float64frombits(in.sum.Load())))
-				writeSample(w, f.name+"_count", key, "", formatUint(in.count.Load()))
+				total := formatUint(counts[len(in.bounds)])
+				writeSample(w, f.name+"_bucket", key, `le="+Inf"`, total)
+				writeSample(w, f.name+"_sum", key, "", formatFloat(sum))
+				writeSample(w, f.name+"_count", key, "", total)
 			}
 		}
 	}

@@ -226,6 +226,44 @@ func TestHistogramObserveSeconds(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileNearestRank pins the ceil(q·n) rank convention.
+// The floor convention reads rank 148 for p99 over 150 observations and
+// rank 9 over 10, missing a tail that sits in a higher bucket — the
+// cases marked "floor: 1" below.
+func TestHistogramQuantileNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		obs  map[float64]int // observed value → how many
+		q    float64
+		want float64
+	}{
+		{"empty", nil, 0.99, 0},
+		{"n=1 p50", map[float64]int{0.5: 1}, 0.50, 1},
+		{"n=1 p99", map[float64]int{3: 1}, 0.99, 4},
+		{"n=10 p90", map[float64]int{0.5: 9, 1.5: 1}, 0.90, 1},
+		{"n=10 p99", map[float64]int{0.5: 9, 1.5: 1}, 0.99, 2}, // floor: 1
+		{"n=150 p50", map[float64]int{0.5: 148, 3: 2}, 0.50, 1},
+		{"n=150 p99", map[float64]int{0.5: 148, 3: 2}, 0.99, 4}, // floor: 1
+		{"all in +Inf", map[float64]int{100: 7}, 0.50, 8},
+	} {
+		h := NewRegistry().Histogram("t_q", "q", []float64{1, 2, 4})
+		n := 0
+		for v, k := range tc.obs {
+			for range k {
+				h.Observe(v)
+			}
+			n += k
+		}
+		if got := h.Quantile(tc.q); got != tc.want {
+			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
+		}
+		counts, _ := h.Cumulative()
+		if len(counts) != 4 || counts[3] != uint64(n) || h.Count() != uint64(n) {
+			t.Errorf("%s: Cumulative = %v, Count = %d, want %d observations in 4 buckets", tc.name, counts, h.Count(), n)
+		}
+	}
+}
+
 func TestGaugeFuncReRegisterReplaces(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("t_g", "g", func() float64 { return 1 })

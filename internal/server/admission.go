@@ -58,11 +58,9 @@ type admission struct {
 	slots  chan struct{}
 	queued atomic.Int64
 
-	admitted     atomic.Uint64
-	waited       atomic.Uint64 // admissions that had to queue first
-	shedFull     atomic.Uint64
-	shedTimeout  atomic.Uint64
-	shedClient   atomic.Uint64
+	// tel counts the gate's outcomes (admitted, waited, shed by reason);
+	// everything below is state the gate itself reads.
+	tel          *telemetry
 	peakInFlight atomic.Int64
 	lastShedNs   atomic.Int64 // UnixNano of the most recent shed
 	// Queue-full shed decision time (entry to refusal), server-side: the
@@ -78,7 +76,7 @@ type admission struct {
 // newAdmission builds the gate. max <= 0 disables admission control
 // (returns nil; all methods on a nil *admission are inert and admit).
 // depth 0 defaults to 2*max; negative depth means no wait queue.
-func newAdmission(max, depth int, wait time.Duration) *admission {
+func newAdmission(max, depth int, wait time.Duration, tel *telemetry) *admission {
 	if max <= 0 {
 		return nil
 	}
@@ -96,6 +94,7 @@ func newAdmission(max, depth int, wait time.Duration) *admission {
 		depth: depth,
 		wait:  wait,
 		slots: make(chan struct{}, max),
+		tel:   tel,
 	}
 }
 
@@ -115,7 +114,7 @@ func (a *admission) acquire(ctx context.Context) (release func(), reason shedRea
 	// No free slot: take a queue position or shed on the spot.
 	if a.queued.Add(1) > int64(a.depth) {
 		a.queued.Add(-1)
-		a.shed(&a.shedFull)
+		a.shed(shedQueueFull)
 		d := time.Since(t0).Nanoseconds()
 		a.shedFullSumNs.Add(d)
 		for {
@@ -134,19 +133,19 @@ func (a *admission) acquire(ctx context.Context) (release func(), reason shedRea
 		return a.admit(true), shedNone
 	case <-timer.C:
 		a.queued.Add(-1)
-		a.shed(&a.shedTimeout)
+		a.shed(shedWaitTimeout)
 		return nil, shedWaitTimeout
 	case <-ctx.Done():
 		a.queued.Add(-1)
-		a.shed(&a.shedClient)
+		a.shed(shedClientGone)
 		return nil, shedClientGone
 	}
 }
 
 func (a *admission) admit(queuedFirst bool) func() {
-	a.admitted.Add(1)
+	a.tel.admitted.Inc()
 	if queuedFirst {
-		a.waited.Add(1)
+		a.tel.waited.Inc()
 	}
 	// len on a buffered channel is approximate under concurrency, but
 	// the watermark only needs to be monotone and close.
@@ -209,16 +208,9 @@ func (a *admission) retryAfterSeconds() int {
 	return secs
 }
 
-func (a *admission) shed(counter *atomic.Uint64) {
-	counter.Add(1)
+func (a *admission) shed(reason shedReason) {
+	a.tel.shed[reason].Inc()
 	a.lastShedNs.Store(time.Now().UnixNano())
-}
-
-func (a *admission) shedTotal() uint64 {
-	if a == nil {
-		return 0
-	}
-	return a.shedFull.Load() + a.shedTimeout.Load() + a.shedClient.Load()
 }
 
 // inFlight reports the slots currently held.
@@ -227,6 +219,22 @@ func (a *admission) inFlight() int64 {
 		return 0
 	}
 	return int64(len(a.slots))
+}
+
+// queueLen reports the requests waiting for a slot.
+func (a *admission) queueLen() int64 {
+	if a == nil {
+		return 0
+	}
+	return a.queued.Load()
+}
+
+// limit reports the configured slot count; 0 means no gate.
+func (a *admission) limit() int {
+	if a == nil {
+		return 0
+	}
+	return a.max
 }
 
 // shedding reports whether the gate is refusing (or was recently

@@ -1,96 +1,107 @@
 package server
 
 import (
-	"sync/atomic"
 	"time"
+
+	"metamess/internal/obs"
 )
 
-// serveMetrics is the serving-side metrics registry: per-endpoint
-// request counts and latency histograms, cache hit/miss counters, and
-// an in-flight gauge. It measures the HTTP layer itself and is distinct
-// from internal/metrics, which scores IR quality (precision/recall)
-// offline. Endpoints are registered once at construction, so the hot
-// path is map-read plus atomic increments — no locks.
-type serveMetrics struct {
+// telemetry is the server's one metrics store: a private obs.Registry
+// (several servers share a process in tests and benchmarks, so
+// per-instance families stay out of obs.Default()) plus the handles
+// resolved from it once at construction. The request path only ever
+// touches the handles — a map read and atomic adds, never the registry
+// lock. /metrics renders the registry as Prometheus text; /stats reads
+// the same handles into its JSON structs. It measures the HTTP layer
+// itself and is distinct from internal/metrics, which scores IR quality
+// (precision/recall) offline.
+type telemetry struct {
+	reg       *obs.Registry
 	start     time.Time
-	inFlight  atomic.Int64
-	cacheHits atomic.Uint64
-	cacheMiss atomic.Uint64
+	inFlight  *obs.Gauge
+	endpoints map[string]endpointHandles
+
+	cacheHits, cacheMisses *obs.Counter
 	// searchesRun counts searches actually executed against the catalog
-	// (cache hits excluded) — the denominator for /stats' approximate
-	// per-search allocation figures.
-	searchesRun atomic.Uint64
-	// Overload counters: requests shed at admission, follower responses
-	// served from a collapsed flight, previous-generation bytes served
-	// during the stale window, background cache warms started, and
-	// deadline-expired partial responses.
-	shed          atomic.Uint64
-	collapsed     atomic.Uint64
-	staleServed   atomic.Uint64
-	revalidations atomic.Uint64
-	partials      atomic.Uint64
-	// ratelimitShed counts requests refused by the per-client token
-	// bucket — before the admission gate, so they never appear in shed.
-	ratelimitShed atomic.Uint64
+	// (cache hits excluded).
+	searchesRun *obs.Counter
+	// Overload counters: follower responses served from a collapsed
+	// flight, previous-generation bytes served during the stale window,
+	// background cache warms started, deadline-expired partial responses,
+	// and requests refused by the per-client token bucket (before the
+	// admission gate, so never among its sheds).
+	collapsed, staleServed, revalidations, partials, ratelimitShed *obs.Counter
+	// The admission gate's outcomes, registered whether or not a gate is
+	// configured so the families render at zero; shed is indexed by
+	// shedReason.
+	admitted, waited *obs.Counter
+	shed             [shedClientGone + 1]*obs.Counter
 	// Read-your-writes counters: searches that waited for X-Min-Generation
 	// to arrive, and waits that expired into a 412.
-	minGenWaits atomic.Uint64
-	minGenStale atomic.Uint64
+	minGenWaits, minGenStale *obs.Counter
 	// tailsServed counts journal tail responses served to followers.
-	tailsServed atomic.Uint64
+	tailsServed *obs.Counter
 	// Push-ingest counters: accepted publishes (and how many arrived as
-	// generation-stable replays), plus batches rejected before any state
-	// change — malformed bodies, invalid features, validation errors.
-	publishes        atomic.Uint64
-	publishStable    atomic.Uint64
-	publishRejected  atomic.Uint64
-	publishFeaturesN atomic.Uint64
-	endpoints        map[string]*endpointMetrics
-	names            []string // registration order, for stable /stats output
+	// generation-stable replays), batches rejected before any state
+	// change, and features upserted.
+	publishes, publishStable, publishRejected, publishFeatures *obs.Counter
 }
 
-// latencyBucketsMs are the histogram upper bounds in milliseconds; an
-// implicit +Inf bucket catches the rest.
-var latencyBucketsMs = []float64{0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
-
-type endpointMetrics struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64 // responses with status >= 400
-	totalUs  atomic.Uint64 // summed latency, microseconds
-	buckets  []atomic.Uint64
+type endpointHandles struct {
+	requests, errors *obs.Counter // errors: responses with status >= 400
+	duration         *obs.Histogram
 }
 
-func newServeMetrics(endpoints []string) *serveMetrics {
-	m := &serveMetrics{
+func newTelemetry() *telemetry {
+	reg := obs.NewRegistry()
+	t := &telemetry{
+		reg:       reg,
 		start:     time.Now(),
-		endpoints: make(map[string]*endpointMetrics, len(endpoints)),
-		names:     endpoints,
+		inFlight:  reg.Gauge("dnh_http_in_flight", "Requests currently being served."),
+		endpoints: make(map[string]endpointHandles, len(endpointNames)),
+
+		cacheHits:       reg.Counter("dnh_cache_hits_total", "Query-cache hits."),
+		cacheMisses:     reg.Counter("dnh_cache_misses_total", "Query-cache misses."),
+		searchesRun:     reg.Counter("dnh_searches_total", "Searches executed against the catalog (cache hits excluded)."),
+		collapsed:       reg.Counter("dnh_flights_collapsed_total", "Follower responses served from a singleflight leader's bytes."),
+		staleServed:     reg.Counter("dnh_cache_stale_total", "Previous-generation cache bytes served during the stale window."),
+		revalidations:   reg.Counter("dnh_cache_revalidations_total", "Background flights warming the new generation after a publish."),
+		partials:        reg.Counter("dnh_search_partial_total", "Deadline-expired searches answered with partial results."),
+		ratelimitShed:   reg.Counter("dnh_ratelimit_shed_total", "Search requests refused by the per-client rate limit."),
+		admitted:        reg.Counter("dnh_admission_admitted_total", "Requests granted an admission slot."),
+		waited:          reg.Counter("dnh_admission_waited_total", "Admitted requests that queued for their slot first."),
+		minGenWaits:     reg.Counter("dnh_min_generation_waits_total", "Searches that waited for an X-Min-Generation to publish."),
+		minGenStale:     reg.Counter("dnh_min_generation_stale_total", "X-Min-Generation waits that expired into 412."),
+		tailsServed:     reg.Counter("dnh_journal_tail_total", "Journal tail responses served to followers."),
+		publishes:       reg.Counter("dnh_publishes_total", "Accepted push publishes."),
+		publishStable:   reg.Counter("dnh_publishes_stable_total", "Accepted publishes whose delta was empty (generation unchanged)."),
+		publishRejected: reg.Counter("dnh_publish_rejected_total", "Publish batches refused with no state change."),
+		publishFeatures: reg.Counter("dnh_publish_features_total", "Features upserted through push publishes."),
 	}
-	for _, name := range endpoints {
-		m.endpoints[name] = &endpointMetrics{
-			buckets: make([]atomic.Uint64, len(latencyBucketsMs)+1),
+	for r := shedQueueFull; r <= shedClientGone; r++ {
+		t.shed[r] = reg.Counter("dnh_admission_shed_total", "Search requests shed with 429, by reason.", "reason", r.String())
+	}
+	for _, name := range endpointNames {
+		t.endpoints[name] = endpointHandles{
+			requests: reg.Counter("dnh_http_requests_total", "HTTP requests by endpoint.", "endpoint", name),
+			errors:   reg.Counter("dnh_http_request_errors_total", "HTTP responses with status >= 400 by endpoint.", "endpoint", name),
+			duration: reg.Histogram("dnh_http_request_duration_seconds", "HTTP request latency by endpoint.", obs.DurationBuckets, "endpoint", name),
 		}
 	}
-	return m
+	return t
 }
 
 // observe records one finished request.
-func (m *serveMetrics) observe(endpoint string, status int, d time.Duration) {
-	e := m.endpoints[endpoint]
-	if e == nil {
-		e = m.endpoints[endpointOther]
+func (t *telemetry) observe(endpoint string, status int, d time.Duration) {
+	e, ok := t.endpoints[endpoint]
+	if !ok {
+		e = t.endpoints[endpointOther]
 	}
-	e.requests.Add(1)
+	e.requests.Inc()
 	if status >= 400 {
-		e.errors.Add(1)
+		e.errors.Inc()
 	}
-	e.totalUs.Add(uint64(d.Microseconds()))
-	ms := float64(d) / float64(time.Millisecond)
-	i := 0
-	for i < len(latencyBucketsMs) && ms > latencyBucketsMs[i] {
-		i++
-	}
-	e.buckets[i].Add(1)
+	e.duration.ObserveSeconds(d.Nanoseconds())
 }
 
 // EndpointStats is one endpoint's row in the /stats response.
@@ -103,7 +114,7 @@ type EndpointStats struct {
 	P90Ms    float64 `json:"p90Ms"`
 	P99Ms    float64 `json:"p99Ms"`
 	// Buckets is the cumulative latency histogram: Buckets[i] requests
-	// finished within latencyBucketsMs[i] (last entry = all).
+	// finished within obs.DurationBuckets[i] seconds (last entry = all).
 	Buckets []uint64 `json:"buckets"`
 }
 
@@ -119,50 +130,22 @@ type CacheStats struct {
 	Stale   uint64  `json:"stale"`
 }
 
-// snapshotEndpoints renders the per-endpoint rows.
-func (m *serveMetrics) snapshotEndpoints() []EndpointStats {
-	out := make([]EndpointStats, 0, len(m.names))
-	for _, name := range m.names {
-		e := m.endpoints[name]
-		n := e.requests.Load()
-		row := EndpointStats{Endpoint: name, Requests: n, Errors: e.errors.Load()}
-		counts := make([]uint64, len(e.buckets))
-		var total uint64
-		for i := range e.buckets {
-			total += e.buckets[i].Load()
-			counts[i] = total
-		}
-		row.Buckets = counts
-		if n > 0 {
-			row.MeanMs = float64(e.totalUs.Load()) / float64(n) / 1000
-			row.P50Ms = bucketQuantile(counts, 0.50)
-			row.P90Ms = bucketQuantile(counts, 0.90)
-			row.P99Ms = bucketQuantile(counts, 0.99)
+// snapshotEndpoints renders the per-endpoint rows, in registration
+// order.
+func (t *telemetry) snapshotEndpoints() []EndpointStats {
+	out := make([]EndpointStats, 0, len(endpointNames))
+	for _, name := range endpointNames {
+		e := t.endpoints[name]
+		row := EndpointStats{Endpoint: name, Requests: e.requests.Value(), Errors: e.errors.Value()}
+		var sum float64
+		row.Buckets, sum = e.duration.Cumulative()
+		if n := row.Buckets[len(row.Buckets)-1]; n > 0 {
+			row.MeanMs = sum / float64(n) * 1000
+			row.P50Ms = e.duration.Quantile(0.50) * 1000
+			row.P90Ms = e.duration.Quantile(0.90) * 1000
+			row.P99Ms = e.duration.Quantile(0.99) * 1000
 		}
 		out = append(out, row)
 	}
 	return out
-}
-
-// bucketQuantile estimates a quantile from a cumulative histogram,
-// reporting the upper bound of the bucket holding the q-th request
-// (the conservative convention Prometheus uses without interpolation).
-func bucketQuantile(cumulative []uint64, q float64) float64 {
-	total := cumulative[len(cumulative)-1]
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	for i, c := range cumulative {
-		if c >= rank {
-			if i < len(latencyBucketsMs) {
-				return latencyBucketsMs[i]
-			}
-			return latencyBucketsMs[len(latencyBucketsMs)-1] * 2 // +Inf bucket
-		}
-	}
-	return latencyBucketsMs[len(latencyBucketsMs)-1] * 2
 }

@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -121,184 +119,83 @@ func (s *Server) noteSlow(start time.Time, key string, gen uint64, qo *obs.Query
 }
 
 // handleMetrics serves the Prometheus text exposition: the process-wide
-// registry (search/wrangle/publish/journal stage families) plus this
-// server instance's own families (HTTP, cache, pool, snapshot,
-// durability gauges).
+// registry (search/wrangle/publish/journal stage families) followed by
+// this server instance's own registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	obs.Default().WritePrometheus(&buf)
-	s.writeServerFamilies(&buf)
+	s.tel.reg.WritePrometheus(&buf)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes())
 }
 
-// writeServerFamilies renders the families owned by this Server value
-// (not the process-wide registry, so tests running several servers in
-// one process don't cross their counters).
-func (s *Server) writeServerFamilies(w io.Writer) {
-	promFamily(w, "dnh_uptime_seconds", "gauge", "Seconds since the server started.")
-	promFloat(w, "dnh_uptime_seconds", "", time.Since(s.metrics.start).Seconds())
-	promFamily(w, "dnh_http_in_flight", "gauge", "Requests currently being served.")
-	promInt(w, "dnh_http_in_flight", "", s.metrics.inFlight.Load())
-
-	promFamily(w, "dnh_http_requests_total", "counter", "HTTP requests by endpoint.")
-	for _, name := range s.metrics.names {
-		promUint(w, "dnh_http_requests_total", `endpoint="`+name+`"`, s.metrics.endpoints[name].requests.Load())
-	}
-	promFamily(w, "dnh_http_request_errors_total", "counter", "HTTP responses with status >= 400 by endpoint.")
-	for _, name := range s.metrics.names {
-		promUint(w, "dnh_http_request_errors_total", `endpoint="`+name+`"`, s.metrics.endpoints[name].errors.Load())
-	}
-	promFamily(w, "dnh_http_request_duration_seconds", "histogram", "HTTP request latency by endpoint.")
-	for _, name := range s.metrics.names {
-		e := s.metrics.endpoints[name]
-		labels := `endpoint="` + name + `"`
-		var cum uint64
-		for i, ms := range latencyBucketsMs {
-			cum += e.buckets[i].Load()
-			promUint(w, "dnh_http_request_duration_seconds_bucket",
-				labels+`,le="`+strconv.FormatFloat(ms/1000, 'g', -1, 64)+`"`, cum)
+// registerGauges exposes every point-in-time value through the server's
+// registry as a callback evaluated at scrape time. The values stay
+// where they live — the admission gate, the limiter, the catalog, the
+// replicator — and /stats reads those same sources. Families of a
+// disabled gate or limiter still render, at zero, so dashboards and
+// alerts can be written before the first incident; durability and
+// replication families exist only on nodes that have the subsystem.
+func (s *Server) registerGauges() {
+	reg := s.tel.reg
+	flag := func(b bool) float64 {
+		if b {
+			return 1
 		}
-		cum += e.buckets[len(latencyBucketsMs)].Load()
-		promUint(w, "dnh_http_request_duration_seconds_bucket", labels+`,le="+Inf"`, cum)
-		promFloat(w, "dnh_http_request_duration_seconds_sum", labels, float64(e.totalUs.Load())/1e6)
-		promUint(w, "dnh_http_request_duration_seconds_count", labels, e.requests.Load())
+		return 0
 	}
-
-	promFamily(w, "dnh_cache_hits_total", "counter", "Query-cache hits.")
-	promUint(w, "dnh_cache_hits_total", "", s.metrics.cacheHits.Load())
-	promFamily(w, "dnh_cache_misses_total", "counter", "Query-cache misses.")
-	promUint(w, "dnh_cache_misses_total", "", s.metrics.cacheMiss.Load())
-	promFamily(w, "dnh_cache_entries", "gauge", "Query-cache resident entries.")
-	promInt(w, "dnh_cache_entries", "", int64(s.cache.Len()))
-
-	// Overload families: always rendered (at zero when idle or when
-	// admission is disabled) so dashboards and alerts can be written
-	// before the first incident.
-	promFamily(w, "dnh_admission_shed_total", "counter", "Search requests shed with 429, by reason.")
-	if a := s.adm; a != nil {
-		promUint(w, "dnh_admission_shed_total", `reason="queue_full"`, a.shedFull.Load())
-		promUint(w, "dnh_admission_shed_total", `reason="wait_timeout"`, a.shedTimeout.Load())
-		promUint(w, "dnh_admission_shed_total", `reason="client_gone"`, a.shedClient.Load())
-	} else {
-		promUint(w, "dnh_admission_shed_total", `reason="queue_full"`, 0)
-		promUint(w, "dnh_admission_shed_total", `reason="wait_timeout"`, 0)
-		promUint(w, "dnh_admission_shed_total", `reason="client_gone"`, 0)
+	reg.GaugeFunc("dnh_uptime_seconds", "Seconds since the server started.",
+		func() float64 { return time.Since(s.tel.start).Seconds() })
+	reg.GaugeFunc("dnh_cache_entries", "Query-cache resident entries.",
+		func() float64 { return float64(s.cache.Len()) })
+	reg.GaugeFunc("dnh_admission_in_flight", "Searches holding an admission slot.",
+		func() float64 { return float64(s.adm.inFlight()) })
+	reg.GaugeFunc("dnh_admission_queued", "Searches waiting for an admission slot.",
+		func() float64 { return float64(s.adm.queueLen()) })
+	reg.GaugeFunc("dnh_admission_limit", "Configured in-flight search limit (0 = unlimited).",
+		func() float64 { return float64(s.adm.limit()) })
+	reg.GaugeFunc("dnh_ratelimit_clients", "Clients with a resident rate-limit bucket.",
+		func() float64 { return float64(s.limiter.clients()) })
+	reg.GaugeFunc("dnh_search_pool_hits_total", "Query-scratch pool reuses.",
+		func() float64 { hits, _ := search.PoolStats(); return float64(hits) })
+	reg.GaugeFunc("dnh_search_pool_misses_total", "Query-scratch pool fresh allocations.",
+		func() float64 { _, misses := search.PoolStats(); return float64(misses) })
+	reg.GaugeFunc("dnh_snapshot_generation", "Published snapshot generation.",
+		func() float64 { return float64(s.sys.SnapshotGeneration()) })
+	reg.GaugeFunc("dnh_datasets", "Datasets in the published catalog.",
+		func() float64 { return float64(s.sys.DatasetCount()) })
+	// The shard count is fixed for the life of a catalog.
+	for i := range s.sys.SnapshotShardSizes() {
+		reg.GaugeFunc("dnh_snapshot_shard_features", "Features per snapshot shard.",
+			func() float64 { return float64(s.sys.SnapshotShardSizes()[i]) }, "shard", strconv.Itoa(i))
 	}
-	promFamily(w, "dnh_admission_in_flight", "gauge", "Searches holding an admission slot.")
-	promInt(w, "dnh_admission_in_flight", "", s.adm.inFlight())
-	var queued, limit int64
-	if a := s.adm; a != nil {
-		queued, limit = a.queued.Load(), int64(a.max)
-	}
-	promFamily(w, "dnh_admission_queued", "gauge", "Searches waiting for an admission slot.")
-	promInt(w, "dnh_admission_queued", "", queued)
-	promFamily(w, "dnh_admission_limit", "gauge", "Configured in-flight search limit (0 = unlimited).")
-	promInt(w, "dnh_admission_limit", "", limit)
-	promFamily(w, "dnh_flights_collapsed_total", "counter", "Follower responses served from a singleflight leader's bytes.")
-	promUint(w, "dnh_flights_collapsed_total", "", s.metrics.collapsed.Load())
-	promFamily(w, "dnh_cache_stale_total", "counter", "Previous-generation cache bytes served during the stale window.")
-	promUint(w, "dnh_cache_stale_total", "", s.metrics.staleServed.Load())
-	promFamily(w, "dnh_cache_revalidations_total", "counter", "Background flights warming the new generation after a publish.")
-	promUint(w, "dnh_cache_revalidations_total", "", s.metrics.revalidations.Load())
-	promFamily(w, "dnh_search_partial_total", "counter", "Deadline-expired searches answered with partial results.")
-	promUint(w, "dnh_search_partial_total", "", s.metrics.partials.Load())
-	promFamily(w, "dnh_ratelimit_shed_total", "counter", "Search requests refused by the per-client rate limit.")
-	promUint(w, "dnh_ratelimit_shed_total", "", s.metrics.ratelimitShed.Load())
-	promFamily(w, "dnh_ratelimit_clients", "gauge", "Clients with a resident rate-limit bucket.")
-	promInt(w, "dnh_ratelimit_clients", "", int64(s.limiter.clients()))
-	promFamily(w, "dnh_min_generation_waits_total", "counter", "Searches that waited for an X-Min-Generation to publish.")
-	promUint(w, "dnh_min_generation_waits_total", "", s.metrics.minGenWaits.Load())
-	promFamily(w, "dnh_min_generation_stale_total", "counter", "X-Min-Generation waits that expired into 412.")
-	promUint(w, "dnh_min_generation_stale_total", "", s.metrics.minGenStale.Load())
-	promFamily(w, "dnh_journal_tail_total", "counter", "Journal tail responses served to followers.")
-	promUint(w, "dnh_journal_tail_total", "", s.metrics.tailsServed.Load())
-	promFamily(w, "dnh_publishes_total", "counter", "Accepted push publishes.")
-	promUint(w, "dnh_publishes_total", "", s.metrics.publishes.Load())
-	promFamily(w, "dnh_publishes_stable_total", "counter", "Accepted publishes whose delta was empty (generation unchanged).")
-	promUint(w, "dnh_publishes_stable_total", "", s.metrics.publishStable.Load())
-	promFamily(w, "dnh_publish_rejected_total", "counter", "Publish batches refused with no state change.")
-	promUint(w, "dnh_publish_rejected_total", "", s.metrics.publishRejected.Load())
-	promFamily(w, "dnh_publish_features_total", "counter", "Features upserted through push publishes.")
-	promUint(w, "dnh_publish_features_total", "", s.metrics.publishFeaturesN.Load())
+	reg.GaugeFunc("dnh_slowlog_entries", "Slow-query log resident entries.",
+		func() float64 { return float64(s.slow.Len()) })
 
-	promFamily(w, "dnh_searches_total", "counter", "Searches executed against the catalog (cache hits excluded).")
-	promUint(w, "dnh_searches_total", "", s.metrics.searchesRun.Load())
-	poolHits, poolMisses := search.PoolStats()
-	promFamily(w, "dnh_search_pool_hits_total", "counter", "Query-scratch pool reuses.")
-	promUint(w, "dnh_search_pool_hits_total", "", poolHits)
-	promFamily(w, "dnh_search_pool_misses_total", "counter", "Query-scratch pool fresh allocations.")
-	promUint(w, "dnh_search_pool_misses_total", "", poolMisses)
-
-	promFamily(w, "dnh_snapshot_generation", "gauge", "Published snapshot generation.")
-	promUint(w, "dnh_snapshot_generation", "", s.sys.SnapshotGeneration())
-	promFamily(w, "dnh_datasets", "gauge", "Datasets in the published catalog.")
-	promInt(w, "dnh_datasets", "", int64(s.sys.DatasetCount()))
-	promFamily(w, "dnh_snapshot_shard_features", "gauge", "Features per snapshot shard.")
-	for i, n := range s.sys.SnapshotShardSizes() {
-		promInt(w, "dnh_snapshot_shard_features", `shard="`+strconv.Itoa(i)+`"`, int64(n))
-	}
-
-	if ds, ok := s.sys.Durability(); ok {
+	if s.sys.Durable() {
 		// Journal bytes since the last checkpoint are exactly the warm
 		// restart's replay backlog — the lag a replica would have to
 		// catch up.
-		promFamily(w, "dnh_journal_lag_bytes", "gauge", "Journal bytes not yet folded into the checkpoint (replay backlog).")
-		promInt(w, "dnh_journal_lag_bytes", "", ds.JournalBytes)
-		promFamily(w, "dnh_checkpoint_size_bytes", "gauge", "Checkpoint size on disk.")
-		promInt(w, "dnh_checkpoint_size_bytes", "", ds.CheckpointBytes)
-		promFamily(w, "dnh_store_degraded", "gauge", "1 while the durable store refuses appends after a journal error.")
-		var degraded int64
-		if ds.Degraded {
-			degraded = 1
-		}
-		promInt(w, "dnh_store_degraded", "", degraded)
+		reg.GaugeFunc("dnh_journal_lag_bytes", "Journal bytes not yet folded into the checkpoint (replay backlog).",
+			func() float64 { ds, _ := s.sys.Durability(); return float64(ds.JournalBytes) })
+		reg.GaugeFunc("dnh_checkpoint_size_bytes", "Checkpoint size on disk.",
+			func() float64 { ds, _ := s.sys.Durability(); return float64(ds.CheckpointBytes) })
+		reg.GaugeFunc("dnh_store_degraded", "1 while the durable store refuses appends after a journal error.",
+			func() float64 { ds, _ := s.sys.Durability(); return flag(ds.Degraded) })
 	}
 
 	if rep := s.replica; rep != nil {
-		rs := rep.Stats()
-		promFamily(w, "dnh_replica_lag_generations", "gauge", "Generations this follower is behind its leader.")
-		promUint(w, "dnh_replica_lag_generations", "", rs.LagGenerations)
-		promFamily(w, "dnh_replica_lag_seconds", "gauge", "Seconds since this follower was last caught up.")
-		promFloat(w, "dnh_replica_lag_seconds", "", rs.LagSeconds)
-		promFamily(w, "dnh_replica_applied_total", "counter", "Replicated records applied from the leader's journal.")
-		promUint(w, "dnh_replica_applied_total", "", rs.AppliedRecords)
-		promFamily(w, "dnh_replica_resyncs_total", "counter", "Checkpoint bootstraps after falling behind the journals.")
-		promUint(w, "dnh_replica_resyncs_total", "", rs.Resyncs)
-		promFamily(w, "dnh_replica_connected", "gauge", "1 while the last leader exchange succeeded.")
-		var connected int64
-		if rs.Connected {
-			connected = 1
-		}
-		promInt(w, "dnh_replica_connected", "", connected)
-	}
-
-	promFamily(w, "dnh_slowlog_entries", "gauge", "Slow-query log resident entries.")
-	promInt(w, "dnh_slowlog_entries", "", int64(s.slow.Len()))
-}
-
-func promFamily(w io.Writer, name, kind, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-}
-
-func promUint(w io.Writer, name, labels string, v uint64) {
-	promValue(w, name, labels, strconv.FormatUint(v, 10))
-}
-
-func promInt(w io.Writer, name, labels string, v int64) {
-	promValue(w, name, labels, strconv.FormatInt(v, 10))
-}
-
-func promFloat(w io.Writer, name, labels string, v float64) {
-	promValue(w, name, labels, strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-func promValue(w io.Writer, name, labels, val string) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %s\n", name, val)
-	} else {
-		fmt.Fprintf(w, "%s{%s} %s\n", name, labels, val)
+		reg.GaugeFunc("dnh_replica_lag_generations", "Generations this follower is behind its leader.",
+			func() float64 { gens, _ := rep.Lag(); return float64(gens) })
+		reg.GaugeFunc("dnh_replica_lag_seconds", "Seconds since this follower was last caught up.",
+			func() float64 { _, secs := rep.Lag(); return secs })
+		reg.GaugeFunc("dnh_replica_applied_total", "Replicated records applied from the leader's journal.",
+			func() float64 { return float64(rep.applied.Load()) })
+		reg.GaugeFunc("dnh_replica_resyncs_total", "Checkpoint bootstraps after falling behind the journals.",
+			func() float64 { return float64(rep.resyncs.Load()) })
+		reg.GaugeFunc("dnh_replica_connected", "1 while the last leader exchange succeeded.",
+			func() float64 { return flag(rep.connected.Load()) })
 	}
 }
 

@@ -89,11 +89,8 @@ func TestAdmissionShedding(t *testing.T) {
 	if status, _, _ := get(t, ts.URL+"/healthz"); status != http.StatusOK {
 		t.Errorf("healthz while shedding: %d, want 200 (liveness is not readiness)", status)
 	}
-	if n := srv.metrics.shed.Load(); n == 0 {
-		t.Error("shed metric not incremented")
-	}
-	if n := srv.adm.shedFull.Load(); n != 1 {
-		t.Errorf("shedFull = %d, want 1", n)
+	if n := srv.tel.shed[shedQueueFull].Value(); n != 1 {
+		t.Errorf("queue_full sheds = %d, want 1", n)
 	}
 
 	release()
@@ -212,7 +209,7 @@ func TestSingleflightByteIdentity(t *testing.T) {
 	if collapsed == 0 {
 		t.Fatal("no follower was collapsed onto the held flight")
 	}
-	if n := srv.metrics.collapsed.Load(); n != uint64(collapsed) {
+	if n := srv.tel.collapsed.Value(); n != uint64(collapsed) {
 		t.Errorf("collapsed metric = %d, want %d", n, collapsed)
 	}
 }
@@ -339,7 +336,7 @@ func TestDeadlinePartial(t *testing.T) {
 			t.Fatalf("round %d: partial served from cache (%s) — partials must never be cached", round, state)
 		}
 	}
-	if n := srv.metrics.partials.Load(); n < 2 {
+	if n := srv.tel.partials.Value(); n < 2 {
 		t.Errorf("partials metric = %d, want >= 2", n)
 	}
 

@@ -35,14 +35,13 @@ const DefaultMaxPublishBytes = 8 << 20
 // X-Min-Generation to any replica.
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if wait, limited := s.limiter.take(clientKey(r), time.Now()); limited {
-		s.metrics.ratelimitShed.Add(1)
+		s.tel.ratelimitShed.Inc()
 		w.Header().Set("Retry-After", retryAfterHeader(wait))
 		writeError(w, http.StatusTooManyRequests, "client rate limit exceeded, retry later")
 		return
 	}
 	release, reason := s.adm.acquire(r.Context())
 	if reason != shedNone {
-		s.metrics.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
 		writeError(w, http.StatusTooManyRequests, "server overloaded ("+reason.String()+"), retry later")
 		return
@@ -51,7 +50,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxPublishBytes))
 	if err != nil {
-		s.metrics.publishRejected.Add(1)
+		s.tel.publishRejected.Inc()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -65,13 +64,13 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := metamess.DecodePublishRequest(body)
 	if err != nil {
-		s.metrics.publishRejected.Add(1)
+		s.tel.publishRejected.Inc()
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	receipt, err := s.sys.PublishFeatures(req)
 	if err != nil {
-		s.metrics.publishRejected.Add(1)
+		s.tel.publishRejected.Inc()
 		if errors.Is(err, metamess.ErrPublishRejected) {
 			writeError(w, http.StatusUnprocessableEntity, err.Error())
 			return
@@ -81,10 +80,10 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	s.metrics.publishes.Add(1)
-	s.metrics.publishFeaturesN.Add(uint64(receipt.Published))
+	s.tel.publishes.Inc()
+	s.tel.publishFeatures.Add(uint64(receipt.Published))
 	if receipt.Stable {
-		s.metrics.publishStable.Add(1)
+		s.tel.publishStable.Inc()
 	}
 	s.noteGeneration(receipt.Generation)
 	w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(receipt.Generation, 10))

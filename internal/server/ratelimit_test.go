@@ -105,7 +105,7 @@ func TestClientKey(t *testing.T) {
 // mean service time / slots, ceil'd to seconds and clamped to
 // [1, maxRetryAfterSeconds] — no more hardcoded "1".
 func TestRetryAfterDerivation(t *testing.T) {
-	a := newAdmission(2, 6, time.Second)
+	a := newAdmission(2, 6, time.Second, newTelemetry())
 
 	// No observed service time yet: the safe floor.
 	if got := a.retryAfterSeconds(); got != 1 {
@@ -148,7 +148,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 // TestObserveServiceEWMA pins the drain-rate estimator: first sample
 // adopted directly, later samples folded at alpha = 1/8.
 func TestObserveServiceEWMA(t *testing.T) {
-	a := newAdmission(1, 1, time.Second)
+	a := newAdmission(1, 1, time.Second, newTelemetry())
 	a.observeService(800)
 	if got := a.serviceNs.Load(); got != 800 {
 		t.Fatalf("first sample = %d, want 800", got)

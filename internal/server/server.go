@@ -38,7 +38,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -149,7 +148,7 @@ type Config struct {
 type Server struct {
 	sys     *metamess.System
 	cache   *queryCache
-	metrics *serveMetrics
+	tel     *telemetry
 	rew     *rewrangler
 	logger  *slog.Logger
 	sampler *obs.Sampler
@@ -177,15 +176,6 @@ type Server struct {
 	curGen      uint64
 	prevGen     uint64
 	genSwitched time.Time
-
-	// Allocation-sampling state for /stats: per-search figures are the
-	// process-wide MemStats delta between consecutive /stats reads divided
-	// by the searches executed in that window, so they approximate (other
-	// handlers allocate too) but track the steady-state pooling payoff.
-	allocMu      sync.Mutex
-	lastMallocs  uint64
-	lastBytes    uint64
-	lastSearches uint64
 }
 
 // New wires a server; call Start (or mount Handler yourself) to serve.
@@ -219,17 +209,18 @@ func New(cfg Config) (*Server, error) {
 		// leaders, whatever the configuration says.
 		maxPublish = -1
 	}
-	return &Server{
+	tel := newTelemetry()
+	s := &Server{
 		sys:     cfg.Sys,
 		cache:   newQueryCache(size),
-		metrics: newServeMetrics(endpointNames),
+		tel:     tel,
 		rew:     newRewrangler(cfg.Sys, cfg.RewrangleEvery, logger),
 		logger:  logger,
 		sampler: obs.NewSampler(cfg.TraceSample),
 		// NewSlowLog returns nil (log disabled, all methods inert) when
 		// the threshold went negative.
 		slow:            obs.NewSlowLog(slowSize, float64(slowThreshold)/float64(time.Millisecond)),
-		adm:             newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueWait),
+		adm:             newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueWait, tel),
 		limiter:         newRateLimiter(cfg.RateLimit, cfg.RateBurst),
 		replica:         cfg.Replica,
 		maxPublishBytes: maxPublish,
@@ -237,7 +228,9 @@ func New(cfg Config) (*Server, error) {
 		staleWindow:     cfg.StaleWindow,
 		revalSem:        make(chan struct{}, maxRevalidations),
 		curGen:          cfg.Sys.SnapshotGeneration(),
-	}, nil
+	}
+	s.registerGauges()
+	return s, nil
 }
 
 // maxRevalidations bounds concurrent background cache warms.
@@ -382,7 +375,7 @@ func (req SearchRequest) toQuery() metamess.Query {
 // work — and false returned.
 func (s *Server) admitSearch(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
 	if wait, limited := s.limiter.take(clientKey(r), time.Now()); limited {
-		s.metrics.ratelimitShed.Add(1)
+		s.tel.ratelimitShed.Inc()
 		w.Header().Set("Retry-After", retryAfterHeader(wait))
 		writeError(w, http.StatusTooManyRequests, "client rate limit exceeded, retry later")
 		return nil, false
@@ -394,7 +387,6 @@ func (s *Server) admitSearch(w http.ResponseWriter, r *http.Request) (release fu
 	if reason == shedNone {
 		return release, true
 	}
-	s.metrics.shed.Add(1)
 	// Retry-After tracks the observed drain rate: backlog × mean
 	// service time / slots, not a hardcoded guess.
 	w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
@@ -429,7 +421,7 @@ func (s *Server) awaitMinGeneration(w http.ResponseWriter, r *http.Request) bool
 	if s.sys.SnapshotGeneration() >= min {
 		return true
 	}
-	s.metrics.minGenWaits.Add(1)
+	s.tel.minGenWaits.Inc()
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	if _, bounded := ctx.Deadline(); !bounded {
@@ -447,7 +439,7 @@ func (s *Server) awaitMinGeneration(w http.ResponseWriter, r *http.Request) bool
 		case <-ticker.C:
 		case <-ctx.Done():
 			gen := s.sys.SnapshotGeneration()
-			s.metrics.minGenStale.Add(1)
+			s.tel.minGenStale.Inc()
 			w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(gen, 10))
 			writeJSON(w, http.StatusPreconditionFailed, map[string]any{
 				"error":      fmt.Sprintf("generation %d not yet available", min),
@@ -572,7 +564,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, req SearchR
 	cached, ok := s.cache.Get(gen, key)
 	tr.End(cid)
 	if ok {
-		s.metrics.cacheHits.Add(1)
+		s.tel.cacheHits.Inc()
 		w.Header().Set("X-Dnhd-Cache", "hit")
 		w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(gen, 10))
 		writeJSONBytes(w, http.StatusOK, cached)
@@ -581,7 +573,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, req SearchR
 	}
 	if prev, ok := s.staleSource(gen); ok {
 		if staleBody, ok := s.cache.Get(prev, key); ok {
-			s.metrics.staleServed.Add(1)
+			s.tel.staleServed.Inc()
 			s.startRevalidate(gen, key, q)
 			w.Header().Set("X-Dnhd-Cache", "stale")
 			w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(prev, 10))
@@ -609,13 +601,13 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, req SearchR
 	}
 	select {
 	case <-f.done:
-		s.metrics.collapsed.Add(1)
+		s.tel.collapsed.Inc()
 		s.serveOutcome(w, f.out, "collapsed")
 	case <-ctx.Done():
 		// The follower's own deadline expired while the leader was still
 		// working: answer with an empty partial rather than holding the
 		// connection for bytes the client no longer has time for.
-		s.metrics.partials.Add(1)
+		s.tel.partials.Inc()
 		out := partialOutcome(gen, nil)
 		s.serveOutcome(w, out, "timeout")
 	}
@@ -670,12 +662,12 @@ func (s *Server) executeSearch(ctx context.Context, q metamess.Query, key string
 			}
 			return searchOutcome{status: http.StatusBadRequest, body: body, cacheState: "miss", generation: gen}
 		}
-		s.metrics.searchesRun.Add(1)
+		s.tel.searchesRun.Inc()
 		if qo != nil {
 			observeStages(qo)
 		}
 		if partial {
-			s.metrics.partials.Add(1)
+			s.tel.partials.Inc()
 			resp := SearchResponse{Generation: gen, Count: len(hits), Hits: hits, Partial: true}
 			if forced {
 				tr.Attr(root, "generation", int64(gen))
@@ -717,7 +709,7 @@ func (s *Server) executeSearch(ctx context.Context, q metamess.Query, key string
 			return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: gen}
 		}
 		if s.cache.enabled() {
-			s.metrics.cacheMiss.Add(1)
+			s.tel.cacheMisses.Inc()
 		}
 		s.cache.Put(gen, key, body)
 		return searchOutcome{status: http.StatusOK, body: body, cacheState: "miss", generation: gen}
@@ -776,7 +768,7 @@ func (s *Server) startRevalidate(gen uint64, key string, q metamess.Query) {
 		<-s.revalSem
 		return
 	}
-	s.metrics.revalidations.Add(1)
+	s.tel.revalidations.Inc()
 	go func() {
 		defer func() { <-s.revalSem }()
 		timeout := s.reqTimeout
@@ -857,7 +849,7 @@ func (s *Server) handleJournalTail(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.metrics.tailsServed.Add(1)
+	s.tel.tailsServed.Inc()
 	w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(gen, 10))
 	if resync {
 		w.Header().Set("X-Dnhd-Resync", "1")
@@ -976,47 +968,12 @@ type StatsResponse struct {
 }
 
 // SearchStats reports query-execution efficiency: scratch-pool reuse
-// counters from internal/search, the number of searches that actually
-// ran against the catalog (cache hits excluded), and approximate
-// per-search allocation figures sampled as the process-wide heap delta
-// between consecutive /stats reads divided by the searches executed in
-// that window. The per-search numbers are zero until a window with at
-// least one executed search has elapsed.
+// counters from internal/search and the number of searches that
+// actually ran against the catalog (cache hits excluded).
 type SearchStats struct {
-	PoolHits        uint64  `json:"poolHits"`
-	PoolMisses      uint64  `json:"poolMisses"`
-	SearchesRun     uint64  `json:"searchesRun"`
-	AllocsPerSearch float64 `json:"allocsPerSearch"`
-	BytesPerSearch  float64 `json:"bytesPerSearch"`
-}
-
-// sampleSearchStats reads the pool counters and advances the
-// allocation-sampling window.
-//
-// The MemStats read, the searches-run read, and the baseline swap all
-// happen under one lock: concurrent /stats readers previously read
-// MemStats before contending for the lock, so a reader could pair a
-// stale MemStats with a baseline another reader had already advanced
-// past it and report negative (uint64-wrapped) per-search figures. With
-// every read inside the critical section the sample is always at least
-// as fresh as the baseline it is diffed against, and the deltas are
-// monotonic by construction; the >= guards stay as defense in depth.
-func (s *Server) sampleSearchStats() SearchStats {
-	var st SearchStats
-	st.PoolHits, st.PoolMisses = search.PoolStats()
-
-	var ms runtime.MemStats
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
-	runtime.ReadMemStats(&ms)
-	st.SearchesRun = s.metrics.searchesRun.Load()
-	if ran := st.SearchesRun - s.lastSearches; ran > 0 && s.lastMallocs > 0 &&
-		st.SearchesRun >= s.lastSearches && ms.Mallocs >= s.lastMallocs && ms.TotalAlloc >= s.lastBytes {
-		st.AllocsPerSearch = float64(ms.Mallocs-s.lastMallocs) / float64(ran)
-		st.BytesPerSearch = float64(ms.TotalAlloc-s.lastBytes) / float64(ran)
-	}
-	s.lastMallocs, s.lastBytes, s.lastSearches = ms.Mallocs, ms.TotalAlloc, st.SearchesRun
-	return st
+	PoolHits    uint64 `json:"poolHits"`
+	PoolMisses  uint64 `json:"poolMisses"`
+	SearchesRun uint64 `json:"searchesRun"`
 }
 
 // ShardStats reports the published snapshot's partitioning: how many
@@ -1070,13 +1027,13 @@ type OverloadStats struct {
 
 func (s *Server) overloadStats() OverloadStats {
 	st := OverloadStats{
-		Collapsed:      s.metrics.collapsed.Load(),
-		StaleServed:    s.metrics.staleServed.Load(),
-		Revalidations:  s.metrics.revalidations.Load(),
-		PartialResults: s.metrics.partials.Load(),
-		RateLimited:    s.metrics.ratelimitShed.Load(),
-		MinGenWaits:    s.metrics.minGenWaits.Load(),
-		MinGenStale:    s.metrics.minGenStale.Load(),
+		Collapsed:      s.tel.collapsed.Value(),
+		StaleServed:    s.tel.staleServed.Value(),
+		Revalidations:  s.tel.revalidations.Value(),
+		PartialResults: s.tel.partials.Value(),
+		RateLimited:    s.tel.ratelimitShed.Value(),
+		MinGenWaits:    s.tel.minGenWaits.Value(),
+		MinGenStale:    s.tel.minGenStale.Value(),
 	}
 	if l := s.limiter; l != nil {
 		st.RateLimitPerSec = l.rate
@@ -1089,12 +1046,12 @@ func (s *Server) overloadStats() OverloadStats {
 		st.InFlight = a.inFlight()
 		st.Queued = a.queued.Load()
 		st.PeakInFlight = a.peakInFlight.Load()
-		st.Admitted = a.admitted.Load()
-		st.Waited = a.waited.Load()
-		st.Shed = a.shedTotal()
-		st.ShedQueueFull = a.shedFull.Load()
-		st.ShedTimeout = a.shedTimeout.Load()
-		st.ShedClientGone = a.shedClient.Load()
+		st.Admitted = s.tel.admitted.Value()
+		st.Waited = s.tel.waited.Value()
+		st.ShedQueueFull = s.tel.shed[shedQueueFull].Value()
+		st.ShedTimeout = s.tel.shed[shedWaitTimeout].Value()
+		st.ShedClientGone = s.tel.shed[shedClientGone].Value()
+		st.Shed = st.ShedQueueFull + st.ShedTimeout + st.ShedClientGone
 		if st.ShedQueueFull > 0 {
 			st.ShedDecisionMeanUs = float64(a.shedFullSumNs.Load()) / float64(st.ShedQueueFull) / 1e3
 			st.ShedDecisionMaxUs = float64(a.shedFullMaxNs.Load()) / 1e3
@@ -1119,34 +1076,35 @@ type IngestStats struct {
 
 func (s *Server) ingestStats() IngestStats {
 	return IngestStats{
-		Publishes: s.metrics.publishes.Load(),
-		Stable:    s.metrics.publishStable.Load(),
-		Rejected:  s.metrics.publishRejected.Load(),
-		Features:  s.metrics.publishFeaturesN.Load(),
+		Publishes: s.tel.publishes.Value(),
+		Stable:    s.tel.publishStable.Value(),
+		Rejected:  s.tel.publishRejected.Value(),
+		Features:  s.tel.publishFeatures.Value(),
 	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.metrics.cacheHits.Load(), s.metrics.cacheMiss.Load()
+	hits, misses := s.tel.cacheHits.Value(), s.tel.cacheMisses.Value()
 	cache := CacheStats{
 		Hits:    hits,
 		Misses:  misses,
 		Entries: s.cache.Len(),
-		Stale:   s.metrics.staleServed.Load(),
+		Stale:   s.tel.staleServed.Value(),
 	}
 	if hits+misses > 0 {
 		cache.HitRate = float64(hits) / float64(hits+misses)
 	}
 	sizes := s.sys.SnapshotShardSizes()
+	poolHits, poolMisses := search.PoolStats()
 	resp := StatsResponse{
-		UptimeSec:  time.Since(s.metrics.start).Seconds(),
+		UptimeSec:  time.Since(s.tel.start).Seconds(),
 		Datasets:   s.sys.DatasetCount(),
 		Generation: s.sys.SnapshotGeneration(),
-		InFlight:   s.metrics.inFlight.Load(),
+		InFlight:   s.tel.inFlight.Value(),
 		Shards:     ShardStats{Count: len(sizes), Sizes: sizes},
-		Endpoints:  s.metrics.snapshotEndpoints(),
+		Endpoints:  s.tel.snapshotEndpoints(),
 		Cache:      cache,
-		Search:     s.sampleSearchStats(),
+		Search:     SearchStats{PoolHits: poolHits, PoolMisses: poolMisses, SearchesRun: s.tel.searchesRun.Value()},
 		Overload:   s.overloadStats(),
 		Rewrangle:  s.rew.stats(),
 		Ingest:     s.ingestStats(),
@@ -1205,13 +1163,13 @@ func (r *statusRecorder) WriteHeader(code int) {
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.inFlight.Add(1)
+		s.tel.inFlight.Add(1)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		// Deferred so a panicking handler (recovered by net/http) still
 		// releases the gauge and records its request.
 		defer func() {
-			s.metrics.inFlight.Add(-1)
-			s.metrics.observe(endpointLabel(r.URL.Path), rec.status, time.Since(start))
+			s.tel.inFlight.Add(-1)
+			s.tel.observe(endpointLabel(r.URL.Path), rec.status, time.Since(start))
 		}()
 		next.ServeHTTP(rec, r)
 	})

@@ -77,9 +77,15 @@ func TestReplayAgainstServer(t *testing.T) {
 	if stats.CacheHits == 0 {
 		t.Errorf("no cache hits across a repeated workload: %+v", stats)
 	}
-	if stats.CacheHits+stats.CacheMisses != stats.Requests {
-		t.Errorf("cache headers %d+%d do not cover %d requests",
-			stats.CacheHits, stats.CacheMisses, stats.Requests)
+	// Every response carries a cache state; with concurrent workers a
+	// repeat can join the first pass's in-flight search ("collapsed"),
+	// so hits and misses alone need not cover the requests.
+	states := 0
+	for _, n := range stats.CacheStates {
+		states += n
+	}
+	if states != stats.Requests {
+		t.Errorf("cache states %v do not cover %d requests", stats.CacheStates, stats.Requests)
 	}
 }
 
