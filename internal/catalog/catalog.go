@@ -22,6 +22,11 @@ type Catalog struct {
 	// variables, so querying a parent concept can use the index too.
 	byName   map[string]map[string]bool
 	byParent map[string]map[string]bool
+	// names tallies every current variable name (excluded ones included),
+	// maintained by the same index hooks as byName, so the wrangling
+	// chain's name-level questions (VariableNameCounts, the mess metric)
+	// read O(distinct names) instead of walking every feature.
+	names map[string]nameTally
 	// generation counts mutations, letting long-running searchers detect
 	// that a published catalog replaced this one.
 	generation uint64
@@ -51,9 +56,14 @@ func NewSharded(shards int) *Catalog {
 		features: make(map[string]*Feature),
 		byName:   make(map[string]map[string]bool),
 		byParent: make(map[string]map[string]bool),
+		names:    make(map[string]nameTally),
 		shards:   shards,
 	}
 }
+
+// nameTally counts one variable name's occurrences across the catalog,
+// and how many of them are excluded or carry a hierarchy parent.
+type nameTally struct{ occurrences, excluded, parented int }
 
 // ShardCount returns the snapshot partition count.
 func (c *Catalog) ShardCount() int { return c.shards }
@@ -216,20 +226,14 @@ func (c *Catalog) DatasetsWithParent(name string) []string {
 
 // VariableNameCounts tallies every *current* variable name (including
 // excluded ones) across the catalog — the facet the wrangling chain and
-// discovery cluster over.
+// discovery cluster over — ordered by descending count, then name.
 func (c *Catalog) VariableNameCounts() []table.ValueCount {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	counts := make(map[string]int)
-	for _, f := range c.features {
-		for _, v := range f.Variables {
-			counts[v.Name]++
-		}
+	out := make([]table.ValueCount, 0, len(c.names))
+	for v, t := range c.names {
+		out = append(out, table.ValueCount{Value: v, Count: t.occurrences})
 	}
-	out := make([]table.ValueCount, 0, len(counts))
-	for v, n := range counts {
-		out = append(out, table.ValueCount{Value: v, Count: n})
-	}
+	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
@@ -239,12 +243,31 @@ func (c *Catalog) VariableNameCounts() []table.ValueCount {
 	return out
 }
 
+// ForEachVariableName calls fn once per distinct current variable name,
+// in ascending name order, with the number of occurrences of the name
+// and how many of those are excluded or have a hierarchy parent. It
+// reads the maintained tally, not the features.
+func (c *Catalog) ForEachVariableName(fn func(name string, occurrences, excluded, parented int)) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, n := range c.sortedNamesLocked() {
+		t := c.names[n]
+		fn(n, t.occurrences, t.excluded, t.parented)
+	}
+}
+
 // DistinctVariableNames returns the sorted distinct current names.
 func (c *Catalog) DistinctVariableNames() []string {
-	counts := c.VariableNameCounts()
-	out := make([]string, len(counts))
-	for i, vc := range counts {
-		out[i] = vc.Value
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.sortedNamesLocked()
+}
+
+// sortedNamesLocked lists the tally's names in ascending order.
+func (c *Catalog) sortedNamesLocked() []string {
+	out := make([]string, 0, len(c.names))
+	for n := range c.names {
+		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
@@ -539,6 +562,7 @@ func (c *Catalog) ReplaceAll(other *Catalog) {
 	c.features = clone.features
 	c.byName = clone.byName
 	c.byParent = clone.byParent
+	c.names = clone.names
 	c.generation++
 	c.snap.Store(newSnapshot(c.features, c.generation, c.shards))
 }
@@ -554,6 +578,7 @@ func (c *Catalog) SeedFrom(other *Catalog) {
 	c.features = clone.features
 	c.byName = clone.byName
 	c.byParent = clone.byParent
+	c.names = clone.names
 	c.generation++
 	c.snap.Store(nil)
 }
@@ -689,6 +714,7 @@ func (c *Catalog) indexLocked(f *Feature) {
 		set[f.ID] = true
 	}
 	for _, v := range f.Variables {
+		c.tallyLocked(&v, 1)
 		if v.Excluded || v.Parent == "" {
 			continue
 		}
@@ -701,6 +727,24 @@ func (c *Catalog) indexLocked(f *Feature) {
 	}
 }
 
+// tallyLocked adds (sign +1) or removes (sign -1) one occurrence of v
+// from the name tally, dropping a name whose last occurrence went.
+func (c *Catalog) tallyLocked(v *VarFeature, sign int) {
+	t := c.names[v.Name]
+	t.occurrences += sign
+	if v.Excluded {
+		t.excluded += sign
+	}
+	if v.Parent != "" {
+		t.parented += sign
+	}
+	if t.occurrences == 0 {
+		delete(c.names, v.Name)
+		return
+	}
+	c.names[v.Name] = t
+}
+
 // unindexLocked removes f from the secondary indexes.
 func (c *Catalog) unindexLocked(f *Feature) {
 	for _, name := range f.SearchableNames() {
@@ -711,6 +755,7 @@ func (c *Catalog) unindexLocked(f *Feature) {
 		}
 	}
 	for _, v := range f.Variables {
+		c.tallyLocked(&v, -1)
 		if v.Excluded || v.Parent == "" {
 			continue
 		}

@@ -1,0 +1,176 @@
+package catalog
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"metamess/internal/table"
+)
+
+// requireTallyMatchesFeatures recounts the name tally from the features
+// and compares it with what the index hooks maintained, through both
+// readers (ForEachVariableName and VariableNameCounts).
+func requireTallyMatchesFeatures(t *testing.T, c *Catalog, when string) {
+	t.Helper()
+	want := map[string]nameTally{}
+	c.ForEach(func(f *Feature) {
+		for _, v := range f.Variables {
+			n := want[v.Name]
+			n.occurrences++
+			if v.Excluded {
+				n.excluded++
+			}
+			if v.Parent != "" {
+				n.parented++
+			}
+			want[v.Name] = n
+		}
+	})
+	got := map[string]nameTally{}
+	var order []string
+	c.ForEachVariableName(func(name string, occurrences, excluded, parented int) {
+		got[name] = nameTally{occurrences, excluded, parented}
+		order = append(order, name)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: tally %v, recount %v", when, got, want)
+	}
+	if !sort.StringsAreSorted(order) {
+		t.Fatalf("%s: names visited out of order: %v", when, order)
+	}
+	if !reflect.DeepEqual(c.DistinctVariableNames(), order) {
+		t.Fatalf("%s: DistinctVariableNames %v, tally order %v", when, c.DistinctVariableNames(), order)
+	}
+	counts := make([]table.ValueCount, 0, len(want))
+	for name, n := range want {
+		counts = append(counts, table.ValueCount{Value: name, Count: n.occurrences})
+	}
+	sort.Slice(counts, func(i, j int) bool {
+		if counts[i].Count != counts[j].Count {
+			return counts[i].Count > counts[j].Count
+		}
+		return counts[i].Value < counts[j].Value
+	})
+	if got := c.VariableNameCounts(); !reflect.DeepEqual(got, counts) {
+		t.Fatalf("%s: VariableNameCounts %v, recount %v", when, got, counts)
+	}
+}
+
+// TestNameTallyTracksEveryMutation drives a catalog through a random
+// sequence of every mutation path — including adopting another
+// catalog's state and reloading from a store — and requires the
+// maintained tally to equal a recount after each step.
+func TestNameTallyTracksEveryMutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	c := NewSharded(3)
+	const ids = 40
+	ops := map[string]int{}
+	for step := 0; step < 400; step++ {
+		op := []string{"upsert", "delete", "mutate-of", "mutate-all", "apply-table", "apply-delta",
+			"apply-delta-at", "clone", "replace-all", "seed-from", "reload"}[rng.Intn(11)]
+		ops[op]++
+		switch op {
+		case "upsert":
+			if err := c.Upsert(deltaFeature(rng.Intn(ids), rng.Intn(3))); err != nil {
+				t.Fatal(err)
+			}
+		case "delete":
+			c.Delete(deltaFeature(rng.Intn(ids), 0).ID)
+		case "mutate-of", "mutate-all":
+			// Flip exclusion, set or clear a parent, rename: the three
+			// facts the tally keeps per occurrence.
+			fn := func(f *Feature) bool {
+				v := &f.Variables[rng.Intn(len(f.Variables))]
+				switch rng.Intn(3) {
+				case 0:
+					v.Excluded = !v.Excluded
+				case 1:
+					if v.Parent == "" {
+						v.Parent = "fluorescence"
+					} else {
+						v.Parent = ""
+					}
+				default:
+					v.Name = v.RawName + "_v2"
+				}
+				return true
+			}
+			if op == "mutate-all" {
+				c.MutateVariables(fn)
+			} else {
+				c.MutateVariablesOf([]string{deltaFeature(rng.Intn(ids), 0).ID, "absent"}, fn)
+			}
+		case "apply-table":
+			grid := c.ToTable()
+			for i := 0; i < grid.NumRows(); i++ {
+				if rng.Intn(4) == 0 {
+					if err := grid.SetCell(i, "field", "renamed_by_rule"); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if _, err := c.ApplyTable(grid); err != nil {
+				t.Fatal(err)
+			}
+		case "apply-delta":
+			if _, err := c.ApplyDelta(
+				[]*Feature{deltaFeature(rng.Intn(ids), rng.Intn(3)), deltaFeature(ids+rng.Intn(5), 1)},
+				[]string{deltaFeature(rng.Intn(ids), 0).ID}); err != nil {
+				t.Fatal(err)
+			}
+		case "apply-delta-at":
+			if err := c.ApplyDeltaAt(c.Generation()+2,
+				[]*Feature{deltaFeature(rng.Intn(ids), rng.Intn(3))},
+				[]string{deltaFeature(rng.Intn(ids), 0).ID}); err != nil {
+				t.Fatal(err)
+			}
+		case "clone":
+			c = c.Clone()
+		case "replace-all":
+			next := NewSharded(3)
+			next.ReplaceAll(c)
+			c = next
+		case "seed-from":
+			next := NewSharded(3)
+			next.SeedFrom(c)
+			c = next
+		case "reload":
+			// Checkpoint the catalog into a store and recover it into a
+			// fresh one: the recovery path indexes through upsertOwned.
+			dir := t.TempDir()
+			st, err := OpenStore(dir, NewSharded(3), StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Compact(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			next := NewSharded(3)
+			st, err = OpenStore(dir, next, StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if next.Len() != c.Len() {
+				t.Fatalf("step %d: reload recovered %d features of %d", step, next.Len(), c.Len())
+			}
+			c = next
+		}
+		requireTallyMatchesFeatures(t, c, op)
+	}
+	for _, op := range []string{"upsert", "delete", "mutate-of", "apply-table", "apply-delta", "replace-all", "seed-from", "reload"} {
+		if ops[op] == 0 {
+			t.Errorf("the schedule never ran %s", op)
+		}
+	}
+	if len(c.DistinctVariableNames()) < 3 {
+		t.Errorf("catalog ended with names %v: the schedule degenerated", c.DistinctVariableNames())
+	}
+}

@@ -57,6 +57,12 @@ type Method interface {
 	// Cluster groups the distinct values; only clusters with at least two
 	// distinct members are returned, ordered by descending row count.
 	Cluster(values []table.ValueCount) []Cluster
+	// ClusterTouching returns exactly the clusters of Cluster(values) that
+	// contain at least one of the seed values — same Key, Values,
+	// Recommended and order — without computing the others. Discovery
+	// seeds it with the residual names, so its cost tracks the residual
+	// rather than the square of the catalog's distinct names.
+	ClusterTouching(values []table.ValueCount, seeds []string) []Cluster
 }
 
 // keyCollision clusters values sharing a normalization key.
@@ -91,16 +97,34 @@ func (k keyCollision) Name() string { return k.name }
 
 // Cluster implements Method.
 func (k keyCollision) Cluster(values []table.ValueCount) []Cluster {
-	groups := make(map[string][]table.ValueCount)
-	for _, v := range values {
+	return k.cluster(values, nil)
+}
+
+// ClusterTouching implements Method: a cluster contains a seed exactly
+// when a seed present in values produced its key.
+func (k keyCollision) ClusterTouching(values []table.ValueCount, seeds []string) []Cluster {
+	return k.cluster(values, seedSet(seeds))
+}
+
+// cluster groups values by key; a non-nil seeds set keeps only the
+// groups whose key one of its members produced.
+func (k keyCollision) cluster(values []table.ValueCount, seeds map[string]bool) []Cluster {
+	keys := make([]string, len(values))
+	wanted := make(map[string]bool)
+	for i, v := range values {
 		if v.Value == "" {
 			continue // blanks are handled by fromBlank edits, not clustering
 		}
-		key := k.keyer(v.Value)
-		if key == "" {
-			continue
+		keys[i] = k.keyer(v.Value)
+		if seeds[v.Value] {
+			wanted[keys[i]] = true
 		}
-		groups[key] = append(groups[key], v)
+	}
+	groups := make(map[string][]table.ValueCount)
+	for i, v := range values {
+		if key := keys[i]; key != "" && (seeds == nil || wanted[key]) {
+			groups[key] = append(groups[key], v)
+		}
 	}
 	var out []Cluster
 	for key, members := range groups {
@@ -149,49 +173,145 @@ func (nn nearestNeighbor) Name() string { return nn.name }
 
 // Cluster implements Method.
 func (nn nearestNeighbor) Cluster(values []table.ValueCount) []Cluster {
-	// Work over non-blank distinct values; union-find connected components.
+	// All pairs over the non-blank distinct values, lower index first. For
+	// catalog-scale distinct counts (thousands) the plain O(n^2) is
+	// acceptable for a one-off run; we keep it exact. The write path's
+	// discovery goes through ClusterTouching instead.
+	vals := nonBlank(values)
+	uf := newUnionFind(len(vals))
+	for i := range vals {
+		for j := i + 1; j < len(vals); j++ {
+			if nn.linked(vals, i, j) {
+				uf.union(i, j)
+			}
+		}
+	}
+	return uf.clusters(vals)
+}
+
+// ClusterTouching implements Method. It walks the seeds' closure under
+// the similarity relation — every popped vertex is compared with every
+// vertex not popped before it, so each pair is scored at most once and
+// the whole walk costs |closure| x n comparisons — and then replays the
+// closure's edges in the (i, j) order of Cluster's loop. No edge leaves a
+// closure, so the unions that touch it are the same unions in the same
+// order as in the full run: the component roots, hence the "nn-<root>"
+// keys and the tie-break order, come out identical.
+func (nn nearestNeighbor) ClusterTouching(values []table.ValueCount, seeds []string) []Cluster {
+	vals := nonBlank(values)
+	seed := seedSet(seeds)
+	const (
+		unseen = iota
+		queued
+		popped
+	)
+	state := make([]uint8, len(vals))
+	var queue []int
+	for i, v := range vals {
+		if seed[v.Value] {
+			state[i] = queued
+			queue = append(queue, i)
+		}
+	}
+	var edges [][2]int
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		state[u] = popped
+		for v := range vals {
+			if v == u || state[v] == popped {
+				continue
+			}
+			i, j := u, v
+			if j < i {
+				i, j = j, i
+			}
+			if !nn.linked(vals, i, j) {
+				continue
+			}
+			edges = append(edges, [2]int{i, j})
+			if state[v] == unseen {
+				state[v] = queued
+				queue = append(queue, v)
+			}
+		}
+	}
+	sort.Slice(edges, func(a, b int) bool {
+		if edges[a][0] != edges[b][0] {
+			return edges[a][0] < edges[b][0]
+		}
+		return edges[a][1] < edges[b][1]
+	})
+	uf := newUnionFind(len(vals))
+	for _, e := range edges {
+		uf.union(e[0], e[1])
+	}
+	return uf.clusters(vals)
+}
+
+// linked reports whether vals[i] and vals[j] are similar enough to share
+// a cluster. Callers pass i < j, so an asymmetric similarity is always
+// asked the same way round.
+func (nn nearestNeighbor) linked(vals []table.ValueCount, i, j int) bool {
+	if nn.lengthPrune && !lengthCompatible(vals[i].Value, vals[j].Value, nn.threshold) {
+		return false
+	}
+	return nn.sim(vals[i].Value, vals[j].Value) >= nn.threshold
+}
+
+// nonBlank drops blank values, which clustering never groups.
+func nonBlank(values []table.ValueCount) []table.ValueCount {
 	var vals []table.ValueCount
 	for _, v := range values {
 		if v.Value != "" {
 			vals = append(vals, v)
 		}
 	}
-	n := len(vals)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+	return vals
+}
+
+// seedSet indexes seed values; never nil, so callers can tell "no seeds"
+// from "unseeded".
+func seedSet(seeds []string) map[string]bool {
+	set := make(map[string]bool, len(seeds))
+	for _, s := range seeds {
+		set[s] = true
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
+	return set
+}
+
+// unionFind tracks connected components over value indices.
+type unionFind struct{ parent []int }
+
+func newUnionFind(n int) *unionFind {
+	uf := &unionFind{parent: make([]int, n)}
+	for i := range uf.parent {
+		uf.parent[i] = i
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
+	return uf
+}
+
+func (uf *unionFind) find(x int) int {
+	for uf.parent[x] != x {
+		uf.parent[x] = uf.parent[uf.parent[x]]
+		x = uf.parent[x]
 	}
-	// Blocking: sort by value so similar strings are near one another and
-	// compare each value with a bounded window plus all same-first-rune
-	// values. For catalog-scale distinct counts (thousands) the plain
-	// O(n^2) over distinct values is acceptable; we keep it exact.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if nn.lengthPrune && !lengthCompatible(vals[i].Value, vals[j].Value, nn.threshold) {
-				continue
-			}
-			if nn.sim(vals[i].Value, vals[j].Value) >= nn.threshold {
-				union(i, j)
-			}
-		}
+	return x
+}
+
+func (uf *unionFind) union(a, b int) {
+	ra, rb := uf.find(a), uf.find(b)
+	if ra != rb {
+		uf.parent[rb] = ra
 	}
+}
+
+// clusters renders every component of two or more values, keyed by its
+// root index.
+func (uf *unionFind) clusters(vals []table.ValueCount) []Cluster {
 	groups := make(map[int][]table.ValueCount)
 	for i, v := range vals {
-		root := find(i)
+		root := uf.find(i)
 		groups[root] = append(groups[root], v)
 	}
 	var out []Cluster
@@ -199,8 +319,7 @@ func (nn nearestNeighbor) Cluster(values []table.ValueCount) []Cluster {
 		if len(members) < 2 {
 			continue
 		}
-		c := finalize(fmt.Sprintf("nn-%d", root), members)
-		out = append(out, c)
+		out = append(out, finalize(fmt.Sprintf("nn-%d", root), members))
 	}
 	orderClusters(out)
 	return out

@@ -120,7 +120,7 @@ func (KnownTransforms) Name() string { return "known-transforms" }
 
 // Run implements Component.
 func (KnownTransforms) Run(ctx *Context) (StepReport, error) {
-	cls := semdiv.NewClassifier(ctx.Knowledge)
+	cls := ctx.classifier()
 	counts := ctx.Working.VariableNameCounts()
 	names := make([]string, len(counts))
 	for i, vc := range counts {
@@ -333,7 +333,7 @@ func (d DiscoverTransforms) Run(ctx *Context) (StepReport, error) {
 			cluster.Levenshtein(0.84),
 		}
 	}
-	cls := semdiv.NewClassifier(ctx.Knowledge)
+	cls := ctx.classifier()
 	// The residual: names with no curated resolution — and no already
 	// discovered one. A re-parsed file resurrects raw names that an
 	// accumulated rule folds later in this same run (PerformDiscovered
@@ -341,8 +341,9 @@ func (d DiscoverTransforms) Run(ctx *Context) (StepReport, error) {
 	// near-duplicate rules and needlessly re-trigger full reprocessing
 	// on every churned re-wrangle.
 	ruled := ruledNames(ctx.DiscoveredRules)
+	counts := ctx.Working.VariableNameCounts()
 	var residual []string
-	for _, vc := range ctx.Working.VariableNameCounts() {
+	for _, vc := range counts {
 		if cls.Classify(vc.Value).Category == semdiv.CatUnknown && !ruled[vc.Value] {
 			residual = append(residual, vc.Value)
 		}
@@ -367,17 +368,20 @@ func (d DiscoverTransforms) Run(ctx *Context) (StepReport, error) {
 		}
 	}
 
-	grid := ctx.Working.ToTable()
-	counts, err := grid.ValueCounts("field")
-	if err != nil {
-		return StepReport{}, err
-	}
 	// Cluster over all names so residual values can collide with known
-	// ones, but keep only clusters containing at least one residual name.
+	// ones, but compute and keep only clusters containing at least one
+	// residual name not folded yet. One method's clusters are disjoint, so
+	// the seeds taken before its loop stay exact while the loop folds.
 	folded := make(map[string]bool)
 	rules := 0
 	for _, m := range methods {
-		clusters := m.Cluster(counts)
+		var seeds []string
+		for _, r := range residual {
+			if !folded[r] {
+				seeds = append(seeds, r)
+			}
+		}
+		clusters := m.ClusterTouching(counts, seeds)
 		var keep []cluster.Cluster
 		for _, c := range clusters {
 			hasResidual, allFolded := false, true
@@ -532,10 +536,7 @@ func (g GenerateHierarchies) Run(ctx *Context) (StepReport, error) {
 	if opts.MinGroupSize == 0 {
 		opts = hierarchy.DefaultGenerateOptions()
 	}
-	var names []string
-	for _, n := range ctx.Working.DistinctVariableNames() {
-		names = append(names, n)
-	}
+	names := ctx.Working.DistinctVariableNames()
 	tax, err := hierarchy.Generate("variables", names, opts)
 	if err != nil {
 		return StepReport{}, err
@@ -555,7 +556,7 @@ func (g GenerateHierarchies) Run(ctx *Context) (StepReport, error) {
 	// Classifier-driven parents: a multi-level name whose stem family has
 	// only one member never earns a taxonomy group, but the classifier
 	// still knows its parent concept (fluores410 under fluorescence).
-	cls := semdiv.NewClassifier(ctx.Knowledge)
+	cls := ctx.classifier()
 	classifiedParent := make(map[string]string)
 	for _, name := range names {
 		if f := cls.Classify(name); f.Category == semdiv.CatMultiLevel && f.GroupParent != "" {
@@ -637,12 +638,16 @@ func (v Validate) Run(ctx *Context) (StepReport, error) {
 	if checks == nil {
 		checks = validate.DefaultChecks()
 	}
-	report := validate.Run(&validate.Context{
+	vctx := &validate.Context{
 		Catalog:       ctx.Working,
 		Knowledge:     ctx.Knowledge,
 		Units:         ctx.Units,
 		ExpectedPaths: ctx.ExpectedPaths,
-	}, checks...)
+	}
+	if ctx.Knowledge != nil {
+		vctx.Classifier = ctx.classifier()
+	}
+	report := validate.Run(vctx, checks...)
 	ctx.LastValidation = report
 	step := StepReport{Counters: map[string]int{
 		"checks":   len(report.ChecksRun),
@@ -723,6 +728,10 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 	ctx.lastRunEpoch = ctx.KnowledgeEpoch
 	ctx.lastKnowledgeFP = knowledgeFingerprint(ctx.Knowledge, ctx.Units, len(ctx.PendingDecisions))
 	ctx.pendingDirty = nil
+	if ctx.cls != nil {
+		// Bound the classifier memo to the names the catalog still has.
+		ctx.cls.Retain(ctx.Working.DistinctVariableNames())
+	}
 	step := StepReport{Counters: map[string]int{
 		"datasetsPublished": ctx.Published.Len(),
 		"changed":           len(changed),

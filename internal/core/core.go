@@ -155,6 +155,29 @@ type Context struct {
 	// so parents may only be patched incrementally while the name set
 	// is stable.
 	lastNamesHash uint64
+	// cls is the one classifier every component of a run shares, so a
+	// variable name is classified once per knowledge state instead of once
+	// per component; clsFP is the knowledge fingerprint it was built at.
+	// See classifier.
+	cls   *semdiv.Classifier
+	clsFP uint64
+}
+
+// classifier returns the context's memoizing classifier, rebuilt — memo
+// dropped — whenever the knowledge differs from what it was built over:
+// knowledgeFingerprint(k, nil, 0) covers everything a classifier reads,
+// so a synonym added through the facade, a direct write to Knowledge, a
+// table merged mid-run and NoteKnowledgeChange are all seen by the next
+// component that classifies. Knowledge must be non-nil. The memo is not
+// synchronized: only the wrangle path, which the facade serializes, may
+// call this.
+func (c *Context) classifier() *semdiv.Classifier {
+	fp := knowledgeFingerprint(c.Knowledge, nil, 0)
+	if c.cls == nil || fp != c.clsFP {
+		c.cls = semdiv.NewClassifier(c.Knowledge)
+		c.clsFP = fp
+	}
+	return c.cls
 }
 
 // NoteKnowledgeChange records that the curated knowledge (synonym
@@ -289,11 +312,14 @@ type StepReport struct {
 
 // RunReport summarizes a whole chain run.
 type RunReport struct {
-	Process    string        `json:"process"`
-	Steps      []StepReport  `json:"steps"`
-	Duration   time.Duration `json:"duration"`
-	MessBefore MessReport    `json:"messBefore"`
-	MessAfter  MessReport    `json:"messAfter"`
+	Process  string        `json:"process"`
+	Steps    []StepReport  `json:"steps"`
+	Duration time.Duration `json:"duration"`
+	// MessDuration is the time the run spent computing the mess metric
+	// between steps: part of Duration, of no step's.
+	MessDuration time.Duration `json:"messDuration"`
+	MessBefore   MessReport    `json:"messBefore"`
+	MessAfter    MessReport    `json:"messAfter"`
 }
 
 // Process is a named chain of components — the poster's "metadata
@@ -314,11 +340,12 @@ func NewProcess(name string, components ...Component) *Process {
 // error. The report records the mess metric before and after every
 // step. The metric is memoized on (catalog generation, knowledge
 // epoch): a step that mutated neither — validate, publish, an
-// incremental no-op — reuses the previous computation instead of
-// re-classifying every variable name in the catalog, which matters on
-// the delta-scoped reruns whose whole point is to not walk everything.
+// incremental no-op — reuses the previous computation. What it does
+// cost is summed into RunReport.MessDuration and observed as the "mess"
+// wrangle stage.
 func (p *Process) Run(ctx *Context) (*RunReport, error) {
 	start := time.Now()
+	report := &RunReport{Process: p.Name}
 	var memo struct {
 		valid bool
 		gen   uint64
@@ -330,16 +357,19 @@ func (p *Process) Run(ctx *Context) (*RunReport, error) {
 		if memo.valid && memo.gen == gen && memo.epoch == ctx.KnowledgeEpoch {
 			return memo.rep
 		}
+		t0 := time.Now()
 		memo.valid = true
 		memo.gen = gen
 		memo.epoch = ctx.KnowledgeEpoch
-		memo.rep = Mess(ctx.Working, ctx.Knowledge)
+		memo.rep = MessReport{}
+		if ctx.Knowledge != nil {
+			memo.rep = messOf(ctx.Working, ctx.classifier())
+		}
+		report.MessDuration += time.Since(t0)
 		return memo.rep
 	}
-	report := &RunReport{
-		Process:    p.Name,
-		MessBefore: mess(),
-	}
+	defer func() { observeWrangleStage("mess", report.MessDuration) }()
+	report.MessBefore = mess()
 	for _, comp := range p.Components {
 		name := comp.Name()
 		// Component spans nest under the run's span; instrumented
@@ -396,30 +426,20 @@ type MessReport struct {
 
 // Mess computes the metric for a catalog against a knowledge base.
 func Mess(c *catalog.Catalog, k *semdiv.Knowledge) MessReport {
-	r := MessReport{}
 	if c == nil || k == nil {
-		return r
+		return MessReport{}
 	}
-	cls := semdiv.NewClassifier(k)
-	excludedNames := make(map[string]bool)
-	groupedNames := make(map[string]bool)
-	counts := make(map[string]int)
-	// One lock-free-of-clones pass over the live features: the metric
-	// runs after every chain step, so it must not force a snapshot
-	// rebuild (or a catalog copy) per step.
-	c.ForEach(func(f *catalog.Feature) {
-		for _, v := range f.Variables {
-			counts[v.Name]++
-			if v.Excluded {
-				excludedNames[v.Name] = true
-			}
-			if v.Parent != "" {
-				groupedNames[v.Name] = true
-			}
-		}
-	})
+	return messOf(c, semdiv.NewClassifier(k))
+}
+
+// messOf computes the metric from the catalog's maintained name tally —
+// one classification per distinct name, no walk over the features: the
+// metric runs after every chain step, so it must cost in proportion to
+// the names, not the catalog.
+func messOf(c *catalog.Catalog, cls *semdiv.Classifier) MessReport {
+	r := MessReport{}
 	totalOcc, wrangledOcc := 0, 0
-	for name, count := range counts {
+	c.ForEachVariableName(func(name string, count, excluded, parented int) {
 		r.DistinctNames++
 		totalOcc += count
 		f := cls.Classify(name)
@@ -427,16 +447,16 @@ func Mess(c *catalog.Catalog, k *semdiv.Knowledge) MessReport {
 		case f.Category == semdiv.CatClean:
 			r.CanonicalNames++
 			wrangledOcc += count
-		case excludedNames[name]:
+		case excluded > 0:
 			r.ExcludedNames++
 			wrangledOcc += count
-		case f.Category == semdiv.CatMultiLevel && groupedNames[name]:
+		case f.Category == semdiv.CatMultiLevel && parented > 0:
 			r.GroupedNames++
 			wrangledOcc += count
 		default:
 			r.UnresolvedNames++
 		}
-	}
+	})
 	if totalOcc > 0 {
 		r.OccurrenceCoverage = float64(wrangledOcc) / float64(totalOcc)
 	}

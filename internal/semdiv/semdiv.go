@@ -146,25 +146,50 @@ func NewKnowledge(vars []vocab.Variable) (*Knowledge, error) {
 }
 
 // Classifier sorts raw names into categories against a knowledge base.
+//
+// A Classifier is a snapshot of the knowledge it was built over: it
+// memoizes one Finding per raw name, so a caller that mutates the
+// Knowledge must build a new Classifier to see the change (core.Context
+// does so whenever the knowledge fingerprint moves). The memo also makes
+// a Classifier unsafe for concurrent use; concurrent callers each build
+// their own.
 type Classifier struct {
 	k *Knowledge
 	// MinorVariationThreshold is the minimum normalized Levenshtein
 	// similarity for a fuzzy match against the canonical vocabulary.
+	// Changing it drops the memo.
 	MinorVariationThreshold float64
 
 	canonByKey  map[string]string // normKey(canonical) -> canonical
 	baseByKey   map[string]string // normKey(base) -> base
 	contextsFor map[string][]string
+	// canon and bases are the fuzzy-match candidates in ascending name
+	// order (the deterministic tie-break), each with its normKey computed
+	// once here instead of once per fuzzy classification.
+	canon, bases []keyedName
+
+	// memo holds the finding of every name classified so far, valid for
+	// memoThreshold; its Contexts/Candidates slices are never handed out.
+	// Pointer values keep the map's slots small: it is sized to a power
+	// of two, and a Finding is 128 bytes.
+	memo          map[string]*Finding
+	memoThreshold float64
 }
+
+// keyedName is a vocabulary name with its precomputed normKey.
+type keyedName struct{ name, key string }
 
 // NewClassifier builds a classifier over the knowledge base.
 func NewClassifier(k *Knowledge) *Classifier {
+	const threshold = 0.82
 	c := &Classifier{
 		k:                       k,
-		MinorVariationThreshold: 0.82,
+		MinorVariationThreshold: threshold,
 		canonByKey:              make(map[string]string),
 		baseByKey:               make(map[string]string),
 		contextsFor:             make(map[string][]string),
+		memo:                    make(map[string]*Finding),
+		memoThreshold:           threshold,
 	}
 	for _, v := range k.Vocabulary {
 		c.canonByKey[normKey(v.Name)] = v.Name
@@ -175,12 +200,61 @@ func NewClassifier(k *Knowledge) *Classifier {
 	for key, base := range c.baseByKey {
 		c.contextsFor[key] = k.Contexts.TaxonomiesOf(base)
 	}
+	c.canon = sortedKeyed(c.canonByKey)
+	c.bases = sortedKeyed(c.baseByKey)
 	return c
 }
 
-// Classify diagnoses one raw name. The checks run in specificity order;
-// the first hit wins, matching how a curator would triage.
+// sortedKeyed lists a normKey->name map in ascending name order.
+func sortedKeyed(byKey map[string]string) []keyedName {
+	out := make([]keyedName, 0, len(byKey))
+	for key, n := range byKey {
+		out = append(out, keyedName{name: n, key: key})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// Classify diagnoses one raw name, computing the verdict on the first
+// call for a name and answering from the memo afterwards. The returned
+// Finding is the caller's: its slices are copies.
 func (c *Classifier) Classify(raw string) Finding {
+	if c.memoThreshold != c.MinorVariationThreshold {
+		c.memo = make(map[string]*Finding)
+		c.memoThreshold = c.MinorVariationThreshold
+	}
+	m, ok := c.memo[raw]
+	if !ok {
+		f := c.classify(raw)
+		m = &f
+		c.memo[raw] = m
+	}
+	f := *m
+	f.Contexts = append([]string(nil), f.Contexts...)
+	f.Candidates = append([]string(nil), f.Candidates...)
+	return f
+}
+
+// Retain bounds the memo to the given names: once it holds more entries
+// than there are names, every entry for a name outside the list is
+// dropped. The wrangling chain calls it at publish with the working
+// catalog's current names, so the memo cannot grow with archive history.
+func (c *Classifier) Retain(names []string) {
+	if len(c.memo) <= len(names) {
+		return
+	}
+	kept := make(map[string]*Finding, len(names))
+	for _, n := range names {
+		if f, ok := c.memo[n]; ok {
+			kept[n] = f
+		}
+	}
+	c.memo = kept
+}
+
+// classify runs the checks in specificity order; the first hit wins,
+// matching how a curator would triage.
+func (c *Classifier) classify(raw string) Finding {
 	f := Finding{RawName: raw}
 	key := normKey(raw)
 	if key == "" {
@@ -309,21 +383,15 @@ func (c *Classifier) ClassifyAll(raws []string) []Finding {
 }
 
 // closestCanonical finds the most similar canonical name, comparing the
-// normalized forms so separator noise does not dilute similarity.
+// normalized forms so separator noise does not dilute similarity. Ties
+// go to the first name in ascending order.
 func (c *Classifier) closestCanonical(raw string) (string, float64) {
 	rk := normKey(raw)
 	best, bestSim := "", 0.0
-	// Deterministic iteration: sort the canonical names once per call;
-	// vocabulary sizes are tens of entries, so this stays cheap.
-	names := make([]string, 0, len(c.canonByKey))
-	for _, n := range c.canonByKey {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, canon := range names {
-		sim := strdist.LevenshteinSimilarity(rk, normKey(canon))
+	for _, canon := range c.canon {
+		sim := strdist.LevenshteinSimilarity(rk, canon.key)
 		if sim > bestSim {
-			best, bestSim = canon, sim
+			best, bestSim = canon.name, sim
 		}
 	}
 	return best, bestSim
@@ -333,22 +401,16 @@ func (c *Classifier) closestCanonical(raw string) (string, float64) {
 func (c *Classifier) closestBase(stem string) (string, float64) {
 	sk := normKey(stem)
 	best, bestSim := "", 0.0
-	bases := make([]string, 0, len(c.baseByKey))
-	for _, b := range c.baseByKey {
-		bases = append(bases, b)
-	}
-	sort.Strings(bases)
-	for _, base := range bases {
-		bk := normKey(base)
-		sim := strdist.LevenshteinSimilarity(sk, bk)
+	for _, base := range c.bases {
+		sim := strdist.LevenshteinSimilarity(sk, base.key)
 		// A stem that is a strict prefix of the base (fluores ->
 		// fluorescence) is strong evidence even at lower edit similarity,
 		// so prefix matches are floored well above the acceptance bar.
-		if strings.HasPrefix(bk, sk) && len(sk) >= 4 && sim < 0.75 {
+		if strings.HasPrefix(base.key, sk) && len(sk) >= 4 && sim < 0.75 {
 			sim = 0.75
 		}
 		if sim > bestSim {
-			best, bestSim = base, sim
+			best, bestSim = base.name, sim
 		}
 	}
 	return best, bestSim

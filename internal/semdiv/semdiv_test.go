@@ -1,6 +1,8 @@
 package semdiv
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -358,5 +360,80 @@ func BenchmarkClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Classify(names[i%len(names)])
+	}
+}
+
+// TestClassifyMemoEqualsFreshClassifier checks the memo is invisible:
+// for names of every category, a long-lived classifier answers like a
+// classifier built for that one question — on the first call and on the
+// memoized second — and handing out a finding never exposes the memo.
+func TestClassifyMemoEqualsFreshClassifier(t *testing.T) {
+	k, err := NewKnowledge(vocab.Standard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{
+		"water_temperature", "Water Temperature", "air_temperatrue", "airtemp", "MWHLA",
+		"qa_level", "temp", "temperature", "fluores375", "fluorescence_410", "salinityy",
+		"zzz_unheard_of", "", "  ", "sea surface temperature", "turbidty",
+	}
+	shared := NewClassifier(k)
+	categories := map[Category]bool{}
+	for pass := 0; pass < 2; pass++ {
+		for _, n := range names {
+			want := NewClassifier(k).Classify(n)
+			got := shared.Classify(n)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pass %d: Classify(%q) = %+v, fresh classifier says %+v", pass, n, got, want)
+			}
+			categories[got.Category] = true
+			// Scribble on the returned slices: the next answer must not care.
+			for i := range got.Contexts {
+				got.Contexts[i] = "scribbled"
+			}
+			for i := range got.Candidates {
+				got.Candidates[i] = "scribbled"
+			}
+		}
+	}
+	for _, c := range []Category{CatSourceContext, CatAmbiguous} {
+		if !categories[c] {
+			t.Errorf("no %s name in the list: the aliasing check did not run", c)
+		}
+	}
+
+	// A changed threshold is a different question: the memo must not
+	// answer it.
+	if f := shared.Classify("salinityy"); f.Category != CatMinorVariation {
+		t.Fatalf("salinityy = %s, want minor-variation", f.Category)
+	}
+	shared.MinorVariationThreshold = 0.99
+	if f := shared.Classify("salinityy"); f.Category == CatMinorVariation {
+		t.Error("raised threshold still answered from the memo")
+	}
+}
+
+// TestClassifierRetainBoundsTheMemo checks the publish-time prune: the
+// memo shrinks to the retained names once it has outgrown them, and a
+// pruned name is simply classified again.
+func TestClassifierRetainBoundsTheMemo(t *testing.T) {
+	c := classifier(t)
+	for i := 0; i < 50; i++ {
+		c.Classify(fmt.Sprintf("historic_name_%d", i))
+	}
+	before := c.Classify("airtemp")
+	keep := []string{"airtemp", "salinity", "never_classified"}
+	c.Retain(keep)
+	if len(c.memo) > len(keep) {
+		t.Errorf("memo holds %d entries after Retain(%d names)", len(c.memo), len(keep))
+	}
+	if _, ok := c.memo["airtemp"]; !ok {
+		t.Error("Retain dropped a retained name")
+	}
+	if after := c.Classify("historic_name_7"); after.Category != CatUnknown {
+		t.Errorf("re-classified pruned name = %s", after.Category)
+	}
+	if after := c.Classify("airtemp"); !reflect.DeepEqual(after, before) {
+		t.Errorf("retained finding changed: %+v vs %+v", after, before)
 	}
 }

@@ -50,6 +50,10 @@ func (s Status) String() string {
 type Table struct {
 	preferred map[string]string // normalized preferred -> display form
 	alternate map[string]string // normalized alternate -> preferred display form
+	// altPref is alternate's value normalized (alternate key -> preferred
+	// key), so AlternatesOf compares keys instead of re-normalizing every
+	// entry: the knowledge fingerprint asks once per preferred name.
+	altPref map[string]string
 	// altDisplay preserves the first display form seen for each alternate
 	// key, so reverse expansion can reproduce surface forms like "ATastn".
 	altDisplay map[string]string
@@ -60,6 +64,7 @@ func NewTable() *Table {
 	return &Table{
 		preferred:  make(map[string]string),
 		alternate:  make(map[string]string),
+		altPref:    make(map[string]string),
 		altDisplay: make(map[string]string),
 	}
 }
@@ -90,6 +95,7 @@ func (t *Table) Add(preferred string, alternates ...string) error {
 			return fmt.Errorf("synonym: %q already maps to %q, not %q", a, existing, preferred)
 		}
 		t.alternate[ak] = preferred
+		t.altPref[ak] = pk
 		if _, seen := t.altDisplay[ak]; !seen {
 			t.altDisplay[ak] = a
 		}
@@ -130,9 +136,10 @@ func (t *Table) PreferredNames() []string {
 // AlternatesOf returns the alternates recorded for a preferred name, in
 // their original display forms, sorted for determinism.
 func (t *Table) AlternatesOf(preferred string) []string {
+	pk := norm(preferred)
 	var out []string
-	for ak, pref := range t.alternate {
-		if norm(pref) == norm(preferred) {
+	for ak, apk := range t.altPref {
+		if apk == pk {
 			disp := t.altDisplay[ak]
 			if disp == "" {
 				disp = ak
@@ -168,6 +175,7 @@ func (t *Table) Merge(o *Table) error {
 			return fmt.Errorf("synonym: merge: alternate %q maps to both %q and %q", ak, existing, pref)
 		}
 		t.alternate[ak] = pref
+		t.altPref[ak] = o.altPref[ak]
 		if disp, ok := o.altDisplay[ak]; ok {
 			if _, seen := t.altDisplay[ak]; !seen {
 				t.altDisplay[ak] = disp

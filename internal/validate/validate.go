@@ -77,6 +77,10 @@ type Context struct {
 	Units     *units.Registry
 	// ExpectedPaths lists dataset paths that must be present.
 	ExpectedPaths []string
+	// Classifier, when set, is a classifier over Knowledge the caller
+	// already holds (the wrangling chain shares one per knowledge state);
+	// nil makes the checks that classify build their own.
+	Classifier *semdiv.Classifier
 }
 
 // Check is one validation rule.
@@ -116,13 +120,13 @@ func (SameTypeDirectory) Name() string { return "same-type-directory" }
 // Run implements Check.
 func (SameTypeDirectory) Run(ctx *Context) []Finding {
 	byDir := make(map[string]map[string][]string) // dir -> format -> paths
-	for _, f := range ctx.Catalog.Snapshot().All() {
+	ctx.Catalog.ForEach(func(f *catalog.Feature) {
 		dir := path.Dir(filepath.ToSlash(f.Path))
 		if byDir[dir] == nil {
 			byDir[dir] = make(map[string][]string)
 		}
 		byDir[dir][f.Format] = append(byDir[dir][f.Format], f.Path)
-	}
+	})
 	dirs := make([]string, 0, len(byDir))
 	for d := range byDir {
 		dirs = append(dirs, d)
@@ -169,7 +173,10 @@ func (s SynonymCoverage) Run(ctx *Context) []Finding {
 			Detail: "no knowledge base supplied",
 		}}
 	}
-	cls := semdiv.NewClassifier(ctx.Knowledge)
+	cls := ctx.Classifier
+	if cls == nil {
+		cls = semdiv.NewClassifier(ctx.Knowledge)
+	}
 	sev := Warning
 	if s.AsError {
 		sev = Error
@@ -234,7 +241,7 @@ func (UnitsResolved) Run(ctx *Context) []Finding {
 	}
 	seen := make(map[string]bool)
 	var out []Finding
-	for _, f := range ctx.Catalog.Snapshot().All() {
+	ctx.Catalog.ForEach(func(f *catalog.Feature) {
 		for _, v := range f.Variables {
 			if v.Unit == "" || seen[v.Unit] {
 				continue
@@ -248,7 +255,7 @@ func (UnitsResolved) Run(ctx *Context) []Finding {
 				})
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -271,7 +278,7 @@ func (p PlausibleRanges) Run(ctx *Context) []Finding {
 	}
 	byName := vocab.ByName(ctx.Knowledge.Vocabulary)
 	var out []Finding
-	for _, f := range ctx.Catalog.Snapshot().All() {
+	ctx.Catalog.ForEach(func(f *catalog.Feature) {
 		for _, v := range f.Variables {
 			cv, ok := byName[v.Name]
 			if !ok || v.Count == 0 {
@@ -289,6 +296,6 @@ func (p PlausibleRanges) Run(ctx *Context) []Finding {
 				})
 			}
 		}
-	}
+	})
 	return out
 }

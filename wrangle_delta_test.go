@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +83,23 @@ func rankingsFingerprint(t *testing.T, sys *System) string {
 }
 
 func f64p(v float64) *float64 { return &v }
+
+// nameLevelFingerprint renders what a system's last run concluded from
+// variable names alone: the exported discovered rules, the run's mess
+// metric before and after, and the validation findings (sorted — their
+// order is not part of the contract).
+func nameLevelFingerprint(t *testing.T, sys *System) string {
+	t.Helper()
+	rules, err := sys.ExportRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := sys.process.History[len(sys.process.History)-1]
+	findings := sys.Validation()
+	sort.Strings(findings)
+	return fmt.Sprintf("rules %s\nmess before %+v\nmess after %+v\nvalidation\n%s\n",
+		rules, run.MessBefore, run.MessAfter, strings.Join(findings, "\n"))
+}
 
 // obsContent fabricates a clean OBS dataset body: canonical variable
 // names, plausible values, deterministic per (tag, version).
@@ -248,6 +266,15 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 						t.Fatalf("round %d: %s rankings diverged from cold wrangle\n%s",
 							round, name, firstDiff(got, wantRank))
 					}
+				}
+				// Name-level state — the shared classifier memo, the seeded
+				// discovery, the catalog's name tally — must leave no trace
+				// either: same discovered rules, same mess figures, same
+				// validation findings as the system that reprocesses
+				// everything every run.
+				if got, want := nameLevelFingerprint(t, deltaSys), nameLevelFingerprint(t, fullSys); got != want {
+					t.Fatalf("round %d: delta system's rules/mess/validation diverged from the full-reprocess oracle\n%s",
+						round, firstDiff(got, want))
 				}
 				// The delta run must actually have been incremental (the
 				// archive churned, so some delta is expected, but never a
