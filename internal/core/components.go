@@ -94,6 +94,7 @@ func (ScanArchive) Run(ctx *Context) (StepReport, error) {
 		"skippedUnchanged": res.Stats.SkippedUnchanged,
 		"hashVerified":     res.Stats.HashVerified,
 		"failed":           res.Stats.Failed,
+		"bytesParsed":      int(res.Stats.BytesParsed),
 		"added":            len(res.Added),
 		"changed":          len(res.Changed),
 		"removed":          len(res.Removed),

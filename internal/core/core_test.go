@@ -399,6 +399,9 @@ func TestDeltaRerunProcessesOnlyChurn(t *testing.T) {
 	if scanStep.Counters["parsed"] != 1 || scanStep.Counters["changed"] != 1 {
 		t.Fatalf("churn scan counters = %v", scanStep.Counters)
 	}
+	if got, want := scanStep.Counters["bytesParsed"], len(data)+1; got != want {
+		t.Fatalf("bytesParsed = %d, want the rewritten file's %d", got, want)
+	}
 	if scanStep.Counters["fullReprocess"] != 0 {
 		t.Fatalf("churn rerun went full: %v", scanStep.Counters)
 	}

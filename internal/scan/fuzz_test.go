@@ -9,9 +9,12 @@ import (
 )
 
 // FuzzScanParsers feeds malformed archive files to all three format
-// parsers (cruise CSV, station OBS, AUV JSONL). The archive is the
-// system's trust boundary — any file an operator drops under the root
-// reaches these parsers verbatim — so the properties are:
+// parsers (cruise CSV, station OBS, AUV JSONL) at the entry points
+// ParseBytes dispatches to, plus the general cruise decoder on its own
+// ("csv-records": parseCSV only reaches it for files its quote-free
+// kernel declines). The archive is the system's trust boundary — any
+// file an operator drops under the root reaches these parsers verbatim
+// — so the properties are:
 //
 //   - no input panics a parser (errors are the only rejection channel);
 //   - a parser returns a feature XOR an error, never both or neither;
@@ -26,6 +29,7 @@ func FuzzScanParsers(f *testing.F) {
 		"2010-06-01T00:00:00Z,45.5,-124.4,11.2,31.5\n"+
 		"2010-06-01T01:00:00Z,45.6,-124.3,NaN,31.9\n"))
 	f.Add("csv", []byte("time,latitude,longitude\n"))
+	f.Add("csv-records", []byte("time,latitude,longitude,\"temp, top [C]\"\n2010-06-01T00:00:00Z,45.5,-124.4,\"11.2\"\n"))
 	f.Add("obs", []byte("#station: saturn01\n#lat: 46.2\n#lon: -123.8\n"+
 		"#fields:\ttemp\tsal\n#units:\tC\tPSU\n"+
 		"1275350400\t11.2\t31.5\n1275354000\t\t31.9\n"))
@@ -38,6 +42,8 @@ func FuzzScanParsers(f *testing.F) {
 		switch format {
 		case "csv":
 			parse = parseCSV
+		case "csv-records":
+			parse = parseCSVRecords
 		case "obs":
 			parse = parseOBS
 		default:

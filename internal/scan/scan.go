@@ -179,6 +179,27 @@ type candidate struct {
 	abs, rel string
 }
 
+// batch is a run of consecutive candidates, in walk order, and the slot
+// each one's outcome goes in. The walker keeps every batch in order, so
+// whichever worker fills a batch, aggregation reads outcomes in walk
+// order and the Result does not depend on scheduling.
+type batch struct {
+	cands []candidate
+	outs  []fileOutcome
+}
+
+// maxBatch caps a batch so that one flat directory still spreads over
+// the workers; a batch otherwise ends where the walk enters a directory.
+const maxBatch = 64
+
+// statEntry is what the scan needs of one cataloged feature.
+type statEntry struct {
+	id              string
+	size            int64
+	modTime, scanAt time.Time
+	hash            string
+}
+
 // racyWindow is the stat-trust guard: a stored fingerprint is only
 // trusted when the file's mtime is at least this much older than the
 // scan that recorded it. Inside the window an edit could have landed
@@ -206,23 +227,79 @@ func (s *Scanner) scan(existing *catalog.Catalog) (*Result, error) {
 	}
 	res := &Result{}
 
-	// Phase 1: a serial walk collects candidates. seen records every
-	// regular file (candidate or not) for de-duplication across
-	// overlapping dirs and for deletion detection. Subtrees the walk
-	// failed to read are remembered: their files were never observed,
-	// so treating them as deleted would retract live datasets over a
-	// transient EACCES/EIO — deletion detection skips them instead.
-	var cands []candidate
-	seen := make(map[string]bool)
+	// One pass over the catalog serves the whole scan: the per-file
+	// fingerprint check and removal detection both read this path-keyed
+	// view. A feature's ID is IDForPath of its path (Feature.Validate),
+	// so keying by path asks the catalog the same question keying by ID
+	// did, without hashing every candidate's path every round.
+	var view map[string]statEntry
+	if existing != nil {
+		view = make(map[string]statEntry, existing.Len())
+		existing.ForEach(func(f *catalog.Feature) {
+			view[f.Path] = statEntry{id: f.ID, size: f.Bytes, modTime: f.ModTime, scanAt: f.ScannedAt, hash: f.ContentHash}
+		})
+	}
+
+	// Workers stat and parse batches while the walk is still producing
+	// them. Each batch is written by exactly one worker and read only
+	// after all of them are done, so aggregation needs no locks.
+	workers := s.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var (
+		batches []*batch
+		work    chan *batch
+		wg      sync.WaitGroup
+	)
+	if workers > 1 {
+		// A couple of batches of slack per worker, so a worker finishing
+		// one never waits on the walk for the next.
+		work = make(chan *batch, 2*workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := range work {
+					s.scanBatch(b, view)
+				}
+			}()
+		}
+	}
+	cur := &batch{}
+	flush := func() {
+		if len(cur.cands) == 0 {
+			return
+		}
+		cur.outs = make([]fileOutcome, len(cur.cands))
+		batches = append(batches, cur)
+		if work != nil {
+			work <- cur
+		} else {
+			s.scanBatch(cur, view)
+		}
+		cur = &batch{}
+	}
+
+	// The walk. seen records every regular file (candidate or not) for
+	// de-duplication across overlapping dirs and for deletion detection.
+	// Subtrees the walk failed to read are remembered: their files were
+	// never observed, so treating them as deleted would retract live
+	// datasets over a transient EACCES/EIO — deletion detection skips
+	// them instead.
+	seen := make(map[string]bool, len(view))
 	var walkErrored []string
 	suppressRemovals := false
+	var walkErr error
 	for _, dir := range dirs {
 		base := filepath.Join(s.cfg.Root, dir)
+		baseRel, relErr := filepath.Rel(s.cfg.Root, base)
+		baseRel = filepath.Clean(baseRel) // Rel("arch", ".") is "../."
 		err := filepath.WalkDir(base, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				res.Errors = append(res.Errors, fmt.Errorf("scan: walk %s: %w", path, err))
 				res.Stats.Failed++
-				if rel, rerr := filepath.Rel(s.cfg.Root, path); rerr == nil && rel != "." {
+				if rel := relUnder(base, baseRel, path); relErr == nil && rel != "." {
 					walkErrored = append(walkErrored, filepath.ToSlash(rel))
 				} else {
 					// The archive root itself failed (rel "." prefixes
@@ -235,99 +312,73 @@ func (s *Scanner) scan(existing *catalog.Catalog) (*Result, error) {
 				return nil
 			}
 			if d.IsDir() {
+				flush()
 				return nil
 			}
-			rel, err := filepath.Rel(s.cfg.Root, path)
-			if err != nil || seen[rel] {
+			rel := relUnder(base, baseRel, path)
+			if relErr != nil || seen[rel] {
 				return nil
 			}
 			seen[rel] = true
 			if s.exts[strings.ToLower(filepath.Ext(rel))] {
-				cands = append(cands, candidate{abs: path, rel: rel})
+				cur.cands = append(cur.cands, candidate{abs: path, rel: rel})
+				if len(cur.cands) == maxBatch {
+					flush()
+				}
 			}
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("scan: walk %s: %w", base, err)
+			walkErr = fmt.Errorf("scan: walk %s: %w", base, err)
+			break
 		}
 	}
-	res.Stats.FilesSeen = len(cands)
-
-	// Phase 2: parse over a bounded worker pool. Each worker writes
-	// only its own outcome slots, so aggregation needs no locks and the
-	// result is independent of scheduling order.
-	outs := make([]fileOutcome, len(cands))
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					outs[i] = s.scanOne(cands[i].abs, cands[i].rel, existing)
-				}
-			}()
-		}
-		for i := range cands {
-			next <- i
-		}
-		close(next)
+	flush()
+	if work != nil {
+		close(work)
 		wg.Wait()
-	} else {
-		for i := range cands {
-			outs[i] = s.scanOne(cands[i].abs, cands[i].rel, existing)
-		}
+	}
+	if walkErr != nil {
+		return nil, walkErr
 	}
 
-	// Phase 3: aggregate in candidate order, then detect deletions.
-	for i, out := range outs {
-		switch {
-		case out.err != nil:
-			res.Errors = append(res.Errors, out.err)
-			res.Stats.Failed++
-		case out.oversize:
-			res.Stats.SkippedOther++
-		case out.feature != nil:
-			res.Features = append(res.Features, out.feature)
-			res.Stats.Parsed++
-			res.Stats.BytesParsed += out.feature.Bytes
-			id := out.feature.ID
-			if out.existed {
-				res.Changed = append(res.Changed, id)
-			} else {
-				res.Added = append(res.Added, id)
-			}
-		default:
-			res.Stats.SkippedUnchanged++
-			if out.verified {
-				res.Stats.HashVerified++
-				res.verified = append(res.verified, catalog.IDForPath(cands[i].rel))
+	// Aggregate in walk order, then detect deletions.
+	for _, b := range batches {
+		res.Stats.FilesSeen += len(b.cands)
+		for i, out := range b.outs {
+			switch {
+			case out.err != nil:
+				res.Errors = append(res.Errors, out.err)
+				res.Stats.Failed++
+			case out.oversize:
+				res.Stats.SkippedOther++
+			case out.feature != nil:
+				res.Features = append(res.Features, out.feature)
+				res.Stats.Parsed++
+				res.Stats.BytesParsed += out.feature.Bytes
+				id := out.feature.ID
+				if out.existed {
+					res.Changed = append(res.Changed, id)
+				} else {
+					res.Added = append(res.Added, id)
+				}
+			default:
+				res.Stats.SkippedUnchanged++
+				if out.verified {
+					res.Stats.HashVerified++
+					res.verified = append(res.verified, view[b.cands[i].rel].id)
+				}
 			}
 		}
 	}
 	if existing != nil && !suppressRemovals {
-		existing.ForEach(func(f *catalog.Feature) {
-			if seen[f.Path] || !pathInScope(f.Path, dirs) {
-				return
+		for path, e := range view {
+			// Beneath a walk error a file is unreached, not deleted: its
+			// absence proves nothing.
+			if !seen[path] && pathInScope(path, dirs) && !pathInScope(path, walkErrored) {
+				res.Removed = append(res.Removed, e.id)
 			}
-			// Unreached, not deleted: the walk errored somewhere above
-			// this path, so its absence proves nothing.
-			p := filepath.ToSlash(f.Path)
-			for _, e := range walkErrored {
-				if p == e || strings.HasPrefix(p, e+"/") {
-					return
-				}
-			}
-			res.Removed = append(res.Removed, f.ID)
-		})
+		}
 		res.Stats.Removed = len(res.Removed)
 	}
 
@@ -338,6 +389,27 @@ func (s *Scanner) scan(existing *catalog.Catalog) (*Result, error) {
 	sort.Strings(res.verified)
 	res.Stats.Duration = s.now().Sub(start)
 	return res, nil
+}
+
+// relUnder returns the root-relative form of a path that walking base
+// produced, baseRel being base's own. WalkDir only ever joins names
+// onto base, so the suffix is sliced off instead of re-deriving it with
+// filepath.Rel for every file.
+func relUnder(base, baseRel, path string) string {
+	const sep = string(filepath.Separator)
+	var suffix string
+	switch {
+	case path == base:
+		return baseRel
+	case base == ".": // filepath.Join(".", name) is name
+		suffix = path
+	default:
+		suffix = strings.TrimPrefix(path[len(base):], sep)
+	}
+	if baseRel == "." {
+		return suffix
+	}
+	return baseRel + sep + suffix
 }
 
 // pathInScope reports whether an archive-relative path lies inside one
@@ -357,10 +429,18 @@ func pathInScope(rel string, dirs []string) bool {
 // fileOutcome is one candidate's scan result.
 type fileOutcome struct {
 	feature  *catalog.Feature
-	existed  bool // the catalog already had this ID (feature != nil → changed)
+	existed  bool // the catalog already had this path (feature != nil → changed)
 	verified bool // unchanged, confirmed by content hash
 	oversize bool
 	err      error
+}
+
+// scanBatch fills b.outs, one scanOne per candidate.
+func (s *Scanner) scanBatch(b *batch, view map[string]statEntry) {
+	statCalls.Add(uint64(len(b.cands)))
+	for i, c := range b.cands {
+		b.outs[i] = s.scanOne(c.abs, c.rel, view)
+	}
 }
 
 // scanOne stats (and, when needed, reads) a single candidate file. The
@@ -368,8 +448,7 @@ type fileOutcome struct {
 // parses immediately; a stat match outside the racy window is trusted;
 // a stat match inside it is read and the content hash arbitrates — the
 // path that catches edits preserving both size and mtime.
-func (s *Scanner) scanOne(abs, rel string, existing *catalog.Catalog) fileOutcome {
-	statCalls.Add(1)
+func (s *Scanner) scanOne(abs, rel string, view map[string]statEntry) fileOutcome {
 	st, err := os.Stat(abs)
 	if err != nil {
 		return fileOutcome{err: fmt.Errorf("scan: stat %s: %w", rel, err)}
@@ -377,25 +456,21 @@ func (s *Scanner) scanOne(abs, rel string, existing *catalog.Catalog) fileOutcom
 	if s.cfg.MaxFileBytes > 0 && st.Size() > s.cfg.MaxFileBytes {
 		return fileOutcome{oversize: true}
 	}
-	existed := false
 	var data []byte
-	if existing != nil {
-		size, mod, scannedAt, hash, ok := existing.StatView(catalog.IDForPath(rel))
-		existed = ok
-		if ok && size == st.Size() && mod.Equal(st.ModTime()) && hash != "" {
-			if mod.Add(racyWindow).Before(scannedAt) {
-				return fileOutcome{} // fingerprint trusted: unchanged
-			}
-			data, err = os.ReadFile(abs)
-			if err != nil {
-				return fileOutcome{err: fmt.Errorf("scan: read %s: %w", rel, err)}
-			}
-			if contentHash(data) == hash {
-				return fileOutcome{verified: true}
-			}
-			// Content moved behind a stable stat: fall through to a
-			// re-parse of the bytes already in hand.
+	e, existed := view[rel]
+	if existed && e.size == st.Size() && e.modTime.Equal(st.ModTime()) && e.hash != "" {
+		if e.modTime.Add(racyWindow).Before(e.scanAt) {
+			return fileOutcome{} // fingerprint trusted: unchanged
 		}
+		data, err = os.ReadFile(abs)
+		if err != nil {
+			return fileOutcome{err: fmt.Errorf("scan: read %s: %w", rel, err)}
+		}
+		if contentHash(data) == e.hash {
+			return fileOutcome{verified: true}
+		}
+		// Content moved behind a stable stat: fall through to a
+		// re-parse of the bytes already in hand.
 	}
 	if data == nil {
 		data, err = os.ReadFile(abs)

@@ -1,9 +1,12 @@
 package scan
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -520,27 +523,131 @@ func TestScanOversizedSkipCounters(t *testing.T) {
 	}
 }
 
+// TestScanParallelMatchesSerial: the batch pipeline hands work out in
+// scheduling order but aggregates in walk order, so a scan's whole
+// Result — features, delta classification, errors and their order,
+// counters — is the same at any worker count. The archive has every
+// kind of candidate: parsed, trusted-unchanged, hash-verified, corrupt,
+// oversized, dangling, vanished, plus overlapping Dirs and a subtree the
+// walk cannot read.
 func TestScanParallelMatchesSerial(t *testing.T) {
-	root, _ := genArchive(t, 24, 77)
-	serial, err := New(Config{Root: root, Workers: 1}).ScanAll()
-	if err != nil {
-		t.Fatal(err)
+	root, m := genArchive(t, 150, 77) // > maxBatch files per directory
+	dirs := []string{"stations", ".", "cruises", "stations", filepath.Join("auv", "gone")}
+	scanWith := func(workers int, c *catalog.Catalog) *Result {
+		t.Helper()
+		sc := New(Config{Root: root, Dirs: dirs, Workers: workers, MaxFileBytes: 1 << 19})
+		sc.now = func() time.Time { return time.Unix(2e9, 0) } // ScannedAt is a clock read
+		res, err := sc.ScanInto(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Stats.Duration = 0
+		return res
 	}
-	parallel, err := New(Config{Root: root, Workers: 8}).ScanAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Features) != len(parallel.Features) {
-		t.Fatalf("feature counts differ: %d vs %d", len(serial.Features), len(parallel.Features))
-	}
-	for i := range serial.Features {
-		a, b := serial.Features[i], parallel.Features[i]
-		if a.ID != b.ID || a.ContentHash != b.ContentHash || len(a.Variables) != len(b.Variables) {
-			t.Errorf("feature %d differs: %s vs %s", i, a.Path, b.Path)
+	write := func(rel, body string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(root, rel)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, rel), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if serial.Stats.Parsed != parallel.Stats.Parsed || serial.Stats.FilesSeen != parallel.Stats.FilesSeen {
-		t.Errorf("stats differ: %+v vs %+v", serial.Stats, parallel.Stats)
+	const tiny = "time,latitude,longitude,x\n2010-05-01T00:00:00Z,1,2,3\n"
+	write(filepath.Join("auv", "gone", "kept.csv"), tiny)
+	base := catalog.New()
+	scanWith(1, base)
+
+	// auv/gone stops being walkable (its own Dirs entry errors at its
+	// root), so kept.csv is unreached, not removed; cruises/locked is
+	// unreadable to anyone but root.
+	if err := os.Rename(filepath.Join(root, "auv", "gone"), filepath.Join(t.TempDir(), "gone")); err != nil {
+		t.Fatal(err)
+	}
+	write(filepath.Join("stations", "corrupt.obs"), "#fields:\ttemp\nnot-a-number\t1\n")
+	write(filepath.Join("cruises", "corrupt.csv"), "time,latitude,longitude,x\n2010-05-01T00:00:00Z,1,2\n")
+	write(filepath.Join("auv", "big.csv"), "time,latitude,longitude,x\n"+strings.Repeat("1,2,3,4\n", 1<<17))
+	write(filepath.Join("auv", "new.csv"), tiny)
+	if err := os.Symlink(filepath.Join(root, "nowhere.csv"), filepath.Join(root, "auv", "dangling.csv")); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range m.Datasets[:12] {
+		path := filepath.Join(root, d.Path)
+		switch i % 3 {
+		case 0: // rewritten: changed
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(d.Path, string(data)+"\n")
+		case 1: // vanished: removed
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	locked := filepath.Join(root, "cruises", "locked")
+	write(filepath.Join("cruises", "locked", "hidden.csv"), tiny)
+	if err := os.Chmod(locked, 0); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chmod(locked, 0o755) })
+
+	want := scanWith(1, base.Clone())
+	if want.Stats.Parsed == 0 || want.Stats.Removed == 0 || want.Stats.SkippedOther != 1 ||
+		want.Stats.SkippedUnchanged == 0 || len(want.Changed) == 0 || len(want.Added) == 0 {
+		t.Fatalf("fixture does not exercise every outcome: %+v", want.Stats)
+	}
+	// auv/gone, corrupt.obs, corrupt.csv, dangling.csv, and for anyone
+	// but root cruises/locked.
+	if n := len(want.Errors); n != 4 && !(n == 5 && os.Geteuid() != 0) {
+		t.Fatalf("%d errors: %v", n, want.Errors)
+	}
+	if keptID := catalog.IDForPath(filepath.Join("auv", "gone", "kept.csv")); slices.Contains(want.Removed, keptID) {
+		t.Fatal("file under an unwalkable dir reported removed")
+	}
+	for _, workers := range []int{2, 7} {
+		got := scanWith(workers, base.Clone())
+		if !reflect.DeepEqual(got.Features, want.Features) {
+			t.Errorf("workers=%d: features differ", workers)
+		}
+		if !reflect.DeepEqual(got.Added, want.Added) || !reflect.DeepEqual(got.Changed, want.Changed) ||
+			!reflect.DeepEqual(got.Removed, want.Removed) || !reflect.DeepEqual(got.verified, want.verified) {
+			t.Errorf("workers=%d: delta differs: +%d ~%d -%d vs +%d ~%d -%d", workers,
+				len(got.Added), len(got.Changed), len(got.Removed), len(want.Added), len(want.Changed), len(want.Removed))
+		}
+		if fmt.Sprint(got.Errors) != fmt.Sprint(want.Errors) {
+			t.Errorf("workers=%d: errors differ:\n got %v\nwant %v", workers, got.Errors, want.Errors)
+		}
+		if got.Stats != want.Stats {
+			t.Errorf("workers=%d: stats differ:\n got %+v\nwant %+v", workers, got.Stats, want.Stats)
+		}
+	}
+}
+
+// TestRelUnderMatchesFilepathRel pins the sliced relative path to what
+// filepath.Rel derives (cleaned: Rel("arch", ".") is "../."), for the
+// shapes WalkDir can hand the scanner.
+func TestRelUnderMatchesFilepathRel(t *testing.T) {
+	for _, root := range []string{".", "arch", "./arch/", "/", "/data/arch", "/data//arch/", "../arch"} {
+		for _, dir := range []string{".", "", "stations", "a/b/", "./a/../b", "..", "../other"} {
+			base := filepath.Join(root, dir)
+			baseRel, err := filepath.Rel(root, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseRel = filepath.Clean(baseRel)
+			for _, suffix := range []string{"", "x.csv", "sub/x.csv"} {
+				path := filepath.Join(base, suffix)
+				want, err := filepath.Rel(root, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := relUnder(base, baseRel, path); got != filepath.Clean(want) {
+					t.Errorf("root %q dir %q path %q: %q, want %q", root, dir, path, got, want)
+				}
+			}
+		}
 	}
 }
 
