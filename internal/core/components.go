@@ -688,39 +688,11 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 		return StepReport{}, fmt.Errorf("no published catalog configured")
 	}
 	changed, removed := ctx.Published.DiffTo(ctx.Working)
-	aid := ctx.Trace.Start(ctx.TraceSpan, "apply-delta")
-	t0 := time.Now()
-	bumped, err := ctx.Published.ApplyDelta(changed, removed)
-	applyDeltaSeconds.ObserveSeconds(time.Since(t0).Nanoseconds())
-	ctx.Trace.Attr(aid, "changed", int64(len(changed)))
-	ctx.Trace.Attr(aid, "removed", int64(len(removed)))
-	ctx.Trace.End(aid)
+	bumped, journaled, err := ctx.applyAndJournal(changed, removed)
 	if err != nil {
+		// Before the completion bookkeeping below, so an acknowledged run
+		// is always on disk.
 		return StepReport{}, fmt.Errorf("publish: %w", err)
-	}
-	journaled := 0
-	if ctx.Journal != nil {
-		// Journal the applied delta with its generation stamp and the
-		// knowledge-epoch sidecar. The journal itself skips the append
-		// when neither moved (no-op re-wrangles stay quiet); an append
-		// failure fails the run before the completion bookkeeping below,
-		// so an acknowledged run is always on disk.
-		sidecar, err := ctx.EpochSidecar()
-		if err != nil {
-			return StepReport{}, fmt.Errorf("publish: %w", err)
-		}
-		// The journal-append span covers encode + write + flush and,
-		// under the always-fsync policy, the fsync itself; fsyncs are
-		// aggregated separately in dnh_journal_fsync_duration_seconds.
-		jid := ctx.Trace.Start(ctx.TraceSpan, "journal-append")
-		t0 = time.Now()
-		err = ctx.Journal.AppendPublish(ctx.Published.Generation(), changed, removed, sidecar)
-		journalAppendSeconds.ObserveSeconds(time.Since(t0).Nanoseconds())
-		ctx.Trace.End(jid)
-		if err != nil {
-			return StepReport{}, fmt.Errorf("publish: %w", err)
-		}
-		journaled = 1
 	}
 	// The run is complete: record the state the incremental machinery
 	// compares future runs against, and clear the carried-dirty set —
@@ -739,13 +711,46 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 		"retracted":         len(removed),
 		"unchanged":         ctx.Published.Len() - len(changed),
 	}}
-	if journaled == 1 {
+	if journaled {
 		step.Counters["journaled"] = 1
 	}
 	if !bumped {
 		step.Counters["generationStable"] = 1
 	}
 	return step, nil
+}
+
+// applyAndJournal is the tail every publish shares — a chain run's
+// Publish step and a pushed batch's PublishDirect: patch the published
+// catalog with the delta, then journal it with its generation stamp and
+// the knowledge-epoch sidecar (the journal itself skips the append when
+// neither moved, so no-op publishes stay quiet). Both stages feed
+// dnh_publish_stage_duration_seconds and open a span under the
+// context's trace, whichever writer ran them.
+func (c *Context) applyAndJournal(changed []*catalog.Feature, removed []string) (bumped, journaled bool, err error) {
+	aid := c.Trace.Start(c.TraceSpan, "apply-delta")
+	t0 := time.Now()
+	bumped, err = c.Published.ApplyDelta(changed, removed)
+	applyDeltaSeconds.ObserveSeconds(time.Since(t0).Nanoseconds())
+	c.Trace.Attr(aid, "changed", int64(len(changed)))
+	c.Trace.Attr(aid, "removed", int64(len(removed)))
+	c.Trace.End(aid)
+	if err != nil || c.Journal == nil {
+		return bumped, false, err
+	}
+	sidecar, err := c.EpochSidecar()
+	if err != nil {
+		return bumped, false, err
+	}
+	// The journal-append span covers encode + write + flush and, under
+	// the always-fsync policy, the fsync itself; fsyncs are aggregated
+	// separately in dnh_journal_fsync_duration_seconds.
+	jid := c.Trace.Start(c.TraceSpan, "journal-append")
+	t0 = time.Now()
+	err = c.Journal.AppendPublish(c.Published.Generation(), changed, removed, sidecar)
+	journalAppendSeconds.ObserveSeconds(time.Since(t0).Nanoseconds())
+	c.Trace.End(jid)
+	return bumped, err == nil, err
 }
 
 // DefaultChain assembles the poster's full chain in order.

@@ -8,10 +8,11 @@ import (
 
 // PublishDirect applies an externally produced feature delta — a push
 // from a live producer, not a wrangle over the working catalog — through
-// exactly the pipeline a chain Publish uses: the published catalog's
-// sharded ApplyDelta, the knowledge-epoch sidecar, and the durable
-// journal append. Durability, replication tailing, and generation-keyed
-// cache invalidation therefore work unchanged for pushed metadata.
+// exactly the tail a chain Publish uses (applyAndJournal): the published
+// catalog's sharded ApplyDelta, the knowledge-epoch sidecar, and the
+// durable journal append. Durability, replication tailing, and
+// generation-keyed cache invalidation therefore work unchanged for
+// pushed metadata.
 //
 // The working catalog is kept in sync so the next Wrangle's
 // DiffTo(Working) does not see the pushed features as drift and retract
@@ -72,18 +73,8 @@ func (c *Context) PublishDirect(features []*catalog.Feature, removeIDs []string)
 		c.Working.Delete(id)
 	}
 
-	if _, err := c.Published.ApplyDelta(applyChanged, applyRemoved); err != nil {
+	if _, _, err := c.applyAndJournal(applyChanged, applyRemoved); err != nil {
 		return 0, 0, 0, fmt.Errorf("core: publish: %w", err)
 	}
-	gen = c.Published.Generation()
-	if c.Journal != nil {
-		sidecar, err := c.EpochSidecar()
-		if err != nil {
-			return gen, len(applyChanged), len(applyRemoved), fmt.Errorf("core: publish: %w", err)
-		}
-		if err := c.Journal.AppendPublish(gen, applyChanged, applyRemoved, sidecar); err != nil {
-			return gen, len(applyChanged), len(applyRemoved), fmt.Errorf("core: publish: %w", err)
-		}
-	}
-	return gen, len(applyChanged), len(applyRemoved), nil
+	return c.Published.Generation(), len(applyChanged), len(applyRemoved), nil
 }

@@ -183,9 +183,8 @@ const maxRetryAfterSeconds = 30
 // from the observed queue drain rate: the backlog ahead of a returning
 // client (requests holding slots plus requests queued) drains at max
 // slots per mean service time, so the expected wait is
-// backlog × mean / max, rounded up to whole seconds and clamped to
-// [1, maxRetryAfterSeconds]. Before any request has completed (no mean
-// yet) it falls back to 1.
+// backlog × mean / max. Before any request has completed (no mean yet)
+// it falls back to 1.
 func (a *admission) retryAfterSeconds() int {
 	if a == nil {
 		return 1
@@ -194,18 +193,15 @@ func (a *admission) retryAfterSeconds() int {
 	if mean <= 0 {
 		return 1
 	}
-	backlog := a.inFlight() + a.queued.Load()
-	if backlog < 1 {
-		backlog = 1
-	}
-	secs := int(math.Ceil(float64(backlog) * float64(mean) / float64(a.max) / float64(time.Second)))
-	if secs < 1 {
-		return 1
-	}
-	if secs > maxRetryAfterSeconds {
-		return maxRetryAfterSeconds
-	}
-	return secs
+	backlog := max(a.inFlight()+a.queued.Load(), 1)
+	return clampRetryAfter(float64(backlog) * float64(mean) / float64(a.max) / float64(time.Second))
+}
+
+// clampRetryAfter turns an expected wait in seconds into a Retry-After
+// value: whole seconds, rounded up (a client returning too early would
+// only be refused again), within [1, maxRetryAfterSeconds].
+func clampRetryAfter(seconds float64) int {
+	return max(int(math.Ceil(min(seconds, maxRetryAfterSeconds))), 1)
 }
 
 func (a *admission) shed(reason shedReason) {

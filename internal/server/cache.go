@@ -17,16 +17,11 @@ type queryCache struct {
 	mu      sync.Mutex
 	cap     int
 	ll      *list.List // front = most recently used
-	entries map[cacheKey]*list.Element
-}
-
-type cacheKey struct {
-	generation uint64
-	query      string
+	entries map[queryKey]*list.Element
 }
 
 type cacheEntry struct {
-	key  cacheKey
+	key  queryKey
 	body []byte
 }
 
@@ -36,7 +31,7 @@ func newQueryCache(capacity int) *queryCache {
 	c := &queryCache{cap: capacity}
 	if capacity > 0 {
 		c.ll = list.New()
-		c.entries = make(map[cacheKey]*list.Element, capacity)
+		c.entries = make(map[queryKey]*list.Element, capacity)
 	}
 	return c
 }
@@ -51,7 +46,7 @@ func (c *queryCache) Get(generation uint64, query string) ([]byte, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[cacheKey{generation, query}]
+	el, ok := c.entries[queryKey{generation, query}]
 	if !ok {
 		return nil, false
 	}
@@ -66,7 +61,7 @@ func (c *queryCache) Put(generation uint64, query string, body []byte) {
 	if !c.enabled() {
 		return
 	}
-	key := cacheKey{generation, query}
+	key := queryKey{generation, query}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

@@ -1,12 +1,15 @@
 package server
 
-import "sync"
+import (
+	"net/http"
+	"sync"
+)
 
-// flightKey identifies a collapsible search: the normalized query bytes
-// under one snapshot generation. Publishes bump the generation, so a
-// flight can never leak a previous snapshot's bytes into the next one's
-// key space — the same invariant the query cache rests on.
-type flightKey struct {
+// queryKey identifies one search's response bytes: the normalized query
+// under one snapshot generation. The cache and the flight group are both
+// keyed on it, and publishes bump the generation, so neither can leak a
+// previous snapshot's bytes into the next one's key space.
+type queryKey struct {
 	generation uint64
 	query      string
 }
@@ -24,7 +27,7 @@ type searchOutcome struct {
 }
 
 // flight is one in-progress search execution shared by all concurrent
-// requests for the same flightKey. done is closed exactly once, after
+// requests for the same queryKey. done is closed exactly once, after
 // out is set; followers read out only after done, so no lock is needed
 // on the result itself.
 type flight struct {
@@ -39,19 +42,19 @@ type flight struct {
 // singleflight — the module has no dependencies to lean on.
 type flightGroup struct {
 	mu sync.Mutex
-	m  map[flightKey]*flight
+	m  map[queryKey]*flight
 }
 
 // join returns the in-progress flight for key, creating one (and
 // electing the caller leader) if none exists.
-func (g *flightGroup) join(key flightKey) (f *flight, leader bool) {
+func (g *flightGroup) join(key queryKey) (f *flight, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if f := g.m[key]; f != nil {
 		return f, false
 	}
 	if g.m == nil {
-		g.m = make(map[flightKey]*flight)
+		g.m = make(map[queryKey]*flight)
 	}
 	f = &flight{done: make(chan struct{})}
 	g.m[key] = f
@@ -62,10 +65,21 @@ func (g *flightGroup) join(key flightKey) (f *flight, leader bool) {
 // The key is deleted first, so requests arriving after finish start a
 // fresh flight instead of reading a completed one (the cache, not the
 // flight map, is the steady-state fast path).
-func (g *flightGroup) finish(key flightKey, f *flight, out searchOutcome) {
+func (g *flightGroup) finish(key queryKey, f *flight, out searchOutcome) {
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	f.out = out
 	close(f.done)
+}
+
+// lead runs the executor as the flight's leader and publishes its
+// outcome. finish is deferred so a panicking executor still releases
+// the followers — with the 500 outcome rather than a hang — before the
+// panic continues up to whoever recovers it (net/http on the serving
+// path).
+func (g *flightGroup) lead(key queryKey, f *flight, run func() searchOutcome) (out searchOutcome) {
+	out = searchOutcome{status: http.StatusInternalServerError, body: errorBody("search failed"), cacheState: "miss"}
+	defer func() { g.finish(key, f, out) }()
+	return run()
 }

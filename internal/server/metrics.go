@@ -103,49 +103,3 @@ func (t *telemetry) observe(endpoint string, status int, d time.Duration) {
 	}
 	e.duration.ObserveSeconds(d.Nanoseconds())
 }
-
-// EndpointStats is one endpoint's row in the /stats response.
-type EndpointStats struct {
-	Endpoint string  `json:"endpoint"`
-	Requests uint64  `json:"requests"`
-	Errors   uint64  `json:"errors"`
-	MeanMs   float64 `json:"meanMs"`
-	P50Ms    float64 `json:"p50Ms"`
-	P90Ms    float64 `json:"p90Ms"`
-	P99Ms    float64 `json:"p99Ms"`
-	// Buckets is the cumulative latency histogram: Buckets[i] requests
-	// finished within obs.DurationBuckets[i] seconds (last entry = all).
-	Buckets []uint64 `json:"buckets"`
-}
-
-// CacheStats reports query-cache effectiveness. Stale counts
-// previous-generation bytes served during the stale-while-revalidate
-// window (not part of the hit/miss ratio: a stale serve is a miss at
-// the current generation answered from the previous one).
-type CacheStats struct {
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	Entries int     `json:"entries"`
-	HitRate float64 `json:"hitRate"`
-	Stale   uint64  `json:"stale"`
-}
-
-// snapshotEndpoints renders the per-endpoint rows, in registration
-// order.
-func (t *telemetry) snapshotEndpoints() []EndpointStats {
-	out := make([]EndpointStats, 0, len(endpointNames))
-	for _, name := range endpointNames {
-		e := t.endpoints[name]
-		row := EndpointStats{Endpoint: name, Requests: e.requests.Value(), Errors: e.errors.Value()}
-		var sum float64
-		row.Buckets, sum = e.duration.Cumulative()
-		if n := row.Buckets[len(row.Buckets)-1]; n > 0 {
-			row.MeanMs = sum / float64(n) * 1000
-			row.P50Ms = e.duration.Quantile(0.50) * 1000
-			row.P90Ms = e.duration.Quantile(0.90) * 1000
-			row.P99Ms = e.duration.Quantile(0.99) * 1000
-		}
-		out = append(out, row)
-	}
-	return out
-}

@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"metamess"
 	"metamess/internal/archive"
+	"metamess/internal/obs"
 	"metamess/internal/workload"
 )
 
@@ -145,7 +148,7 @@ func TestSingleflightByteIdentity(t *testing.T) {
 	}
 	key := string(keyBytes)
 	gen := sys.SnapshotGeneration()
-	fk := flightKey{generation: gen, query: key}
+	fk := queryKey{generation: gen, query: key}
 
 	f, leader := srv.flights.join(fk)
 	if !leader {
@@ -180,10 +183,20 @@ func TestSingleflightByteIdentity(t *testing.T) {
 		}(i)
 	}
 
+	// Timeout leg: a follower whose own deadline expires while the flight
+	// is still held answers an empty partial — hits an array like every
+	// other response, never null.
+	status, hdr, timedOut := postDeadline(t, ts.URL+"/search", body, "20")
+	if want := fmt.Sprintf(`{"generation":%d,"count":0,"hits":[],"partial":true}`, gen); status != http.StatusOK ||
+		hdr.Get("X-Dnhd-Cache") != "timeout" || hdr.Get("X-Dnhd-Partial") != "1" || string(timedOut) != want {
+		t.Fatalf("deadline-expired follower: %d cache=%q partial=%q body %s, want 200 timeout 1 %s", status,
+			hdr.Get("X-Dnhd-Cache"), hdr.Get("X-Dnhd-Partial"), timedOut, want)
+	}
+
 	// Let the followers reach the flight, then run the search for real
 	// and release them with its outcome.
 	time.Sleep(100 * time.Millisecond)
-	out := srv.executeSearch(context.Background(), req.toQuery(), key, nil)
+	out := srv.executeSearch(context.Background(), req, key, nil)
 	if out.status != http.StatusOK {
 		t.Fatalf("leader execution: status %d body %s", out.status, out.body)
 	}
@@ -303,25 +316,15 @@ func TestDeadlinePartial(t *testing.T) {
 	body := searchBody(t, m, 1, 23)[0]
 
 	expired := func() (http.Header, SearchResponse) {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/search", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Deadline-Ms", "0")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("expired-deadline search: status %d, want 200", resp.StatusCode)
+		status, hdr, raw := postDeadline(t, ts.URL+"/search", body, "0")
+		if status != http.StatusOK {
+			t.Fatalf("expired-deadline search: status %d, want 200", status)
 		}
 		var sr SearchResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		if err := json.Unmarshal(raw, &sr); err != nil {
 			t.Fatal(err)
 		}
-		return resp.Header, sr
+		return hdr, sr
 	}
 
 	for round := 0; round < 2; round++ {
@@ -396,6 +399,13 @@ func TestHostileMixNo5xx(t *testing.T) {
 		t.Fatal("no corpus strings")
 	}
 	reqs := workload.HostileTextRequests(ts.URL, corpus, 120, 5)
+	// Bodies past the /search cap, valid JSON or not: refused (413) before
+	// they are buffered, never a 5xx or a dropped connection.
+	for i, filler := range []string{" ", "x"} {
+		oversized := workload.HTTPRequest{Method: "POST", URL: ts.URL + "/search",
+			Body: []byte(strings.Repeat(filler, maxSearchBodyBytes+1) + `{"k":1}`)}
+		reqs = append(reqs[:40*(i+1)], append([]workload.HTTPRequest{oversized}, reqs[40*(i+1):]...)...)
+	}
 	stats, err := workload.Replay(context.Background(), reqs, workload.LoadOptions{Concurrency: 8, TolerateClientErrors: true})
 	if err != nil {
 		t.Fatal(err)
@@ -403,5 +413,168 @@ func TestHostileMixNo5xx(t *testing.T) {
 	if stats.Status.Server5xx != 0 || stats.Status.Transport != 0 {
 		t.Fatalf("hostile mix: %d server errors, %d transport errors, want 0 (status %+v)",
 			stats.Status.Server5xx, stats.Status.Transport, stats.Status)
+	}
+}
+
+// TestFlightLeadReleasesFollowers drives the flight runner without a
+// server: followers of a flight are served the leader's outcome, and a
+// leader whose executor panics still releases them — with the 500
+// outcome — before the panic continues, leaving the key free for the
+// next flight.
+func TestFlightLeadReleasesFollowers(t *testing.T) {
+	ok := searchOutcome{status: http.StatusOK, body: []byte(`{"count":0}`), cacheState: "miss", generation: 7}
+	cases := []struct {
+		name       string
+		run        func() searchOutcome
+		wantStatus int
+		wantBody   string
+	}{
+		{"executor returns", func() searchOutcome { return ok }, http.StatusOK, `{"count":0}`},
+		{"executor panics", func() searchOutcome { panic("boom") }, http.StatusInternalServerError, `{"error":"search failed"}`},
+	}
+	for _, c := range cases {
+		var g flightGroup
+		key := queryKey{generation: 7, query: c.name}
+		f, leader := g.join(key)
+		if !leader {
+			t.Fatalf("%s: first join is not the leader", c.name)
+		}
+		follower, leader := g.join(key)
+		if leader || follower != f {
+			t.Fatalf("%s: second join did not follow the first flight", c.name)
+		}
+		panicked := func() (p any) {
+			defer func() { p = recover() }()
+			g.lead(key, f, c.run)
+			return nil
+		}()
+		if (panicked != nil) != (c.wantStatus == http.StatusInternalServerError) {
+			t.Errorf("%s: panic = %v", c.name, panicked)
+		}
+		select {
+		case <-follower.done:
+		default:
+			t.Fatalf("%s: follower still waiting after lead returned", c.name)
+		}
+		if follower.out.status != c.wantStatus || string(follower.out.body) != c.wantBody {
+			t.Errorf("%s: follower got %d %s, want %d %s", c.name, follower.out.status, follower.out.body, c.wantStatus, c.wantBody)
+		}
+		if _, leader := g.join(key); !leader {
+			t.Errorf("%s: key still held after the flight finished", c.name)
+		}
+	}
+}
+
+// TestRender pins the one renderer: hits is always an array, a partial
+// is flagged in the body and the outcome, and an inline trace marks the
+// outcome "bypass" so it can never be cached or shared.
+func TestRender(t *testing.T) {
+	hit := metamess.Hit{Path: "a.csv", Score: 0.5, Summary: "s"}
+	cases := []struct {
+		name      string
+		hits      []metamess.Hit
+		partial   bool
+		trace     *obs.SpanTree
+		wantBody  string
+		wantState string
+	}{
+		{"nil hits", nil, false, nil, `{"generation":3,"count":0,"hits":[]}`, "miss"},
+		{"empty hits", []metamess.Hit{}, false, nil, `{"generation":3,"count":0,"hits":[]}`, "miss"},
+		{"hits", []metamess.Hit{hit}, false, nil, `{"generation":3,"count":1,"hits":[{"path":"a.csv","score":0.5,"summary":"s"}]}`, "miss"},
+		{"empty partial", nil, true, nil, `{"generation":3,"count":0,"hits":[],"partial":true}`, "miss"},
+		{"forced trace", nil, false, &obs.SpanTree{Name: "search"}, `{"generation":3,"count":0,"hits":[],"trace":{"name":"search","startUs":0,"durUs":0}}`, "bypass"},
+		{"forced partial", []metamess.Hit{hit}, true, &obs.SpanTree{Name: "search"}, `{"generation":3,"count":1,"hits":[{"path":"a.csv","score":0.5,"summary":"s"}],"partial":true,"trace":{"name":"search","startUs":0,"durUs":0}}`, "bypass"},
+	}
+	for _, c := range cases {
+		out := render(3, c.hits, c.partial, c.trace)
+		if out.status != http.StatusOK || out.generation != 3 || out.partial != c.partial || out.cacheState != c.wantState {
+			t.Errorf("%s: outcome %d gen %d partial %v state %q, want 200 gen 3 partial %v state %q",
+				c.name, out.status, out.generation, out.partial, out.cacheState, c.partial, c.wantState)
+		}
+		if string(out.body) != c.wantBody {
+			t.Errorf("%s: body %s, want %s", c.name, out.body, c.wantBody)
+		}
+	}
+	// A score JSON cannot carry is the one way the marshal fails.
+	if out := render(3, []metamess.Hit{{Score: math.NaN()}}, false, nil); out.status != http.StatusInternalServerError ||
+		string(out.body) != `{"error":"marshal failed"}` {
+		t.Errorf("unmarshalable hits: %d %s, want 500 marshal failed", out.status, out.body)
+	}
+}
+
+// TestGateRefusalOrder holds every refusal condition at once and peels
+// them off one by one: the shared gate answers rate limit, then (search
+// only) min-generation, then admission — each with its headers, all
+// before the body is looked at — for /search and /publish alike.
+func TestGateRefusalOrder(t *testing.T) {
+	sys, _, _ := newTestSystem(t, 12, 7)
+	srv, err := New(Config{Sys: sys, RateLimit: 0.001, RateBurst: 1, MaxInFlight: 1, QueueDepth: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := srv.Handler()
+	future := fmt.Sprint(sys.SnapshotGeneration() + 100)
+	release, reason := srv.adm.acquire(context.Background())
+	if reason != shedNone {
+		t.Fatalf("direct acquire shed: %v", reason)
+	}
+
+	type want struct {
+		status     int
+		bodyHas    string
+		retryAfter bool
+		generation bool
+	}
+	rateLimited := want{http.StatusTooManyRequests, "client rate limit exceeded", true, false}
+	overloaded := want{http.StatusTooManyRequests, "server overloaded (queue_full)", true, false}
+	steps := []struct {
+		name            string
+		spent, slotHeld bool
+		search, publish want
+	}{
+		{"rate limit first", true, true, rateLimited, rateLimited},
+		{"then min-generation, searches only", false, true,
+			want{http.StatusPreconditionFailed, "not yet available", false, true}, overloaded},
+		{"body last", false, false,
+			want{http.StatusPreconditionFailed, "not yet available", false, true},
+			want{http.StatusUnprocessableEntity, "", false, false}},
+	}
+	for si, st := range steps {
+		if !st.slotHeld {
+			release()
+		}
+		for _, ep := range []struct {
+			path string
+			want want
+		}{{"/search", st.search}, {"/publish", st.publish}} {
+			client := fmt.Sprintf("client-%d-%s", si, ep.path)
+			if st.spent {
+				srv.limiter.take(client, time.Now())
+			}
+			// Every request is malformed and demands an unreachable
+			// generation: only the gates ahead of those decide the answer.
+			r := httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader("{not json"))
+			r.Header.Set("X-Client-Id", client)
+			r.Header.Set("X-Min-Generation", future)
+			r.Header.Set("X-Deadline-Ms", "5")
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, r)
+			if rec.Code != ep.want.status || !strings.Contains(rec.Body.String(), ep.want.bodyHas) {
+				t.Errorf("%s %s: %d %s, want %d %q", st.name, ep.path, rec.Code, rec.Body, ep.want.status, ep.want.bodyHas)
+			}
+			if got := rec.Header().Get("Retry-After") != ""; got != ep.want.retryAfter {
+				t.Errorf("%s %s: Retry-After present = %v, want %v", st.name, ep.path, got, ep.want.retryAfter)
+			}
+			if got := rec.Header().Get("X-Dnhd-Generation") != ""; got != ep.want.generation {
+				t.Errorf("%s %s: X-Dnhd-Generation present = %v, want %v", st.name, ep.path, got, ep.want.generation)
+			}
+		}
+	}
+	// With no gate refusing, the malformed search body is finally read.
+	r := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader("{not json"))
+	rec := httptest.NewRecorder()
+	handler.ServeHTTP(rec, r)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad request body") {
+		t.Errorf("ungated malformed search: %d %s, want 400 bad request body", rec.Code, rec.Body)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"metamess"
 )
@@ -20,10 +19,9 @@ const DefaultMaxPublishBytes = 8 << 20
 // system publishes them through exactly the wrangle pipeline — sharded
 // apply, journal append, follower notification, cache invalidation.
 //
-// The request runs the same front gates as a search (per-client rate
-// limit, admission) but not the X-Min-Generation wait: that gate orders
-// reads after writes, and this IS the write. Failure modes never touch
-// state:
+// The request runs the same front gate as a search (admit: per-client
+// rate limit, admission) minus the X-Min-Generation wait. Failure modes
+// never touch state:
 //
 //	413 — body over MaxPublishBytes (refused before decoding)
 //	400 — body unreadable (client disconnect, chunked-transfer error)
@@ -34,16 +32,8 @@ const DefaultMaxPublishBytes = 8 << 20
 // X-Dnhd-Generation so a read-your-writes client can forward it as
 // X-Min-Generation to any replica.
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	if wait, limited := s.limiter.take(clientKey(r), time.Now()); limited {
-		s.tel.ratelimitShed.Inc()
-		w.Header().Set("Retry-After", retryAfterHeader(wait))
-		writeError(w, http.StatusTooManyRequests, "client rate limit exceeded, retry later")
-		return
-	}
-	release, reason := s.adm.acquire(r.Context())
-	if reason != shedNone {
-		w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, "server overloaded ("+reason.String()+"), retry later")
+	release, ok := s.admit(w, r, false)
+	if !ok {
 		return
 	}
 	defer release()

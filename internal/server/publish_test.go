@@ -248,6 +248,30 @@ func TestPublishReplicatesToFollower(t *testing.T) {
 	}
 }
 
+// TestPublishObservesStageHistograms checks a push is visible where a
+// wrangle's publish is: one accepted POST /publish on a durable node
+// observes dnh_publish_stage_duration_seconds once per stage.
+func TestPublishObservesStageHistograms(t *testing.T) {
+	_, lts, _ := newDurableLeader(t, 12, 29)
+	stages := []string{
+		`dnh_publish_stage_duration_seconds_count{stage="apply-delta"}`,
+		`dnh_publish_stage_duration_seconds_count{stage="journal-append"}`,
+	}
+	_, _, text := get(t, lts.URL+"/metrics")
+	before := parseSeries(t, text)
+	status, _, body := postJSON(t, lts.URL+"/publish", publishBody(t, []*catalog.Feature{pushFeature("push/h.csv", 45.5)}, nil))
+	if status != http.StatusOK {
+		t.Fatalf("publish: %d %s", status, body)
+	}
+	_, _, text = get(t, lts.URL+"/metrics")
+	after := parseSeries(t, text)
+	for _, series := range stages {
+		if got := after[series] - before[series]; got != 1 {
+			t.Errorf("%s moved by %v across one accepted publish, want 1", series, got)
+		}
+	}
+}
+
 // TestPublishRejectionLeavesStoreUntouched pins the failure-mode
 // invariant: a rejected publish — invalid feature, semantic validation
 // error, malformed body, oversize body, or a mid-stream client

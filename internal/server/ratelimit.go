@@ -116,11 +116,18 @@ func (l *rateLimiter) clients() int {
 	return len(l.buckets)
 }
 
+// maxClientKeyBytes clamps a client-supplied rate-limit key: the bucket
+// map bounds its entries (maxRateLimitClients), this bounds their bytes.
+const maxClientKeyBytes = 128
+
 // clientKey identifies the requester for rate limiting: the
 // X-Client-Id header when present (multi-tenant callers behind one
 // gateway), else the connection's client IP.
 func clientKey(r *http.Request) string {
 	if id := r.Header.Get("X-Client-Id"); id != "" {
+		if len(id) > maxClientKeyBytes {
+			id = id[:maxClientKeyBytes]
+		}
 		return id
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -130,16 +137,7 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// retryAfterHeader renders a wait as a whole-second Retry-After value,
-// rounding up (a client returning too early would only be refused
-// again) and clamping to at least 1.
+// retryAfterHeader renders a wait as a Retry-After header value.
 func retryAfterHeader(wait time.Duration) string {
-	secs := int(math.Ceil(wait.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > maxRetryAfterSeconds {
-		secs = maxRetryAfterSeconds
-	}
-	return strconv.Itoa(secs)
+	return strconv.Itoa(clampRetryAfter(wait.Seconds()))
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -222,5 +223,55 @@ func TestRateLimitBeforeAdmission(t *testing.T) {
 	_, _, metrics := get(t, ts.URL+"/metrics")
 	if !bytes.Contains(metrics, []byte("dnh_ratelimit_shed_total 1")) {
 		t.Error("/metrics does not carry dnh_ratelimit_shed_total 1")
+	}
+}
+
+// TestRequestBounds pins the two client-controlled sizes on the search
+// path: a body past maxSearchBodyBytes is refused with 413 (and counted
+// like any other 4xx), and an X-Client-Id past maxClientKeyBytes is
+// clamped, so ids sharing the clamped prefix share one bucket and no
+// bucket key is longer than the bound.
+func TestRequestBounds(t *testing.T) {
+	sys, _, _ := newTestSystem(t, 12, 13)
+	srv, err := New(Config{Sys: sys, RateLimit: 0.001, RateBurst: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := srv.Handler()
+	const query = `{"variables":[{"name":"temperature"}],"k":3}`
+	// Leading whitespace the decoder must read through to reach the query.
+	padded := func(n int) string { return strings.Repeat(" ", n-len(query)) + query }
+	longID := strings.Repeat("t", maxClientKeyBytes)
+
+	cases := []struct {
+		name, clientID, body string
+		want                 int
+	}{
+		{"body at the cap", "at-cap", padded(maxSearchBodyBytes), http.StatusOK},
+		{"body past the cap", "past-cap", padded(maxSearchBodyBytes + 1), http.StatusRequestEntityTooLarge},
+		{"client id past the bound", longID + "-first", query, http.StatusOK},
+		{"same clamped prefix, same bucket", longID + "-second", query, http.StatusTooManyRequests},
+	}
+	for _, c := range cases {
+		r := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(c.body))
+		r.Header.Set("X-Client-Id", c.clientID)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, r)
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d body %.200s, want %d", c.name, rec.Code, rec.Body, c.want)
+		}
+	}
+	if got := srv.tel.endpoints[epSearch].errors.Value(); got != 2 {
+		t.Errorf("/search error count = %d, want 2 (the 413 and the 429)", got)
+	}
+	srv.limiter.mu.Lock()
+	defer srv.limiter.mu.Unlock()
+	if len(srv.limiter.buckets) != 3 {
+		t.Errorf("resident buckets = %d, want 3 (two long ids share one)", len(srv.limiter.buckets))
+	}
+	for key := range srv.limiter.buckets {
+		if len(key) > maxClientKeyBytes {
+			t.Errorf("bucket key of %d bytes, want <= %d", len(key), maxClientKeyBytes)
+		}
 	}
 }

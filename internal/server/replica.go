@@ -357,3 +357,88 @@ func (r *Replicator) Stats() ReplicaStats {
 		LastError:        lastErr,
 	}
 }
+
+// --- leader side: the endpoints a Replicator tails --------------------
+
+// maxTailWait caps a tail request's long-poll hold, so a dead follower
+// cannot pin a connection indefinitely.
+const maxTailWait = 30 * time.Second
+
+// handleJournalTail streams journal frames to a follower:
+// GET /journal/tail?from=<gen>&wait_ms=<hold>&max_bytes=<cap>. The
+// response body is raw checksummed journal lines for every record past
+// from; X-Dnhd-Generation carries the leader's current generation, and
+// X-Dnhd-Resync: 1 (empty body) tells a follower whose from predates
+// the journals' reach to bootstrap from /journal/checkpoint instead.
+// With wait_ms, an empty tail long-polls until a publish lands or the
+// hold expires. Any durable node can serve tails — a durable follower
+// journals leader-stamped records, so chaining followers off followers
+// works unchanged.
+func (s *Server) handleJournalTail(w http.ResponseWriter, r *http.Request) {
+	if !s.sys.Durable() {
+		writeError(w, http.StatusNotFound, "journal tailing requires a durable node (-data)")
+		return
+	}
+	q := r.URL.Query()
+	var from uint64
+	if raw := q.Get("from"); raw != "" {
+		var err error
+		if from, err = strconv.ParseUint(raw, 10, 64); err != nil {
+			writeError(w, http.StatusBadRequest, "bad from parameter: "+err.Error())
+			return
+		}
+	}
+	var wait time.Duration
+	if raw := q.Get("wait_ms"); raw != "" {
+		ms, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || ms < 0 {
+			writeError(w, http.StatusBadRequest, "bad wait_ms parameter")
+			return
+		}
+		if wait = time.Duration(ms) * time.Millisecond; wait > maxTailWait {
+			wait = maxTailWait
+		}
+	}
+	var maxBytes int64
+	if raw := q.Get("max_bytes"); raw != "" {
+		n, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || n < 0 {
+			writeError(w, http.StatusBadRequest, "bad max_bytes parameter")
+			return
+		}
+		maxBytes = n
+	}
+	frames, gen, resync, err := s.sys.JournalTail(from, maxBytes)
+	if err == nil && len(frames) == 0 && !resync && wait > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		s.sys.AwaitPublish(ctx, from)
+		cancel()
+		frames, gen, resync, err = s.sys.JournalTail(from, maxBytes)
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	s.tel.tailsServed.Inc()
+	w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(gen, 10))
+	if resync {
+		w.Header().Set("X-Dnhd-Resync", "1")
+	}
+	w.Header().Set("Content-Type", "application/x-dnh-journal")
+	w.WriteHeader(http.StatusOK)
+	w.Write(frames)
+}
+
+// handleJournalCheckpoint streams the on-disk checkpoint — the
+// follower bootstrap download behind the resync signal.
+func (s *Server) handleJournalCheckpoint(w http.ResponseWriter, r *http.Request) {
+	rc, err := s.sys.CheckpointReader()
+	if err != nil {
+		writeError(w, http.StatusNotFound, err.Error())
+		return
+	}
+	defer rc.Close()
+	w.Header().Set("Content-Type", "application/x-dnh-checkpoint")
+	w.WriteHeader(http.StatusOK)
+	io.Copy(w, rc)
+}

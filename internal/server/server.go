@@ -38,14 +38,12 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"metamess"
 	"metamess/internal/obs"
-	"metamess/internal/search"
 )
 
 // Endpoint labels used by the metrics registry.
@@ -239,8 +237,8 @@ const maxRevalidations = 4
 // Handler returns the instrumented route tree.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /search", s.handleSearch)
-	mux.HandleFunc("GET /search/text", s.handleSearchText)
+	mux.HandleFunc("POST /search", s.handleQuery(decodeBody))
+	mux.HandleFunc("GET /search/text", s.handleQuery(decodeText))
 	mux.HandleFunc("GET /dataset/{path...}", s.handleDataset)
 	mux.HandleFunc("GET /curator/queue", s.handleCuratorQueue)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -290,588 +288,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // path). It returns without waiting for the run.
 func (s *Server) Rewrangle() { s.rew.Kick() }
 
-// --- wire types ------------------------------------------------------
-
-// SearchRequest is the JSON body of POST /search, mirroring
-// metamess.Query.
-type SearchRequest struct {
-	Near      *LatLon    `json:"near,omitempty"`
-	From      time.Time  `json:"from,omitzero"`
-	To        time.Time  `json:"to,omitzero"`
-	Variables []Variable `json:"variables,omitempty"`
-	K         int        `json:"k,omitempty"`
-}
-
-// LatLon is a WGS84 coordinate on the wire.
-type LatLon struct {
-	Lat float64 `json:"lat"`
-	Lon float64 `json:"lon"`
-}
-
-// Variable is one queried variable, optionally range-constrained.
-type Variable struct {
-	Name string   `json:"name"`
-	Min  *float64 `json:"min,omitempty"`
-	Max  *float64 `json:"max,omitempty"`
-}
-
-// SearchResponse is the body of both search endpoints.
-type SearchResponse struct {
-	// Generation identifies the published snapshot the ranking was
-	// computed from.
-	Generation uint64         `json:"generation"`
-	Count      int            `json:"count"`
-	Hits       []metamess.Hit `json:"hits"`
-	// Partial marks a response whose deadline (RequestTimeout or the
-	// client's X-Deadline-Ms) expired mid-search: Hits holds whatever
-	// the scatter had gathered and ranked by then. Partial responses are
-	// HTTP 200 and are never cached.
-	Partial bool `json:"partial,omitempty"`
-	// Trace is the request's span tree, present only when the client
-	// forced tracing (?debug=trace / X-Trace: 1).
-	Trace *obs.SpanTree `json:"trace,omitempty"`
-}
-
-// RequestFromQuery converts an internal workload query into the wire
-// request the load generator replays against /search.
-func RequestFromQuery(q search.Query) SearchRequest {
-	req := SearchRequest{K: q.K}
-	if q.Location != nil {
-		req.Near = &LatLon{Lat: q.Location.Lat, Lon: q.Location.Lon}
-	}
-	if q.Time != nil {
-		req.From, req.To = q.Time.Start, q.Time.End
-	}
-	for _, t := range q.Terms {
-		v := Variable{Name: t.Name}
-		if t.Range != nil {
-			lo, hi := t.Range.Min, t.Range.Max
-			v.Min, v.Max = &lo, &hi
-		}
-		req.Variables = append(req.Variables, v)
-	}
-	return req
-}
-
-func (req SearchRequest) toQuery() metamess.Query {
-	q := metamess.Query{From: req.From, To: req.To, K: req.K}
-	if req.Near != nil {
-		q.Near = &metamess.LatLon{Lat: req.Near.Lat, Lon: req.Near.Lon}
-	}
-	for _, v := range req.Variables {
-		q.Variables = append(q.Variables, metamess.VariableTerm{Name: v.Name, Min: v.Min, Max: v.Max})
-	}
-	return q
-}
-
 // --- handlers --------------------------------------------------------
-
-// admitSearch runs the pre-execution gates in front of a search
-// endpoint, cheapest-refusal first: the per-client rate limit (one hot
-// client must not take queue positions from the rest), then the
-// read-your-writes wait (X-Min-Generation — waiting must not hold an
-// admission slot), then the admission gate. A refused request is
-// answered here — 429/412 with headers, no parsing and no executor
-// work — and false returned.
-func (s *Server) admitSearch(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	if wait, limited := s.limiter.take(clientKey(r), time.Now()); limited {
-		s.tel.ratelimitShed.Inc()
-		w.Header().Set("Retry-After", retryAfterHeader(wait))
-		writeError(w, http.StatusTooManyRequests, "client rate limit exceeded, retry later")
-		return nil, false
-	}
-	if !s.awaitMinGeneration(w, r) {
-		return nil, false
-	}
-	release, reason := s.adm.acquire(r.Context())
-	if reason == shedNone {
-		return release, true
-	}
-	// Retry-After tracks the observed drain rate: backlog × mean
-	// service time / slots, not a hardcoded guess.
-	w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
-	writeError(w, http.StatusTooManyRequests, "server overloaded ("+reason.String()+"), retry later")
-	return nil, false
-}
-
-// DefaultMinGenWait bounds how long an X-Min-Generation request waits
-// for replication (or a local publish) to reach the demanded generation
-// when the request carries no deadline of its own.
-const DefaultMinGenWait = 2 * time.Second
-
-// awaitMinGeneration implements read-your-writes: a client that just
-// wrote through the leader sends the publish's generation in
-// X-Min-Generation, and a follower holds the search until its replica
-// catches up — up to the request's deadline (X-Deadline-Ms /
-// RequestTimeout, else DefaultMinGenWait) — or answers 412 with the
-// generation it does have, so the client can retry or fall back to the
-// leader. Runs before the admission gate: a waiting request must not
-// hold a slot. On a leader the demanded generation is usually already
-// current and this is one atomic load.
-func (s *Server) awaitMinGeneration(w http.ResponseWriter, r *http.Request) bool {
-	h := r.Header.Get("X-Min-Generation")
-	if h == "" {
-		return true
-	}
-	min, err := strconv.ParseUint(h, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad X-Min-Generation: "+err.Error())
-		return false
-	}
-	if s.sys.SnapshotGeneration() >= min {
-		return true
-	}
-	s.tel.minGenWaits.Inc()
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	if _, bounded := ctx.Deadline(); !bounded {
-		var cancelWait context.CancelFunc
-		ctx, cancelWait = context.WithTimeout(ctx, DefaultMinGenWait)
-		defer cancelWait()
-	}
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		if s.sys.SnapshotGeneration() >= min {
-			return true
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			gen := s.sys.SnapshotGeneration()
-			s.tel.minGenStale.Inc()
-			w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(gen, 10))
-			writeJSON(w, http.StatusPreconditionFailed, map[string]any{
-				"error":      fmt.Sprintf("generation %d not yet available", min),
-				"generation": gen,
-			})
-			return false
-		}
-	}
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admitSearch(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	qo := s.beginQuery(r)
-	defer s.endQuery(qo)
-	s.serveSearch(w, r, req, qo)
-}
-
-func (s *Server) handleSearchText(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admitSearch(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	text := r.URL.Query().Get("q")
-	if text == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
-		return
-	}
-	qo := s.beginQuery(r)
-	defer s.endQuery(qo)
-	// Parse once, then feed the same structured path /search uses: the
-	// parsed form validates early, executes without a second parse, and
-	// normalizes the cache key — textual variants of one query (spacing,
-	// clause order) and their structured equivalent share an entry.
-	tr, root := qo.Tracer()
-	t0 := time.Now()
-	pid := tr.Start(root, "parse")
-	iq, err := search.ParseQuery(text)
-	tr.End(pid)
-	qo.ParseNs = time.Since(t0).Nanoseconds()
-	searchStageParse.ObserveSeconds(qo.ParseNs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.serveSearch(w, r, RequestFromQuery(iq), qo)
-}
-
-// requestContext derives the search's execution budget: the smaller of
-// the server-wide RequestTimeout and the client's X-Deadline-Ms header
-// (milliseconds of remaining budget; 0 means already expired). With
-// neither, the request context passes through unchanged.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	budget := s.reqTimeout
-	bounded := budget > 0
-	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms >= 0 {
-			// ms == 0 is a real (already expired) budget, not "unset" —
-			// the deterministic way to ask for an immediate partial.
-			if d := time.Duration(ms) * time.Millisecond; !bounded || d < budget {
-				budget = d
-			}
-			bounded = true
-		}
-	}
-	if !bounded {
-		return r.Context(), func() {}
-	}
-	return context.WithTimeout(r.Context(), budget)
-}
-
-// serveSearch runs the overload-hardened search path shared by both
-// search endpoints. Re-marshaling the decoded request normalizes field
-// order, whitespace, and unknown fields out of the cache key. The
-// layers, cheapest first:
-//
-//  1. cache hit at the current generation — served as before;
-//  2. stale-while-revalidate — within StaleWindow of a publish, the
-//     previous generation's cached bytes are served immediately
-//     (X-Dnhd-Cache: stale, X-Dnhd-Generation labels the bytes) while
-//     one background flight warms the new generation's entry;
-//  3. singleflight — concurrent identical misses elect one leader to
-//     run the executor; followers get the leader's bytes verbatim
-//     (X-Dnhd-Cache: collapsed).
-//
-// Forced-trace requests bypass all three: a cached or shared body has
-// no trace to return, and a body with an inline trace must not be
-// served to untraced clients.
-func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, req SearchRequest, qo *obs.QueryObs) {
-	keyBytes, err := json.Marshal(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := string(keyBytes)
-	q := req.toQuery()
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	ctx = obs.WithQuery(ctx, qo)
-	start := time.Now()
-
-	gen := s.sys.SnapshotGeneration()
-	s.noteGeneration(gen)
-	if qo.Forced {
-		out := s.executeSearch(ctx, q, key, qo)
-		s.serveOutcome(w, out, out.cacheState)
-		s.noteSlow(start, key, out.generation, qo, false)
-		return
-	}
-
-	tr, root := qo.Tracer()
-	cid := tr.Start(root, "cache_lookup")
-	cached, ok := s.cache.Get(gen, key)
-	tr.End(cid)
-	if ok {
-		s.tel.cacheHits.Inc()
-		w.Header().Set("X-Dnhd-Cache", "hit")
-		w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(gen, 10))
-		writeJSONBytes(w, http.StatusOK, cached)
-		s.noteSlow(start, key, gen, qo, true)
-		return
-	}
-	if prev, ok := s.staleSource(gen); ok {
-		if staleBody, ok := s.cache.Get(prev, key); ok {
-			s.tel.staleServed.Inc()
-			s.startRevalidate(gen, key, q)
-			w.Header().Set("X-Dnhd-Cache", "stale")
-			w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(prev, 10))
-			writeJSONBytes(w, http.StatusOK, staleBody)
-			s.noteSlow(start, key, prev, qo, true)
-			return
-		}
-	}
-
-	fk := flightKey{generation: gen, query: key}
-	f, leader := s.flights.join(fk)
-	if leader {
-		var out searchOutcome
-		// finish in a deferred call so a panicking executor (recovered
-		// by net/http) still releases the followers — with the default
-		// 500 outcome rather than a hang.
-		out = searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"search failed"}`), cacheState: "miss"}
-		func() {
-			defer func() { s.flights.finish(fk, f, out) }()
-			out = s.executeSearch(ctx, q, key, qo)
-		}()
-		s.serveOutcome(w, out, out.cacheState)
-		s.noteSlow(start, key, out.generation, qo, false)
-		return
-	}
-	select {
-	case <-f.done:
-		s.tel.collapsed.Inc()
-		s.serveOutcome(w, f.out, "collapsed")
-	case <-ctx.Done():
-		// The follower's own deadline expired while the leader was still
-		// working: answer with an empty partial rather than holding the
-		// connection for bytes the client no longer has time for.
-		s.tel.partials.Inc()
-		out := partialOutcome(gen, nil)
-		s.serveOutcome(w, out, "timeout")
-	}
-	s.noteSlow(start, key, gen, qo, false)
-}
-
-// serveOutcome writes one executed (or shared) search outcome.
-func (s *Server) serveOutcome(w http.ResponseWriter, out searchOutcome, cacheState string) {
-	w.Header().Set("X-Dnhd-Cache", cacheState)
-	w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(out.generation, 10))
-	if out.partial {
-		w.Header().Set("X-Dnhd-Partial", "1")
-	}
-	writeJSONBytes(w, out.status, out.body)
-}
-
-// partialOutcome renders an empty partial response labeled with gen.
-func partialOutcome(gen uint64, hits []metamess.Hit) searchOutcome {
-	body, err := json.Marshal(SearchResponse{Generation: gen, Count: len(hits), Hits: hits, Partial: true})
-	if err != nil {
-		return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: gen}
-	}
-	return searchOutcome{status: http.StatusOK, body: body, cacheState: "miss", partial: true, generation: gen}
-}
-
-// executeSearch runs the executor with the generation-race retry loop
-// and renders the outcome. The generation is read before the search and
-// re-checked after: if a publish landed in between, the attempt is
-// retried (so the response's generation label is exact and a cache
-// entry keyed G never holds data from a later snapshot); with publishes
-// landing faster than searches finish, the last attempt is served
-// unlabeled-safe — generation 0 — and uncached. A deadline that expires
-// mid-scatter yields the results gathered so far with Partial: true,
-// HTTP 200, never cached. qo may be nil (background revalidation).
-func (s *Server) executeSearch(ctx context.Context, q metamess.Query, key string, qo *obs.QueryObs) searchOutcome {
-	tr, root := qo.Tracer()
-	forced := qo != nil && qo.Forced
-	var lastBody []byte
-	for attempt := 0; attempt < 3; attempt++ {
-		gen := s.sys.SnapshotGeneration()
-		// A generation-race retry re-runs the executor; zero the stage
-		// counters so histograms and the slow log see the attempt that
-		// produced the response, not a sum across attempts.
-		if attempt > 0 {
-			qo.ResetStages()
-		}
-		hits, partial, err := s.sys.SearchPartialContext(ctx, q)
-		if err != nil {
-			body, merr := json.Marshal(map[string]string{"error": err.Error()})
-			if merr != nil {
-				body = []byte(`{"error":"bad query"}`)
-			}
-			return searchOutcome{status: http.StatusBadRequest, body: body, cacheState: "miss", generation: gen}
-		}
-		s.tel.searchesRun.Inc()
-		if qo != nil {
-			observeStages(qo)
-		}
-		if partial {
-			s.tel.partials.Inc()
-			resp := SearchResponse{Generation: gen, Count: len(hits), Hits: hits, Partial: true}
-			if forced {
-				tr.Attr(root, "generation", int64(gen))
-				tr.End(root)
-				resp.Trace = tr.Tree()
-			}
-			body, merr := json.Marshal(resp)
-			if merr != nil {
-				return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: gen}
-			}
-			state := "miss"
-			if forced {
-				state = "bypass"
-			}
-			return searchOutcome{status: http.StatusOK, body: body, cacheState: state, partial: true, generation: gen}
-		}
-		if s.sys.SnapshotGeneration() != gen {
-			// A publish raced the search; the snapshot it used is
-			// ambiguous. Retry against the fresh generation.
-			var merr error
-			if lastBody, merr = json.Marshal(SearchResponse{Count: len(hits), Hits: hits}); merr != nil {
-				return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`)}
-			}
-			continue
-		}
-		resp := SearchResponse{Generation: gen, Count: len(hits), Hits: hits}
-		if forced {
-			tr.Attr(root, "generation", int64(gen))
-			tr.End(root)
-			resp.Trace = tr.Tree()
-			body, merr := json.Marshal(resp)
-			if merr != nil {
-				return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: gen}
-			}
-			return searchOutcome{status: http.StatusOK, body: body, cacheState: "bypass", generation: gen}
-		}
-		body, merr := json.Marshal(resp)
-		if merr != nil {
-			return searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"marshal failed"}`), generation: gen}
-		}
-		if s.cache.enabled() {
-			s.tel.cacheMisses.Inc()
-		}
-		s.cache.Put(gen, key, body)
-		return searchOutcome{status: http.StatusOK, body: body, cacheState: "miss", generation: gen}
-	}
-	return searchOutcome{status: http.StatusOK, body: lastBody, cacheState: "miss"}
-}
-
-// --- stale-while-revalidate ------------------------------------------
-
-// noteGeneration records generation transitions as the serving path
-// observes them.
-func (s *Server) noteGeneration(gen uint64) {
-	if s.staleWindow <= 0 {
-		return
-	}
-	s.genMu.Lock()
-	if gen != s.curGen {
-		s.prevGen = s.curGen
-		s.curGen = gen
-		s.genSwitched = time.Now()
-	}
-	s.genMu.Unlock()
-}
-
-// staleSource returns the generation whose cached bytes may be served
-// in place of a cold miss at gen: the previous generation, within
-// StaleWindow of the switch.
-func (s *Server) staleSource(gen uint64) (uint64, bool) {
-	if s.staleWindow <= 0 {
-		return 0, false
-	}
-	s.genMu.Lock()
-	defer s.genMu.Unlock()
-	if s.prevGen == 0 || gen != s.curGen {
-		return 0, false
-	}
-	if time.Since(s.genSwitched) > s.staleWindow {
-		return 0, false
-	}
-	return s.prevGen, true
-}
-
-// startRevalidate kicks one background flight to warm (gen, key). The
-// flight group guarantees at most one warm per entry; revalSem bounds
-// warms across entries — past it the warm is skipped and the next
-// stale hit tries again.
-func (s *Server) startRevalidate(gen uint64, key string, q metamess.Query) {
-	select {
-	case s.revalSem <- struct{}{}:
-	default:
-		return
-	}
-	fk := flightKey{generation: gen, query: key}
-	f, leader := s.flights.join(fk)
-	if !leader {
-		<-s.revalSem
-		return
-	}
-	s.tel.revalidations.Inc()
-	go func() {
-		defer func() { <-s.revalSem }()
-		timeout := s.reqTimeout
-		if timeout <= 0 {
-			timeout = 30 * time.Second
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		out := searchOutcome{status: http.StatusInternalServerError, body: []byte(`{"error":"search failed"}`), cacheState: "miss"}
-		func() {
-			defer func() {
-				recover() // a panicking warm must still release joiners
-				s.flights.finish(fk, f, out)
-			}()
-			out = s.executeSearch(ctx, q, key, nil)
-		}()
-	}()
-}
-
-// --- replication (leader side) ---------------------------------------
-
-// maxTailWait caps a tail request's long-poll hold, so a dead follower
-// cannot pin a connection indefinitely.
-const maxTailWait = 30 * time.Second
-
-// handleJournalTail streams journal frames to a follower:
-// GET /journal/tail?from=<gen>&wait_ms=<hold>&max_bytes=<cap>. The
-// response body is raw checksummed journal lines for every record past
-// from; X-Dnhd-Generation carries the leader's current generation, and
-// X-Dnhd-Resync: 1 (empty body) tells a follower whose from predates
-// the journals' reach to bootstrap from /journal/checkpoint instead.
-// With wait_ms, an empty tail long-polls until a publish lands or the
-// hold expires. Any durable node can serve tails — a durable follower
-// journals leader-stamped records, so chaining followers off followers
-// works unchanged.
-func (s *Server) handleJournalTail(w http.ResponseWriter, r *http.Request) {
-	if !s.sys.Durable() {
-		writeError(w, http.StatusNotFound, "journal tailing requires a durable node (-data)")
-		return
-	}
-	q := r.URL.Query()
-	var from uint64
-	if raw := q.Get("from"); raw != "" {
-		var err error
-		if from, err = strconv.ParseUint(raw, 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, "bad from parameter: "+err.Error())
-			return
-		}
-	}
-	var wait time.Duration
-	if raw := q.Get("wait_ms"); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, "bad wait_ms parameter")
-			return
-		}
-		if wait = time.Duration(ms) * time.Millisecond; wait > maxTailWait {
-			wait = maxTailWait
-		}
-	}
-	var maxBytes int64
-	if raw := q.Get("max_bytes"); raw != "" {
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad max_bytes parameter")
-			return
-		}
-		maxBytes = n
-	}
-	frames, gen, resync, err := s.sys.JournalTail(from, maxBytes)
-	if err == nil && len(frames) == 0 && !resync && wait > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		s.sys.AwaitPublish(ctx, from)
-		cancel()
-		frames, gen, resync, err = s.sys.JournalTail(from, maxBytes)
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.tel.tailsServed.Inc()
-	w.Header().Set("X-Dnhd-Generation", strconv.FormatUint(gen, 10))
-	if resync {
-		w.Header().Set("X-Dnhd-Resync", "1")
-	}
-	w.Header().Set("Content-Type", "application/x-dnh-journal")
-	w.WriteHeader(http.StatusOK)
-	w.Write(frames)
-}
-
-// handleJournalCheckpoint streams the on-disk checkpoint — the
-// follower bootstrap download behind the resync signal.
-func (s *Server) handleJournalCheckpoint(w http.ResponseWriter, r *http.Request) {
-	rc, err := s.sys.CheckpointReader()
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", "application/x-dnh-checkpoint")
-	w.WriteHeader(http.StatusOK)
-	io.Copy(w, rc)
-}
 
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	path := r.PathValue("path")
@@ -943,180 +360,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, status, resp)
-}
-
-// StatsResponse is the /stats body.
-type StatsResponse struct {
-	UptimeSec  float64         `json:"uptimeSec"`
-	Datasets   int             `json:"datasets"`
-	Generation uint64          `json:"generation"`
-	InFlight   int64           `json:"inFlight"`
-	Shards     ShardStats      `json:"shards"`
-	Endpoints  []EndpointStats `json:"endpoints"`
-	Cache      CacheStats      `json:"cache"`
-	Search     SearchStats     `json:"search"`
-	Overload   OverloadStats   `json:"overload"`
-	Rewrangle  RewrangleStats  `json:"rewrangle"`
-	// Ingest reports push-publish activity (POST /publish).
-	Ingest IngestStats `json:"ingest"`
-	// Durability reports the publish journal + checkpoint store; absent
-	// when the system runs without a data directory.
-	Durability *metamess.DurabilityStats `json:"durability,omitempty"`
-	// Replication reports follower state (lag, applied records,
-	// resyncs); absent on nodes not following a leader.
-	Replication *ReplicaStats `json:"replication,omitempty"`
-}
-
-// SearchStats reports query-execution efficiency: scratch-pool reuse
-// counters from internal/search and the number of searches that
-// actually ran against the catalog (cache hits excluded).
-type SearchStats struct {
-	PoolHits    uint64 `json:"poolHits"`
-	PoolMisses  uint64 `json:"poolMisses"`
-	SearchesRun uint64 `json:"searchesRun"`
-}
-
-// ShardStats reports the published snapshot's partitioning: how many
-// shards the catalog is hashed across and how many features each holds
-// (sizes sum to Datasets). A skewed Sizes histogram means one shard
-// dominates publish patching and scatter-gather tail latency.
-type ShardStats struct {
-	Count int   `json:"count"`
-	Sizes []int `json:"sizes"`
-}
-
-// OverloadStats is the admission/overload row in /stats: the gate's
-// configuration and live occupancy, plus the degraded-mode serving
-// counters (sheds, collapsed flights, stale serves, partial results).
-type OverloadStats struct {
-	MaxInFlight    int     `json:"maxInFlight"` // 0 = admission disabled
-	QueueDepth     int     `json:"queueDepth,omitempty"`
-	QueueWaitMs    float64 `json:"queueWaitMs,omitempty"`
-	InFlight       int64   `json:"inFlight"`
-	Queued         int64   `json:"queued"`
-	PeakInFlight   int64   `json:"peakInFlight"`
-	Admitted       uint64  `json:"admitted"`
-	Waited         uint64  `json:"waited"` // admitted after queuing
-	Shed           uint64  `json:"shed"`
-	ShedQueueFull  uint64  `json:"shedQueueFull"`
-	ShedTimeout    uint64  `json:"shedTimeout"`
-	ShedClientGone uint64  `json:"shedClientGone"`
-	// Queue-full shed decision time measured inside the gate — what the
-	// shed itself cost the server, excluding network and client
-	// scheduling. Timeout sheds are excluded: they cost the configured
-	// wait by design.
-	ShedDecisionMeanUs float64 `json:"shedDecisionMeanUs,omitempty"`
-	ShedDecisionMaxUs  float64 `json:"shedDecisionMaxUs,omitempty"`
-	Shedding           bool    `json:"shedding"`
-	Collapsed          uint64  `json:"collapsedFlights"`
-	StaleServed        uint64  `json:"staleServed"`
-	Revalidations      uint64  `json:"revalidations"`
-	PartialResults     uint64  `json:"partialResults"`
-	// RetryAfterSec is the Retry-After an overload shed would carry right
-	// now, derived from the observed drain rate.
-	RetryAfterSec int `json:"retryAfterSec,omitempty"`
-	// Per-client rate limiting (0/absent when -rate-limit is off).
-	RateLimitPerSec  float64 `json:"rateLimitPerSec,omitempty"`
-	RateLimited      uint64  `json:"rateLimited"`
-	RateLimitClients int     `json:"rateLimitClients,omitempty"`
-	// Read-your-writes: X-Min-Generation requests that had to wait, and
-	// those answered 412 because the generation never arrived in time.
-	MinGenWaits uint64 `json:"minGenWaits"`
-	MinGenStale uint64 `json:"minGenStale"`
-}
-
-func (s *Server) overloadStats() OverloadStats {
-	st := OverloadStats{
-		Collapsed:      s.tel.collapsed.Value(),
-		StaleServed:    s.tel.staleServed.Value(),
-		Revalidations:  s.tel.revalidations.Value(),
-		PartialResults: s.tel.partials.Value(),
-		RateLimited:    s.tel.ratelimitShed.Value(),
-		MinGenWaits:    s.tel.minGenWaits.Value(),
-		MinGenStale:    s.tel.minGenStale.Value(),
-	}
-	if l := s.limiter; l != nil {
-		st.RateLimitPerSec = l.rate
-		st.RateLimitClients = l.clients()
-	}
-	if a := s.adm; a != nil {
-		st.MaxInFlight = a.max
-		st.QueueDepth = a.depth
-		st.QueueWaitMs = float64(a.wait) / float64(time.Millisecond)
-		st.InFlight = a.inFlight()
-		st.Queued = a.queued.Load()
-		st.PeakInFlight = a.peakInFlight.Load()
-		st.Admitted = s.tel.admitted.Value()
-		st.Waited = s.tel.waited.Value()
-		st.ShedQueueFull = s.tel.shed[shedQueueFull].Value()
-		st.ShedTimeout = s.tel.shed[shedWaitTimeout].Value()
-		st.ShedClientGone = s.tel.shed[shedClientGone].Value()
-		st.Shed = st.ShedQueueFull + st.ShedTimeout + st.ShedClientGone
-		if st.ShedQueueFull > 0 {
-			st.ShedDecisionMeanUs = float64(a.shedFullSumNs.Load()) / float64(st.ShedQueueFull) / 1e3
-			st.ShedDecisionMaxUs = float64(a.shedFullMaxNs.Load()) / 1e3
-		}
-		st.Shedding = a.shedding()
-		st.RetryAfterSec = a.retryAfterSeconds()
-	}
-	return st
-}
-
-// IngestStats is the push-publish row in /stats.
-type IngestStats struct {
-	// Publishes counts accepted POST /publish batches; Stable counts the
-	// subset whose delta was empty (replays — generation unchanged).
-	Publishes uint64 `json:"publishes"`
-	Stable    uint64 `json:"stable,omitempty"`
-	// Rejected counts batches refused with no state change.
-	Rejected uint64 `json:"rejected,omitempty"`
-	// Features counts features actually upserted by accepted publishes.
-	Features uint64 `json:"features"`
-}
-
-func (s *Server) ingestStats() IngestStats {
-	return IngestStats{
-		Publishes: s.tel.publishes.Value(),
-		Stable:    s.tel.publishStable.Value(),
-		Rejected:  s.tel.publishRejected.Value(),
-		Features:  s.tel.publishFeatures.Value(),
-	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.tel.cacheHits.Value(), s.tel.cacheMisses.Value()
-	cache := CacheStats{
-		Hits:    hits,
-		Misses:  misses,
-		Entries: s.cache.Len(),
-		Stale:   s.tel.staleServed.Value(),
-	}
-	if hits+misses > 0 {
-		cache.HitRate = float64(hits) / float64(hits+misses)
-	}
-	sizes := s.sys.SnapshotShardSizes()
-	poolHits, poolMisses := search.PoolStats()
-	resp := StatsResponse{
-		UptimeSec:  time.Since(s.tel.start).Seconds(),
-		Datasets:   s.sys.DatasetCount(),
-		Generation: s.sys.SnapshotGeneration(),
-		InFlight:   s.tel.inFlight.Value(),
-		Shards:     ShardStats{Count: len(sizes), Sizes: sizes},
-		Endpoints:  s.tel.snapshotEndpoints(),
-		Cache:      cache,
-		Search:     SearchStats{PoolHits: poolHits, PoolMisses: poolMisses, SearchesRun: s.tel.searchesRun.Value()},
-		Overload:   s.overloadStats(),
-		Rewrangle:  s.rew.stats(),
-		Ingest:     s.ingestStats(),
-	}
-	if ds, ok := s.sys.Durability(); ok {
-		resp.Durability = &ds
-	}
-	if s.replica != nil {
-		rs := s.replica.Stats()
-		resp.Replication = &rs
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // --- instrumentation -------------------------------------------------
@@ -1193,5 +436,11 @@ func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	writeJSONBytes(w, status, errorBody(msg))
+}
+
+// errorBody renders the {"error": msg} body every refusal carries.
+func errorBody(msg string) []byte {
+	body, _ := json.Marshal(map[string]string{"error": msg}) // a map of strings cannot fail to marshal
+	return body
 }

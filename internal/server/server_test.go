@@ -75,6 +75,27 @@ func postJSON(t testing.TB, url string, body []byte) (int, http.Header, []byte) 
 	return resp.StatusCode, resp.Header, out
 }
 
+// postDeadline is postJSON with an X-Deadline-Ms budget.
+func postDeadline(t testing.TB, url string, body []byte, ms string) (int, http.Header, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Deadline-Ms", ms)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header, out
+}
+
 func TestEndpointsSmoke(t *testing.T) {
 	sys, m, _ := newTestSystem(t, 24, 7)
 	_, ts := newTestServer(t, sys, 0)

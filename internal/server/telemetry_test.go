@@ -120,7 +120,7 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fk := flightKey{generation: sys.SnapshotGeneration(), query: string(heldBody)}
+	fk := queryKey{generation: sys.SnapshotGeneration(), query: string(heldBody)}
 	f, leader := srv.flights.join(fk)
 	if !leader {
 		t.Fatal("test did not become flight leader")
@@ -131,7 +131,7 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		follower <- h.Get("X-Dnhd-Cache")
 	}()
 	time.Sleep(100 * time.Millisecond)
-	srv.flights.finish(fk, f, srv.executeSearch(context.Background(), held.toQuery(), fk.query, nil))
+	srv.flights.finish(fk, f, srv.executeSearch(context.Background(), held, fk.query, nil))
 	if state := <-follower; state != "collapsed" {
 		t.Fatalf("follower of a held flight served %q, want collapsed", state)
 	}

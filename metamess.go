@@ -414,26 +414,32 @@ func (s *System) WrangleWithTrace(tr *obs.Trace, parent int32) (*Report, error) 
 
 // LatLon is a WGS84 coordinate.
 type LatLon struct {
-	Lat, Lon float64
+	Lat float64 `json:"lat"`
+	Lon float64 `json:"lon"`
 }
 
 // VariableTerm is one queried variable, optionally range-constrained.
 type VariableTerm struct {
-	Name     string
-	Min, Max *float64
+	Name string   `json:"name"`
+	Min  *float64 `json:"min,omitempty"`
+	Max  *float64 `json:"max,omitempty"`
 }
 
-// Query is a "Data Near Here" search request.
+// Query is a "Data Near Here" search request. The JSON tags are the
+// dnhd wire format: the server decodes a POST /search body straight
+// into a Query and keys its cache on the re-marshaled value, so field
+// order and tags here are part of every cache key.
 type Query struct {
 	// Near ranks datasets by distance from this point.
-	Near *LatLon
+	Near *LatLon `json:"near,omitempty"`
 	// From and To bound the time period of interest (both zero = no time
 	// dimension).
-	From, To time.Time
+	From time.Time `json:"from,omitzero"`
+	To   time.Time `json:"to,omitzero"`
 	// Variables are the environmental variables of interest.
-	Variables []VariableTerm
+	Variables []VariableTerm `json:"variables,omitempty"`
 	// K caps the result count (default 10).
-	K int
+	K int `json:"k,omitempty"`
 }
 
 // Hit is one ranked search result.
@@ -477,14 +483,10 @@ func (s *System) Search(q Query) ([]Hit, error) {
 
 // SearchContext is Search with cancellation: when ctx ends before the
 // ranking is complete the search stops scoring and returns ctx's error.
-// This is the entry point request-scoped callers (the dnhd server)
-// use.
+// This is the entry point request-scoped callers use.
 func (s *System) SearchContext(ctx context.Context, q Query) ([]Hit, error) {
-	results, err := s.searcher.SearchContext(ctx, internalQuery(q))
-	if err != nil {
-		return nil, fmt.Errorf("metamess: %w", err)
-	}
-	return hitsFromResults(results), nil
+	hits, _, err := s.search(ctx, internalQuery(q), false)
+	return hits, err
 }
 
 // SearchPartialContext is SearchContext with best-effort deadline
@@ -494,7 +496,19 @@ func (s *System) SearchContext(ctx context.Context, q Query) ([]Hit, error) {
 // already done; see search.Searcher.SearchPartialContext for the
 // exactness caveat on partial rankings.
 func (s *System) SearchPartialContext(ctx context.Context, q Query) ([]Hit, bool, error) {
-	results, partial, err := s.searcher.SearchPartialContext(ctx, internalQuery(q))
+	return s.search(ctx, internalQuery(q), true)
+}
+
+// search is the one body behind every exported Search*: run the
+// executor (keeping what a deadline cut short only when partialOK),
+// wrap its error, render the hits.
+func (s *System) search(ctx context.Context, iq search.Query, partialOK bool) (hits []Hit, partial bool, err error) {
+	var results []search.Result
+	if partialOK {
+		results, partial, err = s.searcher.SearchPartialContext(ctx, iq)
+	} else {
+		results, err = s.searcher.SearchContext(ctx, iq)
+	}
 	if err != nil {
 		return nil, false, fmt.Errorf("metamess: %w", err)
 	}
@@ -545,11 +559,8 @@ func (s *System) SearchTextContext(ctx context.Context, query string) ([]Hit, er
 	if err != nil {
 		return nil, fmt.Errorf("metamess: %w", err)
 	}
-	results, err := s.searcher.SearchContext(ctx, iq)
-	if err != nil {
-		return nil, fmt.Errorf("metamess: %w", err)
-	}
-	return hitsFromResults(results), nil
+	hits, _, err := s.search(ctx, iq, false)
+	return hits, err
 }
 
 // DatasetSummary renders the summary page for an archive-relative path.
