@@ -33,11 +33,12 @@ func fuzzSeedJournal(t testing.TB) []byte {
 }
 
 // FuzzJournalReplay feeds arbitrary bytes to the store's recovery path
-// as the journal and requires the all-or-nothing contract to hold: the
-// open either fails cleanly or yields a valid catalog — every feature
-// passing Validate, the generation matching the store's — and it does
-// so deterministically. It must never panic and never surface silent
-// partial state (two opens of the same bytes disagreeing).
+// — once as the journal, once as the checkpoint — and to Load, and
+// requires the all-or-nothing contract to hold: each either fails
+// cleanly (Load with a nil catalog) or yields a valid catalog — every
+// feature passing Validate, the generation matching the store's — and
+// does so deterministically. None may panic or surface silent partial
+// state (two reads of the same bytes disagreeing).
 func FuzzJournalReplay(f *testing.F) {
 	valid := fuzzSeedJournal(f)
 	f.Add(valid)
@@ -64,40 +65,91 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(append(garbage, []byte("00000000 not-json\n")...))
 	f.Add([]byte(""))
 	f.Add([]byte("go wild\n\n\x00\xff"))
+	// A valid checkpoint (as a journal, a wrong-op refusal).
+	f.Add(fuzzSeedCheckpoint(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "journal"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		recover := func() (*Catalog, uint64, error) {
-			into := New()
-			gen, _, _, _, err := recoverState(dir, into)
-			return into, gen, err
-		}
-
-		c1, gen1, err1 := recover()
-		c2, gen2, err2 := recover()
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("non-deterministic recovery: %v vs %v", err1, err2)
-		}
-		if err1 != nil {
-			return // clean refusal: the contract holds
-		}
-		// A recovered catalog must be fully valid...
-		for _, feat := range c1.Snapshot().All() {
-			if err := feat.Validate(); err != nil {
-				t.Fatalf("recovered catalog holds invalid feature: %v", err)
+		for _, name := range []string{"journal", "checkpoint"} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			recover := func() (*Catalog, uint64, error) {
+				into := New()
+				gen, _, _, _, err := recoverState(dir, into)
+				return into, gen, err
+			}
+			c1, gen1, err1 := recover()
+			c2, gen2, err2 := recover()
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("%s: non-deterministic recovery: %v vs %v", name, err1, err2)
+			}
+			if err1 != nil {
+				continue // clean refusal: the contract holds
+			}
+			requireValid(t, c1)
+			if c1.Generation() != gen1 {
+				t.Fatalf("%s: catalog generation %d != recovered generation %d", name, c1.Generation(), gen1)
+			}
+			// Recovery must be a pure function of the bytes.
+			if storeFingerprint(t, c1) != storeFingerprint(t, c2) || gen1 != gen2 {
+				t.Fatalf("%s: two recoveries of the same bytes disagree", name)
 			}
 		}
-		if c1.Generation() != gen1 {
-			t.Fatalf("catalog generation %d != recovered generation %d", c1.Generation(), gen1)
+
+		// The same bytes as an exported snapshot, through Load.
+		path := filepath.Join(t.TempDir(), "snap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		// ...and recovery must be a pure function of the bytes.
-		if storeFingerprint(t, c1) != storeFingerprint(t, c2) || gen1 != gen2 {
-			t.Fatal("two recoveries of the same journal bytes disagree")
+		c1, err1 := Load(path)
+		c2, err2 := Load(path)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("Load: non-deterministic: %v vs %v", err1, err2)
+		}
+		if err1 != nil {
+			if c1 != nil || c2 != nil {
+				t.Fatalf("Load failed (%v) but returned a catalog", err1)
+			}
+			return
+		}
+		requireValid(t, c1)
+		if storeFingerprint(t, c1) != storeFingerprint(t, c2) {
+			t.Fatal("Load: two loads of the same bytes disagree")
 		}
 	})
+}
+
+// fuzzSeedCheckpoint is a small, valid checkpoint's bytes: a meta
+// record and two puts.
+func fuzzSeedCheckpoint(t testing.TB) []byte {
+	t.Helper()
+	c := New()
+	for i := 0; i < 2; i++ {
+		if err := c.Upsert(deltaFeature(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "checkpoint")
+	if err := Save(path, c); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// requireValid fails unless every feature of a recovered or loaded
+// catalog passes Validate.
+func requireValid(t *testing.T, c *Catalog) {
+	t.Helper()
+	for _, feat := range c.Snapshot().All() {
+		if err := feat.Validate(); err != nil {
+			t.Fatalf("recovered catalog holds invalid feature: %v", err)
+		}
+	}
 }
 
 // findNthNewline returns the index just past the n-th newline (1-based).

@@ -18,7 +18,7 @@ import (
 // drops, so recovery always lands on the state before or after a
 // publish, never between.
 
-// SyncPolicy controls when journal (and log) appends are fsynced — the
+// SyncPolicy controls when journal appends are fsynced — the
 // point at which an acknowledged publish is guaranteed to survive a
 // crash.
 type SyncPolicy int
@@ -274,54 +274,20 @@ func (j *Journal) rotate(toPath string) error {
 // features fail validation — is an error, so a damaged journal can
 // never half-load. It returns the number of records applied.
 func ReplayJournal(path string, apply func(DeltaRecord) error) (int, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("catalog: open journal: %w", err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	lineNo, applied := 0, 0
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
-		if pendingErr != nil {
-			// A bad line followed by more lines means mid-file corruption.
-			return 0, pendingErr
-		}
-		rec, err := decodeLine(sc.Text())
+	applied := 0
+	err := readRecordFile(path, true, func(_ []byte, rec logRecord) error {
+		d, err := deltaOf(rec)
 		if err != nil {
-			// Only fatal if another line follows (torn-tail tolerance).
-			pendingErr = fmt.Errorf("catalog: journal line %d: %w", lineNo, err)
-			continue
+			return err
 		}
-		if rec.Op != "delta" {
-			return 0, fmt.Errorf("catalog: journal line %d: unexpected op %q", lineNo, rec.Op)
-		}
-		for _, feat := range rec.Changed {
-			if feat == nil {
-				return 0, fmt.Errorf("catalog: journal line %d: null feature", lineNo)
-			}
-			if err := feat.Validate(); err != nil {
-				return 0, fmt.Errorf("catalog: journal line %d: %w", lineNo, err)
-			}
-		}
-		if err := apply(DeltaRecord{
-			Gen:     rec.Gen,
-			Changed: rec.Changed,
-			Removed: rec.Removed,
-			Sidecar: rec.Sidecar,
-		}); err != nil {
-			return 0, fmt.Errorf("catalog: journal line %d: %w", lineNo, err)
+		if err := apply(d); err != nil {
+			return err
 		}
 		applied++
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("catalog: read journal: %w", err)
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	return applied, nil
 }

@@ -12,56 +12,6 @@ import (
 	"time"
 )
 
-// TestLogPutDurableWithoutSync pins the durability fix: an acknowledged
-// Put must be on disk before the call returns — not parked in a
-// userspace buffer waiting for an eventual Sync that a crash would
-// preempt. The log file is read back through a fresh descriptor without
-// Sync or Close ever being called.
-func TestLogPutDurableWithoutSync(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "catalog.log")
-	log, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := feat("durable.csv", "salinity")
-	if err := log.Put(f); err != nil {
-		t.Fatal(err)
-	}
-	// No Sync, no Close: simulate the process dying right here.
-	c, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("acknowledged Put not on disk: replayed %d features, want 1", c.Len())
-	}
-	if _, ok := c.Get(f.ID); !ok {
-		t.Fatal("acknowledged feature missing after simulated crash")
-	}
-	log.Close()
-
-	// The bulk policy really does buffer (so the fix above is the
-	// policy, not an accident of small writes).
-	path2 := filepath.Join(t.TempDir(), "bulk.log")
-	bulk, err := OpenLog(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bulk.SetSyncPolicy(SyncNone)
-	if err := bulk.Put(f); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := os.Stat(path2); err != nil || st.Size() != 0 {
-		t.Fatalf("SyncNone log flushed eagerly (size %d); buffering broken", st.Size())
-	}
-	if err := bulk.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if c, err := Replay(path2); err != nil || c.Len() != 1 {
-		t.Fatalf("bulk log after Close: len=%v err=%v", c, err)
-	}
-}
-
 // journalRec fabricates the i-th deterministic publish delta.
 func journalRec(i int) DeltaRecord {
 	return DeltaRecord{

@@ -1,12 +1,10 @@
 package catalog
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -364,8 +362,7 @@ func (st *Store) CompactIfNeeded(c *Catalog) (bool, error) {
 		if jSize < st.opts.MinCompactBytes {
 			return false, nil
 		}
-		ckSize, _ := LogSize(st.checkpointPath())
-		if float64(jSize) < st.opts.CompactRatio*float64(ckSize) {
+		if float64(jSize) < st.opts.CompactRatio*float64(fileSize(st.checkpointPath())) {
 			return false, nil
 		}
 	}
@@ -450,7 +447,7 @@ func (st *Store) Compact(c *Catalog) error {
 
 // Stats returns a point-in-time monitoring view.
 func (st *Store) Stats() StoreStats {
-	ckSize, _ := LogSize(st.checkpointPath())
+	ckSize := fileSize(st.checkpointPath())
 	jSize, jSyncs := st.journal.stats()
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -477,106 +474,15 @@ func (st *Store) Sync() error { return st.journal.Sync() }
 // Close flushes and closes the journal. Idempotent.
 func (st *Store) Close() error { return st.journal.Close() }
 
-// writeCheckpoint writes a checkpoint file: a meta record stamping the
-// generation and sidecar, then one put record per feature. The file is
-// fsynced before the function returns; callers rename it into place.
-func writeCheckpoint(path string, feats []*Feature, gen uint64, sidecar json.RawMessage) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// fileSize returns the byte size of the file at path (0 when it is
+// missing or unreadable) — the checkpoint size compaction and monitoring
+// compare the journal against.
+func fileSize(path string) int64 {
+	st, err := os.Stat(path)
 	if err != nil {
-		return fmt.Errorf("catalog: checkpoint create: %w", err)
+		return 0
 	}
-	w := bufio.NewWriter(f)
-	write := func(rec logRecord) error {
-		line, err := encodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(line); err != nil {
-			return fmt.Errorf("catalog: checkpoint write: %w", err)
-		}
-		return nil
-	}
-	if err := write(logRecord{Op: "meta", Gen: gen, Sidecar: sidecar}); err != nil {
-		f.Close()
-		return err
-	}
-	for _, feat := range feats {
-		if err := write(logRecord{Op: "put", Feature: feat}); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("catalog: checkpoint flush: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("catalog: checkpoint sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("catalog: checkpoint close: %w", err)
-	}
-	return nil
-}
-
-// loadCheckpoint reads a checkpoint into the catalog and returns its
-// generation stamp and sidecar. A missing file is an empty store. A
-// legacy plain snapshot (put records with no meta header, as written by
-// Save) loads at generation 0. Checkpoints are written atomically, so
-// unlike journals any corruption — including a torn tail — is an error.
-func loadCheckpoint(path string, into *Catalog) (uint64, json.RawMessage, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, nil, nil
-	}
-	if err != nil {
-		return 0, nil, fmt.Errorf("catalog: open checkpoint: %w", err)
-	}
-	defer f.Close()
-	return LoadCheckpointFrom(f, into)
-}
-
-// LoadCheckpointFrom reads a checkpoint record stream (as written by
-// the compactor and served by a leader's checkpoint endpoint) into the
-// catalog and returns its generation stamp and sidecar. It is
-// loadCheckpoint over an arbitrary reader — the follower bootstrap
-// path, where the checkpoint arrives over HTTP instead of from disk.
-func LoadCheckpointFrom(f io.Reader, into *Catalog) (uint64, json.RawMessage, error) {
-	var (
-		gen     uint64
-		sidecar json.RawMessage
-	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		rec, err := decodeLine(sc.Text())
-		if err != nil {
-			return 0, nil, fmt.Errorf("catalog: checkpoint line %d: %w", lineNo, err)
-		}
-		switch rec.Op {
-		case "meta":
-			if lineNo != 1 {
-				return 0, nil, fmt.Errorf("catalog: checkpoint line %d: meta record not first", lineNo)
-			}
-			gen, sidecar = rec.Gen, rec.Sidecar
-		case "put":
-			if rec.Feature == nil {
-				return 0, nil, fmt.Errorf("catalog: checkpoint line %d: put without feature", lineNo)
-			}
-			if err := into.upsertOwned(rec.Feature); err != nil {
-				return 0, nil, fmt.Errorf("catalog: checkpoint line %d: %w", lineNo, err)
-			}
-		default:
-			return 0, nil, fmt.Errorf("catalog: checkpoint line %d: unexpected op %q", lineNo, rec.Op)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, nil, fmt.Errorf("catalog: read checkpoint: %w", err)
-	}
-	return gen, sidecar, nil
+	return st.Size()
 }
 
 // syncDir fsyncs a directory so a rename within it is durable;

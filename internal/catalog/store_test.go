@@ -377,17 +377,20 @@ func TestStoreCompactIfNeededRatio(t *testing.T) {
 	}
 }
 
-// TestOpenStoreLegacySnapshot loads a plain Save()-format snapshot (no
-// meta header) as the checkpoint, at generation zero.
+// TestOpenStoreLegacySnapshot loads a put-only snapshot (no meta header,
+// as Save wrote before it wrote checkpoints) as the checkpoint, at
+// generation zero.
 func TestOpenStoreLegacySnapshot(t *testing.T) {
 	dir := t.TempDir()
-	c := New()
+	var legacy []byte
 	for i := 0; i < 5; i++ {
-		if err := c.Upsert(deltaFeature(i, 0)); err != nil {
+		line, err := encodeRecord(logRecord{Op: "put", Feature: deltaFeature(i, 0)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		legacy = append(legacy, line...)
 	}
-	if err := Save(filepath.Join(dir, "checkpoint"), c); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint"), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	into := New()

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -73,54 +72,29 @@ func (st *Store) TailFrames(fromGen uint64, maxBytes int64) (frames []byte, gen 
 
 // tailFile appends the qualifying raw lines of one journal file to buf,
 // reporting whether the byte budget filled up (stop reading further
-// files). Torn-tail tolerance matches ReplayJournal: an undecodable
-// final line is dropped, an undecodable line followed by more lines is
-// corruption.
+// files). Torn-tail tolerance matches ReplayJournal: both read through
+// readRecordFile.
 func tailFile(path string, fromGen uint64, maxBytes int64, buf *bytes.Buffer) (full bool, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("catalog: open journal: %w", err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	lineNo := 0
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
-		if pendingErr != nil {
-			return false, pendingErr
-		}
-		line := sc.Text()
-		rec, err := decodeLine(line)
-		if err != nil {
-			pendingErr = fmt.Errorf("catalog: journal line %d: %w", lineNo, err)
-			continue
-		}
+	err = readRecordFile(path, true, func(line []byte, rec logRecord) error {
 		if rec.Op != "delta" {
-			return false, fmt.Errorf("catalog: journal line %d: unexpected op %q", lineNo, rec.Op)
+			return fmt.Errorf("unexpected op %q", rec.Op)
 		}
 		// Records at or below fromGen are already applied on the follower
 		// (sidecar-only refreshes re-stamp the current generation and are
 		// skipped with it — followers do not wrangle, so the knowledge
 		// epoch only matters to them at restart, via their own journal).
 		if rec.Gen <= fromGen {
-			continue
+			return nil
 		}
-		buf.WriteString(line)
+		buf.Write(line)
 		buf.WriteByte('\n')
 		if int64(buf.Len()) >= maxBytes {
-			return true, nil
+			full = true
+			return errStopRead
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return false, fmt.Errorf("catalog: read journal: %w", err)
-	}
-	return false, nil
+		return nil
+	})
+	return full, err
 }
 
 // CheckpointGeneration returns the generation stamped on the on-disk
@@ -145,32 +119,4 @@ func (st *Store) OpenCheckpoint() (io.ReadCloser, error) {
 		return nil, fmt.Errorf("catalog: open checkpoint: %w", err)
 	}
 	return f, nil
-}
-
-// DecodeDeltaFrame decodes one tailed journal line (without its
-// trailing newline) into the delta record it carries, verifying the
-// checksum and validating every feature — the follower-side twin of
-// ReplayJournal's per-record checks.
-func DecodeDeltaFrame(line string) (DeltaRecord, error) {
-	rec, err := decodeLine(line)
-	if err != nil {
-		return DeltaRecord{}, fmt.Errorf("catalog: tail frame: %w", err)
-	}
-	if rec.Op != "delta" {
-		return DeltaRecord{}, fmt.Errorf("catalog: tail frame: unexpected op %q", rec.Op)
-	}
-	for _, feat := range rec.Changed {
-		if feat == nil {
-			return DeltaRecord{}, fmt.Errorf("catalog: tail frame: null feature")
-		}
-		if err := feat.Validate(); err != nil {
-			return DeltaRecord{}, fmt.Errorf("catalog: tail frame: %w", err)
-		}
-	}
-	return DeltaRecord{
-		Gen:     rec.Gen,
-		Changed: rec.Changed,
-		Removed: rec.Removed,
-		Sidecar: rec.Sidecar,
-	}, nil
 }

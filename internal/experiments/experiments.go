@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -312,10 +313,11 @@ func Figure2CatalogBuild(dirs []string, sizes []int, seed int64) (*Table, error)
 		if err := catalog.Save(snapPath, c); err != nil {
 			return nil, err
 		}
-		featBytes, err := catalog.LogSize(snapPath)
+		st, err := os.Stat(snapPath)
 		if err != nil {
 			return nil, err
 		}
+		featBytes := st.Size()
 		ratio := float64(res.Stats.BytesParsed) / float64(featBytes)
 		persec := float64(res.Stats.Parsed) / elapsed.Seconds()
 		t.Rows = append(t.Rows, []string{

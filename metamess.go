@@ -655,12 +655,12 @@ func (s *System) Validation() []string {
 	return out
 }
 
-// SaveCatalog persists the published catalog as a checksummed snapshot.
+// SaveCatalog exports the published catalog as a checkpoint file.
 func (s *System) SaveCatalog(path string) error {
 	return catalog.Save(path, s.ctx.Published)
 }
 
-// LoadCatalog replaces the published catalog from a snapshot, so a
+// LoadCatalog replaces the published catalog from a checkpoint file, so a
 // search service can start without re-scanning the archive.
 func (s *System) LoadCatalog(path string) error {
 	c, err := catalog.Load(path)
