@@ -251,6 +251,11 @@ func main() {
 	if rep != nil {
 		rep.Start()
 	}
+	// Handle signals before announcing the address: a SIGTERM or SIGHUP
+	// sent as soon as the serving line appears must not meet the default
+	// action, which kills the process without a drain.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
 	bound, err := srv.Start(*addr)
 	if err != nil {
 		fatal(err)
@@ -269,8 +274,6 @@ func main() {
 		}()
 	}
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
 	for sig := range sigs {
 		if sig == syscall.SIGHUP {
 			if rep != nil {

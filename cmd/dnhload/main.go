@@ -1,474 +1,91 @@
-// Command dnhload replays a generated query workload against a dnhd
-// server, concurrently, and reports serving throughput and latency
-// percentiles — the numbers in BENCH_serve.json.
-//
-// Two modes:
-//
-//	dnhload -out BENCH_serve.json                 # self-hosted benchmark:
-//	    generates an archive, wrangles it, starts an in-process server,
-//	    and replays cold (distinct queries) and hot (one repeated query)
-//	    phases against it — then the overload battery: an admission-
-//	    limited server driven open-loop at -overload-factor times its
-//	    measured healthy throughput (zipfian keys, burst arrivals), a
-//	    post-publish replay proving stale-while-revalidate removes the
-//	    cold-miss cliff, a deadline probe proving partial results are
-//	    never cached, and a hostile mix from the fuzz corpora proving
-//	    overload and abuse never produce a 5xx.
+// Command dnhload replays a query workload against a running dnhd,
+// concurrently, and reports serving throughput and latency percentiles.
 //
 //	dnhload -addr http://127.0.0.1:8080 -manifest /tmp/archive/manifest.json
-//	    replays against an already-running server, deriving queries from
-//	    the archive's ground-truth manifest (e.g. the CI smoke test, with
-//	    a SIGHUP re-wrangle racing the replay). Only the cold/hot phases
-//	    run — the overload battery needs to own the server's admission
-//	    configuration.
 //
-// After the cold phase the p99-rank request is re-issued once with a
-// forced trace (X-Trace: 1) and its span tree lands in the report as an
-// exemplar — a worst-case stage breakdown next to the percentile it
-// explains. -slow-threshold sets the self-hosted server's slow-query
-// log threshold (recorded in the report either way).
+// Queries are derived from the archive's ground-truth manifest. The cold
+// phase replays -n distinct queries (mostly cache misses); the hot phase
+// replays the first of them -n times (the first request misses, the rest
+// hit the generation-keyed cache). Both phases' workload.LoadStats are
+// printed as one JSON object to stdout (or -out), and dnhload exits 1 if
+// any request failed.
 //
-// The overload scenario asserts its own acceptance bars in-process —
-// sheds observed with zero 5xx, collapsed flights observed, admitted
-// p99 within 2x of healthy p99, shed latency sub-millisecond at the
-// median — and dnhload exits non-zero when any fails, so the report's
-// verdict booleans are load-bearing, not decorative.
+// The serving benchmark, with its own in-process daemon, oracles and
+// metric bounds, is bench/: bash bench/run.sh --workload
+// search-cold|search-hot.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"strings"
-	"time"
 
-	"metamess"
 	"metamess/internal/archive"
 	"metamess/internal/server"
 	"metamess/internal/workload"
 )
 
-// searchRequests converts judged workload queries into POST /search
-// wire requests against base.
-func searchRequests(base string, queries []workload.Judged) ([]workload.HTTPRequest, error) {
-	out := make([]workload.HTTPRequest, len(queries))
-	for i, j := range queries {
-		body, err := json.Marshal(server.RequestFromQuery(j.Query))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = workload.HTTPRequest{Method: http.MethodPost, URL: base + "/search", Body: body}
-	}
-	return out, nil
-}
-
-// traceExemplar is one forced-trace request embedded in the report: the
-// cold-phase p99-rank query replayed with X-Trace: 1.
-type traceExemplar struct {
-	// ColdLatencyMs is the latency the request observed during the cold
-	// phase (what ranked it at the p99); TracedLatencyMs is the re-issue.
-	ColdLatencyMs   float64         `json:"coldLatencyMs"`
-	TracedLatencyMs float64         `json:"tracedLatencyMs"`
-	Trace           json.RawMessage `json:"trace"`
-}
-
-// overloadScenario is the saturation battery's row in the report: an
-// admission-limited server driven open-loop past its capacity, with the
-// acceptance bars evaluated in-process.
-type overloadScenario struct {
-	MaxInFlight  int     `json:"maxInFlight"`
-	QueueDepth   int     `json:"queueDepth"`
-	QueueWaitMs  float64 `json:"queueWaitMs"`
-	Factor       float64 `json:"factor"`
-	HealthyQPS   float64 `json:"healthyQPS"`
-	HealthyP99Ms float64 `json:"healthyP99Ms"`
-	// Healthy is the closed-loop run (concurrency = MaxInFlight) that
-	// measured capacity; Stats is the open-loop overload run itself.
-	Healthy workload.LoadStats `json:"healthy"`
-	Stats   workload.LoadStats `json:"stats"`
-	// P99UnderOverloadMs is the admitted-request (2xx) p99 while the
-	// offered load exceeded capacity by Factor.
-	P99UnderOverloadMs float64 `json:"p99UnderOverloadMs"`
-	ShedRate           float64 `json:"shedRate"`
-	CollapsedFlights   int     `json:"collapsedFlights"`
-	// Server is the overload server's own admission accounting (from
-	// /stats) — the server-side view matching the client-side Stats.
-	Server server.OverloadStats `json:"server"`
-	// Verdicts — all must hold or dnhload exits non-zero.
-	ShedObserved        bool `json:"shedObserved"`
-	CollapseObserved    bool `json:"collapseObserved"`
-	ZeroServerErrors    bool `json:"zeroServerErrors"`
-	AdmittedP99Within2x bool `json:"admittedP99Within2x"`
-	ShedsFast           bool `json:"shedsFast"`
-}
-
-// postPublishScenario measures the cold-miss cliff across a publish:
-// the hot set is replayed immediately after a generation bump, with
-// stale-while-revalidate serving the previous generation's bytes while
-// background flights warm the new one.
-type postPublishScenario struct {
-	Stats       workload.LoadStats `json:"stats"`
-	StaleServed int                `json:"staleServed"`
-	P99Ms       float64            `json:"p99Ms"`
-	// ColdMissP99Ms is the cold phase's p99 — what the same replay would
-	// have cost without stale serving (every request a cold miss).
-	ColdMissP99Ms   float64 `json:"coldMissP99Ms"`
-	CliffEliminated bool    `json:"cliffEliminated"`
-}
-
-// deadlineScenario proves the partial-results contract: expired budgets
-// answer 200 with partial:true and are never cached.
-type deadlineScenario struct {
-	Stats       workload.LoadStats `json:"stats"`
-	AllPartial  bool               `json:"allPartial"`
-	NeverCached bool               `json:"neverCached"`
-}
-
-// replicationScenario is the leader/follower row: a durable leader and
-// a tailing read replica, with live publishes racing the follower's
-// replay. It reports the follower's serving throughput, the per-publish
-// catch-up lag, and the byte-identity verdict.
-type replicationScenario struct {
-	Publishes int `json:"publishes"`
-	// Follower is the query replay against the replica while it tails.
-	Follower      workload.LoadStats `json:"follower"`
-	FollowerQPS   float64            `json:"followerQPS"`
-	FollowerP99Ms float64            `json:"followerP99Ms"`
-	// LagP99Ms / LagMaxMs summarize per-publish catch-up: the wall time
-	// from a publish landing on the leader to the follower serving it.
-	LagP99Ms       float64 `json:"lagP99Ms"`
-	LagMaxMs       float64 `json:"lagMaxMs"`
-	Resyncs        uint64  `json:"resyncs"`
-	AppliedRecords uint64  `json:"appliedRecords"`
-	// Verdicts — both must hold or dnhload exits non-zero.
-	ByteIdentical bool `json:"byteIdentical"`
-	ZeroErrors    bool `json:"zeroErrors"`
-}
-
-// pushIngestScenario is the push-storm row: a publish stream
-// interleaved into a query replay on one server. Producers land
-// feature-delta batches through POST /publish while readers search;
-// every batch must be accepted, every accepted batch must advance the
-// generation (so generation-keyed cached rankings can never go stale),
-// and the mixed stream must finish with zero errors.
-type pushIngestScenario struct {
-	Publishes int `json:"publishes"`
-	BatchSize int `json:"batchSize"`
-	Queries   int `json:"queries"`
-	// Stats is the interleaved replay (queries + publishes in one
-	// stream).
-	Stats workload.LoadStats `json:"stats"`
-	QPS   float64            `json:"qps"`
-	P99Ms float64            `json:"p99Ms"`
-	// GenerationBefore/After bracket the replay; Ingest is the server's
-	// own accounting.
-	GenerationBefore uint64             `json:"generationBefore"`
-	GenerationAfter  uint64             `json:"generationAfter"`
-	Ingest           server.IngestStats `json:"ingest"`
-	// Verdicts — all must hold or dnhload exits non-zero.
-	AllAccepted         bool `json:"allAccepted"`
-	GenerationAdvanced  bool `json:"generationAdvanced"`
-	ZeroErrors          bool `json:"zeroErrors"`
-	SearchableAfterPush bool `json:"searchableAfterPush"`
-}
-
-// runPushIngest builds a dedicated rig (its own archive and system, so
-// the pushed paths don't leak into other phases), interleaves a publish
-// stream into a query replay, and verifies the push-fed deltas are
-// accepted, generation-bumping, and immediately searchable.
-func runPushIngest(ctx context.Context, logger *slog.Logger, host *selfHosted, seed int64) (*pushIngestScenario, error) {
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	root, err := os.MkdirTemp("", "dnhload-push-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(root)
-	m, err := archive.Generate(root, archive.DefaultGenConfig(200, seed+61))
-	if err != nil {
-		return nil, err
-	}
-	sys, err := metamess.New(metamess.Config{ArchiveRoot: root})
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Close()
-	if _, err := sys.Wrangle(); err != nil {
-		return nil, err
-	}
-	base, stop, err := host.startServer(server.Config{Sys: sys, Logger: quiet, SlowThreshold: -1})
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-
-	const (
-		publishes = 20
-		batchSize = 25
-		queryN    = 200
-	)
-	qs, err := workload.Queries(m, queryN, seed+67, workload.DefaultRelevance(), false)
-	if err != nil {
-		return nil, err
-	}
-	queryReqs, err := searchRequests(base, qs)
-	if err != nil {
-		return nil, err
-	}
-	pubReqs, err := workload.PublishRequests(base, publishes, batchSize, seed+71)
-	if err != nil {
-		return nil, err
-	}
-	stream := workload.InterleaveEvery(queryReqs, pubReqs, queryN/publishes)
-
-	sc := &pushIngestScenario{
-		Publishes:        publishes,
-		BatchSize:        batchSize,
-		Queries:          queryN,
-		GenerationBefore: sys.SnapshotGeneration(),
-	}
-	logger.Info("push-ingest phase", "requests", len(stream),
-		"publishes", publishes, "batch", batchSize)
-	stats, err := workload.Replay(ctx, stream, workload.LoadOptions{Concurrency: 8})
-	if err != nil {
-		return nil, err
-	}
-	sc.Stats = stats
-	sc.QPS = stats.QPS
-	sc.P99Ms = stats.P99Ms
-	sc.GenerationAfter = sys.SnapshotGeneration()
-	srvStats, err := fetchStats(ctx, base)
-	if err != nil {
-		return nil, err
-	}
-	sc.Ingest = srvStats.Ingest
-
-	// A post-storm probe: a pushed dataset must rank, at the final
-	// generation — the generation-keyed cache cannot serve a ranking
-	// that predates the publishes.
-	probeBody, err := json.Marshal(server.SearchRequest{
-		Near:      &server.LatLon{Lat: 46, Lon: -124},
-		Variables: []server.Variable{{Name: "water_temperature"}},
-		K:         100,
-	})
-	if err != nil {
-		return nil, err
-	}
-	body, gen, err := fetchBody(ctx, workload.HTTPRequest{Method: http.MethodPost, URL: base + "/search", Body: probeBody})
-	if err != nil {
-		return nil, err
-	}
-	sc.SearchableAfterPush = gen == fmt.Sprint(sc.GenerationAfter) && bytes.Contains(body, []byte(`"push/`))
-
-	sc.AllAccepted = sc.Ingest.Publishes == publishes && sc.Ingest.Rejected == 0 &&
-		sc.Ingest.Features == uint64(publishes*batchSize)
-	sc.GenerationAdvanced = sc.GenerationAfter >= sc.GenerationBefore+publishes
-	sc.ZeroErrors = stats.Errors == 0 && stats.Status.Server5xx == 0
-	logger.Info("push-ingest: done",
-		"qps", sc.QPS, "p99Ms", sc.P99Ms,
-		"generation", sc.GenerationAfter, "published", sc.Ingest.Features,
-		"allAccepted", sc.AllAccepted, "searchable", sc.SearchableAfterPush)
-	return sc, nil
-}
-
-// hostileScenario replays fuzz-corpus garbage; rejections (4xx) are
-// expected, server errors are not.
-type hostileScenario struct {
-	Corpus           int                `json:"corpus"`
-	Stats            workload.LoadStats `json:"stats"`
-	ZeroServerErrors bool               `json:"zeroServerErrors"`
-}
-
-// benchReport is the BENCH_serve.json schema.
-type benchReport struct {
-	GeneratedAt string `json:"generatedAt"`
-	Mode        string `json:"mode"`
-	Datasets    int    `json:"datasets"`
-	Concurrency int    `json:"concurrency"`
-	// Cold replays distinct queries (mostly cache misses); Hot replays
-	// one query (first request misses, the rest hit the snapshot-keyed
-	// cache).
+// report is the printed JSON object.
+type report struct {
 	Cold workload.LoadStats `json:"cold"`
 	Hot  workload.LoadStats `json:"hot"`
-	// HotSpeedupP50 is Cold.P50Ms / Hot.P50Ms — how much faster the
-	// cached hot query is at the median.
-	HotSpeedupP50 float64 `json:"hotSpeedupP50"`
-	// SlowThresholdMs is the server's slow-query log threshold during
-	// the run; P99Exemplar is the cold p99 request's forced span tree.
-	SlowThresholdMs float64        `json:"slowThresholdMs,omitempty"`
-	P99Exemplar     *traceExemplar `json:"p99Exemplar,omitempty"`
-	// The overload battery (self-hosted mode only).
-	Overload    *overloadScenario    `json:"overload,omitempty"`
-	PostPublish *postPublishScenario `json:"postPublish,omitempty"`
-	Deadline    *deadlineScenario    `json:"deadline,omitempty"`
-	Hostile     *hostileScenario     `json:"hostile,omitempty"`
-	Replication *replicationScenario `json:"replication,omitempty"`
-	PushIngest  *pushIngestScenario  `json:"pushIngest,omitempty"`
 }
 
 func main() {
-	// On a single-core runner, GOMAXPROCS=1 serializes the whole rig:
-	// each sub-quantum request runs to completion before the scheduler
-	// lets the next connection reach the handler, so concurrent pressure
-	// never forms at the admission gate no matter the offered load.
-	// Multiple Ps hand the interleaving to the kernel's thread scheduler,
-	// which is how a real multi-core deployment behaves.
-	if runtime.GOMAXPROCS(0) < 4 {
-		runtime.GOMAXPROCS(4)
-	}
-	addr := flag.String("addr", "", "base URL of a running dnhd (empty = self-hosted benchmark)")
-	manifestPath := flag.String("manifest", "", "archive manifest.json for query derivation (required with -addr)")
+	addr := flag.String("addr", "", "base URL of a running dnhd (required)")
+	manifestPath := flag.String("manifest", "", "archive manifest.json the queries are derived from (required)")
 	out := flag.String("out", "", "write the JSON report here (empty = stdout)")
 	n := flag.Int("n", 400, "requests per phase")
 	conc := flag.Int("c", 8, "concurrent requests")
-	datasets := flag.Int("datasets", 300, "archive size in self-hosted mode")
-	seed := flag.Int64("seed", 42, "workload/archive seed")
-	slowThreshold := flag.Duration("slow-threshold", server.DefaultSlowThreshold,
-		"self-hosted server's slow-query log threshold (negative disables)")
-	maxInFlight := flag.Int("max-inflight", 4, "admission limit for the overload scenario's server")
-	factor := flag.Float64("overload-factor", 4, "offered load as a multiple of measured healthy throughput")
-	staleWindow := flag.Duration("stale-window", 10*time.Second, "self-hosted server's stale-while-revalidate window")
-	hostileCorpus := flag.String("hostile-corpus",
-		"internal/expr/testdata/fuzz/FuzzExprParse,internal/scan/testdata/fuzz/FuzzScanParsers",
-		"comma-separated go-fuzz corpus dirs for the hostile mix (missing dirs skipped)")
+	seed := flag.Int64("seed", 42, "workload seed")
 	flag.Parse()
+	if *addr == "" || *manifestPath == "" {
+		fmt.Fprintln(os.Stderr, "dnhload: -addr and -manifest are required")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	fatal := func(err error) {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
-	rep := benchReport{Concurrency: *conc}
-	if *slowThreshold > 0 {
-		rep.SlowThresholdMs = float64(*slowThreshold) / float64(time.Millisecond)
+	m, err := archive.ReadManifest(*manifestPath)
+	if err != nil {
+		fatal(err)
 	}
-
-	var m *archive.Manifest
-	var host *selfHosted
-	base := *addr
-	if base == "" {
-		rep.Mode = "selfhosted"
-		var err error
-		host, err = selfHost(logger, *datasets, *seed, *slowThreshold, *staleWindow)
-		if err != nil {
-			fatal(err)
-		}
-		defer host.shutdown()
-		base, m = host.base, host.manifest
-	} else {
-		rep.Mode = "external"
-		if *manifestPath == "" {
-			fatal(fmt.Errorf("-manifest is required with -addr"))
-		}
-		var err error
-		m, err = archive.ReadManifest(*manifestPath)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	rep.Datasets = len(m.Datasets)
-
 	queries, err := workload.Queries(m, *n, *seed, workload.DefaultRelevance(), false)
 	if err != nil {
 		fatal(err)
 	}
-	coldReqs, err := searchRequests(base, queries)
-	if err != nil {
-		fatal(err)
+	coldReqs := make([]workload.HTTPRequest, len(queries))
+	for i, j := range queries {
+		body, err := json.Marshal(server.RequestFromQuery(j.Query))
+		if err != nil {
+			fatal(err)
+		}
+		coldReqs[i] = workload.HTTPRequest{Method: http.MethodPost, URL: *addr + "/search", Body: body}
 	}
-	hotReqs := make([]workload.HTTPRequest, *n)
+	hotReqs := make([]workload.HTTPRequest, len(coldReqs))
 	for i := range hotReqs {
 		hotReqs[i] = coldReqs[0]
 	}
 
 	ctx := context.Background()
 	opts := workload.LoadOptions{Concurrency: *conc}
-	logger.Info("cold phase", "queries", len(coldReqs), "concurrency", *conc)
+	var rep report
+	logger.Info("cold phase", "requests", len(coldReqs), "concurrency", *conc)
 	if rep.Cold, err = workload.Replay(ctx, coldReqs, opts); err != nil {
 		fatal(err)
-	}
-	if ex, err := p99Exemplar(ctx, coldReqs, rep.Cold.Latencies); err != nil {
-		logger.Warn("p99 exemplar trace failed", "err", err)
-	} else {
-		rep.P99Exemplar = ex
 	}
 	logger.Info("hot phase", "requests", len(hotReqs), "concurrency", *conc)
 	if rep.Hot, err = workload.Replay(ctx, hotReqs, opts); err != nil {
 		fatal(err)
 	}
-	if rep.Hot.P50Ms > 0 {
-		rep.HotSpeedupP50 = rep.Cold.P50Ms / rep.Hot.P50Ms
-	}
-
-	failed := rep.Cold.Errors+rep.Hot.Errors > 0
-	if host != nil {
-		if rep.Overload, err = runOverload(ctx, logger, host, *seed, *maxInFlight, *factor); err != nil {
-			fatal(err)
-		}
-		if rep.PostPublish, err = runPostPublish(ctx, logger, host, coldReqs, rep.Cold.P99Ms, *seed); err != nil {
-			fatal(err)
-		}
-		if rep.Deadline, err = runDeadline(ctx, logger, host, m, *seed); err != nil {
-			fatal(err)
-		}
-		if rep.Hostile, err = runHostile(ctx, logger, host.base, *hostileCorpus, *seed); err != nil {
-			logger.Warn("hostile mix skipped", "err", err)
-		}
-		if rep.Replication, err = runReplication(ctx, logger, host, *seed); err != nil {
-			fatal(err)
-		}
-		if rep.PushIngest, err = runPushIngest(ctx, logger, host, *seed); err != nil {
-			fatal(err)
-		}
-		o := rep.Overload
-		if !o.ShedObserved || !o.CollapseObserved || !o.ZeroServerErrors || !o.AdmittedP99Within2x || !o.ShedsFast {
-			logger.Error("overload verdicts failed",
-				"shedObserved", o.ShedObserved, "collapseObserved", o.CollapseObserved,
-				"zeroServerErrors", o.ZeroServerErrors,
-				"admittedP99Within2x", o.AdmittedP99Within2x, "shedsFast", o.ShedsFast)
-			failed = true
-		}
-		if !rep.PostPublish.CliffEliminated {
-			logger.Error("post-publish cliff not eliminated",
-				"p99Ms", rep.PostPublish.P99Ms, "coldMissP99Ms", rep.PostPublish.ColdMissP99Ms,
-				"staleServed", rep.PostPublish.StaleServed)
-			failed = true
-		}
-		if !rep.Deadline.AllPartial || !rep.Deadline.NeverCached {
-			logger.Error("deadline/partial contract failed",
-				"allPartial", rep.Deadline.AllPartial, "neverCached", rep.Deadline.NeverCached)
-			failed = true
-		}
-		if rep.Hostile != nil && !rep.Hostile.ZeroServerErrors {
-			logger.Error("hostile mix produced server errors")
-			failed = true
-		}
-		if !rep.Replication.ByteIdentical || !rep.Replication.ZeroErrors {
-			logger.Error("replication verdicts failed",
-				"byteIdentical", rep.Replication.ByteIdentical,
-				"zeroErrors", rep.Replication.ZeroErrors,
-				"resyncs", rep.Replication.Resyncs)
-			failed = true
-		}
-		p := rep.PushIngest
-		if !p.AllAccepted || !p.GenerationAdvanced || !p.ZeroErrors || !p.SearchableAfterPush {
-			logger.Error("push-ingest verdicts failed",
-				"allAccepted", p.AllAccepted, "generationAdvanced", p.GenerationAdvanced,
-				"zeroErrors", p.ZeroErrors, "searchableAfterPush", p.SearchableAfterPush,
-				"ingest", p.Ingest)
-			failed = true
-		}
-	}
-	rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 
 	body, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -482,670 +99,8 @@ func main() {
 	}
 	logger.Info("done",
 		"coldQPS", rep.Cold.QPS, "coldP50Ms", rep.Cold.P50Ms, "coldP99Ms", rep.Cold.P99Ms, "coldErrors", rep.Cold.Errors,
-		"hotQPS", rep.Hot.QPS, "hotP50Ms", rep.Hot.P50Ms, "hotP99Ms", rep.Hot.P99Ms, "hotErrors", rep.Hot.Errors,
-		"hotP50Speedup", rep.HotSpeedupP50)
-	if failed {
+		"hotQPS", rep.Hot.QPS, "hotP50Ms", rep.Hot.P50Ms, "hotP99Ms", rep.Hot.P99Ms, "hotErrors", rep.Hot.Errors)
+	if rep.Cold.Errors+rep.Hot.Errors > 0 {
 		os.Exit(1)
 	}
-}
-
-// runOverload builds a dedicated rig for the saturation battery: its
-// own, larger archive (so a cold miss costs real executor time — on a
-// small shared machine, sub-quantum requests finish before concurrent
-// pressure can even reach the admission gate), measures capacity on an
-// ungated server (closed loop, concurrency = the limit), then drives an
-// admission-limited server open-loop at factor times that rate with
-// zipfian keys and burst arrivals, and evaluates the acceptance bars.
-func runOverload(ctx context.Context, logger *slog.Logger, host *selfHosted, seed int64, maxInFlight int, factor float64) (*overloadScenario, error) {
-	if maxInFlight <= 0 {
-		maxInFlight = 4
-	}
-	if factor < 4 {
-		factor = 4
-	}
-	root, err := os.MkdirTemp("", "dnhload-overload-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(root)
-	const overloadDatasets = 2000
-	m, err := archive.Generate(root, archive.DefaultGenConfig(overloadDatasets, seed+3))
-	if err != nil {
-		return nil, err
-	}
-	sys, err := metamess.New(metamess.Config{ArchiveRoot: root})
-	if err != nil {
-		return nil, err
-	}
-	defer sys.Close()
-	start := time.Now()
-	if _, err := sys.Wrangle(); err != nil {
-		return nil, err
-	}
-	logger.Info("overload: wrangled rig", "datasets", sys.DatasetCount(), "duration", time.Since(start))
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-
-	// Healthy phase on an ungated server, closed loop at the gate's
-	// design operating point — slots plus queue depth, the concurrency an
-	// admitted request experiences when the building is full. Its p99 is
-	// the flat-p99 baseline and sizes the gated server's queue wait — a
-	// queue that holds requests longer than a healthy service time only
-	// converts sheddable load into tail latency.
-	queueDepth := 2 * maxInFlight
-	healthyConc := maxInFlight + queueDepth
-	healthyBase, healthySrv, err := host.startServer(server.Config{Sys: sys, Logger: quiet, SlowThreshold: -1})
-	if err != nil {
-		return nil, err
-	}
-	healthyQs, err := workload.Queries(m, 100, seed+7, workload.DefaultRelevance(), false)
-	if err != nil {
-		healthySrv()
-		return nil, err
-	}
-	healthyReqs, err := searchRequests(healthyBase, healthyQs)
-	if err != nil {
-		healthySrv()
-		return nil, err
-	}
-	logger.Info("overload: healthy phase", "requests", len(healthyReqs), "concurrency", healthyConc)
-	healthy, err := workload.Replay(ctx, healthyReqs, workload.LoadOptions{Concurrency: healthyConc})
-	healthySrv()
-	if err != nil {
-		return nil, err
-	}
-	if healthy.Errors > 0 {
-		return nil, fmt.Errorf("overload healthy phase had %d errors", healthy.Errors)
-	}
-	queueWait := time.Duration(healthy.P99Ms / 2 * float64(time.Millisecond))
-	if queueWait < 2*time.Millisecond {
-		queueWait = 2 * time.Millisecond
-	}
-	if queueWait > 10*time.Millisecond {
-		queueWait = 10 * time.Millisecond
-	}
-
-	sc := &overloadScenario{
-		MaxInFlight:  maxInFlight,
-		QueueDepth:   queueDepth,
-		QueueWaitMs:  float64(queueWait) / float64(time.Millisecond),
-		Factor:       factor,
-		HealthyQPS:   healthy.QPS,
-		HealthyP99Ms: healthy.P99Ms,
-		Healthy:      healthy,
-	}
-	overBase, overSrv, err := host.startServer(server.Config{
-		Sys:           sys,
-		Logger:        quiet,
-		SlowThreshold: -1,
-		MaxInFlight:   maxInFlight,
-		QueueDepth:    sc.QueueDepth,
-		QueueWait:     queueWait,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer overSrv()
-
-	// The overload stream: zipfian draws over a fresh query pool at
-	// factor x healthy throughput, burst arrivals. Popular keys repeat
-	// back to back — first as collapsed flights, then as cache hits —
-	// while the distinct tail keeps the executor saturated.
-	offered := factor * healthy.QPS
-	total := int(math.Ceil(offered * 1.5)) // ~1.5s of offered load
-	if total > 3000 {
-		total = 3000
-	}
-	if total < 200 {
-		total = 200
-	}
-	poolSize := total / 4
-	if poolSize < 64 {
-		poolSize = 64
-	}
-	poolQs, err := workload.Queries(m, poolSize, seed+13, workload.DefaultRelevance(), false)
-	if err != nil {
-		return nil, err
-	}
-	poolReqs, err := searchRequests(overBase, poolQs)
-	if err != nil {
-		return nil, err
-	}
-	// Each zipf draw is issued twice, back to back, so identical cold
-	// queries land inside the same burst — the N-concurrent-misses shape
-	// that singleflight collapses (a steady stream of unique keys would
-	// only ever have one flight per key in the air).
-	draws := workload.ZipfIndices((total+1)/2, len(poolReqs), 1.2, seed+17)
-	stream := make([]workload.HTTPRequest, total)
-	for i := range stream {
-		stream[i] = poolReqs[draws[i/2]]
-	}
-	arrivals := workload.BurstArrivals(total, 16, offered)
-	logger.Info("overload: open-loop phase",
-		"requests", total, "offeredQPS", offered, "pool", poolSize,
-		"maxInFlight", maxInFlight, "queueWaitMs", sc.QueueWaitMs)
-	// A short closed-loop warmup establishes the connection pool so the
-	// measured run doesn't start with a dial stampede.
-	warmQs, err := workload.Queries(m, 32, seed+11, workload.DefaultRelevance(), false)
-	if err != nil {
-		return nil, err
-	}
-	warmReqs, err := searchRequests(overBase, warmQs)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := workload.Replay(ctx, warmReqs, workload.LoadOptions{Concurrency: 8}); err != nil {
-		return nil, err
-	}
-	// 32 outstanding bounds the generator's goroutine storm (client and
-	// server share the machine) while still offering far more concurrency
-	// than the limit-plus-queue can admit.
-	stats, err := workload.Replay(ctx, stream, workload.LoadOptions{Arrivals: arrivals, MaxOutstanding: 32})
-	if err != nil {
-		return nil, err
-	}
-	if srvStats, err := fetchStats(ctx, overBase); err != nil {
-		logger.Warn("overload: stats fetch failed", "err", err)
-	} else {
-		sc.Server = srvStats.Overload
-	}
-
-	sc.Stats = stats
-	sc.P99UnderOverloadMs = stats.AdmittedP99Ms
-	sc.ShedRate = stats.ShedRate
-	sc.CollapsedFlights = stats.CacheStates["collapsed"]
-	sc.ShedObserved = stats.Status.Shed429 > 0
-	sc.CollapseObserved = sc.CollapsedFlights > 0
-	sc.ZeroServerErrors = stats.Status.Server5xx == 0 && stats.Status.Transport == 0
-	// The 2x bar is against healthy p99, floored at 5ms: below that the
-	// budget is smaller than scheduler noise on a shared runner and the
-	// comparison measures the OS, not the server.
-	budget := 2 * math.Max(healthy.P99Ms, 5)
-	sc.AdmittedP99Within2x = stats.AdmittedP99Ms > 0 && stats.AdmittedP99Ms <= budget
-	// Shed cost is judged inside the gate (decision time): the client-
-	// observed shedP50Ms also charges the generator's own scheduling to
-	// the server when both share the machine. Timeout sheds cost the
-	// configured wait by design and are bounded by queueWait.
-	switch {
-	case sc.Server.ShedQueueFull > 0:
-		sc.ShedsFast = sc.Server.ShedDecisionMeanUs < 1000
-	case stats.Status.Shed429 > 0:
-		sc.ShedsFast = stats.ShedP50Ms < sc.QueueWaitMs+2
-	}
-	logger.Info("overload: done",
-		"admittedP99Ms", stats.AdmittedP99Ms, "budgetMs", budget,
-		"shedRate", stats.ShedRate, "shedP50Ms", stats.ShedP50Ms,
-		"shedDecisionMeanUs", sc.Server.ShedDecisionMeanUs,
-		"collapsed", sc.CollapsedFlights, "s5xx", stats.Status.Server5xx)
-	return sc, nil
-}
-
-// fetchStats reads a server's /stats document.
-func fetchStats(ctx context.Context, base string) (server.StatsResponse, error) {
-	var stats server.StatsResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/stats", nil)
-	if err != nil {
-		return stats, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return stats, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return stats, fmt.Errorf("stats: status %d", resp.StatusCode)
-	}
-	return stats, json.NewDecoder(resp.Body).Decode(&stats)
-}
-
-// runPostPublish grows the archive, re-wrangles (bumping the
-// generation), and immediately replays the already-warm cold set: with
-// stale-while-revalidate the replay is served the previous generation's
-// bytes at cache-hit speed instead of paying a cold miss per query.
-func runPostPublish(ctx context.Context, logger *slog.Logger, host *selfHosted, coldReqs []workload.HTTPRequest, coldP99Ms float64, seed int64) (*postPublishScenario, error) {
-	hot := coldReqs
-	if len(hot) > 64 {
-		hot = hot[:64]
-	}
-	if _, err := archive.Generate(filepath.Join(host.root, "extra"), archive.DefaultGenConfig(10, seed+99)); err != nil {
-		return nil, err
-	}
-	genBefore := host.sys.SnapshotGeneration()
-	if _, err := host.sys.Wrangle(); err != nil {
-		return nil, err
-	}
-	if host.sys.SnapshotGeneration() == genBefore {
-		return nil, fmt.Errorf("post-publish: generation did not bump")
-	}
-	logger.Info("post-publish phase", "requests", len(hot),
-		"generation", host.sys.SnapshotGeneration())
-	stats, err := workload.Replay(ctx, hot, workload.LoadOptions{Concurrency: 4})
-	if err != nil {
-		return nil, err
-	}
-	sc := &postPublishScenario{
-		Stats:         stats,
-		StaleServed:   stats.CacheStates["stale"],
-		P99Ms:         stats.P99Ms,
-		ColdMissP99Ms: coldP99Ms,
-	}
-	sc.CliffEliminated = sc.StaleServed > 0 && stats.Errors == 0 && stats.P99Ms < coldP99Ms
-	return sc, nil
-}
-
-// runDeadline replays fresh queries with X-Deadline-Ms: 0 (an already-
-// expired budget) twice over: every response must be 200 partial, and
-// the second round must not see cache hits — partial results are never
-// cached.
-func runDeadline(ctx context.Context, logger *slog.Logger, host *selfHosted, m *archive.Manifest, seed int64) (*deadlineScenario, error) {
-	// A dedicated server with a cold cache: a query another phase already
-	// cached would (correctly) answer complete from the cache before the
-	// deadline matters, which is not the contract under test.
-	base, stop, err := host.startServer(server.Config{
-		Sys:           host.sys,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
-		SlowThreshold: -1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-	qs, err := workload.Queries(m, 10, seed+23, workload.DefaultRelevance(), false)
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := searchRequests(base, qs)
-	if err != nil {
-		return nil, err
-	}
-	reqs = append(reqs, reqs...) // second round: same queries again
-	for i := range reqs {
-		reqs[i].Header = map[string]string{"X-Deadline-Ms": "0"}
-	}
-	logger.Info("deadline phase", "requests", len(reqs))
-	stats, err := workload.Replay(ctx, reqs, workload.LoadOptions{Concurrency: 4})
-	if err != nil {
-		return nil, err
-	}
-	return &deadlineScenario{
-		Stats:       stats,
-		AllPartial:  stats.Partials == len(reqs) && stats.Status.OK2xx == len(reqs),
-		NeverCached: stats.CacheStates["hit"] == 0,
-	}, nil
-}
-
-// runReplication builds a leader/follower pair — a durable leader over
-// its own archive, a read replica tailing it — then interleaves live
-// publishes (and a leader compaction) with a query replay against the
-// follower, measuring serving throughput and per-publish catch-up lag,
-// and finally replays a probe set against both nodes expecting
-// byte-identical bodies at the same generation.
-func runReplication(ctx context.Context, logger *slog.Logger, host *selfHosted, seed int64) (*replicationScenario, error) {
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	root, err := os.MkdirTemp("", "dnhload-replication-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(root)
-	archiveRoot := filepath.Join(root, "archive")
-	m, err := archive.Generate(archiveRoot, archive.DefaultGenConfig(400, seed+41))
-	if err != nil {
-		return nil, err
-	}
-	lsys, err := metamess.New(metamess.Config{
-		ArchiveRoot:     archiveRoot,
-		DataDir:         filepath.Join(root, "leader-data"),
-		CompactMinBytes: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer lsys.Close()
-	if _, err := lsys.Wrangle(); err != nil {
-		return nil, err
-	}
-	leaderBase, leaderStop, err := host.startServer(server.Config{Sys: lsys, Logger: quiet, SlowThreshold: -1})
-	if err != nil {
-		return nil, err
-	}
-	defer leaderStop()
-
-	fsys, err := metamess.New(metamess.Config{
-		ArchiveRoot: filepath.Join(root, "follower-throwaway"),
-		DataDir:     filepath.Join(root, "follower-data"),
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer fsys.Close()
-	replica, err := server.NewReplicator(server.ReplicaConfig{
-		Leader:   leaderBase,
-		Sys:      fsys,
-		PollWait: 250 * time.Millisecond,
-		Backoff:  50 * time.Millisecond,
-		Logger:   quiet,
-	})
-	if err != nil {
-		return nil, err
-	}
-	replica.Start()
-	defer replica.Stop()
-	followerBase, followerStop, err := host.startServer(server.Config{Sys: fsys, Logger: quiet, SlowThreshold: -1, Replica: replica})
-	if err != nil {
-		return nil, err
-	}
-	defer followerStop()
-
-	awaitCatchUp := func(target uint64) (time.Duration, error) {
-		t0 := time.Now()
-		deadline := t0.Add(30 * time.Second)
-		for fsys.SnapshotGeneration() < target {
-			if time.Now().After(deadline) {
-				return 0, fmt.Errorf("replication: follower stuck at generation %d, want %d",
-					fsys.SnapshotGeneration(), target)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		return time.Since(t0), nil
-	}
-	if _, err := awaitCatchUp(lsys.SnapshotGeneration()); err != nil {
-		return nil, err
-	}
-
-	// The follower replay: leader-derived queries rebased onto the
-	// replica, running concurrently with a publish stream on the leader.
-	qs, err := workload.Queries(m, 300, seed+43, workload.DefaultRelevance(), false)
-	if err != nil {
-		return nil, err
-	}
-	leaderReqs, err := searchRequests(leaderBase, qs)
-	if err != nil {
-		return nil, err
-	}
-	followerReqs := workload.Rebase(leaderReqs, leaderBase, followerBase)
-
-	const publishes = 4
-	var lags []float64
-	publishErr := make(chan error, 1)
-	go func() {
-		for i := 0; i < publishes; i++ {
-			if _, err := archive.Generate(filepath.Join(archiveRoot, fmt.Sprintf("rep-%d", i)),
-				archive.DefaultGenConfig(8, seed+100+int64(i))); err != nil {
-				publishErr <- err
-				return
-			}
-			if _, err := lsys.Wrangle(); err != nil {
-				publishErr <- err
-				return
-			}
-			target := lsys.SnapshotGeneration()
-			lag, err := awaitCatchUp(target)
-			if err != nil {
-				publishErr <- err
-				return
-			}
-			lags = append(lags, float64(lag)/float64(time.Millisecond))
-			if i == 1 {
-				// A mid-stream leader compaction: rotation must not disturb
-				// the live tail.
-				if _, err := lsys.CompactIfNeeded(); err != nil {
-					publishErr <- err
-					return
-				}
-			}
-		}
-		publishErr <- nil
-	}()
-	logger.Info("replication: follower replay", "requests", len(followerReqs), "publishes", publishes)
-	stats, err := workload.Replay(ctx, followerReqs, workload.LoadOptions{Concurrency: 8})
-	if err != nil {
-		return nil, err
-	}
-	if err := <-publishErr; err != nil {
-		return nil, err
-	}
-
-	// Byte-identity probe at the final (caught-up) generation.
-	probes := leaderReqs
-	if len(probes) > 32 {
-		probes = probes[:32]
-	}
-	byteIdentical := true
-	for i, lr := range probes {
-		fr := workload.Rebase([]workload.HTTPRequest{lr}, leaderBase, followerBase)[0]
-		lb, lgen, err := fetchBody(ctx, lr)
-		if err != nil {
-			return nil, err
-		}
-		fb, fgen, err := fetchBody(ctx, fr)
-		if err != nil {
-			return nil, err
-		}
-		if lgen != fgen || !bytes.Equal(lb, fb) {
-			logger.Error("replication: divergent response", "probe", i, "leaderGen", lgen, "followerGen", fgen)
-			byteIdentical = false
-		}
-	}
-
-	sort.Float64s(lags)
-	sc := &replicationScenario{
-		Publishes:      publishes,
-		Follower:       stats,
-		FollowerQPS:    stats.QPS,
-		FollowerP99Ms:  stats.P99Ms,
-		Resyncs:        replica.Stats().Resyncs,
-		AppliedRecords: replica.Stats().AppliedRecords,
-		ByteIdentical:  byteIdentical,
-		ZeroErrors:     stats.Errors == 0,
-	}
-	if n := len(lags); n > 0 {
-		rank := int(0.99*float64(n)+0.5) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		if rank >= n {
-			rank = n - 1
-		}
-		sc.LagP99Ms = lags[rank]
-		sc.LagMaxMs = lags[n-1]
-	}
-	logger.Info("replication: done",
-		"followerQPS", sc.FollowerQPS, "followerP99Ms", sc.FollowerP99Ms,
-		"lagP99Ms", sc.LagP99Ms, "resyncs", sc.Resyncs,
-		"byteIdentical", sc.ByteIdentical, "errors", stats.Errors)
-	return sc, nil
-}
-
-// fetchBody issues one request and returns its body bytes and the
-// X-Dnhd-Generation header — the byte-identity probe primitive.
-func fetchBody(ctx context.Context, r workload.HTTPRequest) ([]byte, string, error) {
-	var reqBody io.Reader
-	if r.Body != nil {
-		reqBody = bytes.NewReader(r.Body)
-	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, r.URL, reqBody)
-	if err != nil {
-		return nil, "", err
-	}
-	if r.Body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", fmt.Errorf("probe %s: status %d", r.URL, resp.StatusCode)
-	}
-	return body, resp.Header.Get("X-Dnhd-Generation"), nil
-}
-
-// runHostile replays fuzz-corpus strings as text queries: 400s are the
-// expected outcome, 5xx (or a crash) is the failure being tested for.
-func runHostile(ctx context.Context, logger *slog.Logger, base, corpusDirs string, seed int64) (*hostileScenario, error) {
-	var corpus []string
-	for _, dir := range strings.Split(corpusDirs, ",") {
-		dir = strings.TrimSpace(dir)
-		if dir == "" {
-			continue
-		}
-		ss, err := workload.CorpusStrings(dir)
-		if err != nil {
-			logger.Warn("hostile corpus unreadable", "dir", dir, "err", err)
-			continue
-		}
-		corpus = append(corpus, ss...)
-	}
-	if len(corpus) == 0 {
-		return nil, fmt.Errorf("no corpus strings found in %q", corpusDirs)
-	}
-	reqs := workload.HostileTextRequests(base, corpus, 200, seed+31)
-	logger.Info("hostile phase", "corpus", len(corpus), "requests", len(reqs))
-	stats, err := workload.Replay(ctx, reqs, workload.LoadOptions{Concurrency: 8, TolerateClientErrors: true})
-	if err != nil {
-		return nil, err
-	}
-	return &hostileScenario{
-		Corpus:           len(corpus),
-		Stats:            stats,
-		ZeroServerErrors: stats.Status.Server5xx == 0 && stats.Status.Transport == 0,
-	}, nil
-}
-
-// p99Exemplar re-issues the cold phase's p99-rank request with a forced
-// trace and returns its span tree for the report.
-func p99Exemplar(ctx context.Context, reqs []workload.HTTPRequest, latencies []time.Duration) (*traceExemplar, error) {
-	if len(latencies) != len(reqs) || len(reqs) == 0 {
-		return nil, fmt.Errorf("no latencies recorded")
-	}
-	// Nearest-rank p99 over the request indexes sorted by latency.
-	idx := make([]int, len(latencies))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return latencies[idx[a]] < latencies[idx[b]] })
-	rank := int(0.99*float64(len(idx))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(idx) {
-		rank = len(idx) - 1
-	}
-	pick := idx[rank]
-
-	r := reqs[pick]
-	var reqBody io.Reader
-	if r.Body != nil {
-		reqBody = bytes.NewReader(r.Body)
-	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, r.URL, reqBody)
-	if err != nil {
-		return nil, err
-	}
-	if r.Body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set("X-Trace", "1")
-	t0 := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	traced := time.Since(t0)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("traced replay: status %d", resp.StatusCode)
-	}
-	var body struct {
-		Trace json.RawMessage `json:"trace"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, err
-	}
-	if len(body.Trace) == 0 {
-		return nil, fmt.Errorf("traced replay: no trace in response")
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return &traceExemplar{
-		ColdLatencyMs:   ms(latencies[pick]),
-		TracedLatencyMs: ms(traced),
-		Trace:           body.Trace,
-	}, nil
-}
-
-// selfHosted is the in-process benchmark rig: one generated archive and
-// wrangled system, a main (ungated, stale-window-enabled) server, and
-// the ability to start further servers over the same system.
-type selfHosted struct {
-	root     string
-	sys      *metamess.System
-	manifest *archive.Manifest
-	base     string
-	shutdown func()
-}
-
-// startServer starts an additional server over the rig's system and
-// returns its base URL and a stop func.
-func (h *selfHosted) startServer(cfg server.Config) (string, func(), error) {
-	srv, err := server.New(cfg)
-	if err != nil {
-		return "", nil, err
-	}
-	bound, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		srv.Shutdown(ctx)
-		cancel()
-	}
-	return fmt.Sprintf("http://%s", bound), stop, nil
-}
-
-// selfHost generates an archive, wrangles it, and starts an in-process
-// server on a loopback port.
-func selfHost(logger *slog.Logger, datasets int, seed int64, slowThreshold, staleWindow time.Duration) (*selfHosted, error) {
-	root, err := os.MkdirTemp("", "dnhload-archive-")
-	if err != nil {
-		return nil, err
-	}
-	cleanup := func() { os.RemoveAll(root) }
-	m, err := archive.Generate(root, archive.DefaultGenConfig(datasets, seed))
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	sys, err := metamess.New(metamess.Config{ArchiveRoot: root})
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	start := time.Now()
-	if _, err = sys.Wrangle(); err != nil {
-		cleanup()
-		return nil, err
-	}
-	logger.Info("wrangled", "datasets", sys.DatasetCount(), "duration", time.Since(start))
-	h := &selfHosted{root: root, sys: sys, manifest: m}
-	base, stop, err := h.startServer(server.Config{
-		Sys:           sys,
-		Logger:        logger,
-		SlowThreshold: slowThreshold,
-		StaleWindow:   staleWindow,
-	})
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	h.base = base
-	h.shutdown = func() {
-		stop()
-		cleanup()
-	}
-	return h, nil
 }

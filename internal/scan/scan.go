@@ -34,8 +34,8 @@ import (
 
 // statCalls counts the os.Stat invocations the walker has made over the
 // process lifetime. Push-fed deployments care that their ingest path
-// never touches the filesystem: BenchmarkPushPublish asserts this
-// counter does not move across a publish storm.
+// never touches the filesystem: the server's TestPublishEndpoint asserts
+// this counter does not move across accepted publishes.
 var statCalls atomic.Uint64
 
 // StatCalls returns the number of stat calls the filesystem walker has

@@ -242,38 +242,41 @@ func TestClampFanOutProcsCeiling(t *testing.T) {
 
 // TestSearchSteadyStateAllocs pins the pooling payoff: once the scratch
 // pool is warm, a single-shard indexed query allocates only its
-// response — bounded by a small constant independent of catalog size.
+// response — bounded by a small constant independent of catalog size,
+// checked at 400 features and at the 5 000 the serving benchmark uses.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	names := []string{"water_temperature", "salinity", "turbidity", "nitrate"}
-	c := catalog.NewSharded(1)
-	for i := 0; i < 400; i++ {
-		if err := c.Upsert(benchishFeature(i, names)); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{400, 5000} {
+		c := catalog.NewSharded(1)
+		for i := 0; i < n; i++ {
+			if err := c.Upsert(benchishFeature(i, names)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	c.Snapshot()
-	s := New(c, DefaultOptions())
-	q := Query{
-		Location: &geo.Point{Lat: 44.6, Lon: -124.0},
-		Time:     &geo.TimeRange{Start: date(2010, 6, 1), End: date(2010, 8, 1)},
-		Terms:    []Term{{Name: "salinity", Range: &geo.ValueRange{Min: 25, Max: 35}}},
-		K:        10,
-	}
-	for i := 0; i < 4; i++ { // warm the pool and the lazy snapshot state
-		if _, err := s.Search(q); err != nil {
-			t.Fatal(err)
+		c.Snapshot()
+		s := New(c, DefaultOptions())
+		q := Query{
+			Location: &geo.Point{Lat: 44.6, Lon: -124.0},
+			Time:     &geo.TimeRange{Start: date(2010, 6, 1), End: date(2010, 8, 1)},
+			Terms:    []Term{{Name: "salinity", Range: &geo.ValueRange{Min: 25, Max: 35}}},
+			K:        10,
 		}
-	}
-	const budget = 48 // response slice + K explanations + query bookkeeping
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := s.Search(q); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 4; i++ { // warm the pool and the lazy snapshot state
+			if _, err := s.Search(q); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if avg > budget {
-		t.Fatalf("steady-state Search allocates %.1f/op, budget %d", avg, budget)
+		const budget = 48 // response slice + K explanations + query bookkeeping
+		avg := testing.AllocsPerRun(50, func() {
+			if _, err := s.Search(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > budget {
+			t.Fatalf("%d features: steady-state Search allocates %.1f/op, budget %d", n, avg, budget)
+		}
 	}
 }

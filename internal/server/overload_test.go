@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,61 +54,152 @@ func searchBody(t testing.TB, m *archive.Manifest, n int, seed int64) [][]byte {
 	return out
 }
 
-// TestAdmissionShedding holds the server's only slot and verifies the
-// next request is shed instantly with 429 + Retry-After, that /readyz
-// flips to 503 shedding while /healthz (liveness) stays 200, and that
-// releasing the slot restores service.
+// retryAfterAudit counts 429 responses that leave without Retry-After.
+type retryAfterAudit struct {
+	http.ResponseWriter
+	missing *atomic.Int64
+}
+
+func (a retryAfterAudit) WriteHeader(status int) {
+	if status == http.StatusTooManyRequests && a.Header().Get("Retry-After") == "" {
+		a.missing.Add(1)
+	}
+	a.ResponseWriter.WriteHeader(status)
+}
+
+// TestAdmissionShedding holds the gate's only slot, so overload is
+// deterministic, and verifies for each gate shape that the next request
+// is shed with 429 + Retry-After for the expected reason, that an
+// open-loop burst is shed whole — every response a 429 carrying
+// Retry-After, never a 5xx or a dropped connection — that /readyz flips
+// to 503 shedding while /healthz (liveness) stays 200, and that
+// releasing the slot restores service to the same burst and, once the
+// last shed is older than the window, readiness.
 func TestAdmissionShedding(t *testing.T) {
 	sys, m, _ := newTestSystem(t, 24, 7)
-	srv, ts := newOverloadServer(t, Config{Sys: sys, MaxInFlight: 1, QueueDepth: -1})
-	body := searchBody(t, m, 1, 13)[0]
+	bodies := searchBody(t, m, 16, 13)
+	const burstN = 240
+	burst := make([]workload.HTTPRequest, burstN)
+	arrivals := workload.BurstArrivals(burstN, 16, 2000)
 
-	release, reason := srv.adm.acquire(context.Background())
-	if reason != shedNone {
-		t.Fatalf("direct acquire shed: %v", reason)
-	}
+	for _, c := range []struct {
+		name      string
+		cfg       Config
+		firstShed shedReason
+	}{
+		{"no queue", Config{MaxInFlight: 1, QueueDepth: -1}, shedQueueFull},
+		// The one queue position times out (the slot is never freed) while
+		// everything behind it is refused on arrival.
+		{"one-deep queue", Config{MaxInFlight: 1, QueueDepth: 1, QueueWait: 10 * time.Millisecond}, shedWaitTimeout},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Sys = sys
+			srv, err := New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var missingRetryAfter atomic.Int64
+			h := srv.Handler()
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				h.ServeHTTP(retryAfterAudit{w, &missingRetryAfter}, r)
+			}))
+			defer ts.Close()
+			for i := range burst {
+				burst[i] = workload.HTTPRequest{Method: http.MethodPost, URL: ts.URL + "/search", Body: bodies[i%len(bodies)]}
+			}
+			stats := func() OverloadStats {
+				var st StatsResponse
+				_, _, raw := get(t, ts.URL+"/stats")
+				if err := json.Unmarshal(raw, &st); err != nil {
+					t.Fatal(err)
+				}
+				return st.Overload
+			}
 
-	start := time.Now()
-	status, hdr, respBody := postJSON(t, ts.URL+"/search", body)
-	shedLatency := time.Since(start)
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("saturated search: status %d body %s, want 429", status, respBody)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("shed response missing Retry-After")
-	}
-	if !bytes.Contains(respBody, []byte("overloaded")) {
-		t.Errorf("shed body = %s, want an overloaded error", respBody)
-	}
-	// The shed path does no search work; even on a loaded runner the
-	// loopback round trip should be far under the wait bound.
-	if shedLatency > DefaultQueueWait {
-		t.Errorf("shed took %v, want < %v (instant path)", shedLatency, DefaultQueueWait)
-	}
+			release, reason := srv.adm.acquire(context.Background())
+			if reason != shedNone {
+				t.Fatalf("direct acquire shed: %v", reason)
+			}
 
-	if status, _, body := get(t, ts.URL+"/readyz"); status != http.StatusServiceUnavailable ||
-		!bytes.Contains(body, []byte(`"shedding": true`)) && !bytes.Contains(body, []byte(`"shedding":true`)) {
-		t.Errorf("readyz while shedding: %d %s, want 503 shedding", status, body)
-	}
-	if status, _, _ := get(t, ts.URL+"/healthz"); status != http.StatusOK {
-		t.Errorf("healthz while shedding: %d, want 200 (liveness is not readiness)", status)
-	}
-	if n := srv.tel.shed[shedQueueFull].Value(); n != 1 {
-		t.Errorf("queue_full sheds = %d, want 1", n)
-	}
+			start := time.Now()
+			status, hdr, respBody := postJSON(t, ts.URL+"/search", bodies[0])
+			shedLatency := time.Since(start)
+			if status != http.StatusTooManyRequests {
+				t.Fatalf("saturated search: status %d body %s, want 429", status, respBody)
+			}
+			if hdr.Get("Retry-After") == "" {
+				t.Error("shed response missing Retry-After")
+			}
+			if !bytes.Contains(respBody, []byte("overloaded ("+c.firstShed.String()+")")) {
+				t.Errorf("shed body = %s, want an overloaded (%s) error", respBody, c.firstShed)
+			}
+			// The shed path does no search work; even on a loaded runner the
+			// loopback round trip should be far under the wait bound.
+			if shedLatency > DefaultQueueWait {
+				t.Errorf("shed took %v, want < %v", shedLatency, DefaultQueueWait)
+			}
+			if n := srv.tel.shed[c.firstShed].Value(); n != 1 {
+				t.Errorf("%s sheds = %d, want 1", c.firstShed, n)
+			}
 
-	release()
-	if status, _, respBody := postJSON(t, ts.URL+"/search", body); status != http.StatusOK {
-		t.Fatalf("post-release search: %d %s", status, respBody)
-	}
+			// The storm: 240 requests in bursts of 16, up to 32 in flight at
+			// the client, against a gate that cannot admit any of them.
+			held, err := workload.Replay(context.Background(), burst, workload.LoadOptions{Arrivals: arrivals, MaxOutstanding: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held.Status.Shed429 != burstN || held.Status.Server5xx != 0 || held.Status.Transport != 0 {
+				t.Errorf("burst against a held slot: %+v, want all %d shed, no 5xx, no transport errors", held.Status, burstN)
+			}
+			if n := missingRetryAfter.Load(); n != 0 {
+				t.Errorf("%d sheds carried no Retry-After", n)
+			}
+			st := stats()
+			if st.MaxInFlight != 1 || st.PeakInFlight > 1 {
+				t.Errorf("overload stats = %+v, want maxInFlight 1 and peakInFlight <= 1", st)
+			}
+			if st.Shed != burstN+1 || st.ShedQueueFull == 0 {
+				t.Errorf("overload stats = %+v, want %d sheds, some queue_full", st, burstN+1)
+			}
+			// A queue-full refusal is decided without search work: far under
+			// a millisecond inside the gate, whatever the client observed.
+			if st.ShedDecisionMeanUs >= 1000 {
+				t.Errorf("queue-full shed decision mean %.1fµs, want < 1000", st.ShedDecisionMeanUs)
+			}
 
-	var stats StatsResponse
-	_, _, raw := get(t, ts.URL+"/stats")
-	if err := json.Unmarshal(raw, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Overload.MaxInFlight != 1 || stats.Overload.Shed == 0 || stats.Overload.Admitted == 0 {
-		t.Errorf("overload stats = %+v, want maxInFlight 1, shed > 0, admitted > 0", stats.Overload)
+			if status, _, body := get(t, ts.URL+"/readyz"); status != http.StatusServiceUnavailable ||
+				!bytes.Contains(body, []byte(`"shedding":true`)) {
+				t.Errorf("readyz while shedding: %d %s, want 503 shedding", status, body)
+			}
+			if status, _, _ := get(t, ts.URL+"/healthz"); status != http.StatusOK {
+				t.Errorf("healthz while shedding: %d, want 200 (liveness is not readiness)", status)
+			}
+
+			release()
+			if status, _, respBody := postJSON(t, ts.URL+"/search", bodies[0]); status != http.StatusOK {
+				t.Fatalf("post-release search: %d %s", status, respBody)
+			}
+			// The same burst, one request outstanding: a client reads a whole
+			// response only after the handler has returned its slot, so the
+			// one-slot gate is never contended and admits every request.
+			freed, err := workload.Replay(context.Background(), burst, workload.LoadOptions{Arrivals: arrivals, MaxOutstanding: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if freed.Status.OK2xx != burstN || freed.Errors != 0 {
+				t.Errorf("burst after release: %+v (errors %d), want all %d admitted", freed.Status, freed.Errors, burstN)
+			}
+			// Admitted: the held slot, the post-release search and the burst.
+			if st := stats(); st.Admitted != burstN+2 || st.PeakInFlight > 1 {
+				t.Errorf("overload stats after release = %+v, want %d admitted, peakInFlight <= 1", st, burstN+2)
+			}
+
+			// Readiness returns once the last shed is older than the window.
+			srv.adm.lastShedNs.Store(time.Now().Add(-sheddingWindow - time.Second).UnixNano())
+			if status, _, body := get(t, ts.URL+"/readyz"); status != http.StatusOK || !bytes.Contains(body, []byte(`"ready"`)) {
+				t.Errorf("readyz after the shedding window: %d %s, want 200 ready", status, body)
+			}
+		})
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"metamess"
 	"metamess/internal/catalog"
 	"metamess/internal/geo"
+	"metamess/internal/scan"
 )
 
 // pushFeature builds the complete, valid catalog feature a push
@@ -107,6 +108,10 @@ func TestPublishEndpoint(t *testing.T) {
 		t.Fatalf("pre-publish search (cached): %d, paths %v", status, paths)
 	}
 
+	// A push never touches the filesystem: unlike the walker it has no
+	// stat-call floor. No test runs in parallel, so the process-wide
+	// counter moves only for this test.
+	stat0 := scan.StatCalls()
 	batch := []*catalog.Feature{pushFeature("push/a.csv", 45.5), pushFeature("push/b.csv", 45.6)}
 	status, h, body := postJSON(t, ts.URL+"/publish", publishBody(t, batch, nil))
 	if status != http.StatusOK {
@@ -119,8 +124,8 @@ func TestPublishEndpoint(t *testing.T) {
 	if rec.Published != 2 || rec.Retracted != 0 || rec.Stable {
 		t.Errorf("receipt %+v, want 2 published, unstable", rec)
 	}
-	if rec.Generation <= gen0 {
-		t.Errorf("publish did not advance the generation: %d -> %d", gen0, rec.Generation)
+	if rec.Generation != gen0+1 {
+		t.Errorf("publish moved the generation %d -> %d, want one step", gen0, rec.Generation)
 	}
 	if h.Get("X-Dnhd-Generation") != fmt.Sprint(rec.Generation) {
 		t.Errorf("generation header %q, receipt %d", h.Get("X-Dnhd-Generation"), rec.Generation)
@@ -158,11 +163,14 @@ func TestPublishEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &retract); err != nil {
 		t.Fatal(err)
 	}
-	if retract.Retracted != 1 || retract.Generation <= rec.Generation {
-		t.Errorf("retract receipt %+v", retract)
+	if retract.Retracted != 1 || retract.Generation != rec.Generation+1 {
+		t.Errorf("retract receipt %+v, want 1 retracted at generation %d", retract, rec.Generation+1)
 	}
 	if _, _, paths := searchNearPush(t, ts.URL); hasPath(paths, "push/b.csv") || !hasPath(paths, "push/a.csv") {
 		t.Errorf("retraction not visible: %v", paths)
+	}
+	if n := scan.StatCalls() - stat0; n != 0 {
+		t.Errorf("three accepted publishes made %d stat calls, want 0", n)
 	}
 
 	// /stats accounts for every batch; /metrics exports the families.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"metamess"
 	"metamess/internal/archive"
+	"metamess/internal/workload"
 )
 
 // newDurableLeader builds a wrangled durable system and serves it — the
@@ -159,6 +161,35 @@ func TestLeaderFollowerEquivalence(t *testing.T) {
 	// publishes, each verified byte-identical after replication.
 	waitForGeneration(t, fsys, lsys.SnapshotGeneration())
 	assertByteIdentical(t, lts.URL, fts.URL)
+
+	// Readers keep querying the follower, round after round, for as long
+	// as the leader publishes; not one request may fail.
+	m, err := archive.ReadManifest(filepath.Join(root, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []workload.HTTPRequest
+	for _, body := range searchBody(t, m, 100, 31) {
+		reqs = append(reqs, workload.HTTPRequest{Method: http.MethodPost, URL: fts.URL + "/search", Body: body})
+	}
+	stopReaders := make(chan struct{})
+	readers := make(chan string, 1)
+	go func() {
+		for rounds := 1; ; rounds++ {
+			st, err := workload.Replay(context.Background(), reqs, workload.LoadOptions{Concurrency: 4})
+			if err != nil || st.Errors != 0 {
+				readers <- fmt.Sprintf("round %d: err %v, %d errors, status %+v", rounds, err, st.Errors, st.Status)
+				return
+			}
+			select {
+			case <-stopReaders:
+				readers <- ""
+				return
+			default:
+			}
+		}
+	}()
+
 	for i, seed := range []int64{101, 202, 303} {
 		gen := publish(t, lsys, root, seed)
 		waitForGeneration(t, fsys, gen)
@@ -172,6 +203,10 @@ func TestLeaderFollowerEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+	close(stopReaders)
+	if failure := <-readers; failure != "" {
+		t.Fatalf("follower replay during publishes failed: %s", failure)
 	}
 	if got := rep.Stats().Resyncs; got != 0 {
 		t.Errorf("live follower resynced %d times; the tail should have covered every publish", got)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -14,9 +15,9 @@ import (
 // This file is the serving-side load generator: it replays query
 // workloads against a running dnhd server over HTTP and reports
 // throughput, latency percentiles, and per-status/per-cache-state
-// accounting — the numbers recorded in BENCH_serve.json. The offline
-// side of the package judges ranking quality; this side measures the
-// serving layer itself. It speaks raw HTTPRequests (no dependency on
+// accounting — what cmd/dnhload prints. The offline side of the
+// package judges ranking quality; this side measures the serving layer
+// itself. It speaks raw HTTPRequests (no dependency on
 // the server package, which the experiment harness must be able to
 // import this package without).
 //
@@ -80,33 +81,11 @@ type LoadStats struct {
 	// X-Dnhd-Cache headers (hit/miss/stale/collapsed/bypass/timeout).
 	Status      StatusCounts   `json:"status"`
 	CacheStates map[string]int `json:"cacheStates,omitempty"`
-	// CacheHits and CacheMisses mirror CacheStates["hit"/"miss"] —
-	// kept as top-level fields for report compatibility.
-	CacheHits   int `json:"cacheHits"`
-	CacheMisses int `json:"cacheMisses"`
 	// Partials counts responses flagged X-Dnhd-Partial (deadline expired
 	// mid-search; HTTP 200 with partial:true).
 	Partials int `json:"partials"`
-	// ShedRate is Shed429 / Requests; admitted and shed percentiles
-	// split the latency distribution by outcome — under overload the
-	// admitted tail shows queue wait, the shed tail must stay at
-	// microseconds (shedding that is slow is not shedding).
-	ShedRate      float64 `json:"shedRate"`
-	AdmittedP50Ms float64 `json:"admittedP50Ms,omitempty"`
-	AdmittedP99Ms float64 `json:"admittedP99Ms,omitempty"`
-	ShedP50Ms     float64 `json:"shedP50Ms,omitempty"`
-	ShedP99Ms     float64 `json:"shedP99Ms,omitempty"`
-	// OfferedQPS is the schedule's intended rate (open-loop runs only);
-	// QPS is what actually completed.
-	OfferedQPS float64 `json:"offeredQPS,omitempty"`
-	// Latencies holds every request's client-observed latency, indexed
-	// like the request slice passed to Replay — callers use it to pick
-	// exemplar requests (e.g. the p99) for a follow-up traced replay.
-	// Not serialized.
-	Latencies []time.Duration `json:"-"`
-	// Statuses holds every request's HTTP status (0 = transport error),
-	// indexed like Latencies. Not serialized.
-	Statuses []int `json:"-"`
+	// ShedRate is Shed429 / Requests.
+	ShedRate float64 `json:"shedRate"`
 }
 
 // HTTPRequest is one replayable request.
@@ -178,8 +157,7 @@ func Replay(ctx context.Context, reqs []HTTPRequest, opts LoadOptions) (LoadStat
 	if err := ctx.Err(); err != nil {
 		return LoadStats{}, err
 	}
-	stats := aggregate(reqs, outcomes, opts, elapsed)
-	return stats, nil
+	return aggregate(outcomes, opts, elapsed), nil
 }
 
 // replayClosed is the fixed-concurrency worker pool: each request index
@@ -221,7 +199,7 @@ func replayClosed(ctx context.Context, client *http.Client, reqs []HTTPRequest, 
 // replayOpen launches request i at start+Arrivals[i] on its own
 // goroutine. The dispatcher sleeps between offsets and blocks at
 // MaxOutstanding; schedule slip (dispatch later than the offset) is
-// load-generator backpressure, visible as QPS < OfferedQPS.
+// load-generator backpressure, visible as a QPS below the schedule's.
 func replayOpen(ctx context.Context, client *http.Client, reqs []HTTPRequest, opts LoadOptions, outcomes []outcome) time.Duration {
 	maxOut := opts.MaxOutstanding
 	if maxOut <= 0 {
@@ -252,18 +230,15 @@ func replayOpen(ctx context.Context, client *http.Client, reqs []HTTPRequest, op
 	return time.Since(start)
 }
 
-func aggregate(reqs []HTTPRequest, outcomes []outcome, opts LoadOptions, elapsed time.Duration) LoadStats {
+func aggregate(outcomes []outcome, opts LoadOptions, elapsed time.Duration) LoadStats {
 	stats := LoadStats{
-		Requests:    len(reqs),
+		Requests:    len(outcomes),
 		DurationSec: elapsed.Seconds(),
 		CacheStates: make(map[string]int),
-		Latencies:   make([]time.Duration, len(reqs)),
-		Statuses:    make([]int, len(reqs)),
 	}
-	var admitted, shed []time.Duration
+	all := make([]time.Duration, len(outcomes))
 	for i, o := range outcomes {
-		stats.Latencies[i] = o.latency
-		stats.Statuses[i] = o.status
+		all[i] = o.latency
 		if o.cache != "" {
 			stats.CacheStates[o.cache]++
 		}
@@ -276,7 +251,6 @@ func aggregate(reqs []HTTPRequest, outcomes []outcome, opts LoadOptions, elapsed
 			stats.Errors++
 		case o.status == http.StatusTooManyRequests:
 			stats.Status.Shed429++
-			shed = append(shed, o.latency)
 		case o.status >= 500:
 			stats.Status.Server5xx++
 			stats.Errors++
@@ -287,42 +261,23 @@ func aggregate(reqs []HTTPRequest, outcomes []outcome, opts LoadOptions, elapsed
 			}
 		default:
 			stats.Status.OK2xx++
-			admitted = append(admitted, o.latency)
 			if !o.ok {
 				stats.Errors++ // 2xx with an empty body
 			}
 		}
 	}
-	stats.CacheHits = stats.CacheStates["hit"]
-	stats.CacheMisses = stats.CacheStates["miss"]
 	if stats.Requests > 0 {
 		stats.ShedRate = float64(stats.Status.Shed429) / float64(stats.Requests)
 	}
 	if elapsed > 0 {
 		stats.QPS = float64(stats.Requests) / elapsed.Seconds()
 	}
-	if n := len(opts.Arrivals); n > 1 {
-		if span := opts.Arrivals[n-1].Seconds(); span > 0 {
-			stats.OfferedQPS = float64(n) / span
-		}
-	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	all := append([]time.Duration(nil), stats.Latencies...)
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	stats.P50Ms = ms(percentile(all, 0.50))
 	stats.P90Ms = ms(percentile(all, 0.90))
 	stats.P99Ms = ms(percentile(all, 0.99))
 	stats.MaxMs = ms(all[len(all)-1])
-	if len(admitted) > 0 {
-		sort.Slice(admitted, func(i, j int) bool { return admitted[i] < admitted[j] })
-		stats.AdmittedP50Ms = ms(percentile(admitted, 0.50))
-		stats.AdmittedP99Ms = ms(percentile(admitted, 0.99))
-	}
-	if len(shed) > 0 {
-		sort.Slice(shed, func(i, j int) bool { return shed[i] < shed[j] })
-		stats.ShedP50Ms = ms(percentile(shed, 0.50))
-		stats.ShedP99Ms = ms(percentile(shed, 0.99))
-	}
 	return stats
 }
 
@@ -364,17 +319,17 @@ func issue(ctx context.Context, client *http.Client, r HTTPRequest) outcome {
 }
 
 // percentile returns the q-th percentile of sorted latencies (nearest
-// rank).
+// rank: the ceil(q·n)-th smallest).
 func percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(q*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	if rank < 1 {
+		rank = 1
 	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
+	if rank > len(sorted) {
+		rank = len(sorted)
 	}
-	return sorted[rank]
+	return sorted[rank-1]
 }

@@ -74,7 +74,7 @@ func TestReplayAgainstServer(t *testing.T) {
 	if stats.P50Ms <= 0 || stats.P50Ms > stats.P99Ms || stats.P99Ms > stats.MaxMs {
 		t.Errorf("percentiles malformed: %+v", stats)
 	}
-	if stats.CacheHits == 0 {
+	if stats.CacheStates["hit"] == 0 {
 		t.Errorf("no cache hits across a repeated workload: %+v", stats)
 	}
 	// Every response carries a cache state; with concurrent workers a

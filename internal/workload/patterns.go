@@ -13,7 +13,7 @@ import (
 
 // This file generates overload-shaped traffic: zipfian key popularity
 // (a few queries dominate, a long tail stays cold — the distribution
-// that exercises both the cache and the singleflight), burst and ramp
+// that exercises both the cache and the singleflight), steady and burst
 // arrival schedules for open-loop replay, and a hostile request mix
 // drawn from the fuzz corpora (parser-breaking inputs a public endpoint
 // will eventually receive).
@@ -35,21 +35,6 @@ func ZipfIndices(total, n int, s float64, seed int64) []int {
 	out := make([]int, total)
 	for i := range out {
 		out[i] = int(z.Uint64())
-	}
-	return out
-}
-
-// Rebase returns a copy of reqs with each URL's oldBase prefix swapped
-// for newBase — one node's request set replayed against another (e.g.
-// a leader-derived query pool aimed at its read replica). URLs outside
-// oldBase are kept as-is.
-func Rebase(reqs []HTTPRequest, oldBase, newBase string) []HTTPRequest {
-	out := make([]HTTPRequest, len(reqs))
-	for i, r := range reqs {
-		if strings.HasPrefix(r.URL, oldBase) {
-			r.URL = newBase + strings.TrimPrefix(r.URL, oldBase)
-		}
-		out[i] = r
 	}
 	return out
 }
@@ -84,28 +69,6 @@ func BurstArrivals(n, burst int, qps float64) []time.Duration {
 	out := make([]time.Duration, n)
 	for i := range out {
 		out[i] = time.Duration(i/burst) * period
-	}
-	return out
-}
-
-// RampArrivals returns n offsets whose instantaneous rate grows
-// linearly from startQPS to endQPS — the pattern of a traffic shift
-// landing on an instance, where the interesting question is when (not
-// whether) shedding starts.
-func RampArrivals(n int, startQPS, endQPS float64) []time.Duration {
-	if n <= 0 || startQPS <= 0 || endQPS <= 0 {
-		return nil
-	}
-	out := make([]time.Duration, n)
-	t := 0.0
-	for i := range out {
-		out[i] = time.Duration(t * float64(time.Second))
-		frac := 0.0
-		if n > 1 {
-			frac = float64(i) / float64(n-1)
-		}
-		rate := startQPS + (endQPS-startQPS)*frac
-		t += 1 / rate
 	}
 	return out
 }

@@ -66,22 +66,39 @@ func TestArrivalSchedules(t *testing.T) {
 			t.Errorf("burst[%d] = %v, want %v", i, burst[i], wantOff)
 		}
 	}
+}
 
-	ramp := RampArrivals(100, 50, 500)
-	if ramp[0] != 0 {
-		t.Errorf("ramp[0] = %v, want 0", ramp[0])
+// TestPercentileNearestRank pins the nearest-rank definition: the q-th
+// percentile of n samples is the ceil(q·n)-th smallest. Rounding q·n to
+// the nearest integer instead reads one rank low whenever its
+// fractional part is below one half.
+func TestPercentileNearestRank(t *testing.T) {
+	cases := []struct {
+		n    int
+		q    float64
+		want int // 1-based rank
+	}{
+		{1, 0.50, 1},
+		{1, 0.99, 1},
+		{10, 0.50, 5},
+		{16, 0.90, 15},
+		{64, 0.99, 64},
+		{100, 0.99, 99},
+		{160, 0.99, 159},
+		{160, 0.50, 80},
+		{1000, 0.999, 999},
 	}
-	for i := 1; i < len(ramp); i++ {
-		if ramp[i] <= ramp[i-1] {
-			t.Fatalf("ramp not strictly increasing at %d: %v then %v", i, ramp[i-1], ramp[i])
+	for _, c := range cases {
+		sorted := make([]time.Duration, c.n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i + 1)
+		}
+		if got := percentile(sorted, c.q); got != time.Duration(c.want) {
+			t.Errorf("p%v of %d samples = rank %d, want %d", c.q*100, c.n, got, c.want)
 		}
 	}
-	// Accelerating arrivals: the last quarter takes less wall time than
-	// the first quarter.
-	first := ramp[25] - ramp[0]
-	last := ramp[99] - ramp[74]
-	if last >= first {
-		t.Errorf("ramp last quarter (%v) not faster than first (%v)", last, first)
+	if got := percentile(nil, 0.5); got != 0 {
+		t.Errorf("empty: %v, want 0", got)
 	}
 }
 
@@ -178,39 +195,11 @@ func TestReplayOpenLoop(t *testing.T) {
 	if stats.Partials == 0 {
 		t.Errorf("partials = %d, want > 0", stats.Partials)
 	}
-	if stats.AdmittedP99Ms <= 0 || stats.ShedP50Ms <= 0 {
-		t.Errorf("latency splits: admittedP99=%v shedP50=%v, want > 0", stats.AdmittedP99Ms, stats.ShedP50Ms)
-	}
-	if stats.OfferedQPS <= 0 {
-		t.Errorf("offeredQPS = %v, want > 0", stats.OfferedQPS)
-	}
 }
 
 func TestReplayArrivalsLengthMismatch(t *testing.T) {
 	reqs := []HTTPRequest{{Method: http.MethodGet, URL: "http://127.0.0.1:1"}}
 	if _, err := Replay(context.Background(), reqs, LoadOptions{Arrivals: make([]time.Duration, 2)}); err == nil {
 		t.Fatal("mismatched arrivals: want error")
-	}
-}
-
-func TestRebaseSwapsURLPrefix(t *testing.T) {
-	reqs := []HTTPRequest{
-		{Method: http.MethodPost, URL: "http://leader:8080/search", Body: []byte(`{}`)},
-		{Method: http.MethodGet, URL: "http://leader:8080/search/text?q=x"},
-		{Method: http.MethodGet, URL: "http://elsewhere:9/healthz"},
-	}
-	out := Rebase(reqs, "http://leader:8080", "http://replica:8081")
-	if out[0].URL != "http://replica:8081/search" || out[1].URL != "http://replica:8081/search/text?q=x" {
-		t.Errorf("rebased URLs = %q, %q", out[0].URL, out[1].URL)
-	}
-	if out[2].URL != "http://elsewhere:9/healthz" {
-		t.Errorf("foreign URL rewritten: %q", out[2].URL)
-	}
-	// The originals are untouched and the bodies ride along.
-	if reqs[0].URL != "http://leader:8080/search" {
-		t.Error("Rebase mutated its input")
-	}
-	if string(out[0].Body) != `{}` || out[0].Method != http.MethodPost {
-		t.Error("Rebase dropped method or body")
 	}
 }

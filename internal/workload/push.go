@@ -12,10 +12,9 @@ import (
 )
 
 // This file generates push-ingest traffic: batched POST /publish
-// requests carrying complete, valid catalog features, and the
-// interleaving helper that mixes a publish stream into a query replay —
-// the workload shape of a push-fed deployment, where producers land
-// deltas while readers search.
+// requests carrying complete, valid catalog features — the workload
+// shape of a push-fed deployment, where producers land deltas while
+// readers search.
 
 // publishWire mirrors the POST /publish body. It is declared locally so
 // the workload package (which experiment harnesses import) does not
@@ -89,25 +88,4 @@ func PublishRequests(base string, n, batch int, seed int64) ([]HTTPRequest, erro
 		out[i] = HTTPRequest{Method: http.MethodPost, URL: base + "/publish", Body: body}
 	}
 	return out, nil
-}
-
-// InterleaveEvery mixes inserts into a base stream: one insert after
-// every `every` base requests, remaining inserts appended at the end.
-// The result preserves both streams' internal order — the push-storm
-// shape where publishes keep landing while queries are in flight.
-func InterleaveEvery(base, inserts []HTTPRequest, every int) []HTTPRequest {
-	if every <= 0 {
-		every = 1
-	}
-	out := make([]HTTPRequest, 0, len(base)+len(inserts))
-	ins := 0
-	for i, r := range base {
-		out = append(out, r)
-		if (i+1)%every == 0 && ins < len(inserts) {
-			out = append(out, inserts[ins])
-			ins++
-		}
-	}
-	out = append(out, inserts[ins:]...)
-	return out
 }

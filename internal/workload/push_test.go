@@ -51,22 +51,3 @@ func TestPublishRequestsDeterministicAndValid(t *testing.T) {
 		t.Error("n=0 accepted")
 	}
 }
-
-func TestInterleaveEvery(t *testing.T) {
-	q := func(u string) HTTPRequest { return HTTPRequest{Method: "GET", URL: u} }
-	base := []HTTPRequest{q("a"), q("b"), q("c"), q("d"), q("e")}
-	ins := []HTTPRequest{q("P1"), q("P2"), q("P3")}
-	got := InterleaveEvery(base, ins, 2)
-	want := []string{"a", "b", "P1", "c", "d", "P2", "e", "P3"}
-	if len(got) != len(want) {
-		t.Fatalf("got %d requests, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i].URL != w {
-			t.Errorf("position %d: %s, want %s", i, got[i].URL, w)
-		}
-	}
-	if got := InterleaveEvery(nil, ins, 2); len(got) != len(ins) {
-		t.Errorf("empty base: %d requests, want %d", len(got), len(ins))
-	}
-}

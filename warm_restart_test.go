@@ -154,6 +154,13 @@ func TestWarmRestartEquivalence(t *testing.T) {
 			if rep.Delta.Unchanged == 0 {
 				t.Fatal("reconciliation re-parsed everything; stat-skip lost")
 			}
+			// It parses exactly the two files created or edited while down,
+			// and its walk still sees the whole archive.
+			archiveSize := len(m.Datasets) + len(added) + 1
+			if scan := rep.Steps[0].Counters; scan["parsed"] != 2 || scan["filesSeen"] != archiveSize {
+				t.Fatalf("reconciliation scan parsed %d (want 2), saw %d files (want %d)",
+					scan["parsed"], scan["filesSeen"], archiveSize)
+			}
 
 			if _, err := oracle.Wrangle(); err != nil {
 				t.Fatal(err)
