@@ -76,6 +76,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *catalogPath != "" && *dataDir != "" {
+		// A load is a journaled publish: it would write into the data
+		// directory, possibly a running daemon's.
+		fmt.Fprintln(os.Stderr, "dnh: -catalog and -data are mutually exclusive (the data directory is the catalog)")
+		os.Exit(2)
+	}
 	root := *archiveRoot
 	if root == "" {
 		// A throwaway root satisfies config validation; the snapshot or

@@ -68,8 +68,9 @@
 // (log/slog).
 //
 // Signals: SIGHUP triggers an immediate background re-wrangle — or, in
-// -catalog mode, reloads the catalog file; in -follow mode, an
-// immediate tail retry — while searches keep serving the old snapshot
+// -catalog mode, reloads the catalog file, which moves the generation
+// only if content changed; in -follow mode, an immediate tail retry —
+// while searches keep serving the old snapshot
 // until the new one publishes; SIGINT and SIGTERM drain in-flight
 // requests for up to -drain, then exit.
 package main
@@ -284,9 +285,10 @@ func main() {
 				continue
 			}
 			if fromCatalog {
-				// Reload the snapshot file; ReplaceAll publishes it
-				// atomically and bumps the generation, invalidating the
-				// query cache just like a wrangled publish.
+				// Reload the snapshot file; it publishes atomically and
+				// moves the generation only if content changed, so the
+				// query cache is invalidated just like by a wrangled
+				// publish.
 				if err := sys.LoadCatalog(*catalogPath); err != nil {
 					logger.Error("SIGHUP: reload "+*catalogPath, "err", err)
 				} else {

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,28 +11,24 @@ import (
 	"metamess/internal/table"
 )
 
-// Catalog is an in-memory feature store with secondary indexes. It is
-// safe for concurrent use; wrangling writes take the exclusive lock,
-// while search reads go through an immutable published Snapshot swapped
-// in atomically, so the read path takes no locks at all.
+// Catalog is an in-memory feature store. It is safe for concurrent use;
+// wrangling writes take the exclusive lock, while search reads go
+// through an immutable published Snapshot swapped in atomically, so the
+// read path takes no locks at all. The snapshot's shards carry the
+// search indexes; the catalog itself keeps only the name tally.
 type Catalog struct {
 	mu       sync.RWMutex
 	features map[string]*Feature
-	// byName indexes dataset IDs by current searchable variable name;
-	// byParent indexes them by the hierarchy parent of searchable
-	// variables, so querying a parent concept can use the index too.
-	byName   map[string]map[string]bool
-	byParent map[string]map[string]bool
 	// names tallies every current variable name (excluded ones included),
-	// maintained by the same index hooks as byName, so the wrangling
-	// chain's name-level questions (VariableNameCounts, the mess metric)
-	// read O(distinct names) instead of walking every feature.
+	// maintained on every feature mutation, so the wrangling chain's
+	// name-level questions (VariableNameCounts, the mess metric) read
+	// O(distinct names) instead of walking every feature.
 	names map[string]nameTally
 	// generation counts mutations, letting long-running searchers detect
 	// that a published catalog replaced this one.
 	generation uint64
 	// snap caches the current immutable snapshot. Mutations clear it;
-	// ReplaceAll (publish) rebuilds it eagerly; Snapshot() rebuilds it
+	// ApplyDelta (publish) patches it eagerly; Snapshot() rebuilds it
 	// lazily otherwise. Readers load it with a single atomic pointer
 	// load — the lock-free search fast path.
 	snap atomic.Pointer[Snapshot]
@@ -54,8 +51,6 @@ func NewSharded(shards int) *Catalog {
 	}
 	return &Catalog{
 		features: make(map[string]*Feature),
-		byName:   make(map[string]map[string]bool),
-		byParent: make(map[string]map[string]bool),
 		names:    make(map[string]nameTally),
 		shards:   shards,
 	}
@@ -64,9 +59,6 @@ func NewSharded(shards int) *Catalog {
 // nameTally counts one variable name's occurrences across the catalog,
 // and how many of them are excluded or carry a hierarchy parent.
 type nameTally struct{ occurrences, excluded, parented int }
-
-// ShardCount returns the snapshot partition count.
-func (c *Catalog) ShardCount() int { return c.shards }
 
 // Len returns the number of features.
 func (c *Catalog) Len() int {
@@ -85,26 +77,11 @@ func (c *Catalog) Generation() uint64 {
 // Upsert validates and stores a feature, replacing any previous feature
 // with the same ID. The catalog stores a private clone, so callers may
 // keep mutating their copy.
-func (c *Catalog) Upsert(f *Feature) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	clone := f.Clone()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.features[clone.ID]; ok {
-		c.unindexLocked(old)
-	}
-	c.features[clone.ID] = clone
-	c.indexLocked(clone)
-	c.generation++
-	c.snap.Store(nil)
-	return nil
-}
+func (c *Catalog) Upsert(f *Feature) error { return c.upsertOwned(f.Clone()) }
 
 // upsertOwned is Upsert for callers that hand over ownership of a
 // freshly built feature (checkpoint and journal recovery): the feature
-// is validated and indexed but not cloned, so a 2000-feature replay
+// is validated and tallied but not cloned, so a 2000-feature replay
 // does not pay a second copy of every feature it just decoded.
 func (c *Catalog) upsertOwned(f *Feature) error {
 	if err := f.Validate(); err != nil {
@@ -113,10 +90,10 @@ func (c *Catalog) upsertOwned(f *Feature) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.features[f.ID]; ok {
-		c.unindexLocked(old)
+		c.tallyLocked(old, -1)
 	}
 	c.features[f.ID] = f
-	c.indexLocked(f)
+	c.tallyLocked(f, 1)
 	c.generation++
 	c.snap.Store(nil)
 	return nil
@@ -159,7 +136,7 @@ func (c *Catalog) Delete(id string) bool {
 	if !ok {
 		return false
 	}
-	c.unindexLocked(f)
+	c.tallyLocked(f, -1)
 	delete(c.features, id)
 	c.generation++
 	c.snap.Store(nil)
@@ -194,34 +171,6 @@ func (c *Catalog) IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// DatasetsWithVariable returns the IDs of datasets whose searchable
-// variables include name, sorted.
-func (c *Catalog) DatasetsWithVariable(name string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	set := c.byName[name]
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DatasetsWithParent returns the IDs of datasets having a searchable
-// variable whose hierarchy parent is name, sorted.
-func (c *Catalog) DatasetsWithParent(name string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	set := c.byParent[name]
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // VariableNameCounts tallies every *current* variable name (including
@@ -275,19 +224,19 @@ func (c *Catalog) sortedNamesLocked() []string {
 
 // MutateVariables applies fn to every feature's variable list under the
 // write lock; fn returns true if it changed the variables. The method
-// reindexes changed features and returns how many features changed.
-// This is the hook the wrangling chain uses to write transformation
-// results back from the working grid into the catalog.
+// re-tallies the features and returns how many changed. This is the
+// hook the wrangling chain uses to write transformation results back
+// from the working grid into the catalog.
 func (c *Catalog) MutateVariables(fn func(f *Feature) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	changed := 0
 	for _, f := range c.features {
-		c.unindexLocked(f)
+		c.tallyLocked(f, -1)
 		if fn(f) {
 			changed++
 		}
-		c.indexLocked(f)
+		c.tallyLocked(f, 1)
 	}
 	if changed > 0 {
 		c.generation++
@@ -300,7 +249,7 @@ func (c *Catalog) MutateVariables(fn func(f *Feature) bool) int {
 
 // MutateVariablesOf is MutateVariables restricted to the given feature
 // IDs (absent IDs are ignored): the delta write path, which touches and
-// reindexes only the features a re-wrangle actually changed instead of
+// re-tallies only the features a re-wrangle actually changed instead of
 // walking the whole catalog.
 func (c *Catalog) MutateVariablesOf(ids []string, fn func(f *Feature) bool) int {
 	c.mu.Lock()
@@ -311,11 +260,11 @@ func (c *Catalog) MutateVariablesOf(ids []string, fn func(f *Feature) bool) int 
 		if !ok {
 			continue
 		}
-		c.unindexLocked(f)
+		c.tallyLocked(f, -1)
 		if fn(f) {
 			changed++
 		}
-		c.indexLocked(f)
+		c.tallyLocked(f, 1)
 	}
 	if len(ids) > 0 {
 		if changed > 0 {
@@ -343,7 +292,7 @@ func (c *Catalog) StatView(id string) (bytes int64, modTime, scannedAt time.Time
 }
 
 // SetScanStamp updates a feature's ScannedAt bookkeeping in place (no
-// clone, no reindex, no generation bump — ScannedAt is not dataset
+// clone, no re-tally, no generation bump — ScannedAt is not dataset
 // content). The scanner calls it after verifying an unchanged file by
 // content hash, so the file's stat fingerprint is trusted on the next
 // run instead of being re-hashed forever.
@@ -371,16 +320,15 @@ func (c *Catalog) restoreGeneration(gen uint64) {
 	c.snap.Store(nil)
 }
 
-// Clone returns a deep copy of the catalog (used by loading and tests).
+// Clone returns a deep copy of the catalog (SeedFrom's copy).
 func (c *Catalog) Clone() *Catalog {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	n := New()
 	for id, f := range c.features {
-		clone := f.Clone()
-		n.features[id] = clone
-		n.indexLocked(clone)
+		n.features[id] = f.Clone()
 	}
+	maps.Copy(n.names, c.names)
 	n.generation = c.generation
 	return n
 }
@@ -394,7 +342,8 @@ func (c *Catalog) Clone() *Catalog {
 // result slices are sorted by ID.
 func (c *Catalog) DiffTo(next *Catalog) (changed []*Feature, removed []string) {
 	// Lock ordering: the published catalog first, then the working one.
-	// The only caller is the chain's Publish step, which owns both.
+	// Callers own both: the chain's Publish step, and catalog loads
+	// diffing against a private scratch catalog.
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	next.mu.RLock()
@@ -428,7 +377,30 @@ func (c *Catalog) DiffTo(next *Catalog) (changed []*Feature, removed []string) {
 // in private clones (DiffTo does) and not touch them afterwards. It
 // reports whether the catalog changed.
 func (c *Catalog) ApplyDelta(changed []*Feature, removed []string) (bool, error) {
-	if len(changed) == 0 && len(removed) == 0 {
+	return c.applyDelta(changed, removed, 0, false)
+}
+
+// ApplyDeltaAt is ApplyDelta for the replication apply path: instead of
+// advancing the generation by one it pins the catalog to gen — the
+// stamp the leader journaled for this delta — so a follower serves the
+// exact generation numbers its leader published and generation-keyed
+// caches agree across the fleet. gen must be ahead of the catalog's
+// current generation. Unlike ApplyDelta, a delta that resolves to
+// nothing still advances the generation: the follower must reach the
+// leader's stamp even when (idempotent re-delivery, deletes of absent
+// IDs) there is no content to change. Takes ownership of the passed
+// features, like ApplyDelta.
+func (c *Catalog) ApplyDeltaAt(gen uint64, changed []*Feature, removed []string) error {
+	_, err := c.applyDelta(changed, removed, gen, true)
+	return err
+}
+
+// applyDelta is the one body behind ApplyDelta and ApplyDeltaAt; they
+// differ only in the generation rule. Unpinned, the generation moves by
+// one and a delta that resolves to nothing is a no-op; pinned, it moves
+// to gen, which must be ahead, whatever the delta resolves to.
+func (c *Catalog) applyDelta(changed []*Feature, removed []string, gen uint64, pinned bool) (bool, error) {
+	if !pinned && len(changed) == 0 && len(removed) == 0 {
 		return false, nil
 	}
 	for _, f := range changed {
@@ -443,6 +415,9 @@ func (c *Catalog) ApplyDelta(changed []*Feature, removed []string) (bool, error)
 	sort.Slice(changed, func(i, j int) bool { return changed[i].ID < changed[j].ID })
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if pinned && gen <= c.generation {
+		return false, fmt.Errorf("catalog: replicated generation %d not ahead of catalog generation %d", gen, c.generation)
+	}
 	prev := c.snap.Load()
 	changedIDs := make(map[string]bool, len(changed))
 	for _, f := range changed {
@@ -458,26 +433,29 @@ func (c *Catalog) ApplyDelta(changed []*Feature, removed []string) (bool, error)
 		}
 		removedSet[id] = true
 	}
-	if len(changed) == 0 && len(removedSet) == 0 {
+	if !pinned && len(changed) == 0 && len(removedSet) == 0 {
 		return false, nil
 	}
 	for id := range removedSet {
-		f := c.features[id]
-		c.unindexLocked(f)
+		c.tallyLocked(c.features[id], -1)
 		delete(c.features, id)
 	}
 	for _, f := range changed {
 		if old, ok := c.features[f.ID]; ok {
-			c.unindexLocked(old)
+			c.tallyLocked(old, -1)
 		}
 		// The map gets its own clone; the snapshot keeps the caller's
 		// instance, so later in-place mutations of the map copy (e.g.
 		// MutateVariables) can never reach the published snapshot.
 		clone := f.Clone()
 		c.features[f.ID] = clone
-		c.indexLocked(clone)
+		c.tallyLocked(clone, 1)
 	}
-	c.generation++
+	if pinned {
+		c.generation = gen
+	} else {
+		c.generation++
+	}
 	// Patch the previous snapshot when the delta is small relative to
 	// the catalog; fall back to a full rebuild when there is no live
 	// snapshot or the delta dominates (a patch would do more merge work
@@ -490,94 +468,16 @@ func (c *Catalog) ApplyDelta(changed []*Feature, removed []string) (bool, error)
 	return true, nil
 }
 
-// ApplyDeltaAt is ApplyDelta for the replication apply path: instead of
-// advancing the generation by one it pins the catalog to gen — the
-// stamp the leader journaled for this delta — so a follower serves the
-// exact generation numbers its leader published and generation-keyed
-// caches agree across the fleet. gen must be ahead of the catalog's
-// current generation. Unlike ApplyDelta, a delta that resolves to
-// nothing still advances the generation: the follower must reach the
-// leader's stamp even when (idempotent re-delivery, deletes of absent
-// IDs) there is no content to change. Takes ownership of the passed
-// features, like ApplyDelta.
-func (c *Catalog) ApplyDeltaAt(gen uint64, changed []*Feature, removed []string) error {
-	for _, f := range changed {
-		if err := f.Validate(); err != nil {
-			return err
-		}
-	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i].ID < changed[j].ID })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen <= c.generation {
-		return fmt.Errorf("catalog: replicated generation %d not ahead of catalog generation %d", gen, c.generation)
-	}
-	prev := c.snap.Load()
-	changedIDs := make(map[string]bool, len(changed))
-	for _, f := range changed {
-		changedIDs[f.ID] = true
-	}
-	removedSet := make(map[string]bool, len(removed))
-	for _, id := range removed {
-		if _, ok := c.features[id]; !ok {
-			continue
-		}
-		if changedIDs[id] {
-			continue
-		}
-		removedSet[id] = true
-	}
-	for id := range removedSet {
-		f := c.features[id]
-		c.unindexLocked(f)
-		delete(c.features, id)
-	}
-	for _, f := range changed {
-		if old, ok := c.features[f.ID]; ok {
-			c.unindexLocked(old)
-		}
-		clone := f.Clone()
-		c.features[f.ID] = clone
-		c.indexLocked(clone)
-	}
-	c.generation = gen
-	if prev != nil && len(changed)+len(removedSet) <= len(c.features)/2+1 {
-		c.snap.Store(prev.applyDelta(changed, removedSet, c.generation))
-	} else {
-		c.snap.Store(newSnapshot(c.features, c.generation, c.shards))
-	}
-	return nil
-}
-
-// ReplaceAll swaps this catalog's contents for those of other — the
-// wholesale load path (catalog snapshots from disk). The source catalog
-// is left untouched. The new snapshot is built eagerly here, so the
-// first search after a load pays no build cost and in-flight searches
-// keep their consistent view. The wrangling chain's Publish step uses
-// DiffTo + ApplyDelta instead, so its cost tracks churn, not size.
-func (c *Catalog) ReplaceAll(other *Catalog) {
-	clone := other.Clone()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.features = clone.features
-	c.byName = clone.byName
-	c.byParent = clone.byParent
-	c.names = clone.names
-	c.generation++
-	c.snap.Store(newSnapshot(c.features, c.generation, c.shards))
-}
-
-// SeedFrom is ReplaceAll without the eager snapshot build — the
-// warm-restart seed for the *working* catalog, which the wrangling
-// chain reads through ForEach and mutates in place, so a snapshot
-// built here would be thrown away by the first transform step.
+// SeedFrom replaces this catalog's contents with a copy of other's — the
+// one wholesale copy, used for the warm-restart seed of the *working*
+// catalog. No snapshot is built: the wrangling chain reads the working
+// catalog through ForEach and mutates it in place, so a snapshot built
+// here would be thrown away by the first transform step.
 func (c *Catalog) SeedFrom(other *Catalog) {
 	clone := other.Clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.features = clone.features
-	c.byName = clone.byName
-	c.byParent = clone.byParent
 	c.names = clone.names
 	c.generation++
 	c.snap.Store(nil)
@@ -675,7 +575,7 @@ func (c *Catalog) ApplyTable(t *table.Table) (int, error) {
 	}
 	sort.Strings(ids)
 	missing := ""
-	// Only the datasets present in the grid are touched and reindexed —
+	// Only the datasets present in the grid are touched and re-tallied —
 	// a delta grid from ToTableOf writes back in time proportional to
 	// its own size.
 	changed := c.MutateVariablesOf(ids, func(f *Feature) bool {
@@ -703,66 +603,24 @@ func (c *Catalog) ApplyTable(t *table.Table) (int, error) {
 	return changed, nil
 }
 
-// indexLocked adds f to the secondary indexes; callers hold the lock.
-func (c *Catalog) indexLocked(f *Feature) {
-	for _, name := range f.SearchableNames() {
-		set := c.byName[name]
-		if set == nil {
-			set = make(map[string]bool)
-			c.byName[name] = set
+// tallyLocked adds (sign +1) or removes (sign -1) f's variable
+// occurrences to or from the name tally, dropping a name whose last
+// occurrence went; callers hold the lock.
+func (c *Catalog) tallyLocked(f *Feature, sign int) {
+	for i := range f.Variables {
+		v := &f.Variables[i]
+		t := c.names[v.Name]
+		t.occurrences += sign
+		if v.Excluded {
+			t.excluded += sign
 		}
-		set[f.ID] = true
-	}
-	for _, v := range f.Variables {
-		c.tallyLocked(&v, 1)
-		if v.Excluded || v.Parent == "" {
+		if v.Parent != "" {
+			t.parented += sign
+		}
+		if t.occurrences == 0 {
+			delete(c.names, v.Name)
 			continue
 		}
-		set := c.byParent[v.Parent]
-		if set == nil {
-			set = make(map[string]bool)
-			c.byParent[v.Parent] = set
-		}
-		set[f.ID] = true
-	}
-}
-
-// tallyLocked adds (sign +1) or removes (sign -1) one occurrence of v
-// from the name tally, dropping a name whose last occurrence went.
-func (c *Catalog) tallyLocked(v *VarFeature, sign int) {
-	t := c.names[v.Name]
-	t.occurrences += sign
-	if v.Excluded {
-		t.excluded += sign
-	}
-	if v.Parent != "" {
-		t.parented += sign
-	}
-	if t.occurrences == 0 {
-		delete(c.names, v.Name)
-		return
-	}
-	c.names[v.Name] = t
-}
-
-// unindexLocked removes f from the secondary indexes.
-func (c *Catalog) unindexLocked(f *Feature) {
-	for _, name := range f.SearchableNames() {
-		set := c.byName[name]
-		delete(set, f.ID)
-		if len(set) == 0 {
-			delete(c.byName, name)
-		}
-	}
-	for _, v := range f.Variables {
-		c.tallyLocked(&v, -1)
-		if v.Excluded || v.Parent == "" {
-			continue
-		}
-		set := c.byParent[v.Parent]
-		delete(set, f.ID)
-		if len(set) == 0 {
-			delete(c.byParent, v.Parent)
-		}
+		c.names[v.Name] = t
 	}
 }

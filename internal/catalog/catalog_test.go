@@ -93,11 +93,14 @@ func TestUpsertReplacesAndReindexes(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	if ids := c.DatasetsWithVariable("old_name"); len(ids) != 0 {
-		t.Errorf("old index entry survived: %v", ids)
+	if n := countWithVariable(c.Snapshot(), "old_name"); n != 0 {
+		t.Errorf("old index entry survived: %d", n)
 	}
-	if ids := c.DatasetsWithVariable("new_name"); len(ids) != 1 {
-		t.Errorf("new index entry missing: %v", ids)
+	if n := countWithVariable(c.Snapshot(), "new_name"); n != 1 {
+		t.Errorf("new index entry missing: %d", n)
+	}
+	if names := c.DistinctVariableNames(); len(names) != 1 || names[0] != "new_name" {
+		t.Errorf("name tally = %v, want [new_name]", names)
 	}
 }
 
@@ -110,11 +113,11 @@ func TestIndexExcludesExcludedVariables(t *testing.T) {
 	if err := c.Upsert(f); err != nil {
 		t.Fatal(err)
 	}
-	if ids := c.DatasetsWithVariable("qa_level"); len(ids) != 0 {
-		t.Errorf("excluded variable indexed: %v", ids)
+	if n := countWithVariable(c.Snapshot(), "qa_level"); n != 0 {
+		t.Errorf("excluded variable indexed %d times", n)
 	}
-	if ids := c.DatasetsWithVariable("salinity"); len(ids) != 1 {
-		t.Errorf("searchable variable missing: %v", ids)
+	if n := countWithVariable(c.Snapshot(), "salinity"); n != 1 {
+		t.Errorf("searchable variable indexed %d times", n)
 	}
 	// But the variable remains in the detailed feature view.
 	got, _ := c.Get(f.ID)
@@ -179,37 +182,11 @@ func TestMutateVariables(t *testing.T) {
 	if c.Generation() == gen {
 		t.Error("generation not bumped")
 	}
-	if ids := c.DatasetsWithVariable("air_temperature"); len(ids) != 1 {
-		t.Errorf("index not updated: %v", ids)
+	if n := countWithVariable(c.Snapshot(), "air_temperature"); n != 1 {
+		t.Errorf("index not updated: %d", n)
 	}
-	if ids := c.DatasetsWithVariable("airtemp"); len(ids) != 0 {
-		t.Errorf("stale index: %v", ids)
-	}
-}
-
-func TestCloneAndReplaceAll(t *testing.T) {
-	working := New()
-	_ = working.Upsert(feat("a.csv", "salinity"))
-	published := New()
-	_ = published.Upsert(feat("old.csv", "oldvar"))
-
-	published.ReplaceAll(working)
-	if published.Len() != 1 {
-		t.Fatalf("published Len = %d", published.Len())
-	}
-	if ids := published.DatasetsWithVariable("salinity"); len(ids) != 1 {
-		t.Error("published index missing")
-	}
-	if ids := published.DatasetsWithVariable("oldvar"); len(ids) != 0 {
-		t.Error("stale published entry")
-	}
-	// Publishing is a snapshot: later working changes do not leak.
-	working.MutateVariables(func(f *Feature) bool {
-		f.Variables[0].Name = "renamed"
-		return true
-	})
-	if ids := published.DatasetsWithVariable("renamed"); len(ids) != 0 {
-		t.Error("working mutation leaked into published catalog")
+	if n := countWithVariable(c.Snapshot(), "airtemp"); n != 0 {
+		t.Errorf("stale index: %d", n)
 	}
 }
 
@@ -235,8 +212,8 @@ func TestToTableApplyTableRoundTrip(t *testing.T) {
 	if changed != 2 {
 		t.Errorf("changed = %d, want 2", changed)
 	}
-	if ids := c.DatasetsWithVariable("air_temperature"); len(ids) != 2 {
-		t.Errorf("renamed variable index = %v", ids)
+	if counts := c.VariableNameCounts(); len(counts) != 2 || counts[0].Value != "air_temperature" || counts[0].Count != 2 {
+		t.Errorf("renamed variable tally = %v", counts)
 	}
 	// RawName preserved for provenance.
 	f, _ := c.Get(IDForPath("b.csv"))

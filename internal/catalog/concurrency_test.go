@@ -30,8 +30,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				case 1:
 					c.Delete(IDForPath(fmt.Sprintf("w%d-%03d.csv", w, i-1)))
 				case 2:
-					_ = c.DatasetsWithVariable("salinity")
-					_ = c.DatasetsWithParent("fluorescence")
+					_ = countWithVariable(c.Snapshot(), "salinity")
+					_ = countWithParent(c.Snapshot(), "fluorescence")
 				case 3:
 					if f, ok := c.Get(IDForPath("seed-00.csv")); ok && f.Path != "seed-00.csv" {
 						t.Error("corrupted read")
@@ -58,16 +58,20 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 			t.Fatalf("seed feature %d corrupted: %d variables", i, len(f.Variables))
 		}
 	}
-	// Index and store agree.
-	for _, id := range c.DatasetsWithVariable("salinity") {
-		if _, ok := c.Get(id); !ok {
-			t.Errorf("index points at missing feature %s", id)
+	// Index, tally and store agree.
+	for _, sh := range c.Snapshot().Shards() {
+		for _, p := range sh.WithVariable("salinity") {
+			if _, ok := c.Get(sh.At(p).ID); !ok {
+				t.Errorf("index points at missing feature %s", sh.At(p).ID)
+			}
 		}
 	}
+	requireTallyMatchesFeatures(t, c, "after concurrent writers")
 }
 
-// TestConcurrentPublishAndSearchReads interleaves ReplaceAll (publish)
-// with read traffic, the working/published handoff under load.
+// TestConcurrentPublishAndSearchReads interleaves publishes (DiffTo +
+// ApplyDelta) with read traffic, the working/published handoff under
+// load.
 func TestConcurrentPublishAndSearchReads(t *testing.T) {
 	published := New()
 	_ = published.Upsert(feat("initial.csv", "salinity"))
@@ -82,7 +86,10 @@ func TestConcurrentPublishAndSearchReads(t *testing.T) {
 			for j := 0; j <= i%5; j++ {
 				_ = working.Upsert(feat(fmt.Sprintf("gen%d-%d.csv", i, j), "salinity"))
 			}
-			published.ReplaceAll(working)
+			changed, removed := published.DiffTo(working)
+			if _, err := published.ApplyDelta(changed, removed); err != nil {
+				t.Error(err)
+			}
 		}
 		close(stop)
 	}()
@@ -97,11 +104,10 @@ func TestConcurrentPublishAndSearchReads(t *testing.T) {
 					return
 				default:
 				}
-				ids := published.DatasetsWithVariable("salinity")
-				for _, id := range ids {
-					// A feature listed by the index may legitimately vanish
-					// between calls (publish swapped); it must never be
-					// returned in a corrupted state.
+				for _, id := range published.IDs() {
+					// A listed feature may legitimately vanish between calls
+					// (publish swapped); it must never be returned in a
+					// corrupted state.
 					if f, ok := published.Get(id); ok && len(f.Variables) == 0 {
 						t.Error("corrupted feature during publish")
 						return

@@ -32,10 +32,11 @@ import (
 // bad line with another after it is corruption. One reader, readRecords,
 // applies both rules.
 
-// maxStreamLine bounds one record line read from a stream of unknown
-// length (a follower's checkpoint download). Files need no such bound: no
+// MaxStreamLine bounds one record line read from a stream of unknown
+// length: a follower's checkpoint download, and the one record a tail
+// response may carry past its byte budget. Files need no such bound: no
 // line in a file can be longer than the file.
-const maxStreamLine = 1 << 26
+const MaxStreamLine = 1 << 26
 
 // logRecord is the payload of one record line. Meta records carry Gen and
 // Sidecar, put records carry Feature, delta records carry the rest.
@@ -277,7 +278,7 @@ func loadCheckpoint(path string, into *Catalog) (uint64, json.RawMessage, error)
 // of from disk.
 func LoadCheckpointFrom(r io.Reader, into *Catalog) (uint64, json.RawMessage, error) {
 	ck := checkpointLoad{into: into}
-	if err := readRecords(r, maxStreamLine, false, ck.add); err != nil {
+	if err := readRecords(r, MaxStreamLine, false, ck.add); err != nil {
 		return 0, nil, err
 	}
 	return ck.gen, ck.sidecar, nil

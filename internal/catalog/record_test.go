@@ -164,7 +164,7 @@ func TestOversizedRecordReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sidecar := json.RawMessage(`"` + strings.Repeat("x", maxStreamLine) + `"`)
+	sidecar := json.RawMessage(`"` + strings.Repeat("x", MaxStreamLine) + `"`)
 	f := deltaFeature(7, 0)
 	if _, err := c.ApplyDelta([]*Feature{f}, nil); err != nil {
 		t.Fatal(err)

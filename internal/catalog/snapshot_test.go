@@ -50,6 +50,14 @@ func TestSnapshotCachedUntilMutation(t *testing.T) {
 	if s1.Len() != 1 || s3.Len() != 2 {
 		t.Errorf("lens = %d, %d", s1.Len(), s3.Len())
 	}
+	// A publish stores its snapshot eagerly: the atomic fast path serves
+	// it without a rebuild.
+	if _, err := c.ApplyDelta([]*Feature{snapFeat("c.obs", 45, -124, base, 10, "salinity")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.snap.Load(); s == nil || s.Len() != 3 {
+		t.Fatalf("ApplyDelta left snapshot %v, want a ready 3-feature snapshot", s)
+	}
 }
 
 func TestSnapshotByID(t *testing.T) {
@@ -88,25 +96,6 @@ func TestSnapshotIsolatedFromMutation(t *testing.T) {
 	}
 	if got := c.Snapshot().All()[0].Variables[0].Name; got != "renamed" {
 		t.Errorf("fresh snapshot stale: variable name = %q", got)
-	}
-}
-
-func TestSnapshotReplaceAllBuildsEagerly(t *testing.T) {
-	published := New()
-	working := New()
-	base := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
-	if err := working.Upsert(snapFeat("w.obs", 45, -124, base, 10, "salinity")); err != nil {
-		t.Fatal(err)
-	}
-	published.ReplaceAll(working)
-	// The publish stored a ready snapshot: the atomic fast path serves it.
-	if s := published.snap.Load(); s == nil {
-		t.Fatal("ReplaceAll did not build a snapshot")
-	} else if s.Len() != 1 {
-		t.Fatalf("published snapshot has %d features", s.Len())
-	}
-	if n := countWithVariable(published.Snapshot(), "salinity"); n != 1 {
-		t.Errorf("WithVariable count = %d", n)
 	}
 }
 
@@ -227,7 +216,10 @@ func TestConcurrentSnapshotAndPublish(t *testing.T) {
 			for j := 0; j <= i%4; j++ {
 				_ = working.Upsert(snapFeat(fmt.Sprintf("g%d-%d.obs", i, j), 45, -124, base, 5, "salinity"))
 			}
-			published.ReplaceAll(working)
+			changed, removed := published.DiffTo(working)
+			if _, err := published.ApplyDelta(changed, removed); err != nil {
+				t.Error(err)
+			}
 		}
 		close(stop)
 	}()

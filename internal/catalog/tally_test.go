@@ -10,7 +10,7 @@ import (
 )
 
 // requireTallyMatchesFeatures recounts the name tally from the features
-// and compares it with what the index hooks maintained, through both
+// and compares it with what the mutation hooks maintained, through both
 // readers (ForEachVariableName and VariableNameCounts).
 func requireTallyMatchesFeatures(t *testing.T, c *Catalog, when string) {
 	t.Helper()
@@ -61,7 +61,8 @@ func requireTallyMatchesFeatures(t *testing.T, c *Catalog, when string) {
 // TestNameTallyTracksEveryMutation drives a catalog through a random
 // sequence of every mutation path — including adopting another
 // catalog's state and reloading from a store — and requires the
-// maintained tally to equal a recount after each step.
+// maintained tally to equal a recount after each step. "apply-delta"
+// runs the one apply body both unpinned and pinned (ApplyDeltaAt).
 func TestNameTallyTracksEveryMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	c := NewSharded(3)
@@ -69,7 +70,7 @@ func TestNameTallyTracksEveryMutation(t *testing.T) {
 	ops := map[string]int{}
 	for step := 0; step < 400; step++ {
 		op := []string{"upsert", "delete", "mutate-of", "mutate-all", "apply-table", "apply-delta",
-			"apply-delta-at", "clone", "replace-all", "seed-from", "reload"}[rng.Intn(11)]
+			"clone", "seed-from", "reload"}[rng.Intn(9)]
 		ops[op]++
 		switch op {
 		case "upsert":
@@ -115,23 +116,17 @@ func TestNameTallyTracksEveryMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 		case "apply-delta":
-			if _, err := c.ApplyDelta(
-				[]*Feature{deltaFeature(rng.Intn(ids), rng.Intn(3)), deltaFeature(ids+rng.Intn(5), 1)},
-				[]string{deltaFeature(rng.Intn(ids), 0).ID}); err != nil {
-				t.Fatal(err)
-			}
-		case "apply-delta-at":
-			if err := c.ApplyDeltaAt(c.Generation()+2,
-				[]*Feature{deltaFeature(rng.Intn(ids), rng.Intn(3))},
-				[]string{deltaFeature(rng.Intn(ids), 0).ID}); err != nil {
+			changed := []*Feature{deltaFeature(rng.Intn(ids), rng.Intn(3)), deltaFeature(ids+rng.Intn(5), 1)}
+			removed := []string{deltaFeature(rng.Intn(ids), 0).ID}
+			if rng.Intn(2) == 0 {
+				if _, err := c.ApplyDelta(changed, removed); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := c.ApplyDeltaAt(c.Generation()+2, changed, removed); err != nil {
 				t.Fatal(err)
 			}
 		case "clone":
 			c = c.Clone()
-		case "replace-all":
-			next := NewSharded(3)
-			next.ReplaceAll(c)
-			c = next
 		case "seed-from":
 			next := NewSharded(3)
 			next.SeedFrom(c)
@@ -165,7 +160,7 @@ func TestNameTallyTracksEveryMutation(t *testing.T) {
 		}
 		requireTallyMatchesFeatures(t, c, op)
 	}
-	for _, op := range []string{"upsert", "delete", "mutate-of", "apply-table", "apply-delta", "replace-all", "seed-from", "reload"} {
+	for _, op := range []string{"upsert", "delete", "mutate-of", "apply-table", "apply-delta", "seed-from", "reload"} {
 		if ops[op] == 0 {
 			t.Errorf("the schedule never ran %s", op)
 		}

@@ -688,7 +688,7 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 		return StepReport{}, fmt.Errorf("no published catalog configured")
 	}
 	changed, removed := ctx.Published.DiffTo(ctx.Working)
-	bumped, journaled, err := ctx.applyAndJournal(changed, removed)
+	bumped, journaled, err := ctx.Commit(changed, removed, 0, nil)
 	if err != nil {
 		// Before the completion bookkeeping below, so an acknowledged run
 		// is always on disk.
@@ -720,17 +720,31 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 	return step, nil
 }
 
-// applyAndJournal is the tail every publish shares — a chain run's
-// Publish step and a pushed batch's PublishDirect: patch the published
-// catalog with the delta, then journal it with its generation stamp and
-// the knowledge-epoch sidecar (the journal itself skips the append when
-// neither moved, so no-op publishes stay quiet). Both stages feed
+// Commit is the one way a change reaches the published catalog — a
+// chain run's Publish step, a pushed batch's PublishDirect, a
+// replicated journal record, a checkpoint bootstrap or a catalog load
+// all end here. It patches the published catalog with the delta, then
+// journals it with its generation stamp and a knowledge-epoch sidecar
+// (the journal itself skips the append when neither moved, so no-op
+// publishes stay quiet). Both stages feed
 // dnh_publish_stage_duration_seconds and open a span under the
 // context's trace, whichever writer ran them.
-func (c *Context) applyAndJournal(changed []*catalog.Feature, removed []string) (bumped, journaled bool, err error) {
+//
+// at selects the generation rule. Zero commits at the next generation
+// (an empty delta keeps the current one) and journals the context's own
+// sidecar. Non-zero pins the commit to a leader's journaled generation,
+// which must be ahead of the catalog's, and journals sidecar — that
+// record's — verbatim. Callers serialize commits; the facade holds one
+// publish lock across every writer.
+func (c *Context) Commit(changed []*catalog.Feature, removed []string, at uint64, sidecar []byte) (bumped, journaled bool, err error) {
 	aid := c.Trace.Start(c.TraceSpan, "apply-delta")
 	t0 := time.Now()
-	bumped, err = c.Published.ApplyDelta(changed, removed)
+	if at == 0 {
+		bumped, err = c.Published.ApplyDelta(changed, removed)
+	} else {
+		err = c.Published.ApplyDeltaAt(at, changed, removed)
+		bumped = err == nil
+	}
 	applyDeltaSeconds.ObserveSeconds(time.Since(t0).Nanoseconds())
 	c.Trace.Attr(aid, "changed", int64(len(changed)))
 	c.Trace.Attr(aid, "removed", int64(len(removed)))
@@ -738,9 +752,10 @@ func (c *Context) applyAndJournal(changed []*catalog.Feature, removed []string) 
 	if err != nil || c.Journal == nil {
 		return bumped, false, err
 	}
-	sidecar, err := c.EpochSidecar()
-	if err != nil {
-		return bumped, false, err
+	if at == 0 {
+		if sidecar, err = c.EpochSidecar(); err != nil {
+			return bumped, false, err
+		}
 	}
 	// The journal-append span covers encode + write + flush and, under
 	// the always-fsync policy, the fsync itself; fsyncs are aggregated

@@ -85,7 +85,7 @@ func (d *Delta) Dirty() []string {
 type Context struct {
 	// Working is the working catalog components mutate.
 	Working *catalog.Catalog
-	// Published is the catalog search serves; only Publish touches it.
+	// Published is the catalog search serves; only Commit touches it.
 	Published *catalog.Catalog
 	// Knowledge is the curated state (synonym table, abbreviations,
 	// contexts, vocabulary). Curators improve it between runs.
@@ -120,11 +120,11 @@ type Context struct {
 	// escape hatch for operators who suspect drift, and the ablation the
 	// equivalence property test compares the delta path against.
 	ForceFullReprocess bool
-	// Journal, when set, receives every publish delta (with its
-	// generation stamp and the knowledge-epoch sidecar) after it is
-	// applied — the durable write-ahead path. Publish fails if the
-	// append does, so an acknowledged run is on disk.
-	Journal PublishJournal
+	// Journal, when set, is the durable store Commit appends every
+	// applied delta to (with its generation stamp and the
+	// knowledge-epoch sidecar). A commit fails if the append does, so an
+	// acknowledged publish is on disk.
+	Journal *catalog.Store
 	// KnowledgeEpoch counts curated-knowledge changes. It moves when a
 	// component or the facade calls NoteKnowledgeChange, and when
 	// ScanArchive detects that the knowledge fingerprint drifted from
@@ -281,7 +281,7 @@ func NewContext(k *semdiv.Knowledge, scanCfg scan.Config) *Context {
 // NewContextSharded is NewContext with an explicit snapshot shard count
 // for both catalogs (0 or negative = default). The published catalog's
 // count decides how publish patching and search scatter; the working
-// catalog matches it so a wholesale ReplaceAll keeps the partition.
+// catalog matches it.
 func NewContextSharded(k *semdiv.Knowledge, scanCfg scan.Config, shards int) *Context {
 	return &Context{
 		Working:    catalog.NewSharded(shards),

@@ -4,19 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"metamess/internal/catalog"
 	"metamess/internal/refine"
 	"metamess/internal/semdiv"
 )
-
-// PublishJournal is the durability hook the Publish component drives:
-// after applying a publish delta to the published catalog it appends
-// the delta — stamped with the resulting generation and carrying the
-// knowledge-epoch sidecar — so the whole curated state survives a
-// crash. catalog.Store implements it.
-type PublishJournal interface {
-	AppendPublish(gen uint64, changed []*catalog.Feature, removed []string, sidecar []byte) error
-}
 
 // epochState is the knowledge-epoch sidecar riding every journaled
 // publish: everything the incremental machinery needs, beyond the

@@ -8,11 +8,10 @@ import (
 
 // PublishDirect applies an externally produced feature delta — a push
 // from a live producer, not a wrangle over the working catalog — through
-// exactly the tail a chain Publish uses (applyAndJournal): the published
-// catalog's sharded ApplyDelta, the knowledge-epoch sidecar, and the
-// durable journal append. Durability, replication tailing, and
-// generation-keyed cache invalidation therefore work unchanged for
-// pushed metadata.
+// the same Commit a chain Publish uses: the published catalog's sharded
+// ApplyDelta, the knowledge-epoch sidecar, and the durable journal
+// append. Durability, replication tailing, and generation-keyed cache
+// invalidation therefore work unchanged for pushed metadata.
 //
 // The working catalog is kept in sync so the next Wrangle's
 // DiffTo(Working) does not see the pushed features as drift and retract
@@ -73,7 +72,7 @@ func (c *Context) PublishDirect(features []*catalog.Feature, removeIDs []string)
 		c.Working.Delete(id)
 	}
 
-	if _, _, err := c.applyAndJournal(applyChanged, applyRemoved); err != nil {
+	if _, _, err := c.Commit(applyChanged, applyRemoved, 0, nil); err != nil {
 		return 0, 0, 0, fmt.Errorf("core: publish: %w", err)
 	}
 	return c.Published.Generation(), len(applyChanged), len(applyRemoved), nil

@@ -214,7 +214,10 @@ func TestSearchSnapshotStableAcrossPublish(t *testing.T) {
 	if err := next.Upsert(mkFeature("new.obs", astoria, june2010, v("salinity", 0, 30))); err != nil {
 		t.Fatal(err)
 	}
-	c.ReplaceAll(next)
+	changed, removed := c.DiffTo(next)
+	if _, err := c.ApplyDelta(changed, removed); err != nil {
+		t.Fatal(err)
+	}
 	res, err := s.Search(Query{Terms: []Term{{Name: "salinity"}}})
 	if err != nil || len(res) != 1 || res[0].Feature.Path != "new.obs" {
 		t.Fatalf("post-publish search: %v %v", res, err)

@@ -257,10 +257,26 @@ func TestPublishReplicatesToFollower(t *testing.T) {
 }
 
 // TestPublishObservesStageHistograms checks a push is visible where a
-// wrangle's publish is: one accepted POST /publish on a durable node
-// observes dnh_publish_stage_duration_seconds once per stage.
+// wrangle's publish is, and a replicated apply where the publish it
+// mirrors is: one accepted POST /publish on a durable leader, applied by
+// one durable follower, observes dnh_publish_stage_duration_seconds
+// twice per stage (the histograms are process-wide).
 func TestPublishObservesStageHistograms(t *testing.T) {
 	_, lts, _ := newDurableLeader(t, 12, 29)
+	_, rep := newFollower(t, lts.URL, t.TempDir())
+	// Records applied, not generation reached: the counter moves only
+	// after the commit, observation included, has returned.
+	awaitApplied := func(want uint64) {
+		t.Helper()
+		deadline := time.Now().Add(15 * time.Second)
+		for rep.Stats().AppliedRecords < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower applied %d records, want %d", rep.Stats().AppliedRecords, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	awaitApplied(1) // the leader's wrangle
 	stages := []string{
 		`dnh_publish_stage_duration_seconds_count{stage="apply-delta"}`,
 		`dnh_publish_stage_duration_seconds_count{stage="journal-append"}`,
@@ -271,11 +287,12 @@ func TestPublishObservesStageHistograms(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("publish: %d %s", status, body)
 	}
+	awaitApplied(2)
 	_, _, text = get(t, lts.URL+"/metrics")
 	after := parseSeries(t, text)
 	for _, series := range stages {
-		if got := after[series] - before[series]; got != 1 {
-			t.Errorf("%s moved by %v across one accepted publish, want 1", series, got)
+		if got := after[series] - before[series]; got != 2 {
+			t.Errorf("%s moved by %v across one accepted publish and its replicated apply, want 2", series, got)
 		}
 	}
 }

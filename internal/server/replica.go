@@ -12,11 +12,12 @@ import (
 	"time"
 
 	"metamess"
+	"metamess/internal/catalog"
 )
 
 // Replicator is dnhd's follower engine: it tails a leader's journal
 // over HTTP (`GET /journal/tail?from=<gen>`, long-polled), applies each
-// checksummed frame through the catalog's replication path, and
+// checksummed frame through the system's one publish commit, and
 // bootstraps from the leader's checkpoint whenever the tail answers
 // with a resync signal (the follower fell behind the journals' reach —
 // typically across a compaction while the follower was down). A durable
@@ -33,6 +34,16 @@ const DefaultReplicaBackoff = 500 * time.Millisecond
 // DefaultMaxLag is the /readyz lag threshold (generations behind the
 // leader) when the config leaves it 0.
 const DefaultMaxLag = 16
+
+// replicaTailBudget is the max_bytes a follower asks for per tail round.
+// The leader's budget is soft — it never tears a record — so a response
+// is at most the budget plus one record, and a record read off the wire
+// is bounded by catalog.MaxStreamLine. maxTailResponse is therefore what
+// one round may read before it fails.
+const (
+	replicaTailBudget = catalog.DefaultTailMaxBytes
+	maxTailResponse   = replicaTailBudget + catalog.MaxStreamLine
+)
 
 // ReplicaConfig configures a Replicator.
 type ReplicaConfig struct {
@@ -68,6 +79,9 @@ type Replicator struct {
 	kick   chan struct{}
 	cancel context.CancelFunc
 	done   chan struct{}
+	// tailLimit caps the bytes one tail round reads (maxTailResponse;
+	// tests lower it).
+	tailLimit int64
 
 	leaderGen atomic.Uint64
 	applied   atomic.Uint64 // records applied
@@ -111,10 +125,11 @@ func NewReplicator(cfg ReplicaConfig) (*Replicator, error) {
 		client = &http.Client{Timeout: cfg.PollWait + 30*time.Second}
 	}
 	return &Replicator{
-		cfg:    cfg,
-		client: client,
-		logger: logger,
-		kick:   make(chan struct{}, 1),
+		cfg:       cfg,
+		client:    client,
+		logger:    logger,
+		kick:      make(chan struct{}, 1),
+		tailLimit: maxTailResponse,
 	}, nil
 }
 
@@ -188,7 +203,7 @@ func (r *Replicator) run(ctx context.Context) {
 func (r *Replicator) iterate(ctx context.Context) (int, error) {
 	from := r.cfg.Sys.SnapshotGeneration()
 	waitMs := r.cfg.PollWait.Milliseconds()
-	url := fmt.Sprintf("%s/journal/tail?from=%d&wait_ms=%d", r.cfg.Leader, from, waitMs)
+	url := fmt.Sprintf("%s/journal/tail?from=%d&wait_ms=%d&max_bytes=%d", r.cfg.Leader, from, waitMs, replicaTailBudget)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, err
@@ -213,9 +228,12 @@ func (r *Replicator) iterate(ctx context.Context) (int, error) {
 		}
 		return n, nil
 	}
-	frames, err := io.ReadAll(resp.Body)
+	frames, err := io.ReadAll(io.LimitReader(resp.Body, r.tailLimit+1))
 	if err != nil {
 		return 0, err
+	}
+	if int64(len(frames)) > r.tailLimit {
+		return 0, fmt.Errorf("leader tail: response exceeds %d bytes (max_bytes %d plus one record)", r.tailLimit, replicaTailBudget)
 	}
 	applied, err := r.cfg.Sys.ApplyReplicatedFrames(frames)
 	r.applied.Add(uint64(applied))
@@ -261,11 +279,6 @@ func (r *Replicator) resync(ctx context.Context) (int, error) {
 	r.resyncs.Add(1)
 	r.connected.Store(true)
 	r.noteProgress()
-	// The bootstrap landed as one large journal record on a durable
-	// follower; fold it into a local checkpoint promptly.
-	if _, err := r.cfg.Sys.CompactIfNeeded(); err != nil {
-		r.logger.Warn("replica: compact after resync", "err", err)
-	}
 	r.logger.Info("replica: resync complete", "generation", gen)
 	return 1, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"metamess"
 	"metamess/internal/archive"
+	"metamess/internal/catalog"
 	"metamess/internal/workload"
 )
 
@@ -275,6 +276,9 @@ func TestLeaderFollowerEquivalence(t *testing.T) {
 // TestFollowerResyncAfterCompaction covers the bootstrap path: a
 // follower that starts (or falls) behind the leader's retained journals
 // must rebuild from the checkpoint — cleanly, never from torn frames.
+// A second follower tails the first: the first's bootstrap record spans
+// several generations, so the chained node must resync across it (the
+// bootstrap compacts it away) and still converge byte-identically.
 func TestFollowerResyncAfterCompaction(t *testing.T) {
 	lsys, lts, root := newDurableLeader(t, 20, 11)
 	publish(t, lsys, root, 505)
@@ -298,6 +302,69 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 	fts := httptest.NewServer(fsrv.Handler())
 	defer fts.Close()
 	assertByteIdentical(t, lts.URL, fts.URL)
+
+	csys, crep := newFollower(t, fts.URL, t.TempDir())
+	waitForGeneration(t, csys, gen)
+	if got := crep.Stats().Resyncs; got < 1 {
+		t.Errorf("chained follower resynced %d times, want >= 1", got)
+	}
+	csrv, err := New(Config{Sys: csys, Replica: crep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts := httptest.NewServer(csrv.Handler())
+	defer cts.Close()
+	assertByteIdentical(t, lts.URL, cts.URL)
+}
+
+// TestFollowerTailReadIsBounded: the follower asks for an explicit
+// max_bytes and reads at most that budget plus one maximal record. A
+// "leader" streaming past the cap fails the round, and nothing is
+// applied — not even the well-formed frames in front of the excess.
+func TestFollowerTailReadIsBounded(t *testing.T) {
+	if maxTailResponse != catalog.DefaultTailMaxBytes+catalog.MaxStreamLine {
+		t.Fatalf("maxTailResponse = %d, want the tail budget plus one maximal record", maxTailResponse)
+	}
+	lsys, _, _ := newDurableLeader(t, 8, 41)
+	frames, gen, _, err := lsys.JournalTail(0, 0)
+	if err != nil || len(frames) == 0 {
+		t.Fatalf("leader tail: %d bytes, err %v", len(frames), err)
+	}
+	asked := make(chan string, 1)
+	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case asked <- r.URL.Query().Get("max_bytes"):
+		default:
+		}
+		w.Header().Set("X-Dnhd-Generation", fmt.Sprint(gen))
+		w.Write(frames)
+		w.Write(bytes.Repeat([]byte("x"), 64<<10))
+	}))
+	defer hostile.Close()
+
+	fsys, err := metamess.New(metamess.Config{ArchiveRoot: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewReplicator(ReplicaConfig{Leader: hostile.URL, Sys: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.tailLimit != maxTailResponse {
+		t.Fatalf("tail limit %d, want maxTailResponse %d", rep.tailLimit, maxTailResponse)
+	}
+	// Lowered so the test streams kilobytes, not 65 MiB.
+	rep.tailLimit = int64(len(frames)) + 1<<10
+	n, err := rep.iterate(context.Background())
+	if err == nil {
+		t.Errorf("an over-cap tail applied %d records with no error", n)
+	}
+	if n != 0 || fsys.SnapshotGeneration() != 0 || fsys.DatasetCount() != 0 {
+		t.Errorf("an over-cap tail applied %d records (generation %d, %d datasets)", n, fsys.SnapshotGeneration(), fsys.DatasetCount())
+	}
+	if got := <-asked; got != fmt.Sprint(replicaTailBudget) {
+		t.Errorf("follower sent max_bytes=%q, want %d", got, replicaTailBudget)
+	}
 }
 
 // TestJournalTailEndpoint pins the wire contract: generation header,

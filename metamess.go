@@ -126,12 +126,10 @@ type System struct {
 	process  *core.Process
 	taxonomy *hierarchy.Taxonomy
 	searcher *search.Searcher
-	// store is the durable journal+checkpoint home (nil without
-	// Config.DataDir).
-	store *catalog.Store
-	// pubMu serializes the two writers of the published catalog and the
-	// journal — chain runs (Wrangle) and pushed batches
-	// (PublishFeatures) — so their apply/journal sequences never
+	// pubMu serializes every writer of the published catalog and the
+	// journal — chain runs (Wrangle), pushed batches (PublishFeatures),
+	// replicated frames, checkpoint bootstraps and catalog loads — around
+	// their core.Context.Commit, so apply/journal sequences never
 	// interleave. Searches read the immutable snapshot and never take it.
 	pubMu sync.Mutex
 }
@@ -228,22 +226,21 @@ func (s *System) openDurable() error {
 		}
 	}
 	s.ctx.Journal = store
-	s.store = store
 	return nil
 }
 
 // Durable reports whether the system journals publishes to a data
 // directory.
-func (s *System) Durable() bool { return s.store != nil }
+func (s *System) Durable() bool { return s.ctx.Journal != nil }
 
 // Close drains the publish journal (flush + fsync) and closes it.
 // Idempotent; a no-op for non-durable systems. After Close, Wrangle
 // fails on its publish step.
 func (s *System) Close() error {
-	if s.store == nil {
+	if s.ctx.Journal == nil {
 		return nil
 	}
-	return s.store.Close()
+	return s.ctx.Journal.Close()
 }
 
 // CompactIfNeeded folds the publish journal into a fresh checkpoint
@@ -251,10 +248,10 @@ func (s *System) Close() error {
 // entry point the dnhd rewrangler calls after runs. It reports whether
 // a compaction ran; a no-op for non-durable systems.
 func (s *System) CompactIfNeeded() (bool, error) {
-	if s.store == nil {
+	if s.ctx.Journal == nil {
 		return false, nil
 	}
-	return s.store.CompactIfNeeded(s.ctx.Published)
+	return s.ctx.Journal.CompactIfNeeded(s.ctx.Published)
 }
 
 // DurabilityStats is a monitoring view of the journal+checkpoint store.
@@ -286,10 +283,10 @@ type DurabilityStats struct {
 // Durability returns journal/checkpoint statistics; ok is false for
 // non-durable systems.
 func (s *System) Durability() (stats DurabilityStats, ok bool) {
-	if s.store == nil {
+	if s.ctx.Journal == nil {
 		return DurabilityStats{}, false
 	}
-	st := s.store.Stats()
+	st := s.ctx.Journal.Stats()
 	return DurabilityStats{
 		Generation:      st.Generation,
 		JournalBytes:    st.JournalBytes,
@@ -660,15 +657,19 @@ func (s *System) SaveCatalog(path string) error {
 	return catalog.Save(path, s.ctx.Published)
 }
 
-// LoadCatalog replaces the published catalog from a checkpoint file, so a
-// search service can start without re-scanning the archive.
+// LoadCatalog makes the published catalog equal to a checkpoint file, so
+// a search service can start without re-scanning the archive. The load
+// is committed at the next generation like any publish — journaled on a
+// durable system — and, like a no-op re-wrangle, reloading an unchanged
+// file keeps the generation and every cached response.
 func (s *System) LoadCatalog(path string) error {
 	c, err := catalog.Load(path)
 	if err != nil {
 		return err
 	}
-	s.ctx.Published.ReplaceAll(c)
-	return nil
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	return s.commitCatalog(c, 0, nil)
 }
 
 // DatasetCount returns the published catalog's size.

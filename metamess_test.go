@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"metamess/internal/archive"
+	"metamess/internal/catalog"
 )
 
 func newSystem(t testing.TB, datasets int, seed int64) (*System, *archive.Manifest) {
@@ -311,6 +312,58 @@ func TestSaveLoadCatalog(t *testing.T) {
 	}
 	if len(hits) == 0 {
 		t.Error("loaded catalog not searchable")
+	}
+	// Reloading an unchanged file is a no-op publish, like a no-op
+	// re-wrangle: the generation, and every cached response, survive.
+	gen := other.SnapshotGeneration()
+	if err := other.LoadCatalog(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := other.SnapshotGeneration(); got != gen {
+		t.Errorf("reloading an unchanged file moved the generation %d -> %d", gen, got)
+	}
+
+	// On a durable system a load is a journaled publish: a system that
+	// wrangled its own archive loads the file, takes one push, and a
+	// reopen must recover exactly what it served at that generation.
+	root, dataDir := t.TempDir(), t.TempDir()
+	if _, err := archive.Generate(root, archive.DefaultGenConfig(4, 3)); err != nil {
+		t.Fatal(err)
+	}
+	durable, err := OpenDurable(Config{ArchiveRoot: root, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := durable.Wrangle(); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.LoadCatalog(path); err != nil {
+		t.Fatal(err)
+	}
+	push := sys.ctx.Published.Snapshot().All()[0].Clone()
+	push.Path = "push/" + filepath.Base(push.Path)
+	push.ID = catalog.IDForPath(push.Path)
+	if _, err := durable.PublishFeatures(&PublishRequest{Features: []*catalog.Feature{push}}); err != nil {
+		t.Fatal(err)
+	}
+	if durable.DatasetCount() != sys.DatasetCount()+1 {
+		t.Fatalf("durable system serves %d datasets, want %d", durable.DatasetCount(), sys.DatasetCount()+1)
+	}
+	served, servedGen := publishedFingerprint(t, durable), durable.SnapshotGeneration()
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDurable(Config{ArchiveRoot: root, DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.SnapshotGeneration(); got != servedGen {
+		t.Errorf("reopened at generation %d, served %d", got, servedGen)
+	}
+	if got := publishedFingerprint(t, reopened); got != served {
+		t.Errorf("recovered %d datasets at generation %d, but %d were served there",
+			reopened.DatasetCount(), reopened.SnapshotGeneration(), durable.DatasetCount())
 	}
 }
 
