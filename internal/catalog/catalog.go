@@ -3,6 +3,8 @@ package catalog
 import (
 	"fmt"
 	"maps"
+	"path"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,7 +17,8 @@ import (
 // wrangling writes take the exclusive lock, while search reads go
 // through an immutable published Snapshot swapped in atomically, so the
 // read path takes no locks at all. The snapshot's shards carry the
-// search indexes; the catalog itself keeps only the name tally.
+// search indexes; the catalog itself keeps only tallies (names,
+// directories, units).
 type Catalog struct {
 	mu       sync.RWMutex
 	features map[string]*Feature
@@ -24,6 +27,12 @@ type Catalog struct {
 	// name-level questions (VariableNameCounts, the mess metric) read
 	// O(distinct names) instead of walking every feature.
 	names map[string]nameTally
+	// dirs counts features per directory and format, and units counts
+	// variable occurrences per non-empty unit string: maintained by the
+	// same hook, they let validation's catalog-wide checks read
+	// O(directories) and O(distinct units).
+	dirs  map[string]map[string]int
+	units map[string]int
 	// generation counts mutations, letting long-running searchers detect
 	// that a published catalog replaced this one.
 	generation uint64
@@ -52,6 +61,8 @@ func NewSharded(shards int) *Catalog {
 	return &Catalog{
 		features: make(map[string]*Feature),
 		names:    make(map[string]nameTally),
+		dirs:     make(map[string]map[string]int),
+		units:    make(map[string]int),
 		shards:   shards,
 	}
 }
@@ -222,21 +233,61 @@ func (c *Catalog) sortedNamesLocked() []string {
 	return out
 }
 
+// featureDir is the directory a feature is filed under: the
+// slash-separated parent of its archive path.
+func featureDir(f *Feature) string { return path.Dir(filepath.ToSlash(f.Path)) }
+
+// ForEachDirectory calls fn once per directory holding features (the
+// slash-separated parent of their paths), in ascending order, with the
+// sorted distinct formats of the features filed there. It reads the
+// maintained tally, not the features.
+func (c *Catalog) ForEachDirectory(fn func(dir string, formats []string)) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	dirs := make([]string, 0, len(c.dirs))
+	for d := range c.dirs {
+		dirs = append(dirs, d)
+	}
+	sort.Strings(dirs)
+	for _, d := range dirs {
+		formats := make([]string, 0, len(c.dirs[d]))
+		for f := range c.dirs[d] {
+			formats = append(formats, f)
+		}
+		sort.Strings(formats)
+		fn(d, formats)
+	}
+}
+
+// DistinctUnits returns the sorted distinct non-empty unit strings the
+// catalog's variables carry, from the maintained tally.
+func (c *Catalog) DistinctUnits() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]string, 0, len(c.units))
+	for u := range c.units {
+		out = append(out, u)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // MutateVariables applies fn to every feature's variable list under the
-// write lock; fn returns true if it changed the variables. The method
-// re-tallies the features and returns how many changed. This is the
-// hook the wrangling chain uses to write transformation results back
-// from the working grid into the catalog.
+// write lock; fn returns true if it changed the variables, and must not
+// change anything else. The method re-tallies the variables and returns
+// how many features changed. This is the hook the wrangling chain uses
+// to write transformation results back from the working grid into the
+// catalog.
 func (c *Catalog) MutateVariables(fn func(f *Feature) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	changed := 0
 	for _, f := range c.features {
-		c.tallyLocked(f, -1)
+		c.tallyVariablesLocked(f, -1)
 		if fn(f) {
 			changed++
 		}
-		c.tallyLocked(f, 1)
+		c.tallyVariablesLocked(f, 1)
 	}
 	if changed > 0 {
 		c.generation++
@@ -260,11 +311,11 @@ func (c *Catalog) MutateVariablesOf(ids []string, fn func(f *Feature) bool) int 
 		if !ok {
 			continue
 		}
-		c.tallyLocked(f, -1)
+		c.tallyVariablesLocked(f, -1)
 		if fn(f) {
 			changed++
 		}
-		c.tallyLocked(f, 1)
+		c.tallyVariablesLocked(f, 1)
 	}
 	if len(ids) > 0 {
 		if changed > 0 {
@@ -329,6 +380,10 @@ func (c *Catalog) Clone() *Catalog {
 		n.features[id] = f.Clone()
 	}
 	maps.Copy(n.names, c.names)
+	for d, formats := range c.dirs {
+		n.dirs[d] = maps.Clone(formats)
+	}
+	maps.Copy(n.units, c.units)
 	n.generation = c.generation
 	return n
 }
@@ -341,6 +396,18 @@ func (c *Catalog) Clone() *Catalog {
 // yields an empty delta. Unchanged features are never cloned. Both
 // result slices are sorted by ID.
 func (c *Catalog) DiffTo(next *Catalog) (changed []*Feature, removed []string) {
+	return c.diff(next, nil, true)
+}
+
+// DiffOf is DiffTo restricted to the given distinct IDs: the exact
+// delta when next differs from c at most at those IDs, at a cost in
+// proportion to them instead of to the catalogs.
+func (c *Catalog) DiffOf(next *Catalog, ids []string) (changed []*Feature, removed []string) {
+	return c.diff(next, ids, false)
+}
+
+// diff is the one body behind DiffTo (all) and DiffOf (the ids only).
+func (c *Catalog) diff(next *Catalog, ids []string, all bool) (changed []*Feature, removed []string) {
 	// Lock ordering: the published catalog first, then the working one.
 	// Callers own both: the chain's Publish step, and catalog loads
 	// diffing against a private scratch catalog.
@@ -348,16 +415,28 @@ func (c *Catalog) DiffTo(next *Catalog) (changed []*Feature, removed []string) {
 	defer c.mu.RUnlock()
 	next.mu.RLock()
 	defer next.mu.RUnlock()
-	for id, f := range next.features {
-		old, ok := c.features[id]
-		if ok && old.ContentEquals(f) {
-			continue
-		}
-		changed = append(changed, f.Clone())
-	}
-	for id := range c.features {
-		if _, ok := next.features[id]; !ok {
+	visit := func(id string) {
+		f, inNext := next.features[id]
+		old, inC := c.features[id]
+		switch {
+		case inNext && !(inC && old.ContentEquals(f)):
+			changed = append(changed, f.Clone())
+		case !inNext && inC:
 			removed = append(removed, id)
+		}
+	}
+	if all {
+		for id := range next.features {
+			visit(id)
+		}
+		for id := range c.features {
+			if _, ok := next.features[id]; !ok {
+				visit(id)
+			}
+		}
+	} else {
+		for _, id := range ids {
+			visit(id)
 		}
 	}
 	sort.Slice(changed, func(i, j int) bool { return changed[i].ID < changed[j].ID })
@@ -479,6 +558,8 @@ func (c *Catalog) SeedFrom(other *Catalog) {
 	defer c.mu.Unlock()
 	c.features = clone.features
 	c.names = clone.names
+	c.dirs = clone.dirs
+	c.units = clone.units
 	c.generation++
 	c.snap.Store(nil)
 }
@@ -486,9 +567,8 @@ func (c *Catalog) SeedFrom(other *Catalog) {
 // ForEach calls fn for every feature in ID order under the read lock,
 // without cloning. fn must treat the feature as read-only and must not
 // retain it past the call — this is the cheap full-catalog read the
-// wrangling chain's bookkeeping passes (mess metric, grid extraction,
-// publish diff) use instead of forcing a snapshot rebuild after every
-// mutation step.
+// wrangling chain's full passes (grid extraction, validation) use
+// instead of forcing a snapshot rebuild after every mutation step.
 func (c *Catalog) ForEach(fn func(f *Feature)) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -499,6 +579,18 @@ func (c *Catalog) ForEach(fn func(f *Feature)) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		fn(c.features[id])
+	}
+}
+
+// ForEachOf is ForEach restricted to the given IDs, visited in the
+// given order; absent IDs are skipped.
+func (c *Catalog) ForEachOf(ids []string, fn func(f *Feature)) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, id := range ids {
+		if f, ok := c.features[id]; ok {
+			fn(f)
+		}
 	}
 }
 
@@ -603,12 +695,36 @@ func (c *Catalog) ApplyTable(t *table.Table) (int, error) {
 	return changed, nil
 }
 
-// tallyLocked adds (sign +1) or removes (sign -1) f's variable
-// occurrences to or from the name tally, dropping a name whose last
-// occurrence went; callers hold the lock.
+// tallyLocked adds (sign +1) or removes (sign -1) f to or from the
+// catalog's tallies — its directory and format, then its variables —
+// dropping any key whose count reaches zero; callers hold the lock.
 func (c *Catalog) tallyLocked(f *Feature, sign int) {
+	dir := featureDir(f)
+	formats := c.dirs[dir]
+	if formats == nil {
+		formats = make(map[string]int)
+		c.dirs[dir] = formats
+	}
+	if formats[f.Format] += sign; formats[f.Format] == 0 {
+		delete(formats, f.Format)
+		if len(formats) == 0 {
+			delete(c.dirs, dir)
+		}
+	}
+	c.tallyVariablesLocked(f, sign)
+}
+
+// tallyVariablesLocked is the variable half of tallyLocked: the name
+// tally and the unit counts. The MutateVariables paths, which change
+// variables only, re-tally through it alone.
+func (c *Catalog) tallyVariablesLocked(f *Feature, sign int) {
 	for i := range f.Variables {
 		v := &f.Variables[i]
+		if v.Unit != "" {
+			if c.units[v.Unit] += sign; c.units[v.Unit] == 0 {
+				delete(c.units, v.Unit)
+			}
+		}
 		t := c.names[v.Name]
 		t.occurrences += sign
 		if v.Excluded {

@@ -9,14 +9,36 @@ import (
 	"metamess/internal/table"
 )
 
-// requireTallyMatchesFeatures recounts the name tally from the features
-// and compares it with what the mutation hooks maintained, through both
-// readers (ForEachVariableName and VariableNameCounts).
+// tallyFeature is deltaFeature with the facts the directory and unit
+// tallies count varied by version: the format, and the variables' units.
+func tallyFeature(i, version int) *Feature {
+	f := deltaFeature(i, version)
+	f.Format = []string{"obs", "csv", "obs"}[version%3]
+	f.Variables[0].Unit = []string{"degC", "", "furlongs"}[(i+version)%3]
+	f.Variables[1].Unit = "PSU"
+	return f
+}
+
+// requireTallyMatchesFeatures recounts the name, directory and unit
+// tallies from the features and compares them with what the mutation
+// hooks maintained, and with what their readers (ForEachVariableName,
+// VariableNameCounts, DistinctVariableNames, ForEachDirectory,
+// DistinctUnits) report.
 func requireTallyMatchesFeatures(t *testing.T, c *Catalog, when string) {
 	t.Helper()
 	want := map[string]nameTally{}
+	wantDirs := map[string]map[string]int{}
+	wantUnits := map[string]int{}
 	c.ForEach(func(f *Feature) {
+		dir := featureDir(f)
+		if wantDirs[dir] == nil {
+			wantDirs[dir] = map[string]int{}
+		}
+		wantDirs[dir][f.Format]++
 		for _, v := range f.Variables {
+			if v.Unit != "" {
+				wantUnits[v.Unit]++
+			}
 			n := want[v.Name]
 			n.occurrences++
 			if v.Excluded {
@@ -56,12 +78,43 @@ func requireTallyMatchesFeatures(t *testing.T, c *Catalog, when string) {
 	if got := c.VariableNameCounts(); !reflect.DeepEqual(got, counts) {
 		t.Fatalf("%s: VariableNameCounts %v, recount %v", when, got, counts)
 	}
+
+	if !reflect.DeepEqual(c.dirs, wantDirs) {
+		t.Fatalf("%s: directory tally %v, recount %v", when, c.dirs, wantDirs)
+	}
+	if !reflect.DeepEqual(c.units, wantUnits) {
+		t.Fatalf("%s: unit tally %v, recount %v", when, c.units, wantUnits)
+	}
+	var dirs []string
+	c.ForEachDirectory(func(dir string, formats []string) {
+		dirs = append(dirs, dir)
+		want := make([]string, 0, len(wantDirs[dir]))
+		for f := range wantDirs[dir] {
+			want = append(want, f)
+		}
+		sort.Strings(want)
+		if !reflect.DeepEqual(formats, want) {
+			t.Fatalf("%s: directory %s formats %v, recount %v", when, dir, formats, want)
+		}
+	})
+	if len(dirs) != len(wantDirs) || !sort.StringsAreSorted(dirs) {
+		t.Fatalf("%s: ForEachDirectory visited %v, recount has %d directories", when, dirs, len(wantDirs))
+	}
+	units := make([]string, 0, len(wantUnits))
+	for u := range wantUnits {
+		units = append(units, u)
+	}
+	sort.Strings(units)
+	if got := c.DistinctUnits(); !reflect.DeepEqual(got, units) {
+		t.Fatalf("%s: DistinctUnits %v, recount %v", when, got, units)
+	}
 }
 
 // TestNameTallyTracksEveryMutation drives a catalog through a random
 // sequence of every mutation path — including adopting another
 // catalog's state and reloading from a store — and requires the
-// maintained tally to equal a recount after each step. "apply-delta"
+// maintained name, directory and unit tallies to equal a recount after
+// each step. "apply-delta"
 // runs the one apply body both unpinned and pinned (ApplyDeltaAt).
 func TestNameTallyTracksEveryMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -74,7 +127,7 @@ func TestNameTallyTracksEveryMutation(t *testing.T) {
 		ops[op]++
 		switch op {
 		case "upsert":
-			if err := c.Upsert(deltaFeature(rng.Intn(ids), rng.Intn(3))); err != nil {
+			if err := c.Upsert(tallyFeature(rng.Intn(ids), rng.Intn(3))); err != nil {
 				t.Fatal(err)
 			}
 		case "delete":
@@ -116,7 +169,7 @@ func TestNameTallyTracksEveryMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 		case "apply-delta":
-			changed := []*Feature{deltaFeature(rng.Intn(ids), rng.Intn(3)), deltaFeature(ids+rng.Intn(5), 1)}
+			changed := []*Feature{tallyFeature(rng.Intn(ids), rng.Intn(3)), tallyFeature(ids+rng.Intn(5), 1)}
 			removed := []string{deltaFeature(rng.Intn(ids), 0).ID}
 			if rng.Intn(2) == 0 {
 				if _, err := c.ApplyDelta(changed, removed); err != nil {

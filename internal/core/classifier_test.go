@@ -20,7 +20,7 @@ type classifyProbe struct {
 func (classifyProbe) Name() string { return "classify-probe" }
 
 func (p classifyProbe) Run(ctx *Context) (StepReport, error) {
-	*p.got = ctx.classifier().Classify(p.name)
+	*p.got = ctx.Classifier().Classify(p.name)
 	return StepReport{}, nil
 }
 
@@ -47,7 +47,7 @@ func TestContextClassifierEqualsFreshClassifier(t *testing.T) {
 	for pass := 0; pass < 2; pass++ {
 		for n := range names {
 			want := semdiv.NewClassifier(ctx.Knowledge).Classify(n)
-			if got := ctx.classifier().Classify(n); !reflect.DeepEqual(got, want) {
+			if got := ctx.Classifier().Classify(n); !reflect.DeepEqual(got, want) {
 				t.Fatalf("pass %d: context classifier says %+v for %q, a fresh one %+v", pass, got, n, want)
 			}
 		}
@@ -66,7 +66,7 @@ func TestContextClassifierFollowsKnowledge(t *testing.T) {
 	}
 	const direct, merged = "curator_named_this_wt", "partner_site_wtemp"
 	for _, n := range []string{direct, merged} {
-		if f := ctx.classifier().Classify(n); f.Category != semdiv.CatUnknown {
+		if f := ctx.Classifier().Classify(n); f.Category != semdiv.CatUnknown {
 			t.Fatalf("%q = %s before any curation", n, f.Category)
 		}
 	}
@@ -75,7 +75,7 @@ func TestContextClassifierFollowsKnowledge(t *testing.T) {
 	if err := ctx.Knowledge.Synonyms.Add("water_temperature", direct); err != nil {
 		t.Fatal(err)
 	}
-	if f := ctx.classifier().Classify(direct); f.Category != semdiv.CatSynonym || f.Canonical != "water_temperature" {
+	if f := ctx.Classifier().Classify(direct); f.Category != semdiv.CatSynonym || f.Canonical != "water_temperature" {
 		t.Errorf("after a direct synonym add, %q = %s -> %q", direct, f.Category, f.Canonical)
 	}
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"metamess/internal/catalog"
@@ -85,9 +88,11 @@ func (ScanArchive) Run(ctx *Context) (StepReport, error) {
 	if ctx.pendingDirty == nil {
 		ctx.pendingDirty = make(map[string]bool)
 	}
-	for _, id := range ctx.Delta.Dirty() {
+	dirty := ctx.Delta.Dirty()
+	for _, id := range dirty {
 		ctx.pendingDirty[id] = true
 	}
+	ctx.addScope(append(dirty, ctx.Delta.Removed...)...)
 	step := StepReport{Counters: map[string]int{
 		"filesSeen":        res.Stats.FilesSeen,
 		"parsed":           res.Stats.Parsed,
@@ -121,7 +126,7 @@ func (KnownTransforms) Name() string { return "known-transforms" }
 
 // Run implements Component.
 func (KnownTransforms) Run(ctx *Context) (StepReport, error) {
-	cls := ctx.classifier()
+	cls := ctx.Classifier()
 	counts := ctx.Working.VariableNameCounts()
 	names := make([]string, len(counts))
 	for i, vc := range counts {
@@ -334,7 +339,7 @@ func (d DiscoverTransforms) Run(ctx *Context) (StepReport, error) {
 			cluster.Levenshtein(0.84),
 		}
 	}
-	cls := ctx.classifier()
+	cls := ctx.Classifier()
 	// The residual: names with no curated resolution — and no already
 	// discovered one. A re-parsed file resurrects raw names that an
 	// accumulated rule folds later in this same run (PerformDiscovered
@@ -538,10 +543,18 @@ func (g GenerateHierarchies) Run(ctx *Context) (StepReport, error) {
 		opts = hierarchy.DefaultGenerateOptions()
 	}
 	names := ctx.Working.DistinctVariableNames()
-	tax, err := hierarchy.Generate("variables", names, opts)
-	if err != nil {
-		return StepReport{}, err
+	nh := namesHash(names)
+	// The tree is a pure function of the name set and the options, so it
+	// is generated only when either moved; a churn round that keeps every
+	// name reuses the last one.
+	if key := (taxonomyKey{nh, opts}); ctx.tax == nil || ctx.taxKey != key {
+		tax, err := hierarchy.Generate("variables", names, opts)
+		if err != nil {
+			return StepReport{}, err
+		}
+		ctx.tax, ctx.taxKey = tax, key
 	}
+	tax := ctx.tax
 	if g.Taxonomy != nil {
 		*g.Taxonomy = tax
 	}
@@ -557,25 +570,33 @@ func (g GenerateHierarchies) Run(ctx *Context) (StepReport, error) {
 	// Classifier-driven parents: a multi-level name whose stem family has
 	// only one member never earns a taxonomy group, but the classifier
 	// still knows its parent concept (fluores410 under fluorescence).
-	cls := ctx.classifier()
-	classifiedParent := make(map[string]string)
-	for _, name := range names {
-		if f := cls.Classify(name); f.Category == semdiv.CatMultiLevel && f.GroupParent != "" {
-			classifiedParent[name] = f.GroupParent
+	// Looked up per name the pass meets, so a delta-scoped pass classifies
+	// only the dirty features' names.
+	cls := ctx.Classifier()
+	classified := make(map[string]string)
+	classifiedParent := func(name string) string {
+		p, ok := classified[name]
+		if !ok {
+			if f := cls.Classify(name); f.Category == semdiv.CatMultiLevel {
+				p = f.GroupParent
+			}
+			classified[name] = p
 		}
+		return p
 	}
 
 	// Taxonomy grouping is global — a new name can push a stem family
 	// over the grouping threshold and re-parent variables in untouched
 	// features — so the incremental pass is only sound while both the
-	// knowledge and the distinct-name set are unchanged. The generated
-	// tree itself is always rebuilt (it is cheap, sized by distinct
-	// names); only the per-feature write-back is delta-scoped.
-	nh := namesHash(names)
+	// knowledge and the distinct-name set are unchanged. A full pass
+	// scopes the rest of the run, validation and publish included, to
+	// every feature.
 	full := ctx.fullRun() || nh != ctx.lastNamesHash
 	var dirty []string
 	if !full {
 		dirty = ctx.Delta.Dirty()
+	} else {
+		ctx.scopeAll = true
 	}
 	processed := ctx.Working.Len()
 	if !full {
@@ -591,7 +612,7 @@ func (g GenerateHierarchies) Run(ctx *Context) (StepReport, error) {
 				v.Parent = p
 				parents++
 				changed = true
-			} else if p, ok := classifiedParent[v.Name]; ok && v.Parent == "" {
+			} else if p := classifiedParent(v.Name); p != "" && v.Parent == "" {
 				v.Parent = p
 				parents++
 				changed = true
@@ -621,7 +642,9 @@ func (g GenerateHierarchies) Run(ctx *Context) (StepReport, error) {
 
 // Validate runs the validation suite and records the report on the
 // context; it fails the chain when a check errors, so Publish never runs
-// over a broken catalog.
+// over a broken catalog. The per-feature checks re-inspect only the
+// run's scope (see Context.scope) and keep the rest of their findings
+// from earlier runs; the report is exactly validate.Run's.
 type Validate struct {
 	// Checks defaults to validate.DefaultChecks.
 	Checks []validate.Check
@@ -646,17 +669,26 @@ func (v Validate) Run(ctx *Context) (StepReport, error) {
 		ExpectedPaths: ctx.ExpectedPaths,
 	}
 	if ctx.Knowledge != nil {
-		vctx.Classifier = ctx.classifier()
+		vctx.Classifier = ctx.Classifier()
 	}
-	report := validate.Run(vctx, checks...)
+	if ctx.validation == nil {
+		ctx.validation = &validate.Memo{}
+	}
+	ids, all := ctx.scope()
+	report := ctx.validation.Run(vctx, ids, all, checks...)
+	ctx.validatedGen = ctx.Working.Generation()
 	ctx.LastValidation = report
 	step := StepReport{Counters: map[string]int{
 		"checks":   len(report.ChecksRun),
 		"errors":   report.Errors(),
 		"warnings": report.Warnings(),
 	}}
-	findings := report.Findings
-	sort.Slice(findings, func(i, j int) bool { return findings[i].Detail < findings[j].Detail })
+	// The notes list findings by detail, then dataset; the report keeps
+	// check order.
+	findings := slices.Clone(report.Findings)
+	slices.SortStableFunc(findings, func(a, b validate.Finding) int {
+		return cmp.Or(strings.Compare(a.Detail, b.Detail), strings.Compare(a.Dataset, b.Dataset))
+	})
 	for i, f := range findings {
 		if i >= 20 {
 			step.Notes = append(step.Notes, fmt.Sprintf("... %d more findings", len(findings)-i))
@@ -673,10 +705,11 @@ func (v Validate) Run(ctx *Context) (StepReport, error) {
 // Publish atomically applies the working catalog's changes to the
 // published catalog — the chain's final box. Instead of the historical
 // clone-everything swap, it diffs working against published (ignoring
-// scan bookkeeping) and applies exactly that delta: unchanged features
-// are not re-cloned, the served snapshot is patched rather than
-// rebuilt, and an empty diff leaves the snapshot generation untouched,
-// so a no-op re-wrangle cannot evict generation-keyed query caches.
+// scan bookkeeping) over the run's scope (see Context.scope) and applies
+// exactly that delta: unchanged features are neither compared nor
+// re-cloned, the served snapshot is patched rather than rebuilt, and an
+// empty diff leaves the snapshot generation untouched, so a no-op
+// re-wrangle cannot evict generation-keyed query caches.
 type Publish struct{}
 
 // Name implements Component.
@@ -687,7 +720,13 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 	if ctx.Published == nil {
 		return StepReport{}, fmt.Errorf("no published catalog configured")
 	}
-	changed, removed := ctx.Published.DiffTo(ctx.Working)
+	var changed []*catalog.Feature
+	var removed []string
+	if ids, all := ctx.scope(); all {
+		changed, removed = ctx.Published.DiffTo(ctx.Working)
+	} else {
+		changed, removed = ctx.Published.DiffOf(ctx.Working, ids)
+	}
 	bumped, journaled, err := ctx.Commit(changed, removed, 0, nil)
 	if err != nil {
 		// Before the completion bookkeeping below, so an acknowledged run
@@ -695,12 +734,18 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 		return StepReport{}, fmt.Errorf("publish: %w", err)
 	}
 	// The run is complete: record the state the incremental machinery
-	// compares future runs against, and clear the carried-dirty set —
-	// everything dirty has now been transformed and published.
+	// compares future runs against, and clear the carried-dirty set and
+	// the scope — everything dirty has now been transformed and
+	// published. Validation findings survive only if they describe the
+	// working catalog as it is now.
 	ctx.hasRun = true
 	ctx.lastRunEpoch = ctx.KnowledgeEpoch
 	ctx.lastKnowledgeFP = knowledgeFingerprint(ctx.Knowledge, ctx.Units, len(ctx.PendingDecisions))
 	ctx.pendingDirty = nil
+	ctx.scoped, ctx.scopeAll, ctx.publishedGen = nil, false, ctx.Published.Generation()
+	if ctx.validatedGen != ctx.Working.Generation() {
+		ctx.validation = nil
+	}
 	if ctx.cls != nil {
 		// Bound the classifier memo to the names the catalog still has.
 		ctx.cls.Retain(ctx.Working.DistinctVariableNames())

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"metamess/internal/catalog"
+	"metamess/internal/hierarchy"
 	"metamess/internal/obs"
 	"metamess/internal/refine"
 	"metamess/internal/scan"
@@ -150,28 +151,50 @@ type Context struct {
 	// will see them stat-unchanged — must still treat them as dirty, or
 	// the chain would skip their transforms and publish raw features.
 	pendingDirty map[string]bool
+	// scoped, scopeAll and publishedGen make up the one scope Validate
+	// and Publish share (see scope): the IDs whose working feature may
+	// have changed since the last completed Publish, whether the scope
+	// has since become every feature, and the published generation that
+	// Publish (or a PublishDirect it accounted for) left behind.
+	scoped       map[string]bool
+	scopeAll     bool
+	publishedGen uint64
+	// validation keeps the per-feature validation findings between runs;
+	// validatedGen is the working catalog's generation they describe.
+	validation   *validate.Memo
+	validatedGen uint64
 	// lastNamesHash fingerprints the distinct-name set the hierarchy
 	// generator last processed: taxonomy grouping is global over names,
 	// so parents may only be patched incrementally while the name set
 	// is stable.
 	lastNamesHash uint64
+	// tax is the last generated taxonomy, a pure function of taxKey.
+	tax    *hierarchy.Taxonomy
+	taxKey taxonomyKey
 	// cls is the one classifier every component of a run shares, so a
 	// variable name is classified once per knowledge state instead of once
 	// per component; clsFP is the knowledge fingerprint it was built at.
-	// See classifier.
+	// See Classifier.
 	cls   *semdiv.Classifier
 	clsFP uint64
 }
 
-// classifier returns the context's memoizing classifier, rebuilt — memo
+// taxonomyKey is what hierarchy.Generate reads: the distinct-name set
+// (by namesHash) and the options.
+type taxonomyKey struct {
+	names uint64
+	opts  hierarchy.GenerateOptions
+}
+
+// Classifier returns the context's memoizing classifier, rebuilt — memo
 // dropped — whenever the knowledge differs from what it was built over:
 // knowledgeFingerprint(k, nil, 0) covers everything a classifier reads,
 // so a synonym added through the facade, a direct write to Knowledge, a
 // table merged mid-run and NoteKnowledgeChange are all seen by the next
 // component that classifies. Knowledge must be non-nil. The memo is not
-// synchronized: only the wrangle path, which the facade serializes, may
-// call this.
-func (c *Context) classifier() *semdiv.Classifier {
+// synchronized: callers serialize with the wrangle path (the facade
+// holds its publish lock).
+func (c *Context) Classifier() *semdiv.Classifier {
 	fp := knowledgeFingerprint(c.Knowledge, nil, 0)
 	if c.cls == nil || fp != c.clsFP {
 		c.cls = semdiv.NewClassifier(c.Knowledge)
@@ -198,6 +221,46 @@ func (c *Context) NoteKnowledgeChange() {
 // the dirty set no longer bounds what needs reprocessing).
 func (c *Context) fullRun() bool {
 	return c.Delta == nil || c.Delta.Full || c.KnowledgeEpoch != c.Delta.Epoch
+}
+
+// scope is the one scoping rule behind Validate and Publish: the sorted
+// IDs whose working feature may have changed since the last completed
+// Publish — every scan delta (removals included) and carried-over dirty
+// ID, and every ID PublishDirect mirrored into Working — or all=true
+// when that could be any feature: the run is full (see fullRun), a
+// component walked the whole catalog (GenerateHierarchies after the
+// name set changed), the IDs outgrew half the catalog, or a writer
+// other than Publish and PublishDirect moved the published catalog.
+// Only the chain's components and PublishDirect may mutate Working.
+func (c *Context) scope() (ids []string, all bool) {
+	if c.fullRun() || c.scopeAll || c.Published.Generation() != c.publishedGen {
+		return nil, true
+	}
+	ids = make([]string, 0, len(c.scoped))
+	for id := range c.scoped {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids, false
+}
+
+// addScope records IDs whose working feature changed. A scope past half
+// the catalog becomes every feature, as an ApplyDelta that large becomes
+// a rebuild, which bounds the set on a node that takes pushes and never
+// wrangles.
+func (c *Context) addScope(ids ...string) {
+	if c.scopeAll {
+		return
+	}
+	if c.scoped == nil {
+		c.scoped = make(map[string]bool)
+	}
+	for _, id := range ids {
+		c.scoped[id] = true
+	}
+	if len(c.scoped) > c.Working.Len()/2+1 {
+		c.scoped, c.scopeAll = nil, true
+	}
 }
 
 // knowledgeFingerprint hashes the curated knowledge's observable state
@@ -363,7 +426,7 @@ func (p *Process) Run(ctx *Context) (*RunReport, error) {
 		memo.epoch = ctx.KnowledgeEpoch
 		memo.rep = MessReport{}
 		if ctx.Knowledge != nil {
-			memo.rep = messOf(ctx.Working, ctx.classifier())
+			memo.rep = messOf(ctx.Working, ctx.Classifier())
 		}
 		report.MessDuration += time.Since(t0)
 		return memo.rep

@@ -595,3 +595,32 @@ func TestUnitAliasChangeForcesFullReprocess(t *testing.T) {
 		t.Fatalf("unit alias change did not force full reprocess: %v", r2.Steps[0].Counters)
 	}
 }
+
+// TestScopeStaysBounded: pushes on a node that never wrangles grow the
+// validation/publish scope only to half the working catalog; past that
+// the scope is every feature, and the next completed run resets it.
+func TestScopeStaysBounded(t *testing.T) {
+	ctx, _ := newTestContext(t, 8, 5)
+	p := NewProcess("full", DefaultChain()...)
+	if _, err := p.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := 0, 2*ctx.Working.Len(); i < n; i++ {
+		f := fahrenheitFeature(fmt.Sprintf("push/%d.obs", i))
+		if _, _, _, err := ctx.PublishDirect([]*catalog.Feature{f}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(ctx.scoped) > ctx.Working.Len()/2+1 {
+			t.Fatalf("push %d: scope holds %d IDs of a %d-feature catalog", i, len(ctx.scoped), ctx.Working.Len())
+		}
+	}
+	if ids, all := ctx.scope(); !all {
+		t.Fatalf("scope after pushes past half the catalog = %d IDs, want every feature", len(ids))
+	}
+	if _, err := p.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.scopeAll || len(ctx.scoped) != 0 {
+		t.Fatalf("completed run left scope all=%v ids=%d", ctx.scopeAll, len(ctx.scoped))
+	}
+}

@@ -13,11 +13,13 @@ import (
 // append. Durability, replication tailing, and generation-keyed cache
 // invalidation therefore work unchanged for pushed metadata.
 //
-// The working catalog is kept in sync so the next Wrangle's
-// DiffTo(Working) does not see the pushed features as drift and retract
-// them. (A later filesystem scan can still retract a pushed feature
-// whose path lies inside the scanned directories but has no backing
-// file — push paths should live outside the walker's scope.)
+// The working catalog is kept in sync so the next Wrangle's publish
+// diff does not see the pushed features as drift and retract them, and
+// every pushed or removed ID joins the next run's scope (see
+// Context.scope), so its validation and publish diff cover them. (A
+// later filesystem scan can still retract a pushed feature whose path
+// lies inside the scanned directories but has no backing file — push
+// paths should live outside the walker's scope.)
 //
 // The delta is trimmed to what actually differs: features content-equal
 // to their published predecessor and removals of absent IDs are dropped,
@@ -63,6 +65,11 @@ func (c *Context) PublishDirect(features []*catalog.Feature, removeIDs []string)
 
 	// Mirror the working catalog first: if an upsert fails here nothing
 	// has touched the served snapshot or the journal yet.
+	ids := make([]string, 0, len(features)+len(removeIDs))
+	for _, f := range features {
+		ids = append(ids, f.ID)
+	}
+	c.addScope(append(ids, removeIDs...)...)
 	for _, f := range features {
 		if err := c.Working.Upsert(f); err != nil {
 			return 0, 0, 0, fmt.Errorf("core: publish: %w", err)
@@ -72,8 +79,14 @@ func (c *Context) PublishDirect(features []*catalog.Feature, removeIDs []string)
 		c.Working.Delete(id)
 	}
 
+	// The commit changes the published catalog only at scoped IDs, so a
+	// scope that was in step with it stays so.
+	inStep := c.Published.Generation() == c.publishedGen
 	if _, _, err := c.Commit(applyChanged, applyRemoved, 0, nil); err != nil {
 		return 0, 0, 0, fmt.Errorf("core: publish: %w", err)
+	}
+	if inStep {
+		c.publishedGen = c.Published.Generation()
 	}
 	return c.Published.Generation(), len(applyChanged), len(applyRemoved), nil
 }

@@ -9,8 +9,8 @@ package validate
 
 import (
 	"fmt"
-	"path"
-	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 
 	"metamess/internal/catalog"
@@ -110,8 +110,130 @@ func DefaultChecks() []Check {
 	}
 }
 
+// contribution is one feature's share of a per-feature check's findings.
+type contribution struct {
+	// key, when set, reports the finding once per catalog: of the
+	// contributions sharing a key, only the first in feature-ID order is
+	// kept.
+	key string
+	Finding
+}
+
+// featureCheck is a Check whose findings are folded from what each
+// feature contributes on its own, so they can be kept per feature and
+// recomputed only where the catalog changed (see Memo).
+type featureCheck interface {
+	Check
+	// inspector returns the function listing one feature's contributions
+	// in the order Run reports them, or nil when no feature of
+	// ctx.Catalog can contribute anything.
+	inspector(ctx *Context) func(f *catalog.Feature) []contribution
+}
+
+// walk is Run for a featureCheck: inspect every feature, in ID order.
+func walk(ctx *Context, c featureCheck) []Finding {
+	inspect := c.inspector(ctx)
+	if inspect == nil {
+		return nil
+	}
+	var cs []contribution
+	ctx.Catalog.ForEach(func(f *catalog.Feature) { cs = append(cs, inspect(f)...) })
+	return fold(cs)
+}
+
+// fold turns contributions, in feature-ID order, into findings.
+func fold(cs []contribution) []Finding {
+	var out []Finding
+	seen := make(map[string]bool)
+	for _, c := range cs {
+		if c.key != "" {
+			if seen[c.key] {
+				continue
+			}
+			seen[c.key] = true
+		}
+		out = append(out, c.Finding)
+	}
+	return out
+}
+
+// Memo keeps, per feature, what it contributed to the per-feature
+// checks (UnitsResolved, PlausibleRanges) at the last run, so the next
+// run re-inspects only the features that changed since. It holds
+// entries only for features that contributed something.
+type Memo struct {
+	checks []Check
+	// found has one map per check (nil for catalog-wide checks): feature
+	// ID to its contributions.
+	found []map[string][]contribution
+}
+
+// Run is the package-level Run for a catalog that, since the memo last
+// saw it, changed at most at the given IDs — or anywhere, when all is
+// set or the memo was kept for other checks. It brings the memo up to
+// date and returns exactly the report Run would, findings in order.
+// The curated state (knowledge, unit registry) must be what the memo
+// last saw unless all is set.
+func (m *Memo) Run(ctx *Context, ids []string, all bool, checks ...Check) *Report {
+	if !reflect.DeepEqual(m.checks, checks) {
+		m.checks = append([]Check(nil), checks...)
+		m.found = make([]map[string][]contribution, len(checks))
+		all = true
+	}
+	r := &Report{}
+	for i, c := range checks {
+		r.ChecksRun = append(r.ChecksRun, c.Name())
+		fc, ok := c.(featureCheck)
+		if !ok {
+			r.Findings = append(r.Findings, c.Run(ctx)...)
+			continue
+		}
+		r.Findings = append(r.Findings, m.update(ctx, i, fc, ids, all)...)
+	}
+	return r
+}
+
+// update re-inspects check i's changed features and folds every kept
+// contribution, in feature-ID order.
+func (m *Memo) update(ctx *Context, i int, c featureCheck, ids []string, all bool) []Finding {
+	found := m.found[i]
+	if all {
+		found = make(map[string][]contribution)
+		m.found[i] = found
+	}
+	inspect := c.inspector(ctx)
+	if inspect == nil {
+		clear(found)
+		return nil
+	}
+	keep := func(f *catalog.Feature) {
+		if cs := inspect(f); len(cs) > 0 {
+			found[f.ID] = cs
+		}
+	}
+	if all {
+		ctx.Catalog.ForEach(keep)
+	} else {
+		for _, id := range ids {
+			delete(found, id)
+		}
+		ctx.Catalog.ForEachOf(ids, keep)
+	}
+	contributors := make([]string, 0, len(found))
+	for id := range found {
+		contributors = append(contributors, id)
+	}
+	sort.Strings(contributors)
+	var cs []contribution
+	for _, id := range contributors {
+		cs = append(cs, found[id]...)
+	}
+	return fold(cs)
+}
+
 // SameTypeDirectory verifies that all files in a directory are of the
-// same type — the poster's first validation example.
+// same type — the poster's first validation example. It reads the
+// catalog's directory tally, so it costs O(directories).
 type SameTypeDirectory struct{}
 
 // Name implements Check.
@@ -119,36 +241,16 @@ func (SameTypeDirectory) Name() string { return "same-type-directory" }
 
 // Run implements Check.
 func (SameTypeDirectory) Run(ctx *Context) []Finding {
-	byDir := make(map[string]map[string][]string) // dir -> format -> paths
-	ctx.Catalog.ForEach(func(f *catalog.Feature) {
-		dir := path.Dir(filepath.ToSlash(f.Path))
-		if byDir[dir] == nil {
-			byDir[dir] = make(map[string][]string)
-		}
-		byDir[dir][f.Format] = append(byDir[dir][f.Format], f.Path)
-	})
-	dirs := make([]string, 0, len(byDir))
-	for d := range byDir {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
 	var out []Finding
-	for _, d := range dirs {
-		formats := byDir[d]
-		if len(formats) <= 1 {
-			continue
+	ctx.Catalog.ForEachDirectory(func(dir string, formats []string) {
+		if len(formats) > 1 {
+			out = append(out, Finding{
+				Check:    "same-type-directory",
+				Severity: Error,
+				Detail:   fmt.Sprintf("directory %s mixes file types %v", dir, formats),
+			})
 		}
-		names := make([]string, 0, len(formats))
-		for f := range formats {
-			names = append(names, f)
-		}
-		sort.Strings(names)
-		out = append(out, Finding{
-			Check:    "same-type-directory",
-			Severity: Error,
-			Detail:   fmt.Sprintf("directory %s mixes file types %v", d, names),
-		})
-	}
+	})
 	return out
 }
 
@@ -228,35 +330,45 @@ func (ExpectedDatasets) Run(ctx *Context) []Finding {
 	return out
 }
 
-// UnitsResolved warns about unit strings the registry cannot resolve.
+// UnitsResolved warns about unit strings the registry cannot resolve,
+// once per unit, naming the first dataset (in ID order) that carries
+// it. The catalog's unit tally says which units are unresolved, so a
+// catalog whose units all resolve is checked in O(distinct units).
 type UnitsResolved struct{}
 
 // Name implements Check.
 func (UnitsResolved) Name() string { return "units-resolved" }
 
 // Run implements Check.
-func (UnitsResolved) Run(ctx *Context) []Finding {
+func (u UnitsResolved) Run(ctx *Context) []Finding { return walk(ctx, u) }
+
+func (UnitsResolved) inspector(ctx *Context) func(f *catalog.Feature) []contribution {
 	if ctx.Units == nil {
 		return nil
 	}
-	seen := make(map[string]bool)
-	var out []Finding
-	ctx.Catalog.ForEach(func(f *catalog.Feature) {
+	unresolved := make(map[string]bool)
+	for _, unit := range ctx.Catalog.DistinctUnits() {
+		if _, ok := ctx.Units.Lookup(unit); !ok {
+			unresolved[unit] = true
+		}
+	}
+	if len(unresolved) == 0 {
+		return nil
+	}
+	return func(f *catalog.Feature) []contribution {
+		var out []contribution
 		for _, v := range f.Variables {
-			if v.Unit == "" || seen[v.Unit] {
+			if !unresolved[v.Unit] || slices.ContainsFunc(out, func(c contribution) bool { return c.key == v.Unit }) {
 				continue
 			}
-			seen[v.Unit] = true
-			if _, ok := ctx.Units.Lookup(v.Unit); !ok {
-				out = append(out, Finding{
-					Check: "units-resolved", Severity: Warning,
-					Dataset: f.Path,
-					Detail:  fmt.Sprintf("unit %q (first seen on %q) not in unit registry", v.Unit, v.RawName),
-				})
-			}
+			out = append(out, contribution{key: v.Unit, Finding: Finding{
+				Check: "units-resolved", Severity: Warning,
+				Dataset: f.Path,
+				Detail:  fmt.Sprintf("unit %q (first seen on %q) not in unit registry", v.Unit, v.RawName),
+			}})
 		}
-	})
-	return out
+		return out
+	}
 }
 
 // PlausibleRanges errors when an observed variable range falls wildly
@@ -272,13 +384,15 @@ type PlausibleRanges struct {
 func (PlausibleRanges) Name() string { return "plausible-ranges" }
 
 // Run implements Check.
-func (p PlausibleRanges) Run(ctx *Context) []Finding {
+func (p PlausibleRanges) Run(ctx *Context) []Finding { return walk(ctx, p) }
+
+func (p PlausibleRanges) inspector(ctx *Context) func(f *catalog.Feature) []contribution {
 	if ctx.Knowledge == nil {
 		return nil
 	}
 	byName := vocab.ByName(ctx.Knowledge.Vocabulary)
-	var out []Finding
-	ctx.Catalog.ForEach(func(f *catalog.Feature) {
+	return func(f *catalog.Feature) []contribution {
+		var out []contribution
 		for _, v := range f.Variables {
 			cv, ok := byName[v.Name]
 			if !ok || v.Count == 0 {
@@ -288,14 +402,14 @@ func (p PlausibleRanges) Run(ctx *Context) []Finding {
 			lo := cv.Typical.Min - p.Slack*width
 			hi := cv.Typical.Max + p.Slack*width
 			if v.Range.Min < lo || v.Range.Max > hi {
-				out = append(out, Finding{
+				out = append(out, contribution{Finding: Finding{
 					Check: "plausible-ranges", Severity: Error,
 					Dataset: f.Path,
 					Detail: fmt.Sprintf("%s observed %s, outside plausible [%g..%g]",
 						v.Name, v.Range, lo, hi),
-				})
+				}})
 			}
 		}
-	})
-	return out
+		return out
+	}
 }

@@ -1,6 +1,9 @@
 package validate
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +181,50 @@ func TestRunAggregatesAndReportCounts(t *testing.T) {
 	clean := ctxWith(t, mkFeat("stations/b.obs", "obs", mkVar("salinity", 0, 30)))
 	if rep := Run(clean, DefaultChecks()...); !rep.OK() {
 		t.Errorf("clean catalog not OK: %+v", rep.Findings)
+	}
+}
+
+// TestMemoMatchesRun drives a catalog through random upserts and
+// deletes and requires Memo.Run, told only which IDs changed, to return
+// exactly the report Run computes from scratch — findings in order —
+// including when an unresolved unit's first dataset goes away, a
+// directory's formats mix and unmix, and the memo is asked for a full
+// pass or handed a different check suite.
+func TestMemoMatchesRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	ctx := ctxWith(t)
+	ctx.ExpectedPaths = []string{"d0/f3"}
+	feature := func(i int) *catalog.Feature {
+		format := []string{"obs", "obs", "csv"}[rng.Intn(3)]
+		f := mkFeat(fmt.Sprintf("d%d/f%d", i%3, i), format,
+			mkVar("salinity", 0, []float64{30, 500}[rng.Intn(2)]),
+			mkVar("water_temperature", 0, 20))
+		f.Variables[0].Unit = []string{"PSU", "furlongs", "parsecs", ""}[rng.Intn(4)]
+		return f
+	}
+	memo := &Memo{}
+	checks := DefaultChecks()
+	for step := 0; step < 300; step++ {
+		var changed []string
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			f := feature(rng.Intn(20))
+			changed = append(changed, f.ID)
+			if rng.Intn(3) == 0 {
+				ctx.Catalog.Delete(f.ID)
+			} else if err := ctx.Catalog.Upsert(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		all := rng.Intn(20) == 0
+		if rng.Intn(30) == 0 {
+			checks = []Check{PlausibleRanges{Slack: 0.1}, UnitsResolved{}}
+		} else if rng.Intn(30) == 0 {
+			checks = DefaultChecks()
+		}
+		got := memo.Run(ctx, changed, all, checks...)
+		if want := Run(ctx, checks...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: memo report\n%+v\nRun report\n%+v", step, got, want)
+		}
 	}
 }
 

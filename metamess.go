@@ -130,7 +130,9 @@ type System struct {
 	// journal — chain runs (Wrangle), pushed batches (PublishFeatures),
 	// replicated frames, checkpoint bootstraps and catalog loads — around
 	// their core.Context.Commit, so apply/journal sequences never
-	// interleave. Searches read the immutable snapshot and never take it.
+	// interleave — and the curator calls, which share the wrangle's
+	// context state. Searches read the immutable snapshot and never take
+	// it.
 	pubMu sync.Mutex
 }
 
@@ -590,16 +592,25 @@ func (s *System) SnapshotShardSizes() []int {
 	return s.ctx.Published.Snapshot().ShardSizes()
 }
 
+// The curator calls below read or write the wrangling context's curated
+// and per-run state (knowledge, pending decisions, discovered rules,
+// taxonomy, last validation), so each holds pubMu like Wrangle: they
+// wait out a running wrangle instead of racing it.
+
 // AddSynonym records a curated synonym mapping (curatorial activity 3:
 // adding entries to a synonym table). Takes effect on the next Wrangle.
 func (s *System) AddSynonym(preferred string, alternates ...string) error {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	return s.ctx.Knowledge.Synonyms.Add(preferred, alternates...)
 }
 
 // CuratorQueue lists the names awaiting a curator decision, with the
 // classifier's evidence.
 func (s *System) CuratorQueue() []string {
-	cls := semdiv.NewClassifier(s.ctx.Knowledge)
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	cls := s.ctx.Classifier()
 	var out []string
 	for _, vc := range s.ctx.Working.VariableNameCounts() {
 		f := cls.Classify(vc.Value)
@@ -615,12 +626,16 @@ func (s *System) CuratorQueue() []string {
 // name to a canonical target; Hide excludes it instead. Decisions apply
 // on the next Wrangle.
 func (s *System) Clarify(rawName, target string) {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	s.ctx.PendingDecisions = append(s.ctx.PendingDecisions,
 		semdiv.Decision{RawName: rawName, Action: semdiv.ClarifyTo, Target: target})
 }
 
 // Hide records a curator decision to exclude a name from search.
 func (s *System) Hide(rawName string) {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	s.ctx.PendingDecisions = append(s.ctx.PendingDecisions,
 		semdiv.Decision{RawName: rawName, Action: semdiv.Hide})
 }
@@ -628,20 +643,27 @@ func (s *System) Hide(rawName string) {
 // ExportRules renders the transformation rules discovered so far in the
 // poster's JSON format (audit, versioning, replay elsewhere).
 func (s *System) ExportRules() ([]byte, error) {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	return refine.ExportJSON(s.ctx.DiscoveredRules)
 }
 
 // VariableMenu renders the generated variable hierarchy as an indented
 // menu, expanded to maxDepth levels (0 = fully expanded).
 func (s *System) VariableMenu(maxDepth int) []string {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	if s.taxonomy == nil {
 		return nil
 	}
 	return s.taxonomy.Menu(maxDepth)
 }
 
-// Validation returns the latest validation findings as display strings.
+// Validation returns the latest validation findings as display strings,
+// in check order.
 func (s *System) Validation() []string {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	if s.ctx.LastValidation == nil {
 		return nil
 	}
@@ -683,5 +705,7 @@ func (s *System) Vocabulary() []string {
 
 // ValidationOK reports whether the last run's validation passed.
 func (s *System) ValidationOK() bool {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	return s.ctx.LastValidation != nil && s.ctx.LastValidation.OK()
 }

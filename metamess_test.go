@@ -3,8 +3,10 @@ package metamess
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,6 +285,105 @@ func TestExportRulesAndMenu(t *testing.T) {
 	}
 	if len(sys.Vocabulary()) == 0 {
 		t.Error("empty vocabulary")
+	}
+}
+
+// TestCuratorCallsBesideWrangle makes every curator call while a
+// goroutine re-wrangles, the way dnhd serves /curator/queue beside its
+// rewrangler. Under -race it fails if any of them touches the wrangle's
+// context state (taxonomy, last validation, pending decisions,
+// knowledge, rules) without the publish lock.
+func TestCuratorCallsBesideWrangle(t *testing.T) {
+	sys, _ := newSystem(t, 12, 5)
+	if _, err := sys.Wrangle(); err != nil {
+		t.Fatal(err)
+	}
+	// Decisions must name queued ambiguous or unknown names, or the next
+	// wrangle rejects them.
+	var decide []string
+	for _, line := range sys.CuratorQueue() {
+		if strings.Contains(line, "(ambiguous;") || strings.Contains(line, "(unknown;") {
+			decide = append(decide, strings.Fields(line)[0])
+		}
+	}
+	var runs atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := sys.Wrangle(); err != nil {
+				done <- err
+				return
+			}
+			runs.Add(1)
+		}
+	}()
+	for i := 0; runs.Load() < 5 && i < 1000; i++ {
+		switch {
+		case i == 0 && len(decide) > 0:
+			sys.Clarify(decide[0], "water_temperature")
+		case i == 1 && len(decide) > 1:
+			sys.Hide(decide[1])
+		}
+		if len(sys.VariableMenu(0)) == 0 {
+			t.Error("empty variable menu")
+		}
+		if ok := sys.ValidationOK(); !ok && len(sys.Validation()) == 0 {
+			t.Error("validation failed without findings")
+		}
+		sys.CuratorQueue()
+		if _, err := sys.ExportRules(); err != nil {
+			t.Error(err)
+		}
+		if err := sys.AddSynonym("water_temperature", fmt.Sprintf("zz_water_temp_%d", i)); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWrangleAfterLoadCatalog: a catalog load moves the published
+// catalog behind the chain's back, so the next wrangle — delta-scoped,
+// over an unchanged archive — must still publish its working catalog
+// exactly, as a diff over every feature would.
+func TestWrangleAfterLoadCatalog(t *testing.T) {
+	src, _ := newSystem(t, 9, 7)
+	if _, err := src.Wrangle(); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/published.snapshot"
+	if err := src.SaveCatalog(path); err != nil {
+		t.Fatal(err)
+	}
+	sys, _ := newSystem(t, 6, 3)
+	if _, err := sys.Wrangle(); err != nil {
+		t.Fatal(err)
+	}
+	want := publishedFingerprint(t, sys)
+	if err := sys.LoadCatalog(path); err != nil {
+		t.Fatal(err)
+	}
+	if sys.DatasetCount() != src.DatasetCount() {
+		t.Fatalf("loaded %d datasets, want %d", sys.DatasetCount(), src.DatasetCount())
+	}
+	rep, err := sys.Wrangle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Delta.FullReprocess {
+		t.Fatalf("unchanged archive reprocessed in full: %+v", rep.Delta)
+	}
+	if got := publishedFingerprint(t, sys); got != want {
+		t.Fatalf("wrangle after a load did not republish the working catalog\n%s", firstDiff(got, want))
 	}
 }
 

@@ -6,12 +6,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"metamess/internal/archive"
+	"metamess/internal/catalog"
+	"metamess/internal/validate"
 )
 
 // publishedFingerprint renders a system's published catalog as
@@ -86,8 +89,8 @@ func f64p(v float64) *float64 { return &v }
 
 // nameLevelFingerprint renders what a system's last run concluded from
 // variable names alone: the exported discovered rules, the run's mess
-// metric before and after, and the validation findings (sorted — their
-// order is not part of the contract).
+// metric before and after, and the validation findings (sorted here;
+// requireValidationMatchesOracle checks their order).
 func nameLevelFingerprint(t *testing.T, sys *System) string {
 	t.Helper()
 	rules, err := sys.ExportRules()
@@ -117,6 +120,46 @@ func obsContent(tag string, version int) string {
 	return b.String()
 }
 
+// validationBait lists handcrafted files that each trip one validation
+// check, with the round that adds each and the later round that removes
+// it: an implausible salinity, a CSV among the OBS files of stations/,
+// and two files sharing an unregistered unit, so the unit's "first seen
+// on" dataset moves as they come and go.
+var validationBait = []struct {
+	rel         string
+	body        string
+	added, gone int
+}{
+	{"stations/bait-range.obs", baitOBS("range", "PSU", 500), 1, 3},
+	{"stations/bait-unit-a.obs", baitOBS("unita", "furlongs", 28), 1, 3},
+	{"stations/bait-unit-b.obs", baitOBS("unitb", "furlongs", 29), 2, 4},
+	{"stations/bait-mixed.csv", "time,latitude,longitude,water_temperature [degC],salinity [PSU]\n" +
+		"2010-05-20T00:00:00Z,45.5,-124.0,10.5,28.0\n2010-05-20T01:00:00Z,45.6,-124.1,11.5,29.0\n", 2, 4},
+}
+
+// baitOBS is an OBS body with canonical names and units, except for the
+// salinity unit and value the caller picks.
+func baitOBS(tag, salinityUnit string, salinity float64) string {
+	return fmt.Sprintf("#station: %s\n#lat: 45.5\n#lon: -124.0\n#fields:\twater_temperature\tsalinity\n#units:\tdegC\t%s\n"+
+		"1274000000\t10.5\t%g\n1274003600\t11.5\t%g\n", tag, salinityUnit, salinity, salinity+1)
+}
+
+// requireValidationMatchesOracle holds a system's last validation report
+// to a from-scratch validate.Run over its own working catalog: same
+// checks, same findings, in the same order.
+func requireValidationMatchesOracle(t *testing.T, sys *System, when string) {
+	t.Helper()
+	want := validate.Run(&validate.Context{
+		Catalog:       sys.ctx.Working,
+		Knowledge:     sys.ctx.Knowledge,
+		Units:         sys.ctx.Units,
+		ExpectedPaths: sys.ctx.ExpectedPaths,
+	}, validate.DefaultChecks()...)
+	if got := sys.ctx.LastValidation; !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: validation report diverged from validate.Run over the working catalog\n got: %+v\nwant: %+v", when, got, want)
+	}
+}
+
 // appendDuplicateLastLine grows a generated OBS file by one repeated
 // observation: the summary genuinely changes (row count) while every
 // variable name stays put.
@@ -143,7 +186,8 @@ func appendDuplicateLastLine(t testing.TB, path string) {
 
 // TestDeltaWrangleEquivalentToFromScratch is the write path's
 // correctness anchor: interleave randomized archive mutations (adds,
-// in-place edits, mtime-preserving edits, deletions) with delta
+// in-place edits, mtime-preserving edits, deletions, files that trip
+// each validation check coming and going) and pushed batches with delta
 // re-wrangles, and require the published catalog and the search
 // rankings to stay byte-identical to two oracles after every round —
 //
@@ -152,8 +196,11 @@ func appendDuplicateLastLine(t testing.TB, path string) {
 //     delta machinery itself: same accumulated curation, every feature
 //     reprocessed every run;
 //   - a cold system wrangling the final archive state from scratch,
-//     the poster's "re-run the whole process" baseline.
+//     then receiving the pushed features still live, the poster's
+//     "re-run the whole process" baseline.
 //
+// Every round the delta system's validation report must also equal a
+// from-scratch validate.Run over its working catalog, findings in order.
 // CI runs this under -race, so the parallel scanner and the publish
 // patching are exercised for data races at the same time.
 func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
@@ -165,12 +212,27 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			deltaSys, err := New(Config{ArchiveRoot: root})
+			// The walker scans the archive's own directories, so pushed
+			// features, filed under pushed/, are never retracted by a scan.
+			entries, err := os.ReadDir(root)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fullSys, err := New(Config{ArchiveRoot: root, FullReprocess: true})
+			var dirs []string
+			for _, e := range entries {
+				if e.IsDir() {
+					dirs = append(dirs, e.Name())
+				}
+			}
+			cfg := Config{ArchiveRoot: root, Dirs: dirs}
+
+			deltaSys, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fullCfg := cfg
+			fullCfg.FullReprocess = true
+			fullSys, err := New(fullCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,6 +272,10 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 				}
 			}
 			writeTrap(0)
+			// Pushed features live: path -> feature, pushed to the delta and
+			// full systems between rounds and to each cold system after its
+			// wrangle.
+			pushed := map[string]*catalog.Feature{}
 
 			for round := 0; round < 5; round++ {
 				// Adds: clean handcrafted datasets.
@@ -240,6 +306,18 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 					}
 					added = append(added[:i], added[i+1:]...)
 				}
+				for _, b := range validationBait {
+					switch round {
+					case b.added:
+						if err := os.WriteFile(filepath.Join(root, b.rel), []byte(b.body), 0o644); err != nil {
+							t.Fatal(err)
+						}
+					case b.gone:
+						if err := os.Remove(filepath.Join(root, b.rel)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 
 				repDelta, err := deltaSys.Wrangle()
 				if err != nil {
@@ -248,12 +326,21 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 				if _, err := fullSys.Wrangle(); err != nil {
 					t.Fatalf("round %d: full wrangle: %v", round, err)
 				}
-				coldSys, err := New(Config{ArchiveRoot: root})
+				coldSys, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if _, err := coldSys.Wrangle(); err != nil {
 					t.Fatalf("round %d: cold wrangle: %v", round, err)
+				}
+				if len(pushed) > 0 {
+					var live []*catalog.Feature
+					for _, f := range pushed {
+						live = append(live, f)
+					}
+					if _, err := coldSys.PublishFeatures(&PublishRequest{Features: live}); err != nil {
+						t.Fatalf("round %d: cold push: %v", round, err)
+					}
 				}
 
 				wantCat, wantRank := publishedFingerprint(t, coldSys), rankingsFingerprint(t, coldSys)
@@ -281,6 +368,43 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 				// full reprocess after round 0).
 				if repDelta.Delta.FullReprocess {
 					t.Fatalf("round %d: delta system fell back to full reprocess: %+v", round, repDelta.Delta)
+				}
+				requireValidationMatchesOracle(t, deltaSys, fmt.Sprintf("round %d", round))
+				if round == 2 {
+					// Every bait is in the archive: each must have tripped its check.
+					tripped := map[string]bool{}
+					for _, f := range deltaSys.ctx.LastValidation.Findings {
+						tripped[f.Check] = true
+					}
+					for _, check := range []string{"plausible-ranges", "units-resolved", "same-type-directory"} {
+						if !tripped[check] {
+							t.Fatalf("round 2: no %s finding: %+v", check, deltaSys.ctx.LastValidation.Findings)
+						}
+					}
+				}
+
+				// Between rounds, push a copy of the wrangled trap feature
+				// (a fixed point of the chain, even with a unit no registry
+				// resolves) under pushed/ and retract an older push, to both
+				// persistent systems.
+				src, ok := deltaSys.ctx.Published.Get(catalog.IDForPath(trapRel))
+				if !ok {
+					t.Fatalf("round %d: trap feature not published", round)
+				}
+				src.Path = fmt.Sprintf("pushed/p%d.obs", round)
+				src.ID = catalog.IDForPath(src.Path)
+				src.Variables[0].Unit = "furlongs"
+				req := &PublishRequest{Features: []*catalog.Feature{src}}
+				if round%2 == 1 {
+					gone := fmt.Sprintf("pushed/p%d.obs", round-1)
+					req.Remove = []string{gone}
+					delete(pushed, gone)
+				}
+				pushed[src.Path] = src
+				for name, sys := range map[string]*System{"delta": deltaSys, "full-ablation": fullSys} {
+					if _, err := sys.PublishFeatures(req); err != nil {
+						t.Fatalf("round %d: %s push: %v", round, name, err)
+					}
 				}
 			}
 
