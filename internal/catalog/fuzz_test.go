@@ -52,13 +52,13 @@ func FuzzJournalReplay(f *testing.F) {
 	half := valid[:findNthNewline(valid, 1)]
 	f.Add(append(append([]byte(nil), valid...), half...))
 	// Structurally fine line, wrong op.
-	putLine, err := encodeRecord(logRecord{Op: "put", Feature: feat("fz.csv", "v")})
+	putLine, err := encodeRecord(nil, logRecord{Op: "put", Feature: feat("fz.csv", "v")})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(putLine)
 	// Checksummed garbage payload.
-	garbage, err := encodeRecord(logRecord{Op: "delta", Gen: 3})
+	garbage, err := encodeRecord(nil, logRecord{Op: "delta", Gen: 3})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func OpenJournal(path string, policy SyncPolicy, window time.Duration) (*Journal
 // Append journals one publish delta. On return the record is durable
 // per the journal's sync policy (see SyncPolicy).
 func (j *Journal) Append(rec DeltaRecord) error {
-	line, err := encodeRecord(logRecord{
+	line, err := encodeRecord(nil, logRecord{
 		Op:      "delta",
 		Gen:     rec.Gen,
 		Changed: rec.Changed,

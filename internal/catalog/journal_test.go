@@ -113,7 +113,7 @@ func TestJournalReplayToleratesTornTailOnly(t *testing.T) {
 	}
 
 	// A valid record of the wrong op is rejected.
-	line, err := encodeRecord(logRecord{Op: "put", Feature: feat("x.csv", "v")})
+	line, err := encodeRecord(nil, logRecord{Op: "put", Feature: feat("x.csv", "v")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestJournalReplayToleratesTornTailOnly(t *testing.T) {
 	// A delta whose feature fails validation is rejected.
 	bad := deltaFeature(1, 1)
 	bad.ID = "not-the-path-hash"
-	badLine, err := encodeRecord(logRecord{Op: "delta", Gen: 1, Changed: []*Feature{bad}})
+	badLine, err := encodeRecord(nil, logRecord{Op: "delta", Gen: 1, Changed: []*Feature{bad}})
 	if err != nil {
 		t.Fatal(err)
 	}

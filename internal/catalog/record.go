@@ -3,6 +3,8 @@ package catalog
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,6 +33,10 @@ import (
 // line is the torn residue of a crash mid-append and is dropped, while a
 // bad line with another after it is corruption. One reader, readRecords,
 // applies both rules.
+//
+// The payload is encoding/json's encoding of logRecord; that is its
+// definition. The record kernel in codec.go writes and reads the same
+// bytes without reflection, and hands anything else to encoding/json.
 
 // MaxStreamLine bounds one record line read from a stream of unknown
 // length: a follower's checkpoint download, and the one record a tail
@@ -56,32 +62,43 @@ type logRecord struct {
 	Sidecar json.RawMessage `json:"sidecar,omitempty"`
 }
 
-// encodeRecord renders a record as one checksummed line.
-func encodeRecord(rec logRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: encode log record: %w", err)
+// encodeRecord appends rec to dst as one checksummed line. The payload
+// is the kernel's (codec.go) or, when it declines, json.Marshal's.
+func encodeRecord(dst []byte, rec logRecord) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, "00000000 "...)
+	line, ok := appendPayload(dst, &rec)
+	if !ok {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return dst[:start], fmt.Errorf("catalog: encode log record: %w", err)
+		}
+		line = append(dst, payload...)
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = append(line, fmt.Sprintf("%08x ", crc32.ChecksumIEEE(payload))...)
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(line[start+9:]))
+	hex.Encode(line[start:start+8], sum[:])
+	return append(line, '\n'), nil
 }
 
-// decodeLine verifies one line's checksum and decodes its record.
+// decodeLine verifies one line's checksum — exactly eight hex digits —
+// and decodes its record with the kernel or, when it declines,
+// json.Unmarshal.
 func decodeLine(line []byte) (logRecord, error) {
 	var rec logRecord
 	if bytes.IndexByte(line, ' ') != 8 {
 		return rec, fmt.Errorf("malformed record header")
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return rec, fmt.Errorf("bad checksum field: %w", err)
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
+		return rec, fmt.Errorf("bad checksum field %q", line[:8])
 	}
 	payload := line[9:]
-	if got := crc32.ChecksumIEEE(payload); got != want {
+	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(sum[:]); got != want {
 		return rec, fmt.Errorf("checksum mismatch: %08x != %08x", got, want)
+	}
+	if parsePayload(payload, &rec) {
+		return rec, nil
 	}
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return rec, fmt.Errorf("bad payload: %w", err)
@@ -198,9 +215,10 @@ func writeCheckpoint(path string, feats []*Feature, gen uint64, sidecar json.Raw
 		return fmt.Errorf("catalog: checkpoint create: %w", err)
 	}
 	w := bufio.NewWriter(f)
+	var line []byte
 	write := func(rec logRecord) error {
-		line, err := encodeRecord(rec)
-		if err != nil {
+		var err error
+		if line, err = encodeRecord(line[:0], rec); err != nil {
 			return err
 		}
 		if _, err := w.Write(line); err != nil {

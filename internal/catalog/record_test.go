@@ -257,7 +257,7 @@ func TestCompactAndLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "catalog.snap")
 	var old []byte
 	put := func(f *Feature) {
-		line, err := encodeRecord(logRecord{Op: "put", Feature: f})
+		line, err := encodeRecord(nil, logRecord{Op: "put", Feature: f})
 		if err != nil {
 			t.Fatal(err)
 		}

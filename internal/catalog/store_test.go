@@ -384,7 +384,7 @@ func TestOpenStoreLegacySnapshot(t *testing.T) {
 	dir := t.TempDir()
 	var legacy []byte
 	for i := 0; i < 5; i++ {
-		line, err := encodeRecord(logRecord{Op: "put", Feature: deltaFeature(i, 0)})
+		line, err := encodeRecord(nil, logRecord{Op: "put", Feature: deltaFeature(i, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,11 +59,15 @@ type PublishReceipt struct {
 // malformed request touches system state. Validation is exhaustive
 // before any mutation — batch size, per-feature invariants
 // (catalog.Feature.Validate), duplicate IDs, and upsert/retract
-// overlaps are all checked here.
+// overlaps are all checked here. The body goes through the catalog's
+// record kernel, and through json.Unmarshal when the kernel declines.
 func DecodePublishRequest(data []byte) (*PublishRequest, error) {
 	var req PublishRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, fmt.Errorf("%w: bad request body: %v", ErrPublishRejected, err)
+	var ok bool
+	if req.Features, req.Remove, ok = catalog.DecodePublishBody(data); !ok {
+		if err := json.Unmarshal(data, &req); err != nil {
+			return nil, fmt.Errorf("%w: bad request body: %v", ErrPublishRejected, err)
+		}
 	}
 	if err := validatePublishRequest(&req); err != nil {
 		return nil, err

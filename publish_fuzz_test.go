@@ -3,7 +3,11 @@ package metamess
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
+
+	"metamess/internal/catalog"
+	"metamess/internal/workload"
 )
 
 // FuzzPublishRequest feeds hostile POST /publish bodies to the decoder.
@@ -16,6 +20,8 @@ import (
 //   - every rejection is ErrPublishRejected-wrapped (the server maps it
 //     to a client 4xx, never a 5xx);
 //   - decoding is deterministic;
+//   - whatever the catalog's record kernel decodes, it decodes exactly
+//     as json.Unmarshal does;
 //   - an accepted request is internally coherent — every feature passes
 //     catalog validation, IDs are unique, and no path is both published
 //     and removed — and survives a marshal/decode round trip.
@@ -33,6 +39,15 @@ func FuzzPublishRequest(f *testing.F) {
 	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if features, remove, ok := catalog.DecodePublishBody(data); ok {
+			var ref PublishRequest
+			if err := json.Unmarshal(data, &ref); err != nil {
+				t.Fatalf("kernel accepted a body encoding/json rejects: %v", err)
+			}
+			if got := (PublishRequest{Features: features, Remove: remove}); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("kernel decode differs from encoding/json:\n got %+v\nwant %+v", got, ref)
+			}
+		}
 		req1, err1 := DecodePublishRequest(data)
 		if (req1 == nil) == (err1 == nil) {
 			t.Fatalf("request XOR error violated: req=%v err=%v", req1, err1)
@@ -80,4 +95,23 @@ func FuzzPublishRequest(f *testing.F) {
 			t.Fatalf("round-tripped request rejected: %v", err)
 		}
 	})
+}
+
+// TestPublishBodiesTakeTheKernel: the bodies the load generator posts —
+// json.Marshal of a feature batch — are decoded by the catalog's record
+// kernel, not handed back to encoding/json.
+func TestPublishBodiesTakeTheKernel(t *testing.T) {
+	reqs, err := workload.PublishRequests("", 4, 25, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retract, err := json.Marshal(PublishRequest{Features: []*catalog.Feature{}, Remove: []string{"push/b0000/f000.csv"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range append([][]byte{retract}, reqs[0].Body, reqs[1].Body, reqs[2].Body, reqs[3].Body) {
+		if _, _, ok := catalog.DecodePublishBody(body); !ok {
+			t.Errorf("body %d declined by the kernel:\n%.300s", i, body)
+		}
+	}
 }
