@@ -191,8 +191,8 @@ func Table1SemanticDiversity(dir string, datasets int, seed int64) (*Table, erro
 		})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("corpus: %d distinct raw names from %d datasets (mess x1.5, seed %d)",
-			len(corpus), datasets, seed))
+		fmt.Sprintf("corpus: %d distinct raw names from %d datasets (mess x1.5, seed %d); minor-variation threshold %g",
+			len(corpus), datasets, seed, cls.MinorVariationThreshold))
 	return t, nil
 }
 
@@ -237,10 +237,10 @@ func Figure1RankedSearch(dirRaw, dirWrangled string, datasets, queries int, seed
 	t := &Table{
 		ID:     "F1",
 		Title:  "Ranked search over location/time/variables (Data Near Here)",
-		Header: []string{"configuration", "P@5", "recall", "NDCG@10", "mean-latency"},
+		Header: []string{"configuration", "P@5", "recall", "NDCG@10", "mean-score", "mean-latency"},
 	}
 	for _, cfg := range configs {
-		var p5s, recalls, ndcgs []float64
+		var p5s, recalls, ndcgs, scores []float64
 		for _, j := range varJudged {
 			res, err := cfg.s.Search(j.Query)
 			if err != nil {
@@ -250,6 +250,7 @@ func Figure1RankedSearch(dirRaw, dirWrangled string, datasets, queries int, seed
 			p5s = append(p5s, metrics.PrecisionAtK(ids, j.Relevant, 5))
 			recalls = append(recalls, metrics.RecallAtK(ids, j.Relevant, len(ids)+len(j.Relevant)))
 			ndcgs = append(ndcgs, metrics.NDCGAtK(ids, j.Relevant, 10))
+			scores = appendScores(scores, res)
 		}
 		var total time.Duration
 		for _, j := range fullJudged {
@@ -264,6 +265,7 @@ func Figure1RankedSearch(dirRaw, dirWrangled string, datasets, queries int, seed
 			fmt.Sprintf("%.3f", metrics.Mean(p5s)),
 			fmt.Sprintf("%.3f", metrics.Mean(recalls)),
 			fmt.Sprintf("%.3f", metrics.Mean(ndcgs)),
+			fmt.Sprintf("%.4f", metrics.Mean(scores)),
 			(total / time.Duration(len(fullJudged))).Round(time.Microsecond).String(),
 		})
 	}
@@ -271,6 +273,17 @@ func Figure1RankedSearch(dirRaw, dirWrangled string, datasets, queries int, seed
 		"%d datasets; quality over %d variable-only queries (relevance: dataset carries the canonical variable); latency over %d full space+time+variable queries",
 		datasets, len(varJudged), len(fullJudged)))
 	return t, nil
+}
+
+// appendScores appends the scores of a ranking's hits. Their mean is
+// the exhibits' view of the scoring function itself: precision, recall
+// and NDCG see only the order of the hits, which survives most changes
+// to a weight or a scale.
+func appendScores(scores []float64, res []search.Result) []float64 {
+	for _, r := range res {
+		scores = append(scores, r.Score)
+	}
+	return scores
 }
 
 func withExpander(e search.Expander) search.Options {

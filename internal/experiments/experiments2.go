@@ -455,10 +455,10 @@ func AblationScoring(dir string, datasets, queries int, seed int64) (*Table, err
 	t := &Table{
 		ID:     "A3",
 		Title:  "Scoring ablation: drop one query dimension",
-		Header: []string{"query form", "P@5", "NDCG@10"},
+		Header: []string{"query form", "P@5", "NDCG@10", "mean-score"},
 	}
 	for _, v := range variants {
-		var p5s, ndcgs []float64
+		var p5s, ndcgs, scores []float64
 		for _, j := range judged {
 			res, err := s.Search(v.mutate(j.Query))
 			if err != nil {
@@ -467,11 +467,13 @@ func AblationScoring(dir string, datasets, queries int, seed int64) (*Table, err
 			ids := workload.RankedIDs(res)
 			p5s = append(p5s, metrics.PrecisionAtK(ids, j.Relevant, 5))
 			ndcgs = append(ndcgs, metrics.NDCGAtK(ids, j.Relevant, 10))
+			scores = appendScores(scores, res)
 		}
 		t.Rows = append(t.Rows, []string{
 			v.name,
 			fmt.Sprintf("%.3f", metrics.Mean(p5s)),
 			fmt.Sprintf("%.3f", metrics.Mean(ndcgs)),
+			fmt.Sprintf("%.4f", metrics.Mean(scores)),
 		})
 	}
 	t.Notes = append(t.Notes, "relevance requires variable+location+time, so every dropped dimension costs quality")

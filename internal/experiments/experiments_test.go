@@ -7,10 +7,7 @@ import (
 )
 
 func TestTable1ShapeHoldsTable1Claims(t *testing.T) {
-	tab, err := Table1SemanticDiversity(t.TempDir(), 60, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := exhibit(t, "T1")
 	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d, want 7 (Table 1 categories)", len(tab.Rows))
 	}
@@ -38,10 +35,7 @@ func TestTable1ShapeHoldsTable1Claims(t *testing.T) {
 }
 
 func TestFigure1WranglingImprovesRetrieval(t *testing.T) {
-	tab, err := Figure1RankedSearch(t.TempDir(), t.TempDir(), 45, 25, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := exhibit(t, "F1")
 	get := func(name string, col int) float64 {
 		for _, r := range tab.Rows {
 			if r[0] == name {
@@ -90,10 +84,7 @@ func TestFigure2FeaturesAreSmall(t *testing.T) {
 }
 
 func TestFigure3CoverageMonotone(t *testing.T) {
-	tab, err := Figure3WranglingChain(t.TempDir(), 30, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := exhibit(t, "F3")
 	var prev float64
 	for i, r := range tab.Rows {
 		cov, _ := strconv.ParseFloat(r[5], 64)
@@ -111,12 +102,7 @@ func TestFigure3CoverageMonotone(t *testing.T) {
 }
 
 func TestFigure4DiscoveryShape(t *testing.T) {
-	tab, err := Figure4Discovery(
-		[]string{t.TempDir(), t.TempDir()},
-		[]float64{0.5, 1.5}, 30, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := exhibit(t, "F4")
 	if len(tab.Rows) != 10 { // 2 mess levels x 5 methods
 		t.Fatalf("rows = %d, want 10", len(tab.Rows))
 	}
@@ -135,10 +121,7 @@ func TestFigure4DiscoveryShape(t *testing.T) {
 }
 
 func TestFigure5SummariesComplete(t *testing.T) {
-	tab, err := Figure5DatasetSummary(t.TempDir(), 21, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := exhibit(t, "F5")
 	rows := map[string]string{}
 	for _, r := range tab.Rows {
 		rows[r[0]] = r[1]
@@ -156,10 +139,7 @@ func TestFigure5SummariesComplete(t *testing.T) {
 }
 
 func TestAblationCuratorLoopConverges(t *testing.T) {
-	tab, err := AblationCuratorLoop(t.TempDir(), 30, 23, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := exhibit(t, "A1")
 	if len(tab.Rows) == 0 {
 		t.Fatal("no iterations")
 	}
@@ -177,10 +157,7 @@ func TestAblationCuratorLoopConverges(t *testing.T) {
 }
 
 func TestAblationValidationDetectsEveryFault(t *testing.T) {
-	tab, err := AblationValidation(t.TempDir(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := exhibit(t, "A2")
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5 faults", len(tab.Rows))
 	}
@@ -192,10 +169,7 @@ func TestAblationValidationDetectsEveryFault(t *testing.T) {
 }
 
 func TestAblationScoringEveryDimensionMatters(t *testing.T) {
-	tab, err := AblationScoring(t.TempDir(), 45, 25, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := exhibit(t, "A3")
 	var full float64
 	for _, r := range tab.Rows {
 		ndcg, _ := strconv.ParseFloat(r[2], 64)
