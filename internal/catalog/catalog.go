@@ -19,6 +19,15 @@ import (
 // read path takes no locks at all. The snapshot's shards carry the
 // search indexes; the catalog itself keeps only tallies (names,
 // directories, units).
+//
+// One ownership rule keeps the copies apart: a *Feature stored in a
+// Catalog or a Snapshot is never edited in place. A mutator stores an
+// edited copy in place of the pointer (copyOnWriteLocked); every other
+// path — diffs, deltas, snapshot builds, Clone and SeedFrom — shares
+// the pointer. So the working catalog, the published catalog and its
+// snapshots hold one copy of each unchanged feature between them, and a
+// held snapshot never changes. Upsert and Get still copy at the
+// boundary, so their callers may keep editing their own features.
 type Catalog struct {
 	mu       sync.RWMutex
 	features map[string]*Feature
@@ -154,36 +163,6 @@ func (c *Catalog) Delete(id string) bool {
 	return true
 }
 
-// All returns copies of every feature, ordered by ID for determinism.
-// Callers that only read should prefer Snapshot().All(), which shares
-// the immutable snapshot's features instead of cloning the catalog.
-func (c *Catalog) All() []*Feature {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]string, 0, len(c.features))
-	for id := range c.features {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]*Feature, len(ids))
-	for i, id := range ids {
-		out[i] = c.features[id].Clone()
-	}
-	return out
-}
-
-// IDs returns all feature IDs, sorted.
-func (c *Catalog) IDs() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]string, 0, len(c.features))
-	for id := range c.features {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // VariableNameCounts tallies every *current* variable name (including
 // excluded ones) across the catalog — the facet the wrangling chain and
 // discovery cluster over — ordered by descending count, then name.
@@ -272,34 +251,28 @@ func (c *Catalog) DistinctUnits() []string {
 	return out
 }
 
-// MutateVariables applies fn to every feature's variable list under the
-// write lock; fn returns true if it changed the variables, and must not
-// change anything else. The method re-tallies the variables and returns
-// how many features changed. This is the hook the wrangling chain uses
-// to write transformation results back from the working grid into the
-// catalog.
+// MutateVariables applies fn to a private copy of every feature under
+// the write lock; fn returns true if it changed the copy's variables,
+// and must not change anything else. A copy fn reports changed replaces
+// the stored feature and is re-tallied; any other copy is dropped, edits
+// and all. The method returns how many features changed. This is the
+// hook the wrangling chain uses to write transformation results back
+// from the working grid into the catalog.
 func (c *Catalog) MutateVariables(fn func(f *Feature) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	changed := 0
 	for _, f := range c.features {
-		c.tallyVariablesLocked(f, -1)
-		if fn(f) {
+		if c.copyOnWriteLocked(f, fn) {
 			changed++
 		}
-		c.tallyVariablesLocked(f, 1)
 	}
-	if changed > 0 {
-		c.generation++
-	}
-	// Invalidate unconditionally: fn may have mutated without
-	// reporting a change.
-	c.snap.Store(nil)
+	c.bumpLocked(changed)
 	return changed
 }
 
 // MutateVariablesOf is MutateVariables restricted to the given feature
-// IDs (absent IDs are ignored): the delta write path, which touches and
+// IDs (absent IDs are ignored): the delta write path, which copies and
 // re-tallies only the features a re-wrangle actually changed instead of
 // walking the whole catalog.
 func (c *Catalog) MutateVariablesOf(ids []string, fn func(f *Feature) bool) int {
@@ -307,25 +280,37 @@ func (c *Catalog) MutateVariablesOf(ids []string, fn func(f *Feature) bool) int 
 	defer c.mu.Unlock()
 	changed := 0
 	for _, id := range ids {
-		f, ok := c.features[id]
-		if !ok {
-			continue
-		}
-		c.tallyVariablesLocked(f, -1)
-		if fn(f) {
+		if f, ok := c.features[id]; ok && c.copyOnWriteLocked(f, fn) {
 			changed++
 		}
-		c.tallyVariablesLocked(f, 1)
 	}
-	if len(ids) > 0 {
-		if changed > 0 {
-			c.generation++
-		}
-		// Invalidate unconditionally: fn may have mutated without
-		// reporting a change.
+	c.bumpLocked(changed)
+	return changed
+}
+
+// copyOnWriteLocked is the one place a stored feature changes: fn edits
+// a copy of f, and when it reports a change the copy replaces f in the
+// map and in the variable tallies. f itself, which a snapshot or another
+// catalog may share, is never written. Callers hold the write lock.
+func (c *Catalog) copyOnWriteLocked(f *Feature, fn func(f *Feature) bool) bool {
+	cp := f.Clone()
+	if !fn(cp) {
+		return false
+	}
+	c.tallyVariablesLocked(f, -1)
+	c.tallyVariablesLocked(cp, 1)
+	c.features[f.ID] = cp
+	return true
+}
+
+// bumpLocked records that changed features were replaced: the
+// generation moves once and the cached snapshot is dropped. Nothing
+// changed is a no-op.
+func (c *Catalog) bumpLocked(changed int) {
+	if changed > 0 {
+		c.generation++
 		c.snap.Store(nil)
 	}
-	return changed
 }
 
 // StatView returns the stored stat fingerprint of a feature — size,
@@ -342,22 +327,24 @@ func (c *Catalog) StatView(id string) (bytes int64, modTime, scannedAt time.Time
 	return f.Bytes, f.ModTime, f.ScannedAt, f.ContentHash, true
 }
 
-// SetScanStamp updates a feature's ScannedAt bookkeeping in place (no
-// clone, no re-tally, no generation bump — ScannedAt is not dataset
-// content). The scanner calls it after verifying an unchanged file by
-// content hash, so the file's stat fingerprint is trusted on the next
-// run instead of being re-hashed forever.
+// SetScanStamp replaces a feature's ScannedAt bookkeeping (no re-tally,
+// no generation bump — ScannedAt is not dataset content). The scanner
+// calls it after verifying an unchanged file by content hash, so the
+// file's stat fingerprint is trusted on the next run instead of being
+// re-hashed forever.
 func (c *Catalog) SetScanStamp(id string, scannedAt time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f, ok := c.features[id]
-	if !ok {
-		return
+	if ok && c.copyOnWriteLocked(f, func(f *Feature) bool {
+		changed := !f.ScannedAt.Equal(scannedAt)
+		f.ScannedAt = scannedAt
+		return changed
+	}) {
+		// The cached snapshot holds the old stamp; drop it so readers
+		// never observe a stale ScannedAt.
+		c.snap.Store(nil)
 	}
-	f.ScannedAt = scannedAt
-	// The cached snapshot (if any) holds clones with the old stamp;
-	// drop it so readers never observe a stale ScannedAt.
-	c.snap.Store(nil)
 }
 
 // restoreGeneration pins the catalog's mutation counter to a recovered
@@ -371,14 +358,15 @@ func (c *Catalog) restoreGeneration(gen uint64) {
 	c.snap.Store(nil)
 }
 
-// Clone returns a deep copy of the catalog (SeedFrom's copy).
+// Clone returns an independent catalog with the same contents, tallies,
+// generation and shard count. The features themselves are shared: no
+// catalog edits a stored feature, so mutating either catalog never
+// reaches the other.
 func (c *Catalog) Clone() *Catalog {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	n := New()
-	for id, f := range c.features {
-		n.features[id] = f.Clone()
-	}
+	n := NewSharded(c.shards)
+	maps.Copy(n.features, c.features)
 	maps.Copy(n.names, c.names)
 	for d, formats := range c.dirs {
 		n.dirs[d] = maps.Clone(formats)
@@ -389,12 +377,11 @@ func (c *Catalog) Clone() *Catalog {
 }
 
 // DiffTo compares this catalog (the published state) against next (the
-// working state) and returns the exact publish delta: clones of every
-// feature of next that is new or content-changed relative to c, and the
-// IDs present in c but absent from next. ScannedAt is ignored (see
-// Feature.ContentEquals), so a re-scan that merely re-verified files
-// yields an empty delta. Unchanged features are never cloned. Both
-// result slices are sorted by ID.
+// working state) and returns the exact publish delta: every feature of
+// next that is new or content-changed relative to c, shared with next,
+// and the IDs present in c but absent from next. ScannedAt is ignored
+// (see Feature.ContentEquals), so a re-scan that merely re-verified
+// files yields an empty delta. Both result slices are sorted by ID.
 func (c *Catalog) DiffTo(next *Catalog) (changed []*Feature, removed []string) {
 	return c.diff(next, nil, true)
 }
@@ -420,7 +407,7 @@ func (c *Catalog) diff(next *Catalog, ids []string, all bool) (changed []*Featur
 		old, inC := c.features[id]
 		switch {
 		case inNext && !(inC && old.ContentEquals(f)):
-			changed = append(changed, f.Clone())
+			changed = append(changed, f)
 		case !inNext && inC:
 			removed = append(removed, id)
 		}
@@ -447,14 +434,15 @@ func (c *Catalog) diff(next *Catalog, ids []string, all bool) (changed []*Featur
 // ApplyDelta upserts the changed features and deletes the removed IDs
 // as one atomic publish: the generation moves exactly once, and the new
 // snapshot is patched incrementally from the previous one (features
-// outside the delta are shared, not re-cloned; the indexes are updated
-// in place of a rebuild). An empty delta is a strict no-op — the
-// generation and the served snapshot stay unchanged, so a re-wrangle
-// that found nothing to do invalidates no caches.
+// outside the delta are shared; the indexes are updated in place of a
+// rebuild). An empty delta is a strict no-op — the generation and the
+// served snapshot stay unchanged, so a re-wrangle that found nothing to
+// do invalidates no caches.
 //
-// ApplyDelta takes ownership of the passed features: callers must hand
-// in private clones (DiffTo does) and not touch them afterwards. It
-// reports whether the catalog changed.
+// The catalog's map and its snapshot both store the passed features, so
+// callers must not edit them afterwards; a feature another catalog
+// stores (DiffTo's result) already obeys that rule. It reports whether
+// the catalog changed.
 func (c *Catalog) ApplyDelta(changed []*Feature, removed []string) (bool, error) {
 	return c.applyDelta(changed, removed, 0, false)
 }
@@ -523,12 +511,8 @@ func (c *Catalog) applyDelta(changed []*Feature, removed []string, gen uint64, p
 		if old, ok := c.features[f.ID]; ok {
 			c.tallyLocked(old, -1)
 		}
-		// The map gets its own clone; the snapshot keeps the caller's
-		// instance, so later in-place mutations of the map copy (e.g.
-		// MutateVariables) can never reach the published snapshot.
-		clone := f.Clone()
-		c.features[f.ID] = clone
-		c.tallyLocked(clone, 1)
+		c.features[f.ID] = f
+		c.tallyLocked(f, 1)
 	}
 	if pinned {
 		c.generation = gen
@@ -547,11 +531,10 @@ func (c *Catalog) applyDelta(changed []*Feature, removed []string, gen uint64, p
 	return true, nil
 }
 
-// SeedFrom replaces this catalog's contents with a copy of other's — the
-// one wholesale copy, used for the warm-restart seed of the *working*
+// SeedFrom replaces this catalog's contents with other's (see Clone: the
+// features are shared) — the warm-restart seed of the *working*
 // catalog. No snapshot is built: the wrangling chain reads the working
-// catalog through ForEach and mutates it in place, so a snapshot built
-// here would be thrown away by the first transform step.
+// catalog through ForEach and its first transform step would drop one.
 func (c *Catalog) SeedFrom(other *Catalog) {
 	clone := other.Clone()
 	c.mu.Lock()
@@ -565,10 +548,10 @@ func (c *Catalog) SeedFrom(other *Catalog) {
 }
 
 // ForEach calls fn for every feature in ID order under the read lock,
-// without cloning. fn must treat the feature as read-only and must not
-// retain it past the call — this is the cheap full-catalog read the
-// wrangling chain's full passes (grid extraction, validation) use
-// instead of forcing a snapshot rebuild after every mutation step.
+// without copying. fn must treat the feature as read-only — this is the
+// cheap full-catalog read the wrangling chain's full passes (grid
+// extraction, validation) use instead of forcing a snapshot rebuild
+// after every mutation step.
 func (c *Catalog) ForEach(fn func(f *Feature)) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

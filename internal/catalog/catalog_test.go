@@ -133,7 +133,7 @@ func TestAllSortedAndIsolated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all := c.All()
+	all := c.Snapshot().All()
 	if len(all) != 10 {
 		t.Fatalf("All = %d", len(all))
 	}
@@ -142,9 +142,19 @@ func TestAllSortedAndIsolated(t *testing.T) {
 			t.Fatal("All not sorted by ID")
 		}
 	}
-	ids := c.IDs()
-	if len(ids) != 10 || ids[0] != all[0].ID {
-		t.Error("IDs disagree with All")
+	i := 0
+	c.ForEach(func(f *Feature) {
+		if f != all[i] {
+			t.Errorf("ForEach visited %s at %d, snapshot holds %s", f.ID, i, all[i].ID)
+		}
+		i++
+	})
+	// Get hands out a private copy: editing it reaches neither the
+	// catalog nor its snapshot.
+	got, _ := c.Get(all[0].ID)
+	got.Variables[0].Name = "edited"
+	if again, _ := c.Get(all[0].ID); again.Variables[0].Name != "v" || all[0].Variables[0].Name != "v" {
+		t.Error("editing a Get copy reached the catalog")
 	}
 }
 

@@ -104,7 +104,9 @@ func TestConcurrentPublishAndSearchReads(t *testing.T) {
 					return
 				default:
 				}
-				for _, id := range published.IDs() {
+				var ids []string
+				published.ForEach(func(f *Feature) { ids = append(ids, f.ID) })
+				for _, id := range ids {
 					// A listed feature may legitimately vanish between calls
 					// (publish swapped); it must never be returned in a
 					// corrupted state.

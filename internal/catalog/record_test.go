@@ -312,8 +312,8 @@ func TestSaveLoadSnapshot(t *testing.T) {
 	if back.Len() != c.Len() {
 		t.Fatalf("Len = %d, want %d", back.Len(), c.Len())
 	}
-	for _, id := range c.IDs() {
-		orig, _ := c.Get(id)
+	for _, orig := range c.Snapshot().All() {
+		id := orig.ID
 		got, ok := back.Get(id)
 		if !ok {
 			t.Fatalf("feature %s missing", id)
@@ -400,8 +400,8 @@ func TestSaveLoadShardedCatalog(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatal("re-saved file differs from original")
 	}
-	for _, id := range c.IDs() {
-		orig, _ := c.Get(id)
+	for _, orig := range c.Snapshot().All() {
+		id := orig.ID
 		got, ok := back.Get(id)
 		if !ok {
 			t.Fatalf("feature %s missing after round trip", id)

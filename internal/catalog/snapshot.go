@@ -26,8 +26,9 @@ import (
 // the full planner/widening machinery over its shard before a single
 // merge heap gathers the per-shard top-Ks.
 //
-// The features a snapshot exposes are private clones made at build
-// time: later catalog mutations cannot reach them. In exchange, callers
+// The features a snapshot exposes are shared with the catalog it was
+// built from, and later catalog mutations cannot reach them: a stored
+// feature is never edited in place (see Catalog). In exchange, callers
 // must treat everything a Snapshot returns as read-only.
 type Snapshot struct {
 	shards     []*Shard
@@ -86,7 +87,7 @@ func shardIndex(id string, n int) int {
 	return int(h % uint32(n))
 }
 
-// newSnapshot clones the feature map and builds every shard, in
+// newSnapshot partitions the feature map and builds every shard, in
 // parallel when there is more than one. Callers synchronize access to
 // the map (the catalog holds its lock).
 func newSnapshot(features map[string]*Feature, generation uint64, nShards int) *Snapshot {
@@ -120,16 +121,17 @@ func newSnapshot(features map[string]*Feature, generation uint64, nShards int) *
 	return s
 }
 
-// buildShard clones the listed features (ids pre-sorted) and builds the
-// shard's interned indexes. Positions are handed to the builders in
-// ascending order, so the frozen posting lists are born sorted.
+// buildShard builds the shard's interned indexes over the listed
+// features (ids pre-sorted), sharing them with the map. Positions are
+// handed to the builders in ascending order, so the frozen posting
+// lists are born sorted.
 func buildShard(features map[string]*Feature, ids []string) *Shard {
 	sh := &Shard{features: make([]*Feature, len(ids))}
 	names := newStoreBuilder[string]()
 	parents := newStoreBuilder[string]()
 	cells := newStoreBuilder[int32]()
 	for i, id := range ids {
-		f := features[id].Clone()
+		f := features[id]
 		sh.features[i] = f
 		p := int32(i)
 		for _, name := range f.SearchableNames() {
@@ -170,8 +172,8 @@ func eachSearchableParent(f *Feature, visit func(string)) {
 // (TestSnapshotApplyDeltaEquivalence); it just costs O(churn + dirty
 // shards' index size) instead of O(catalog · variables).
 //
-// changed must be sorted by ID and ownership passes to the snapshot;
-// removed must only name IDs present in s and disjoint from changed.
+// changed must be sorted by ID and is stored as is; removed must only
+// name IDs present in s and disjoint from changed.
 func (s *Snapshot) applyDelta(changed []*Feature, removed map[string]bool, generation uint64) *Snapshot {
 	n := len(s.shards)
 	changedBy := make([][]*Feature, n)
@@ -215,11 +217,11 @@ func (s *Snapshot) applyDelta(changed []*Feature, removed map[string]bool, gener
 	return next
 }
 
-// applyDelta patches one shard: unchanged features are shared with sh
-// (no re-clone), the ID-sorted slice is spliced, and each interned
-// store is patched through its copy-on-write protocol — containers of
-// untouched terms are shared with the predecessor when no position
-// shifted, and only the touched terms' lists are rebuilt.
+// applyDelta patches one shard: unchanged features are shared with sh,
+// the ID-sorted slice is spliced, and each interned store is patched
+// through its copy-on-write protocol — containers of untouched terms
+// are shared with the predecessor when no position shifted, and only
+// the touched terms' lists are rebuilt.
 func (sh *Shard) applyDelta(changed []*Feature, removed map[string]bool) *Shard {
 	replace := make(map[string]*Feature)
 	var inserts []*Feature // sorted by ID (changed is)
@@ -344,7 +346,7 @@ func (s *Snapshot) ShardSizes() []int {
 // shards. The merge is computed once, on first use, and cached: search
 // never calls this — only whole-catalog readers (persistence,
 // validation, experiment sweeps) do. Callers must not mutate the slice
-// or the features; use Catalog.All for private copies.
+// or the features; use Catalog.Get for a private copy.
 func (s *Snapshot) All() []*Feature {
 	s.allOnce.Do(func() {
 		if len(s.shards) == 1 {
@@ -362,9 +364,9 @@ func (s *Snapshot) All() []*Feature {
 }
 
 // ByID returns the feature with the given ID without taking a lock or
-// cloning: one hash to pick the shard, one binary search inside it —
-// the serving-path alternative to Catalog.Get, whose per-call deep
-// clone is wasted on read-only consumers. Read-only.
+// copying: one hash to pick the shard, one binary search inside it —
+// the serving-path alternative to Catalog.Get, whose per-call copy is
+// wasted on read-only consumers. Read-only.
 func (s *Snapshot) ByID(id string) (*Feature, bool) {
 	return s.shards[shardIndex(id, len(s.shards))].ByID(id)
 }

@@ -80,7 +80,7 @@ func TestChainResolvesGroundTruth(t *testing.T) {
 	// must overwhelmingly land on their canonical names.
 	truth := m.ByPath()
 	total, correct := 0, 0
-	for _, f := range ctx.Published.All() {
+	for _, f := range ctx.Published.Snapshot().All() {
 		d := truth[f.Path]
 		for i, v := range f.Variables {
 			want := d.Vars[i]

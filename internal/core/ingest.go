@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"metamess/internal/catalog"
 )
@@ -21,16 +22,18 @@ import (
 // lies inside the scanned directories but has no backing file — push
 // paths should live outside the walker's scope.)
 //
-// The delta is trimmed to what actually differs: features content-equal
-// to their published predecessor and removals of absent IDs are dropped,
-// so a replayed push is a generation-stable no-op, exactly like a no-op
-// re-wrangle. Callers must serialize PublishDirect against chain runs;
-// the facade holds one publish lock across both.
+// The delta is the published catalog's DiffOf the mirrored working
+// catalog at the batch's IDs — the diff a chain Publish takes — so
+// features content-equal to their published predecessor and removals of
+// absent IDs drop out, and a replayed push is a generation-stable no-op,
+// exactly like a no-op re-wrangle. Callers must serialize PublishDirect
+// against chain runs; the facade holds one publish lock across both.
 //
 // Every feature must already be validated — PublishDirect validates
-// again via the catalog (defense in depth) but performs no mutation
-// until the whole batch has been checked, so a rejected publish leaves
-// the catalogs, the generation, and the journal untouched.
+// again (defense in depth) before the mirror, so a rejected publish
+// leaves the catalogs, the generation, and the journal untouched. The
+// working catalog stores its own copy of each feature; the caller's stay
+// the caller's.
 func (c *Context) PublishDirect(features []*catalog.Feature, removeIDs []string) (gen uint64, changed int, removed int, err error) {
 	if c.Published == nil {
 		return 0, 0, 0, fmt.Errorf("core: no published catalog configured")
@@ -44,32 +47,15 @@ func (c *Context) PublishDirect(features []*catalog.Feature, removeIDs []string)
 		}
 	}
 
-	// Trim to the real delta against the served snapshot. ByID reads the
-	// immutable snapshot without cloning.
-	snap := c.Published.Snapshot()
-	var applyChanged []*catalog.Feature
-	for _, f := range features {
-		if prev, ok := snap.ByID(f.ID); ok && prev.ContentEquals(f) {
-			continue
-		}
-		// Private clone: ApplyDelta takes ownership, and the caller's
-		// features must stay the caller's.
-		applyChanged = append(applyChanged, f.Clone())
-	}
-	var applyRemoved []string
-	for _, id := range removeIDs {
-		if _, ok := snap.ByID(id); ok {
-			applyRemoved = append(applyRemoved, id)
-		}
-	}
-
-	// Mirror the working catalog first: if an upsert fails here nothing
-	// has touched the served snapshot or the journal yet.
+	// DiffOf wants distinct IDs.
 	ids := make([]string, 0, len(features)+len(removeIDs))
 	for _, f := range features {
 		ids = append(ids, f.ID)
 	}
-	c.addScope(append(ids, removeIDs...)...)
+	ids = append(ids, removeIDs...)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	c.addScope(ids...)
 	for _, f := range features {
 		if err := c.Working.Upsert(f); err != nil {
 			return 0, 0, 0, fmt.Errorf("core: publish: %w", err)
@@ -78,6 +64,7 @@ func (c *Context) PublishDirect(features []*catalog.Feature, removeIDs []string)
 	for _, id := range removeIDs {
 		c.Working.Delete(id)
 	}
+	applyChanged, applyRemoved := c.Published.DiffOf(c.Working, ids)
 
 	// The commit changes the published catalog only at scoped IDs, so a
 	// scope that was in step with it stays so.

@@ -58,9 +58,10 @@ type PublishReceipt struct {
 // The error is always ErrPublishRejected-wrapped: nothing about a
 // malformed request touches system state. Validation is exhaustive
 // before any mutation — batch size, per-feature invariants
-// (catalog.Feature.Validate), duplicate IDs, and upsert/retract
-// overlaps are all checked here. The body goes through the catalog's
-// record kernel, and through json.Unmarshal when the kernel declines.
+// (catalog.Feature.Validate), duplicate features and removal paths, and
+// upsert/retract overlaps are all checked here. The body goes through
+// the catalog's record kernel, and through json.Unmarshal when the
+// kernel declines.
 func DecodePublishRequest(data []byte) (*PublishRequest, error) {
 	var req PublishRequest
 	var ok bool
@@ -96,6 +97,7 @@ func validatePublishRequest(req *PublishRequest) error {
 		}
 		seen[f.ID] = true
 	}
+	removing := make(map[string]bool, len(req.Remove))
 	for _, p := range req.Remove {
 		if p == "" {
 			return fmt.Errorf("%w: empty removal path", ErrPublishRejected)
@@ -103,6 +105,10 @@ func validatePublishRequest(req *PublishRequest) error {
 		if seen[catalog.IDForPath(p)] {
 			return fmt.Errorf("%w: path %q both published and removed", ErrPublishRejected, p)
 		}
+		if removing[p] {
+			return fmt.Errorf("%w: duplicate removal path %q", ErrPublishRejected, p)
+		}
+		removing[p] = true
 	}
 	return nil
 }

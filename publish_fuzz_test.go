@@ -23,8 +23,9 @@ import (
 //   - whatever the catalog's record kernel decodes, it decodes exactly
 //     as json.Unmarshal does;
 //   - an accepted request is internally coherent — every feature passes
-//     catalog validation, IDs are unique, and no path is both published
-//     and removed — and survives a marshal/decode round trip.
+//     catalog validation, IDs and removal paths are unique, and no path
+//     is both published and removed — and survives a marshal/decode
+//     round trip.
 func FuzzPublishRequest(f *testing.F) {
 	f.Add([]byte(`{"features":[{"id":"607ef439c7d64fff","path":"push/a.csv","source":"push","format":"csv",` +
 		`"bbox":{"minLat":45.5,"minLon":-124.4,"maxLat":45.6,"maxLon":-124.3},` +
@@ -32,6 +33,7 @@ func FuzzPublishRequest(f *testing.F) {
 		`"variables":[{"rawName":"temp [C]","name":"temperature","unit":"C","range":{"min":5,"max":10},"count":2}],` +
 		`"rowCount":2,"bytes":120,"scannedAt":"2010-06-02T00:00:00Z","contentHash":"deadbeef00000000"}]}`))
 	f.Add([]byte(`{"remove":["stations/gone.obs"]}`))
+	f.Add([]byte(`{"remove":["stations/gone.obs","stations/gone.obs"]}`))
 	f.Add([]byte(`{"features":[null]}`))
 	f.Add([]byte(`{"features":[{"id":"wrong","path":"a.csv"}]}`))
 	f.Add([]byte(`{}`))
@@ -82,6 +84,13 @@ func FuzzPublishRequest(f *testing.F) {
 				t.Fatalf("accepted request carries duplicate id %s", feat.ID)
 			}
 			seen[feat.ID] = true
+		}
+		removing := make(map[string]bool, len(req1.Remove))
+		for _, p := range req1.Remove {
+			if removing[p] {
+				t.Fatalf("accepted request removes %q twice", p)
+			}
+			removing[p] = true
 		}
 		// A request that decoded once must survive its own canonical
 		// encoding: the journal and the replication stream re-marshal
