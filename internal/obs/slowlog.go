@@ -19,6 +19,7 @@ type SlowEntry struct {
 	WallMs          float64   `json:"wallMs"`
 	Stages          []StageMs `json:"stages,omitempty"`
 	ShardCandidates []int32   `json:"shardCandidates,omitempty"`
+	ShardPruned     []int32   `json:"shardPruned,omitempty"`
 	ShardSkew       float64   `json:"shardSkew,omitempty"`
 	Tiers           int32     `json:"tiers,omitempty"`
 	CacheHit        bool      `json:"cacheHit,omitempty"`

@@ -22,9 +22,9 @@ import (
 )
 
 // maxSpanAttrs is the inline attribute capacity per span; the span
-// taxonomy needs at most shard/tier/candidates(/result counts), so
+// taxonomy needs at most shard/tier/candidates/scored/pruned, so
 // attributes never allocate.
-const maxSpanAttrs = 4
+const maxSpanAttrs = 5
 
 // Attr is one span attribute (integer-valued by design: counts,
 // indexes, generations).
@@ -227,6 +227,10 @@ type QueryObs struct {
 	// ShardCandidates counts the candidates examined (scored) per
 	// shard; parallel shard workers write disjoint slots.
 	ShardCandidates []int32
+	// ShardPruned counts, per shard, the examined candidates whose
+	// scoring stopped early because their score bound fell below the
+	// running top-K; same slot discipline.
+	ShardPruned []int32
 }
 
 var queryObsPool sync.Pool
@@ -252,6 +256,7 @@ func PutQueryObs(q *QueryObs) {
 	q.ParseNs = 0
 	q.ResetStages()
 	q.ShardCandidates = q.ShardCandidates[:0]
+	q.ShardPruned = q.ShardPruned[:0]
 	queryObsPool.Put(q)
 }
 
@@ -272,25 +277,27 @@ func (q *QueryObs) ResetStages() {
 	}
 	q.PlanNs, q.ScatterNs, q.MergeNs, q.ExplainNs = 0, 0, 0, 0
 	q.TiersRun = 0
-	for i := range q.ShardCandidates {
-		q.ShardCandidates[i] = 0
-	}
+	clear(q.ShardCandidates)
+	clear(q.ShardPruned)
 }
 
-// SizeShards sizes the per-shard candidate counters, reusing pooled
-// capacity. Nil-safe.
+// SizeShards sizes the per-shard candidate and pruned counters,
+// reusing pooled capacity. Nil-safe.
 func (q *QueryObs) SizeShards(n int) {
 	if q == nil {
 		return
 	}
-	if cap(q.ShardCandidates) < n {
-		q.ShardCandidates = make([]int32, n)
-	} else {
-		q.ShardCandidates = q.ShardCandidates[:n]
-		for i := range q.ShardCandidates {
-			q.ShardCandidates[i] = 0
-		}
+	q.ShardCandidates = zeroed(q.ShardCandidates, n)
+	q.ShardPruned = zeroed(q.ShardPruned, n)
+}
+
+func zeroed(c []int32, n int) []int32 {
+	if cap(c) < n {
+		return make([]int32, n)
 	}
+	c = c[:n]
+	clear(c)
+	return c
 }
 
 // AddShardCandidates credits n examined candidates to shard si.
@@ -300,6 +307,15 @@ func (q *QueryObs) AddShardCandidates(si, n int) {
 		return
 	}
 	q.ShardCandidates[si] += int32(n)
+}
+
+// AddShardPruned credits n pruned candidates to shard si. Nil-safe;
+// parallel callers must own distinct si.
+func (q *QueryObs) AddShardPruned(si, n int) {
+	if q == nil || si < 0 || si >= len(q.ShardPruned) {
+		return
+	}
+	q.ShardPruned[si] += int32(n)
 }
 
 // NoteTier records that widening tier ti (0-based) executed. Nil-safe;
@@ -318,11 +334,23 @@ func (q *QueryObs) TotalCandidates() int64 {
 	if q == nil {
 		return 0
 	}
-	var sum int64
-	for _, c := range q.ShardCandidates {
-		sum += int64(c)
+	return sumCounts(q.ShardCandidates)
+}
+
+// TotalPruned sums the per-shard pruned counts.
+func (q *QueryObs) TotalPruned() int64 {
+	if q == nil {
+		return 0
 	}
-	return sum
+	return sumCounts(q.ShardPruned)
+}
+
+func sumCounts(c []int32) int64 {
+	var s int64
+	for _, n := range c {
+		s += int64(n)
+	}
+	return s
 }
 
 // Skew is the max/mean ratio of per-shard examined counts — 1.0 is

@@ -12,10 +12,14 @@ import (
 
 // The equivalence property: indexed parallel search over the snapshot
 // returns byte-identical rankings to the linear-scan ablation
-// (UseIndex=false) for every catalog, query, and K — including K larger
-// than the catalog. Scores are compared with exact float equality;
-// any drift in the planner's widening bounds, the candidate indexes,
-// or the heap merge shows up here.
+// (UseIndex=false) for every catalog, query, expander, and K —
+// including K larger than the catalog. Scores are compared with exact
+// float equality; any drift in the planner's widening bounds, the
+// candidate indexes, the scorer's prune against the running top-K, or
+// the heap merge shows up here. The generator makes the cases those
+// bounds are most fragile on: exact score ties (content cloned under a
+// new path) and repeated variable names whose first copy is excluded
+// or far out of range.
 
 func randomFeature(rng *rand.Rand, trial, i int, names []string) *catalog.Feature {
 	path := fmt.Sprintf("t%d/d%03d.obs", trial, i)
@@ -60,7 +64,59 @@ func randomFeature(rng *rand.Rand, trial, i int, names []string) *catalog.Featur
 		}
 		f.Variables = append(f.Variables, v)
 	}
+	// 15% carry two raw variables wrangled to one name, the first copy
+	// hidden or out of range: only the first occurrence may score.
+	if rng.Float64() < 0.15 {
+		j := rng.Intn(len(f.Variables))
+		first := f.Variables[j]
+		first.RawName = "raw_" + first.Name
+		if rng.Float64() < 0.5 {
+			first.Excluded = true
+		} else {
+			first.Range = geo.NewValueRange(1000, 1000+rng.Float64()*20)
+			first.Count = 1 + rng.Intn(200)
+			first.Excluded = false
+		}
+		f.Variables = append(f.Variables[:j], append([]catalog.VarFeature{first}, f.Variables[j:]...)...)
+	}
 	return f
+}
+
+// randomFeatures draws a trial's n features. About one in five repeats
+// an earlier feature's content under its own path: an exact score tie
+// on every query, broken only by ID, so ties straddle the K cut.
+func randomFeatures(rng *rand.Rand, trial, n int, names []string) []*catalog.Feature {
+	fs := make([]*catalog.Feature, n)
+	for i := range fs {
+		if i == 0 || rng.Float64() >= 0.2 {
+			fs[i] = randomFeature(rng, trial, i, names)
+			continue
+		}
+		f := fs[rng.Intn(i)].Clone()
+		f.Path = fmt.Sprintf("t%d/d%03d.obs", trial, i)
+		f.ID = catalog.IDForPath(f.Path)
+		fs[i] = f
+	}
+	return fs
+}
+
+// stubExpander rewrites each term to a fixed list of expansions.
+type stubExpander map[string][]Expansion
+
+func (e stubExpander) Expand(term string) []Expansion { return e[term] }
+
+// randomExpander rewrites every name to itself at weight self() and to
+// up to two other names at weight other() each.
+func randomExpander(rng *rand.Rand, names []string, self, other func() float64) stubExpander {
+	e := stubExpander{}
+	for _, n := range names {
+		exps := []Expansion{{Name: n, Weight: self()}}
+		for j := rng.Intn(3); j > 0; j-- {
+			exps = append(exps, Expansion{Name: names[rng.Intn(len(names))], Weight: other()})
+		}
+		e[n] = exps
+	}
+	return e
 }
 
 func clampLat(v float64) float64 {
@@ -124,6 +180,39 @@ func randomQuery(rng *rand.Rand, names []string, n int) Query {
 }
 
 func TestSnapshotParallelMatchesLinearScan(t *testing.T) {
+	// A third of the trials match names exactly; the rest rewrite terms
+	// through a stub expander with weights in [−1, 1].
+	requireIndexedMatchesLinear(t, 20130408, 30, func(rng *rand.Rand, names []string) (Expander, float64) {
+		parentWeight := 0.05 + rng.Float64()*1.5
+		if rng.Intn(3) == 0 {
+			return nil, parentWeight
+		}
+		w := func() float64 { return -1 + 2*rng.Float64() }
+		return randomExpander(rng, names, w, w), parentWeight
+	})
+}
+
+// TestExpansionWeightsCappedAtOne pins the contract the planner's tier
+// bounds and the scorer's prune rest on: no dimension score exceeds 1.
+// An expander that over-weights the literal term, or a ParentWeight
+// above 1, would otherwise let a dataset outside a tier outscore the
+// tier's bound, and indexed search would drop it.
+func TestExpansionWeightsCappedAtOne(t *testing.T) {
+	if got := New(catalog.New(), Options{ParentWeight: 3}).opts.ParentWeight; got != 1 {
+		t.Fatalf("ParentWeight 3 kept as %v, want 1", got)
+	}
+	requireIndexedMatchesLinear(t, 7, 60, func(rng *rand.Rand, names []string) (Expander, float64) {
+		self := func() float64 { return 1.7 }
+		other := func() float64 { return []float64{0.3, 1}[rng.Intn(2)] }
+		return randomExpander(rng, names, self, other), []float64{0.8, 1.6}[rng.Intn(2)]
+	})
+}
+
+// requireIndexedMatchesLinear runs trials of random catalogs, each
+// searched by an indexed and a linear searcher that share the expander
+// and ParentWeight opts draws, and requires identical rankings.
+func requireIndexedMatchesLinear(t *testing.T, seed int64, trials int, opts func(*rand.Rand, []string) (Expander, float64)) {
+	t.Helper()
 	// Force the parallel executor even on tiny catalogs and single-CPU
 	// hosts.
 	oldMin, oldCap := parallelMinWork, maxFanOutProcs
@@ -134,19 +223,21 @@ func TestSnapshotParallelMatchesLinearScan(t *testing.T) {
 		"water_temperature", "salinity", "turbidity", "dissolved_oxygen",
 		"fluores375", "fluores410", "nitrate", "fluorescence",
 	}
-	rng := rand.New(rand.NewSource(20130408))
-	for trial := 0; trial < 30; trial++ {
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < trials; trial++ {
 		n := rng.Intn(140)
 		c := catalog.New()
-		for i := 0; i < n; i++ {
-			if err := c.Upsert(randomFeature(rng, trial, i, names)); err != nil {
+		for _, f := range randomFeatures(rng, trial, n, names) {
+			if err := c.Upsert(f); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
 		idxOpts := DefaultOptions()
+		idxOpts.Expander, idxOpts.ParentWeight = opts(rng, names)
 		idxOpts.Workers = 1 + rng.Intn(8)
 		idxOpts.PruneScore = []float64{0.05, 0.2, 0.01}[rng.Intn(3)]
 		linOpts := DefaultOptions()
+		linOpts.Expander, linOpts.ParentWeight = idxOpts.Expander, idxOpts.ParentWeight
 		linOpts.UseIndex = false
 		linOpts.Workers = 1 + rng.Intn(8)
 		indexed := New(c, idxOpts)

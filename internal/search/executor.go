@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -244,14 +245,9 @@ func (s *Searcher) searchSnapshot(ctx context.Context, snap *catalog.Snapshot, q
 			}
 			sc.batch = batch
 			tid := tr.Start(sid, "tier")
-			if len(batch) > 0 {
-				gather(s.scorePositions(ctx, sh, batch, q, expanded, k, 1, sc))
-			}
-			qo.AddShardCandidates(si, len(batch))
-			tr.Attr(tid, "shard", int64(si))
-			tr.Attr(tid, "tier", int64(ti))
-			tr.Attr(tid, "candidates", int64(len(batch)))
-			tr.End(tid)
+			top, scored, pruned := s.scorePositions(ctx, sh, batch, q, expanded, k, 1, true, sc)
+			gather(top)
+			endTier(qo, tid, si, ti, len(batch), scored, pruned)
 		})
 		qo.NoteTier(ti)
 		if !canceled(ctx) {
@@ -332,9 +328,10 @@ func parallelDo(workers, n int, fn func(i int)) {
 // linear ablation. The returned slice is unsorted, has at most k
 // elements, and aliases the scratch: callers copy out before releasing
 // sc. The whole scan is one "tier" span under parent, and every
-// position counts as an examined candidate for shard si. Safe to call
-// from scatter workers: it only touches the (mutex-guarded) trace and
-// shard si's own counter slot.
+// position counts as an examined candidate for shard si. It scores
+// every candidate in full, never pruning, so it stays an oracle for
+// the pruned executor. Safe to call from scatter workers: it only
+// touches the (mutex-guarded) trace and shard si's own counter slots.
 func (s *Searcher) linearShard(ctx context.Context, sh *catalog.Shard, q Query, expanded []expandedTerm, k, workers int, sc *scratch, qo *obs.QueryObs, si int, parent int32) []Result {
 	tr, _ := qo.Tracer()
 	tid := tr.Start(parent, "tier")
@@ -343,12 +340,8 @@ func (s *Searcher) linearShard(ctx context.Context, sh *catalog.Shard, q Query, 
 		all = append(all, int32(i))
 	}
 	sc.batch = all
-	res := s.scorePositions(ctx, sh, all, q, expanded, k, workers, sc)
-	qo.AddShardCandidates(si, len(all))
-	tr.Attr(tid, "shard", int64(si))
-	tr.Attr(tid, "tier", 0)
-	tr.Attr(tid, "candidates", int64(len(all)))
-	tr.End(tid)
+	res, scored, pruned := s.scorePositions(ctx, sh, all, q, expanded, k, workers, false, sc)
+	endTier(qo, tid, si, 0, len(all), scored, pruned)
 	return res
 }
 
@@ -390,19 +383,16 @@ func (s *Searcher) executePlan(ctx context.Context, sh *catalog.Shard, pln plan,
 		}
 		sc.batch = batch
 		tid := tr.Start(parent, "tier")
-		if len(batch) > 0 {
-			acc = append(acc, s.scorePositions(ctx, sh, batch, q, expanded, k, workers, sc)...)
+		top, scored, pruned := s.scorePositions(ctx, sh, batch, q, expanded, k, workers, true, sc)
+		if len(top) > 0 {
+			acc = append(acc, top...)
 			rank(acc)
 			if len(acc) > k {
 				acc = acc[:k]
 			}
 		}
-		qo.AddShardCandidates(si, len(batch))
+		endTier(qo, tid, si, ti, len(batch), scored, pruned)
 		qo.NoteTier(ti)
-		tr.Attr(tid, "shard", int64(si))
-		tr.Attr(tid, "tier", int64(ti))
-		tr.Attr(tid, "candidates", int64(len(batch)))
-		tr.End(tid)
 		if !canceled(ctx) {
 			completedTiers++
 		}
@@ -418,31 +408,45 @@ func (s *Searcher) executePlan(ctx context.Context, sh *catalog.Shard, pln plan,
 	return acc
 }
 
+// endTier credits shard si with a tier's batch and the part of it
+// that was pruned, and closes the tier's span with the same counts.
+// scored+pruned falls short of batch only when the context ended
+// mid-batch.
+func endTier(qo *obs.QueryObs, tid int32, si, ti, batch, scored, pruned int) {
+	qo.AddShardCandidates(si, batch)
+	qo.AddShardPruned(si, pruned)
+	tr, _ := qo.Tracer()
+	tr.Attr(tid, "shard", int64(si))
+	tr.Attr(tid, "tier", int64(ti))
+	tr.Attr(tid, "candidates", int64(batch))
+	tr.Attr(tid, "scored", int64(scored))
+	tr.Attr(tid, "pruned", int64(pruned))
+	tr.End(tid)
+}
+
 // scorePositions scores a candidate batch from one shard and returns
 // its top-K (by the ranking order), unsorted, aliasing scratch or
-// worker-local memory. The fan-out is adaptive: effectiveWorkers grants
-// one worker per parallelMinWork candidates (never more than asked), so
-// small batches are scored serially on the calling goroutine into the
-// scratch's pooled heap. Parallel batches give each worker a bounded
-// top-K min-heap so memory stays O(K·workers) regardless of catalog
-// size, and the merged heaps contain a superset of the batch's true
-// top-K.
-func (s *Searcher) scorePositions(ctx context.Context, sh *catalog.Shard, pos []int32, q Query, expanded []expandedTerm, k, workers int, sc *scratch) []Result {
+// worker-local memory, with how many candidates were scored in full
+// and how many were pruned (prune=false scores every one). The fan-out
+// is adaptive: effectiveWorkers grants one worker per parallelMinWork
+// candidates (never more than asked), so small batches are scored
+// serially on the calling goroutine into the scratch's pooled heap.
+// Parallel batches give each worker a bounded top-K min-heap so memory
+// stays O(K·workers) regardless of catalog size, and the merged heaps
+// contain a superset of the batch's true top-K.
+func (s *Searcher) scorePositions(ctx context.Context, sh *catalog.Shard, pos []int32, q Query, expanded []expandedTerm, k, workers int, prune bool, sc *scratch) (top []Result, scored, pruned int) {
 	workers = effectiveWorkers(workers, len(pos))
 	if workers <= 1 {
 		h := &sc.heap
 		h.reset(k)
-		for i, p := range pos {
-			if i%cancelCheckEvery == 0 && canceled(ctx) {
-				return h.items
-			}
-			if r := s.score(sh.At(p), q, expanded); r.Score > 0 {
-				h.consider(r)
-			}
-		}
-		return h.items
+		scored, pruned = s.scoreInto(ctx, h, sh, pos, q, expanded, prune)
+		return h.items, scored, pruned
 	}
-	heaps := make([]*topK, workers)
+	type part struct {
+		h              *topK
+		scored, pruned int
+	}
+	parts := make([]part, workers)
 	var wg sync.WaitGroup
 	chunk := (len(pos) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -452,33 +456,55 @@ func (s *Searcher) scorePositions(ctx context.Context, sh *catalog.Shard, pos []
 			hi = len(pos)
 		}
 		if lo >= hi {
-			heaps[w] = newTopK(k)
 			continue
 		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			h := newTopK(k)
-			for i, p := range pos[lo:hi] {
-				if i%cancelCheckEvery == 0 && canceled(ctx) {
-					break
-				}
-				if r := s.score(sh.At(p), q, expanded); r.Score > 0 {
-					h.consider(r)
-				}
-			}
-			heaps[w] = h
+			scored, pruned := s.scoreInto(ctx, h, sh, pos[lo:hi], q, expanded, prune)
+			parts[w] = part{h, scored, pruned}
 		}(w, lo, hi)
 	}
 	wg.Wait()
 	// Fresh slice, not scratch: the caller may be accumulating into
 	// sc.acc across tiers, and a parallel batch is large enough that one
 	// merge allocation is noise.
-	out := make([]Result, 0, len(heaps)*k)
-	for _, h := range heaps {
-		out = append(out, h.items...)
+	out := make([]Result, 0, workers*k)
+	for _, p := range parts {
+		if p.h != nil {
+			out = append(out, p.h.items...)
+		}
+		scored += p.scored
+		pruned += p.pruned
 	}
-	return out
+	return out, scored, pruned
+}
+
+// scoreInto scores pos into h on the calling goroutine. With prune set,
+// each candidate is scored against h's floor, which only rises, so a
+// candidate score gives up on is one h would have rejected: the heap
+// comes out exactly as without pruning.
+func (s *Searcher) scoreInto(ctx context.Context, h *topK, sh *catalog.Shard, pos []int32, q Query, expanded []expandedTerm, prune bool) (scored, pruned int) {
+	floor := math.Inf(-1)
+	for i, p := range pos {
+		if i%cancelCheckEvery == 0 && canceled(ctx) {
+			break
+		}
+		r, ok := s.score(sh.At(p), q, expanded, floor)
+		if !ok {
+			pruned++
+			continue
+		}
+		scored++
+		if r.Score > 0 {
+			h.consider(r)
+			if prune {
+				floor = h.floor()
+			}
+		}
+	}
+	return scored, pruned
 }
 
 // topK is a bounded min-heap ordered by the ranking comparator (score
@@ -505,6 +531,15 @@ func outranked(a, b Result) bool {
 		return a.Score < b.Score
 	}
 	return a.Feature.ID > b.Feature.ID
+}
+
+// floor is the score a candidate must reach to enter: the root's once
+// the heap is full, −∞ before.
+func (h *topK) floor() float64 {
+	if h.k <= 0 || len(h.items) < h.k {
+		return math.Inf(-1)
+	}
+	return h.items[0].Score
 }
 
 func (h *topK) consider(r Result) {

@@ -112,7 +112,9 @@ type Options struct {
 	// qualification). Nil means exact matching only.
 	Expander Expander
 	// ParentWeight scores a variable whose hierarchy parent matches the
-	// query term ("fluorescence" finding fluores375). Default 0.8.
+	// query term ("fluorescence" finding fluores375). Default 0.8; New
+	// caps it at 1, because every dimension score must stay ≤ 1 for the
+	// planner's tier bounds and the scorer's prune to be exact.
 	ParentWeight float64
 }
 
@@ -129,7 +131,10 @@ func DefaultOptions() Options {
 
 // Expansion is one rewrite of a query term.
 type Expansion struct {
-	Name   string
+	Name string
+	// Weight scales a match through this rewrite. The searcher caps it
+	// at 1, so a term score never exceeds 1 (the exactness of indexed
+	// search rests on that); a weight ≤ 0 never matches.
 	Weight float64
 }
 
@@ -178,6 +183,7 @@ func New(cat *catalog.Catalog, opts Options) *Searcher {
 	if opts.ParentWeight <= 0 {
 		opts.ParentWeight = def.ParentWeight
 	}
+	opts.ParentWeight = min(opts.ParentWeight, 1)
 	if opts.PruneScore <= 0 || opts.PruneScore >= 1 {
 		opts.PruneScore = def.PruneScore
 	}
@@ -318,7 +324,10 @@ func (s *Searcher) expandTerms(terms []Term) []expandedTerm {
 		exps := []Expansion{{Name: t.Name, Weight: 1}}
 		if s.opts.Expander != nil {
 			if e := s.opts.Expander.Expand(t.Name); len(e) > 0 {
-				exps = e
+				exps = make([]Expansion, len(e))
+				for j, x := range e {
+					exps[j] = Expansion{Name: x.Name, Weight: min(x.Weight, 1)}
+				}
 			}
 		}
 		out[i] = expandedTerm{term: t, expansions: exps}
@@ -326,14 +335,61 @@ func (s *Searcher) expandTerms(terms []Term) []expandedTerm {
 	return out
 }
 
-// score computes the distance-based similarity of one feature.
-func (s *Searcher) score(f *catalog.Feature, q Query, expanded []expandedTerm) Result {
+// score computes the distance-based similarity of one feature. The
+// cheap dimensions go first (time, then space), and after each one the
+// final expression is evaluated with every dimension not yet computed at
+// its ceiling of 1. That is an upper bound on the finished score: every
+// dimension score is ≤ 1 and IEEE rounding is monotone. If it falls
+// strictly below floor, score stops and reports false, and the partial
+// Result must be discarded. A floor of −∞ computes everything; the
+// executor passes the root of a full top-K heap, which the pruned
+// candidate could never have entered. Strictly, because a candidate
+// that ties the root enters on a smaller ID: batches arrive in ID
+// order, so a tie never enters today, but exactness must not rest on
+// the order of a batch.
+func (s *Searcher) score(f *catalog.Feature, q Query, expanded []expandedTerm, floor float64) (Result, bool) {
 	r := Result{Feature: f, Space: 1, Time: 1, Vars: 1}
 	w := s.opts.Weights
+	useSpace := q.Location != nil || q.Region != nil
+	useTime := q.Time != nil
+	useVars := len(expanded) > 0
 	totalWeight := 0.0
-	total := 0.0
-
-	if q.Location != nil || q.Region != nil {
+	if useSpace {
+		totalWeight += w.Space
+	}
+	if useTime {
+		totalWeight += w.Time
+	}
+	if useVars {
+		totalWeight += w.Variables
+	}
+	if totalWeight == 0 {
+		return r, true
+	}
+	// weighted is the one score expression, in one summation order, so
+	// a bound and the final score can only differ by the dimensions
+	// still at 1.
+	weighted := func() float64 {
+		total := 0.0
+		if useSpace {
+			total += w.Space * r.Space
+		}
+		if useTime {
+			total += w.Time * r.Time
+		}
+		if useVars {
+			total += w.Variables * r.Vars
+		}
+		return total / totalWeight
+	}
+	if useTime {
+		gap := f.Time.Distance(*q.Time)
+		r.Time = decay(float64(gap), float64(s.opts.TimeScale))
+		if weighted() < floor {
+			return r, false
+		}
+	}
+	if useSpace {
 		var distKm float64
 		if q.Location != nil {
 			distKm = f.BBox.DistanceKm(*q.Location)
@@ -341,29 +397,19 @@ func (s *Searcher) score(f *catalog.Feature, q Query, expanded []expandedTerm) R
 			distKm = f.BBox.DistanceToBoxKm(*q.Region)
 		}
 		r.Space = decay(distKm, s.opts.SpaceScaleKm)
-		total += w.Space * r.Space
-		totalWeight += w.Space
+		if weighted() < floor {
+			return r, false
+		}
 	}
-	if q.Time != nil {
-		gap := f.Time.Distance(*q.Time)
-		r.Time = decay(float64(gap), float64(s.opts.TimeScale))
-		total += w.Time * r.Time
-		totalWeight += w.Time
-	}
-	if len(expanded) > 0 {
+	if useVars {
 		sum := 0.0
 		for _, et := range expanded {
 			sum += s.scoreTerm(f, et, false).Score
 		}
 		r.Vars = sum / float64(len(expanded))
-		total += w.Variables * r.Vars
-		totalWeight += w.Variables
 	}
-	if totalWeight == 0 {
-		return r
-	}
-	r.Score = total / totalWeight
-	return r
+	r.Score = weighted()
+	return r, true
 }
 
 // scoreTerm scores one query term against a feature: the best expansion
@@ -378,7 +424,7 @@ func (s *Searcher) scoreTerm(f *catalog.Feature, et expandedTerm, explain bool) 
 	// matched/viaParent record how the current best was found; the label
 	// string is only built once, after the loops, when explaining.
 	var matched, viaParent string
-	consider := func(v catalog.VarFeature, weight float64, name, parent string) {
+	consider := func(v *catalog.VarFeature, weight float64, name, parent string) {
 		if v.Excluded {
 			return
 		}
@@ -391,14 +437,21 @@ func (s *Searcher) scoreTerm(f *catalog.Feature, et expandedTerm, explain bool) 
 			matched, viaParent = name, parent
 		}
 	}
+	// Variables are visited in place: a VarFeature is too large to copy
+	// per loop step on the hottest path of a query.
 	for _, exp := range et.expansions {
-		if v, ok := f.Variable(exp.Name); ok {
-			consider(v, exp.Weight, exp.Name, "")
+		// The first variable carrying the name decides, even when it is
+		// excluded (Feature.Variable's rule); later copies never score.
+		for i := range f.Variables {
+			if v := &f.Variables[i]; v.Name == exp.Name {
+				consider(v, exp.Weight, exp.Name, "")
+				break
+			}
 		}
 	}
 	// Hierarchy-parent match: querying the parent concept finds members.
-	for _, v := range f.Variables {
-		if v.Parent != "" && v.Parent == et.term.Name {
+	for i := range f.Variables {
+		if v := &f.Variables[i]; v.Parent != "" && v.Parent == et.term.Name {
 			consider(v, s.opts.ParentWeight, v.Name, v.Parent)
 		}
 	}

@@ -313,6 +313,41 @@ func TestSearchHierarchyParentMatch(t *testing.T) {
 	}
 }
 
+// TestScoreTermFirstOccurrenceDecides pins how a feature whose raw
+// variables were wrangled to one name scores: the first variable with
+// the name decides, even when it is excluded or fits the queried range
+// worse; a later copy never scores by name.
+func TestScoreTermFirstOccurrenceDecides(t *testing.T) {
+	s := New(catalog.New(), DefaultOptions())
+	qr := geo.NewValueRange(10, 20)
+	et := expandedTerm{
+		term:       Term{Name: "salinity", Range: &qr},
+		expansions: []Expansion{{Name: "salinity", Weight: 1}},
+	}
+	fits := v("salinity", 10, 20)
+	far := v("salinity", 100, 110)
+	far.RawName = "sal_far"
+	hidden := fits
+	hidden.RawName, hidden.Excluded = "sal_hidden", true
+	for _, c := range []struct {
+		name string
+		vars []catalog.VarFeature
+		want float64
+	}{
+		{"excluded first", []catalog.VarFeature{hidden, fits}, 0},
+		{"out of range first", []catalog.VarFeature{far, fits}, rangeFit(qr, far.Range)},
+		{"fitting first", []catalog.VarFeature{fits, far}, 1},
+	} {
+		f := mkFeature("dup.obs", astoria, june2010, c.vars...)
+		if got := s.scoreTerm(f, et, false).Score; got != c.want {
+			t.Errorf("%s: score %v, want %v", c.name, got, c.want)
+		}
+		if first, _ := f.Variable("salinity"); first.RawName != c.vars[0].RawName {
+			t.Errorf("%s: Feature.Variable returned %q, want the first copy", c.name, first.RawName)
+		}
+	}
+}
+
 func TestExpanderWeightsAndDedup(t *testing.T) {
 	k, err := semdiv.NewKnowledge(vocab.Standard())
 	if err != nil {

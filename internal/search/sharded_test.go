@@ -45,8 +45,7 @@ func TestShardedSearchMatchesSingleShard(t *testing.T) {
 		n := 20 + rng.Intn(120)
 		live := make(map[int]bool)
 		features := make(map[int]*catalog.Feature)
-		for i := 0; i < n; i++ {
-			f := randomFeature(rng, trial, i, names)
+		for i, f := range randomFeatures(rng, trial, n, names) {
 			features[i] = f
 			live[i] = true
 			for _, c := range cats {

@@ -14,9 +14,11 @@ import (
 // must be purely observational. Rankings are byte-identical with and
 // without it; the per-shard candidate counts it records are the real
 // examined sets — a traced linear scan examines every live feature
-// exactly once, and the indexed executor's counters agree with the
-// "candidates" attributes on its own tier spans. Runs under -race in
-// CI, so the scatter workers' concurrent span recording is checked too.
+// exactly once and prunes none, and the indexed executor's counters
+// agree with the "candidates" and "pruned" attributes on its own tier
+// spans, each tier's batch split exactly into scored and pruned. Runs
+// under -race in CI, so the scatter workers' concurrent span recording
+// is checked too.
 
 // tracedSearch runs one search with a forced trace attached and returns
 // the results plus the footprint's counters and rendered span tree.
@@ -40,20 +42,28 @@ func releaseTraced(qo *obs.QueryObs) {
 	obs.PutQueryObs(qo)
 }
 
-// sumTierCandidates walks the span tree adding up the "candidates"
-// attribute of every "tier" span.
-func sumTierCandidates(n *obs.SpanTree) int64 {
+// sumTiers walks the span tree adding up the "candidates" and "pruned"
+// attributes of every "tier" span, and fails unless each tier's batch
+// is exactly its scored plus its pruned candidates.
+func sumTiers(t *testing.T, label string, n *obs.SpanTree) (candidates, pruned int64) {
+	t.Helper()
 	if n == nil {
-		return 0
+		return 0, 0
 	}
-	var sum int64
 	if n.Name == "tier" {
-		sum += n.Attrs["candidates"]
+		a := n.Attrs
+		if a["scored"]+a["pruned"] != a["candidates"] {
+			t.Fatalf("%s: tier %d shard %d: scored %d + pruned %d != candidates %d",
+				label, a["tier"], a["shard"], a["scored"], a["pruned"], a["candidates"])
+		}
+		candidates, pruned = a["candidates"], a["pruned"]
 	}
 	for _, c := range n.Children {
-		sum += sumTierCandidates(c)
+		cc, cp := sumTiers(t, label, c)
+		candidates += cc
+		pruned += cp
 	}
-	return sum
+	return candidates, pruned
 }
 
 func TestTracedSearchObservational(t *testing.T) {
@@ -68,13 +78,14 @@ func TestTracedSearchObservational(t *testing.T) {
 		"fluores375", "fluores410", "nitrate", "fluorescence",
 	}
 	rng := rand.New(rand.NewSource(20260807))
+	var totalPruned int64
 	for trial := 0; trial < 10; trial++ {
 		// The 1-shard baseline plus a random scatter partitioning.
 		for _, sc := range []int{1, 2 + rng.Intn(15)} {
 			n := 20 + rng.Intn(100)
 			c := catalog.NewSharded(sc)
-			for i := 0; i < n; i++ {
-				if err := c.Upsert(randomFeature(rng, trial, i, names)); err != nil {
+			for _, f := range randomFeatures(rng, trial, n, names) {
+				if err := c.Upsert(f); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 			}
@@ -99,25 +110,35 @@ func TestTracedSearchObservational(t *testing.T) {
 				requireSameResults(t, label+": traced vs untraced", plain, traced)
 
 				// The executor's counters agree with its own spans: the
-				// tier spans' candidates attributes sum to the footprint's
-				// per-shard totals.
-				if got, want := sumTierCandidates(tree), qo.TotalCandidates(); got != want {
-					t.Fatalf("%s: tier span candidates %d != footprint total %d", label, got, want)
+				// tier spans' candidates and pruned attributes sum to the
+				// footprint's per-shard totals.
+				candidates, pruned := sumTiers(t, label, tree)
+				if want := qo.TotalCandidates(); candidates != want {
+					t.Fatalf("%s: tier span candidates %d != footprint total %d", label, candidates, want)
 				}
+				if want := qo.TotalPruned(); pruned != want {
+					t.Fatalf("%s: tier span pruned %d != footprint total %d", label, pruned, want)
+				}
+				totalPruned += pruned
 				if qo.TiersRun < 1 {
 					t.Fatalf("%s: TiersRun = %d, want >= 1", label, qo.TiersRun)
 				}
-				if len(qo.ShardCandidates) != sc {
-					t.Fatalf("%s: %d shard counters, want %d", label, len(qo.ShardCandidates), sc)
+				if len(qo.ShardCandidates) != sc || len(qo.ShardPruned) != sc {
+					t.Fatalf("%s: %d shard counters and %d pruned counters, want %d",
+						label, len(qo.ShardCandidates), len(qo.ShardPruned), sc)
 				}
 				releaseTraced(qo)
 
-				// The linear-scan oracle examines every live feature
+				// The linear-scan oracle scores every live feature in full
 				// exactly once, however it is sharded: its traced per-shard
-				// candidate counts must sum to the catalog size.
-				linTraced, lqo, _ := tracedSearch(t, linear, q)
+				// candidate counts must sum to the catalog size, with
+				// nothing pruned.
+				linTraced, lqo, ltree := tracedSearch(t, linear, q)
 				if got := lqo.TotalCandidates(); got != int64(n) {
 					t.Fatalf("%s: linear scan examined %d candidates, want %d", label, got, n)
+				}
+				if _, pruned := sumTiers(t, label+": linear", ltree); pruned != 0 || lqo.TotalPruned() != 0 {
+					t.Fatalf("%s: linear scan pruned %d (footprint %d), want 0", label, pruned, lqo.TotalPruned())
 				}
 				linPlain, err := linear.Search(q)
 				if err != nil {
@@ -127,5 +148,8 @@ func TestTracedSearchObservational(t *testing.T) {
 				releaseTraced(lqo)
 			}
 		}
+	}
+	if totalPruned == 0 {
+		t.Fatal("the indexed executor pruned nothing in any trial")
 	}
 }

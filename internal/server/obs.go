@@ -93,6 +93,7 @@ func (s *Server) noteSlow(start time.Time, key string, gen uint64, qo *obs.Query
 	}
 	if len(qo.ShardCandidates) > 0 {
 		e.ShardCandidates = append([]int32(nil), qo.ShardCandidates...)
+		e.ShardPruned = append([]int32(nil), qo.ShardPruned...)
 	}
 	for _, st := range [...]struct {
 		name string
