@@ -3,7 +3,6 @@ package catalog
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -11,19 +10,22 @@ import (
 	"unicode/utf8"
 
 	"metamess/internal/geo"
+	"metamess/internal/jsonenc"
 )
 
 // The record kernel: a hand-written encoder and decoder for the JSON
 // payload of a record line (and for the POST /publish body, which
 // carries features in the same encoding). encoding/json stays the
-// definition of the format and the fallback. The kernel handles the
+// definition of the format and the fallback. The decoder handles the
 // canonical form — what json.Marshal writes: keys once each in struct
 // order, omitempty keys optional, no whitespace, strings free of
-// anything json.Marshal would escape — and for it produces exactly what
-// encoding/json would: byte-identical payloads, reflect.DeepEqual
-// values. On anything else it declines (ok false), never rejects: the
-// caller runs encoding/json, which either handles the input or supplies
-// the error. FuzzRecordCodecMatchesReference holds that contract.
+// anything json.Marshal would escape — and the encoder writes strings
+// and floats with the shared internal/jsonenc primitives. Both produce
+// exactly what encoding/json would: byte-identical payloads,
+// reflect.DeepEqual values. On anything else the kernel declines (ok
+// false), never rejects: the caller runs encoding/json, which either
+// handles the input or supplies the error.
+// FuzzRecordCodecMatchesReference holds that contract.
 
 // kernelDeclines counts the payloads the kernel handed back to
 // encoding/json, so tests can tell when the fast path stops being taken.
@@ -128,44 +130,17 @@ func (e *encoder) array(n int, elem func(i int)) {
 	e.raw(`]`)
 }
 
-// str writes s quoted, declining a string json.Marshal would escape:
-// '"', '\\', control bytes, '<', '>', '&', invalid UTF-8, U+2028, U+2029.
-func (e *encoder) str(s string) {
-	ascii := true
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c >= utf8.RuneSelf:
-			ascii = false
-		case c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&':
-			e.bad = true
-		}
-	}
-	if !ascii && (!utf8.ValidString(s) || strings.ContainsAny(s, "\u2028\u2029")) {
-		e.bad = true
-	}
-	e.b = append(append(append(e.b, '"'), s...), '"')
-}
+// str writes s as json.Marshal does, escapes included.
+func (e *encoder) str(s string) { e.b = jsonenc.AppendString(e.b, s) }
 
 func (e *encoder) strs(ss []string) { e.array(len(ss), func(i int) { e.str(ss[i]) }) }
 
-// float writes f with encoding/json's float64 rules: shortest
-// round-trip digits, 'e' form outside [1e-6, 1e21) with the exponent's
-// leading zero dropped. NaN and ±Inf are declined, so json.Marshal
-// reports them.
+// float writes f as json.Marshal does, declining NaN and ±Inf so
+// json.Marshal reports them.
 func (e *encoder) float(f float64) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		e.bad = true
-		return
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
-	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
-		e.b[n-2] = e.b[n-1]
-		e.b = e.b[:n-1]
-	}
+	var ok bool
+	e.b, ok = jsonenc.AppendFloat(e.b, f)
+	e.bad = e.bad || !ok
 }
 
 func (e *encoder) int(v int64) { e.b = strconv.AppendInt(e.b, v, 10) }

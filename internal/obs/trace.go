@@ -221,6 +221,9 @@ type QueryObs struct {
 	ParseNs int64
 	// Per-stage wall time, nanoseconds, accumulated by the executor.
 	PlanNs, ScatterNs, MergeNs, ExplainNs int64
+	// HitsNs is the facade's rendering of the ranked results into hits
+	// (summary pages and match explanations), after the executor.
+	HitsNs int64
 	// TiersRun is the deepest widening tier executed, 1-based
 	// (widenings = TiersRun - 1).
 	TiersRun int32
@@ -275,7 +278,7 @@ func (q *QueryObs) ResetStages() {
 	if q == nil {
 		return
 	}
-	q.PlanNs, q.ScatterNs, q.MergeNs, q.ExplainNs = 0, 0, 0, 0
+	q.PlanNs, q.ScatterNs, q.MergeNs, q.ExplainNs, q.HitsNs = 0, 0, 0, 0, 0
 	q.TiersRun = 0
 	clear(q.ShardCandidates)
 	clear(q.ShardPruned)

@@ -415,7 +415,7 @@ func TestSummaryRender(t *testing.T) {
 	if len(sum.Searchable) != 2 || len(sum.Excluded) != 1 {
 		t.Fatalf("summary split = %d/%d", len(sum.Searchable), len(sum.Excluded))
 	}
-	page := sum.Render()
+	page := string(AppendSummaryPage(nil, f))
 	for _, want := range []string{
 		"stations/2010/s1.obs",
 		"water_temperature [degC]",

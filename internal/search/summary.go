@@ -3,7 +3,7 @@ package search
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"metamess/internal/catalog"
@@ -75,47 +75,93 @@ func Summarize(f *catalog.Feature) Summary {
 	return s
 }
 
-// Render formats the summary as the text "page" the CLIs print.
-func (s Summary) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Dataset: %s\n", s.Path)
-	fmt.Fprintf(&b, "Source:  %s (%s), %d rows, %d bytes\n", s.Source, s.Format, s.RowCount, s.Bytes)
-	fmt.Fprintf(&b, "Extent:  %s\n", s.BBox)
-	if s.TimeRange != "" {
-		fmt.Fprintf(&b, "Time:    %s\n", s.TimeRange)
+// AppendSummaryPage appends f's summary page — the text the CLIs print
+// and every search hit carries — to dst: the page of Summarize(f),
+// written without building the Summary. The variables are ordered by
+// the same sort.Slice over the same less as Summarize's, which makes
+// the same swaps, so same-named variables tie exactly as they do there.
+func AppendSummaryPage(dst []byte, f *catalog.Feature) []byte {
+	dst = append(append(dst, "Dataset: "...), f.Path...)
+	dst = append(append(dst, "\nSource:  "...), f.Source...)
+	dst = append(append(dst, " ("...), f.Format...)
+	dst = strconv.AppendInt(append(dst, "), "...), int64(f.RowCount), 10)
+	dst = strconv.AppendInt(append(dst, " rows, "...), f.Bytes, 10)
+	dst = append(dst, " bytes\nExtent:  "...)
+	if b := f.BBox; b.IsEmpty() { // as geo.BBox.String
+		dst = append(dst, "[empty]"...)
+	} else {
+		dst = strconv.AppendFloat(append(dst, '['), b.MinLat, 'f', 5, 64)
+		dst = strconv.AppendFloat(append(dst, ','), b.MinLon, 'f', 5, 64)
+		dst = strconv.AppendFloat(append(dst, " .. "...), b.MaxLat, 'f', 5, 64)
+		dst = strconv.AppendFloat(append(dst, ','), b.MaxLon, 'f', 5, 64)
+		dst = append(dst, ']')
 	}
-	fmt.Fprintf(&b, "Variables (%d searchable, %d excluded):\n", len(s.Searchable), len(s.Excluded))
-	for _, v := range s.Searchable {
-		b.WriteString("  " + formatVarLine(v, false) + "\n")
+	dst = append(dst, '\n')
+	if f.Time.Valid() {
+		dst = f.Time.Start.UTC().AppendFormat(append(dst, "Time:    "...), time.RFC3339)
+		dst = f.Time.End.UTC().AppendFormat(append(dst, " .. "...), time.RFC3339)
+		dst = append(dst, '\n')
 	}
-	for _, v := range s.Excluded {
-		b.WriteString("  " + formatVarLine(v, true) + "\n")
+	vars := f.Variables
+	order := make([]int, 0, len(vars))
+	for i := range vars {
+		if !vars[i].Excluded {
+			order = append(order, i)
+		}
 	}
-	return b.String()
+	searchable := len(order)
+	for i := range vars {
+		if vars[i].Excluded {
+			order = append(order, i)
+		}
+	}
+	for _, part := range [2][]int{order[:searchable], order[searchable:]} {
+		sort.Slice(part, func(i, j int) bool { return vars[part[i]].Name < vars[part[j]].Name })
+	}
+	dst = strconv.AppendInt(append(dst, "Variables ("...), int64(searchable), 10)
+	dst = strconv.AppendInt(append(dst, " searchable, "...), int64(len(order)-searchable), 10)
+	dst = append(dst, " excluded):\n"...)
+	for _, i := range order {
+		dst = appendVarLine(dst, &vars[i])
+	}
+	return dst
 }
 
-func formatVarLine(v SummaryVar, excluded bool) string {
-	var b strings.Builder
-	b.WriteString(v.Name)
-	if v.Unit != "" {
-		fmt.Fprintf(&b, " [%s]", v.Unit)
+// appendVarLine appends one variable line of the summary page.
+func appendVarLine(dst []byte, v *catalog.VarFeature) []byte {
+	dst = append(dst, "  "...)
+	dst = append(dst, v.Name...)
+	unit := v.CanonicalUnit
+	if unit == "" {
+		unit = v.Unit
 	}
-	if v.Range != "" {
-		fmt.Fprintf(&b, "  %s", v.Range)
+	if unit != "" {
+		dst = append(append(append(dst, " ["...), unit...), ']')
 	}
-	fmt.Fprintf(&b, "  (%d obs", v.Count)
+	if v.Count > 0 {
+		dst = strconv.AppendFloat(append(dst, "  "...), v.Range.Min, 'g', 3, 64)
+		dst = strconv.AppendFloat(append(dst, " .. "...), v.Range.Max, 'g', 3, 64)
+	}
+	dst = strconv.AppendInt(append(dst, "  ("...), int64(v.Count), 10)
+	dst = append(dst, " obs"...)
 	if v.RawName != v.Name {
-		fmt.Fprintf(&b, ", raw: %s", v.RawName)
+		dst = append(append(dst, ", raw: "...), v.RawName...)
 	}
-	b.WriteString(")")
+	dst = append(dst, ')')
 	if len(v.Contexts) > 0 {
-		fmt.Fprintf(&b, " contexts: %s", strings.Join(v.Contexts, ","))
+		dst = append(dst, " contexts: "...)
+		for i, c := range v.Contexts {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, c...)
+		}
 	}
 	if v.Parent != "" {
-		fmt.Fprintf(&b, " under: %s", v.Parent)
+		dst = append(append(dst, " under: "...), v.Parent...)
 	}
-	if excluded {
-		b.WriteString(" [excluded from search]")
+	if v.Excluded {
+		dst = append(dst, " [excluded from search]"...)
 	}
-	return b.String()
+	return append(dst, '\n')
 }

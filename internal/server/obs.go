@@ -26,6 +26,8 @@ var (
 		"Search stage wall time in seconds.", obs.DurationBuckets, "stage", "merge")
 	searchStageExplain = obs.Default().Histogram("dnh_search_stage_duration_seconds",
 		"Search stage wall time in seconds.", obs.DurationBuckets, "stage", "explain")
+	searchStageHits = obs.Default().Histogram("dnh_search_stage_duration_seconds",
+		"Search stage wall time in seconds.", obs.DurationBuckets, "stage", "hits")
 	tracesForced = obs.Default().Counter("dnh_traces_total",
 		"Traced requests by mode.", "mode", "forced")
 	tracesSampled = obs.Default().Counter("dnh_traces_total",
@@ -70,6 +72,7 @@ func observeStages(qo *obs.QueryObs) {
 	searchStageScatter.ObserveSeconds(qo.ScatterNs)
 	searchStageMerge.ObserveSeconds(qo.MergeNs)
 	searchStageExplain.ObserveSeconds(qo.ExplainNs)
+	searchStageHits.ObserveSeconds(qo.HitsNs)
 }
 
 // noteSlow records the finished request into the slow-query log when it
@@ -104,6 +107,7 @@ func (s *Server) noteSlow(start time.Time, key string, gen uint64, qo *obs.Query
 		{"scatter", qo.ScatterNs},
 		{"merge", qo.MergeNs},
 		{"explain", qo.ExplainNs},
+		{"hits", qo.HitsNs},
 	} {
 		if st.ns > 0 {
 			e.Stages = append(e.Stages, obs.StageMs{Stage: st.name, Ms: float64(st.ns) / 1e6})

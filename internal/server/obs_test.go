@@ -47,6 +47,7 @@ func TestMetricsExposition(t *testing.T) {
 		`dnh_search_stage_duration_seconds_bucket{stage="parse",le="`,
 		`dnh_search_stage_duration_seconds_bucket{stage="scatter",le="`,
 		`dnh_search_stage_duration_seconds_bucket{stage="merge",le="`,
+		`dnh_search_stage_duration_seconds_bucket{stage="hits",le="`,
 		"dnh_search_stage_duration_seconds_count",
 		"dnh_journal_appends_total",
 		"dnh_journal_fsyncs_total",
@@ -146,9 +147,19 @@ func TestForcedTraceResponse(t *testing.T) {
 	if sum > resp.Trace.DurUs+int64(len(resp.Trace.Children)) {
 		t.Errorf("child durations sum %dus > root %dus", sum, resp.Trace.DurUs)
 	}
-	for _, want := range []string{"parse", "scatter", "merge"} {
+	for _, want := range []string{"parse", "scatter", "merge", "hits"} {
 		if !names[want] {
 			t.Errorf("trace missing %q stage (got %v)", want, names)
+		}
+	}
+	// The hits span counts the hits the response carries.
+	var hitList []json.RawMessage
+	if err := json.Unmarshal(resp.Hits, &hitList); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range resp.Trace.Children {
+		if c.Name == "hits" && c.Attrs["hits"] != int64(len(hitList)) {
+			t.Errorf("hits span attr %d, response carries %d hits", c.Attrs["hits"], len(hitList))
 		}
 	}
 
@@ -222,6 +233,16 @@ func TestSlowlogEndpoint(t *testing.T) {
 		if e.WallMs < 0 {
 			t.Errorf("negative wallMs: %+v", e)
 		}
+	}
+	// An executed (uncached) search reports the hit rendering stage.
+	rendered := false
+	for _, e := range slow.Slowest {
+		for _, st := range e.Stages {
+			rendered = rendered || (!e.CacheHit && st.Stage == "hits")
+		}
+	}
+	if !rendered {
+		t.Errorf("no executed search in the slowlog carries a hits stage: %s", body)
 	}
 	// Slowest-first ordering.
 	for i := 1; i < len(slow.Slowest); i++ {

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"metamess"
+	"metamess/internal/jsonenc"
 	"metamess/internal/obs"
 	"metamess/internal/search"
 )
@@ -234,10 +237,16 @@ func (s *Server) handleQuery(decode func(http.ResponseWriter, *http.Request, *ob
 	}
 }
 
-// decodeBody reads the structured query of POST /search.
+// decodeBody reads the structured query of POST /search. The whole body
+// must be one JSON value, as for POST /publish: trailing bytes are a bad
+// request, not ignored.
 func decodeBody(w http.ResponseWriter, r *http.Request, _ *obs.QueryObs) (SearchRequest, error) {
 	var req SearchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSearchBodyBytes)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSearchBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		return req, fmt.Errorf("bad request body: %w", err)
 	}
 	return req, nil
@@ -385,25 +394,85 @@ func (s *Server) executeSearch(ctx context.Context, req SearchRequest, key strin
 	return render(0, lastHits, false, nil)
 }
 
-// render marshals the one response shape every search path answers
+// render encodes the one response shape every search path answers
 // with; nothing else on the read path encodes a SearchResponse. Hits is
 // always an array on the wire, never null. A response carrying an
 // inline trace is labeled "bypass": it skipped the cache and the flight
 // group, and must never enter either.
+//
+// appendResponse writes the body into a pooled scratch buffer, and the
+// outcome gets an exact-size copy, so a cached body holds no spare
+// capacity. The kernel declines exactly where json.Marshal of the
+// SearchResponse would fail, and that is a 500.
 func render(gen uint64, hits []metamess.Hit, partial bool, trace *obs.SpanTree) searchOutcome {
-	if hits == nil {
-		hits = []metamess.Hit{}
-	}
 	out := searchOutcome{status: http.StatusOK, cacheState: "miss", partial: partial, generation: gen}
 	if trace != nil {
 		out.cacheState = "bypass"
 	}
-	var err error
-	out.body, err = json.Marshal(SearchResponse{Generation: gen, Count: len(hits), Hits: hits, Partial: partial, Trace: trace})
-	if err != nil {
+	scratch := bodyPool.Get().(*[]byte)
+	buf, ok := appendResponse((*scratch)[:0], gen, hits, partial, trace)
+	if ok {
+		out.body = make([]byte, len(buf))
+		copy(out.body, buf)
+	}
+	if cap(buf) <= maxPooledBody {
+		*scratch = buf
+		bodyPool.Put(scratch)
+	}
+	if !ok {
 		return searchOutcome{status: http.StatusInternalServerError, body: errorBody("marshal failed"), cacheState: out.cacheState, generation: gen}
 	}
 	return out
+}
+
+// bodyPool recycles render's scratch buffers, which saves a cold render
+// its largest scratch allocation (about 11 KB for ten hits); one that
+// grew past maxPooledBody (a response of hundreds of hits) is dropped
+// instead.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 256 << 10
+
+// appendResponse is the response kernel: it appends exactly what
+// json.Marshal writes for the SearchResponse of these fields, or returns
+// false where json.Marshal would fail — a NaN or ±Inf score — or the
+// trace does not marshal. The trace is rare (forced requests only) and
+// goes through json.Marshal.
+func appendResponse(dst []byte, gen uint64, hits []metamess.Hit, partial bool, trace *obs.SpanTree) ([]byte, bool) {
+	dst = strconv.AppendUint(append(dst, `{"generation":`...), gen, 10)
+	dst = strconv.AppendInt(append(dst, `,"count":`...), int64(len(hits)), 10)
+	dst = append(dst, `,"hits":[`...)
+	for i := range hits {
+		h := &hits[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.AppendString(append(dst, `{"path":`...), h.Path)
+		var ok bool
+		if dst, ok = jsonenc.AppendFloat(append(dst, `,"score":`...), h.Score); !ok {
+			return dst, false
+		}
+		sep := `,"matchedVariables":[`
+		for _, m := range h.MatchedVariables {
+			dst, sep = jsonenc.AppendString(append(dst, sep...), m), ","
+		}
+		if len(h.MatchedVariables) > 0 {
+			dst = append(dst, ']')
+		}
+		dst = append(jsonenc.AppendString(append(dst, `,"summary":`...), h.Summary), '}')
+	}
+	dst = append(dst, ']')
+	if partial {
+		dst = append(dst, `,"partial":true`...)
+	}
+	if trace != nil {
+		t, err := json.Marshal(trace)
+		if err != nil {
+			return dst, false
+		}
+		dst = append(append(dst, `,"trace":`...), t...)
+	}
+	return append(dst, '}'), true
 }
 
 // --- stale-while-revalidate ------------------------------------------

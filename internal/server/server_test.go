@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -786,5 +787,85 @@ func TestStatsDurabilityAndRewranglerCompaction(t *testing.T) {
 	}
 	if plainStats.Durability != nil {
 		t.Error("non-durable server reported a durability section")
+	}
+}
+
+// TestSearchBodyIsOneJSONValue: a POST /search body is exactly one JSON
+// value, as a POST /publish body is. Trailing bytes after the query —
+// garbage, a second copy of it, a stray bracket — are a 400, not a
+// ranking of the first value; trailing whitespace and unknown fields
+// are accepted.
+func TestSearchBodyIsOneJSONValue(t *testing.T) {
+	sys, _, _ := newTestSystem(t, 12, 7)
+	handler := func() http.Handler {
+		srv, err := New(Config{Sys: sys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv.Handler()
+	}()
+	const query = `{"variables":[{"name":"salinity"}]}`
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{query, http.StatusOK},
+		{query + " \n\t", http.StatusOK},
+		{`{"variables":[{"name":"salinity"}],"unknown":1}`, http.StatusOK},
+		{query + " xyz", http.StatusBadRequest},
+		{query + query, http.StatusBadRequest},
+		{query + "]", http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("body %q: status %d %.200s, want %d", c.body, rec.Code, rec.Body, c.want)
+		}
+	}
+}
+
+// TestSearchHandlerAllocs is the read path's allocation budget outside
+// the search core: a cold POST /search through the whole handler
+// (decode, key, executor, hits, render, write) over a 300-dataset
+// catalog with the cache off, cycling 40 workload queries. The search
+// core's own share is pinned by TestSearchSteadyStateAllocs.
+func TestSearchHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	sys, m, _ := newTestSystem(t, 300, 7)
+	srv, err := New(Config{Sys: sys, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	judged, err := workload.Queries(m, 40, 31, workload.DefaultRelevance(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, len(judged))
+	for i, j := range judged {
+		if bodies[i], err = json.Marshal(RequestFromQuery(j.Query)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handler := srv.Handler()
+	next := 0
+	serve := func() {
+		body := bodies[next%len(bodies)]
+		next++
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %.200s", rec.Code, rec.Body)
+		}
+	}
+	for range bodies { // warm the pools and the lazy snapshot state
+		serve()
+	}
+	const budget = 250
+	if avg := testing.AllocsPerRun(2*len(bodies), serve); avg > budget {
+		t.Fatalf("a cold search request allocates %.0f times, budget %d", avg, budget)
+	} else {
+		t.Logf("a cold search request allocates %.0f times (budget %d)", avg, budget)
 	}
 }

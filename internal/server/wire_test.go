@@ -5,12 +5,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
+	"net/http"
 	"net/url"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"metamess"
+	"metamess/internal/obs"
 	"metamess/internal/search"
 	"metamess/internal/workload"
 )
@@ -167,5 +172,117 @@ func TestWireGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("wire bytes changed: %d lines, want %d", len(gotLines), len(wantLines))
+	}
+}
+
+// FuzzSearchResponseMatchesMarshal holds the response kernel to
+// encoding/json: for every response appendResponse does not decline,
+// its bytes are json.Marshal's of the same SearchResponse, and it
+// declines exactly where json.Marshal fails. Inputs vary the hit count
+// (zero and nil included), the strings of every field (HTML-escaped
+// bytes, U+2028, invalid UTF-8), non-finite scores, partial, and a
+// forced trace.
+func FuzzSearchResponseMatchesMarshal(f *testing.F) {
+	f.Add(uint64(3), 2, "a<b>&c.csv", "Dataset: x\n\u2028", "t -> s (0.50)", 0.5, false, false)
+	f.Add(uint64(0), 0, "", "", "", 0.0, true, true)
+	f.Add(uint64(1)<<63, -1, "bad\xffutf8", "\x00\x1f\"\\", "<&>\u2029", 1e-7, true, false)
+	f.Add(uint64(9), 3, "p", "s", "", math.NaN(), false, true)
+	f.Add(uint64(9), 1, "p", "s", "m", math.Inf(-1), false, false)
+	f.Add(uint64(9), 4, "p", "s", "m", 1e21, true, true)
+	f.Fuzz(func(t *testing.T, gen uint64, n int, path, summary, match string, score float64, partial, traced bool) {
+		var hits []metamess.Hit
+		if n >= 0 {
+			hits = []metamess.Hit{}
+		}
+		for i := 0; i < n%8; i++ {
+			h := metamess.Hit{Path: path, Score: score, Summary: summary}
+			for j := 0; j < i%3; j++ {
+				h.MatchedVariables = append(h.MatchedVariables, match)
+			}
+			if i%2 == 1 {
+				h.MatchedVariables = []string{}
+				h.Score = float64(i) / 7
+			}
+			hits = append(hits, h)
+		}
+		var trace *obs.SpanTree
+		if traced {
+			trace = &obs.SpanTree{Name: "search", DurUs: int64(n), Attrs: map[string]int64{match: 1, "hits": int64(len(hits))},
+				Children: []*obs.SpanTree{{Name: path}}}
+		}
+		resp := SearchResponse{Generation: gen, Count: len(hits), Hits: hits, Partial: partial, Trace: trace}
+		if resp.Hits == nil {
+			resp.Hits = []metamess.Hit{}
+		}
+		want, err := json.Marshal(resp)
+		got, ok := appendResponse([]byte("x"), gen, hits, partial, trace)
+		if ok != (err == nil) {
+			t.Fatalf("kernel ok=%v, json.Marshal error %v", ok, err)
+		}
+		if ok && !bytes.Equal(got[1:], want) {
+			t.Fatalf("kernel wrote\n%s\njson.Marshal wrote\n%s", got[1:], want)
+		}
+		out := render(gen, hits, partial, trace)
+		if ok && !bytes.Equal(out.body, want) {
+			t.Fatalf("render wrote\n%s\nwant\n%s", out.body, want)
+		}
+		if !ok && out.status != http.StatusInternalServerError {
+			t.Fatalf("render of a declined response: status %d, want 500", out.status)
+		}
+	})
+}
+
+// fillEveryField sets every exported field reachable from v to a
+// non-zero value. The kernel hands a trace to json.Marshal whole, so a
+// *obs.SpanTree gets one fixed span instead of an endless descent into
+// its children.
+func fillEveryField(t *testing.T, v reflect.Value) {
+	if v.Type() == reflect.TypeOf((*obs.SpanTree)(nil)) {
+		v.Set(reflect.ValueOf(&obs.SpanTree{Name: "search", DurUs: 7, Attrs: map[string]int64{"hits": 1}}))
+		return
+	}
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString("a<b>&\u2028c -> d")
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(0.625)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(7)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillEveryField(t, v.Index(0))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillEveryField(t, v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillEveryField(t, v.Field(i))
+			}
+		}
+	default:
+		t.Fatalf("fillEveryField: %s has kind %s", v.Type(), v.Kind())
+	}
+}
+
+// TestResponseKernelCoversEveryField: a SearchResponse with every field
+// of it and of metamess.Hit set renders to json.Marshal's bytes, so a
+// field added to either type fails here until the kernel writes it.
+func TestResponseKernelCoversEveryField(t *testing.T) {
+	var resp SearchResponse
+	fillEveryField(t, reflect.ValueOf(&resp).Elem())
+	if resp.Count != len(resp.Hits) {
+		t.Fatalf("count %d for %d hits", resp.Count, len(resp.Hits))
+	}
+	want, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := appendResponse(nil, resp.Generation, resp.Hits, resp.Partial, resp.Trace); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("kernel (ok=%v) wrote\n%s\njson.Marshal wrote\n%s", ok, got, want)
 	}
 }

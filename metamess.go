@@ -40,6 +40,7 @@ package metamess
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -455,22 +456,26 @@ type Hit struct {
 }
 
 // hitsFromResults converts internal search results into the facade's
-// Hit shape, rendering each hit's summary page and match explanations.
+// Hit shape. Each hit's summary page and match explanations are
+// appended into one buffer reused across hits, so a string costs one
+// copy of its bytes.
 func hitsFromResults(results []search.Result) []Hit {
 	hits := make([]Hit, len(results))
-	for i, r := range results {
-		h := Hit{
-			Path:    r.Feature.Path,
-			Score:   r.Score,
-			Summary: search.Summarize(r.Feature).Render(),
-		}
-		for _, ts := range r.TermScores {
-			if ts.MatchedAs != "" {
-				h.MatchedVariables = append(h.MatchedVariables,
-					fmt.Sprintf("%s -> %s (%.2f)", ts.Term, ts.MatchedAs, ts.Score))
+	buf := make([]byte, 0, 1024)
+	for i := range results {
+		r, h := &results[i], &hits[i]
+		buf = search.AppendSummaryPage(buf[:0], r.Feature)
+		h.Path, h.Score, h.Summary = r.Feature.Path, r.Score, string(buf)
+		for j := range r.TermScores {
+			ts := &r.TermScores[j]
+			if ts.MatchedAs == "" {
+				continue
 			}
+			// "<term> -> <matched> (<score to 2 places>)"
+			buf = append(append(append(buf[:0], ts.Term...), " -> "...), ts.MatchedAs...)
+			buf = append(strconv.AppendFloat(append(buf, " ("...), ts.Score, 'f', 2, 64), ')')
+			h.MatchedVariables = append(h.MatchedVariables, string(buf))
 		}
-		hits[i] = h
 	}
 	return hits
 }
@@ -500,7 +505,8 @@ func (s *System) SearchPartialContext(ctx context.Context, q Query) ([]Hit, bool
 
 // search is the one body behind every exported Search*: run the
 // executor (keeping what a deadline cut short only when partialOK),
-// wrap its error, render the hits.
+// wrap its error, render the hits. With an obs.QueryObs in ctx the
+// rendering is timed into HitsNs and traced as a "hits" span.
 func (s *System) search(ctx context.Context, iq search.Query, partialOK bool) (hits []Hit, partial bool, err error) {
 	var results []search.Result
 	if partialOK {
@@ -511,7 +517,20 @@ func (s *System) search(ctx context.Context, iq search.Query, partialOK bool) (h
 	if err != nil {
 		return nil, false, fmt.Errorf("metamess: %w", err)
 	}
-	return hitsFromResults(results), partial, nil
+	qo := obs.QueryFromContext(ctx)
+	var t0 time.Time
+	if qo != nil {
+		t0 = time.Now()
+	}
+	tr, root := qo.Tracer()
+	hid := tr.Start(root, "hits")
+	hits = hitsFromResults(results)
+	tr.Attr(hid, "hits", int64(len(hits)))
+	tr.End(hid)
+	if qo != nil {
+		qo.HitsNs += time.Since(t0).Nanoseconds()
+	}
+	return hits, partial, nil
 }
 
 // internalQuery converts the facade query into the search package's.
@@ -570,7 +589,7 @@ func (s *System) DatasetSummary(path string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("metamess: dataset %q not in published catalog", path)
 	}
-	return search.Summarize(f).Render(), nil
+	return string(search.AppendSummaryPage(nil, f)), nil
 }
 
 // SnapshotGeneration returns the generation of the published snapshot
