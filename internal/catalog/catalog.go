@@ -5,6 +5,7 @@ import (
 	"maps"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,14 +47,17 @@ type Catalog struct {
 	// that a published catalog replaced this one.
 	generation uint64
 	// snap caches the current immutable snapshot. Mutations clear it;
-	// ApplyDelta (publish) patches it eagerly; Snapshot() rebuilds it
+	// ApplyDelta (publish) advances it eagerly; Snapshot() rebuilds it
 	// lazily otherwise. Readers load it with a single atomic pointer
 	// load — the lock-free search fast path.
 	snap atomic.Pointer[Snapshot]
 	// shards is the snapshot partition count, fixed at construction so
 	// every snapshot of this catalog shards identically (ApplyDelta can
-	// then share clean shards between successive snapshots).
+	// then share clean shards and segments between successive
+	// snapshots).
 	shards int
+	// lastMerge records the merges of the latest ApplyDelta.
+	lastMerge MergeStat
 }
 
 // New returns an empty catalog with the default snapshot shard count
@@ -433,16 +437,17 @@ func (c *Catalog) diff(next *Catalog, ids []string, all bool) (changed []*Featur
 
 // ApplyDelta upserts the changed features and deletes the removed IDs
 // as one atomic publish: the generation moves exactly once, and the new
-// snapshot is patched incrementally from the previous one (features
-// outside the delta are shared; the indexes are updated in place of a
-// rebuild). An empty delta is a strict no-op — the generation and the
-// served snapshot stay unchanged, so a re-wrangle that found nothing to
-// do invalidates no caches.
+// snapshot is the previous one plus a delta segment per dirty shard
+// (features outside the delta are shared; no index is rebuilt beyond
+// the merges the segment stacks schedule, see shard.apply). An empty
+// delta is a strict no-op — the generation and the served snapshot
+// stay unchanged, so a re-wrangle that found nothing to do invalidates
+// no caches.
 //
 // The catalog's map and its snapshot both store the passed features, so
 // callers must not edit them afterwards; a feature another catalog
-// stores (DiffTo's result) already obeys that rule. It reports whether
-// the catalog changed.
+// stores (DiffTo's result) already obeys that rule. changed must not
+// name an ID twice. It reports whether the catalog changed.
 func (c *Catalog) ApplyDelta(changed []*Feature, removed []string) (bool, error) {
 	return c.applyDelta(changed, removed, 0, false)
 }
@@ -475,17 +480,17 @@ func (c *Catalog) applyDelta(changed []*Feature, removed []string, gen uint64, p
 			return false, err
 		}
 	}
-	// The incremental snapshot patch splices ID-sorted feature slices
-	// and binary-searches them, so the delta must be in ID order;
-	// enforce it here rather than trusting every caller (journal replay
-	// hands in publish-order deltas).
-	sort.Slice(changed, func(i, j int) bool { return changed[i].ID < changed[j].ID })
+	// Segments are built over ID-sorted features and binary-searched,
+	// so the delta must be in ID order; enforce it here rather than
+	// trusting every caller (journal replay hands in publish-order
+	// deltas).
+	slices.SortFunc(changed, byID)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.lastMerge = MergeStat{}
 	if pinned && gen <= c.generation {
 		return false, fmt.Errorf("catalog: replicated generation %d not ahead of catalog generation %d", gen, c.generation)
 	}
-	prev := c.snap.Load()
 	changedIDs := make(map[string]bool, len(changed))
 	for _, f := range changed {
 		changedIDs[f.ID] = true
@@ -519,16 +524,24 @@ func (c *Catalog) applyDelta(changed []*Feature, removed []string, gen uint64, p
 	} else {
 		c.generation++
 	}
-	// Patch the previous snapshot when the delta is small relative to
-	// the catalog; fall back to a full rebuild when there is no live
-	// snapshot or the delta dominates (a patch would do more merge work
-	// than building afresh).
-	if prev != nil && len(changed)+len(removedSet) <= len(c.features)/2+1 {
-		c.snap.Store(prev.applyDelta(changed, removedSet, c.generation))
+	if prev := c.snap.Load(); prev != nil {
+		var next *Snapshot
+		next, c.lastMerge = prev.applyDelta(changed, removedSet, c.generation)
+		c.snap.Store(next)
 	} else {
 		c.snap.Store(newSnapshot(c.features, c.generation, c.shards))
 	}
 	return true, nil
+}
+
+// LastMerge describes the segment merges the catalog's latest
+// ApplyDelta or ApplyDeltaAt ran; the zero value when it ran none (or
+// built its snapshot from scratch). The publish path reads it to
+// attribute merge time.
+func (c *Catalog) LastMerge() MergeStat {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.lastMerge
 }
 
 // SeedFrom replaces this catalog's contents with other's (see Clone: the

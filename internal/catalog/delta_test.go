@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,7 +43,7 @@ func deltaFeature(i, version int) *Feature {
 		Variables: []VarFeature{
 			{RawName: names[i%len(names)], Name: names[i%len(names)],
 				Range: geo.NewValueRange(float64(version), float64(version+20)), Count: 50},
-			{RawName: names[(i+1+version)%len(names)], Name: names[(i+1+version)%len(names)],
+			{RawName: names[(i+1+version%3)%len(names)], Name: names[(i+1+version%3)%len(names)],
 				Range: geo.NewValueRange(0, 30), Count: 70,
 				Parent: "fluorescence"},
 		},
@@ -49,6 +51,7 @@ func deltaFeature(i, version int) *Feature {
 	if i%4 == 0 {
 		f.Variables[1].Excluded = true
 	}
+
 	if i%5 == 0 {
 		// No spatial extent: exercises the empty-bbox grid path.
 		f.BBox = geo.EmptyBBox()
@@ -56,83 +59,193 @@ func deltaFeature(i, version int) *Feature {
 	return f
 }
 
-// requireSnapshotsEquivalent compares a patched snapshot against a
-// from-scratch rebuild, shard by shard: identical feature bytes,
-// positions, posting lists, and candidate sets from both auxiliary
-// indexes.
+// requireSnapshotsEquivalent compares a snapshot reached by deltas
+// against a from-scratch build over the same features. Their segments
+// differ by design, so the comparison is by what they serve: every
+// index answer in live feature IDs (names, parents, spatial and
+// temporal candidates), All and ByID bytes, Len and the per-shard live
+// counts. got must also be well formed (see requireSegmentsWellFormed).
 func requireSnapshotsEquivalent(t *testing.T, got, want *Snapshot) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("len = %d, want %d", got.Len(), want.Len())
 	}
-	if got.NumShards() != want.NumShards() {
-		t.Fatalf("shard count = %d, want %d", got.NumShards(), want.NumShards())
+	if !reflect.DeepEqual(got.ShardSizes(), want.ShardSizes()) {
+		t.Fatalf("shard sizes = %v, want %v", got.ShardSizes(), want.ShardSizes())
 	}
-	for si := range want.shards {
-		requireShardsEquivalent(t, si, got.shards[si], want.shards[si])
+	// Both snapshots share the catalog's features, so identity is the
+	// byte comparison, made strict.
+	if !slices.Equal(got.All(), want.All()) {
+		t.Fatalf("All differs:\n got %s\nwant %s", featureBytes(got.All()), featureBytes(want.All()))
+	}
+	for _, f := range want.All() {
+		if gf, ok := got.ByID(f.ID); !ok || gf != f {
+			t.Fatalf("ByID(%s) = %v, %v", f.ID, gf, ok)
+		}
+	}
+	requireSegmentsWellFormed(t, got)
+	var probes []*Feature
+	for i, f := range want.All() {
+		if i%8 == 0 {
+			probes = append(probes, f)
+		}
+	}
+	if ga, wa := indexAnswers(got, probes), indexAnswers(want, probes); ga != wa {
+		t.Fatalf("index answers differ:\n got %s\nwant %s", ga, wa)
 	}
 }
 
-func requireShardsEquivalent(t *testing.T, si int, got, want *Shard) {
+func featureBytes(fs []*Feature) string {
+	b, _ := json.Marshal(fs)
+	return string(b)
+}
+
+// indexAnswers renders, in live feature IDs, what a snapshot's indexes
+// answer: the features under every name and parent its probes carry,
+// and the spatial and temporal candidates around every probe's extents
+// at several radii. Masked positions are skipped, as search skips them.
+func indexAnswers(s *Snapshot, probes []*Feature) string {
+	live := func(collect func(sg *Segment) ([]int32, bool)) string {
+		var ids []string
+		for _, sg := range s.Segments() {
+			pos, ok := collect(sg)
+			if !ok {
+				return "declined"
+			}
+			for _, p := range pos {
+				if !sg.Masked(p) {
+					ids = append(ids, sg.At(p).ID)
+				}
+			}
+		}
+		slices.Sort(ids)
+		return fmt.Sprint(slices.Compact(ids))
+	}
+	var terms []string
+	for _, f := range probes {
+		for _, v := range f.Variables {
+			terms = append(terms, v.Name, v.Parent)
+		}
+	}
+	slices.Sort(terms)
+	var b strings.Builder
+	for _, term := range slices.Compact(terms) {
+		fmt.Fprintf(&b, "name %s %s\n", term, live(func(sg *Segment) ([]int32, bool) { return sg.WithVariable(term), true }))
+		fmt.Fprintf(&b, "parent %s %s\n", term, live(func(sg *Segment) ([]int32, bool) { return sg.WithParent(term), true }))
+	}
+	for _, f := range probes {
+		for _, km := range []float64{0, 60, 600} {
+			fmt.Fprintf(&b, "near %s %v %s\n", f.ID, km, live(func(sg *Segment) ([]int32, bool) { return sg.SpatialCandidatesAppend(f.BBox, km, nil) }))
+		}
+		for _, days := range []int{0, 20, 300} {
+			gap := time.Duration(days) * 24 * time.Hour
+			fmt.Fprintf(&b, "during %s %d %s\n", f.ID, days, live(func(sg *Segment) ([]int32, bool) { return sg.TimeCandidatesAppend(f.Time, gap, nil) }))
+		}
+	}
+	return b.String()
+}
+
+// requireSegmentsWellFormed checks a snapshot's structure: every live ID
+// is unmasked at exactly one position, in the newest segment holding
+// it, in its hash shard; the mask counts add up; each shard's stack
+// keeps the size tiers (every segment at most half the one below it)
+// and the masked bound; and every segment's stores and temporal orders
+// are well formed over its positions.
+func requireSegmentsWellFormed(t *testing.T, s *Snapshot) {
 	t.Helper()
-	if len(got.features) != len(want.features) {
-		t.Fatalf("shard %d: len = %d, want %d", si, len(got.features), len(want.features))
-	}
-	for i := range want.features {
-		g, _ := json.Marshal(got.features[i])
-		w, _ := json.Marshal(want.features[i])
-		if string(g) != string(w) {
-			t.Fatalf("shard %d: feature at position %d differs:\n got %s\nwant %s", si, i, g, w)
+	seen := make(map[string]bool)
+	for si, sh := range s.shards {
+		live, masked := 0, 0
+		for k, sg := range sh.segs {
+			if sg.Shard() != si {
+				t.Fatalf("shard %d segment %d claims shard %d", si, k, sg.Shard())
+			}
+			if k > 0 && 2*sg.Len() > sh.segs[k-1].Len() {
+				t.Fatalf("shard %d: segment %d holds %d positions over %d below: tiers broken",
+					si, k, sg.Len(), sh.segs[k-1].Len())
+			}
+			segMasked := 0
+			for p, f := range sg.All() {
+				if shardIndex(f.ID, len(s.shards)) != si {
+					t.Fatalf("feature %s in shard %d", f.ID, si)
+				}
+				if p > 0 && sg.All()[p-1].ID >= f.ID {
+					t.Fatalf("shard %d segment %d not ID-sorted at %d", si, k, p)
+				}
+				if sg.Masked(int32(p)) {
+					segMasked++
+					continue
+				}
+				if seen[f.ID] {
+					t.Fatalf("feature %s live twice", f.ID)
+				}
+				seen[f.ID] = true
+				for _, newer := range sh.segs[k+1:] {
+					if _, ok := newer.posOf(f.ID); ok {
+						t.Fatalf("feature %s live below a newer segment holding it", f.ID)
+					}
+				}
+				live++
+			}
+			if segMasked != sg.masked {
+				t.Fatalf("shard %d segment %d: %d masked positions, counted %d", si, k, segMasked, sg.masked)
+			}
+			masked += segMasked
+			checkStoreWellFormed(t, si, "names", sg.names, sg.Len())
+			checkStoreWellFormed(t, si, "parents", sg.parents, sg.Len())
+			checkStoreWellFormed(t, si, "cells", sg.spatial.store, sg.Len())
+			checkTemporalWellFormed(t, si, sg.temporal, sg.Len())
+		}
+		if live != sh.live || masked != sh.masked {
+			t.Fatalf("shard %d: %d live and %d masked, counted %d and %d", si, live, masked, sh.live, sh.masked)
+		}
+		if masked > live/16 {
+			t.Fatalf("shard %d: %d masked positions past the bound %d", si, masked, live/16)
 		}
 	}
-	for i, f := range want.features {
-		p, ok := got.posOf(f.ID)
-		if !ok || p != int32(i) {
-			t.Fatalf("shard %d: posOf(%s) = %d, %v (want %d)", si, f.ID, p, ok, i)
+}
+
+// checkTemporalWellFormed asserts both temporal orders are permutations
+// of the positions, sorted by instant (starts ascending, ends
+// descending) with ties in ascending position, and that the key arrays
+// follow them.
+func checkTemporalWellFormed(t *testing.T, si int, tx temporalIndex, n int) {
+	t.Helper()
+	for _, o := range []struct {
+		label string
+		order []int32
+		keys  []time.Time
+		at    []time.Time
+		sign  int
+	}{{"start", tx.byStart, tx.starts, tx.startAt, 1}, {"end", tx.byEnd, tx.ends, tx.endAt, -1}} {
+		if len(o.order) != n || len(o.keys) != n || len(o.at) != n {
+			t.Fatalf("shard %d: %s order covers %d of %d positions", si, o.label, len(o.order), n)
 		}
-	}
-	// Interned stores compare through materialize(): a patched store may
-	// carry extra dictionary entries for retracted terms (IDs are stable,
-	// never reclaimed until a rebuild) and may pick a different container
-	// representation than a from-scratch build at the same position count
-	// boundary — what must agree exactly is the term → sorted-positions
-	// mapping the planner reads.
-	if !reflect.DeepEqual(got.names.materialize(), want.names.materialize()) {
-		t.Fatalf("shard %d: name postings differ:\n got %v\nwant %v",
-			si, got.names.materialize(), want.names.materialize())
-	}
-	if !reflect.DeepEqual(got.parents.materialize(), want.parents.materialize()) {
-		t.Fatalf("shard %d: parent postings differ:\n got %v\nwant %v",
-			si, got.parents.materialize(), want.parents.materialize())
-	}
-	if !reflect.DeepEqual(got.spatial.store.materialize(), want.spatial.store.materialize()) {
-		t.Fatalf("shard %d: spatial cell postings differ", si)
-	}
-	checkStoreWellFormed(t, si, "names", got.names, len(got.features))
-	checkStoreWellFormed(t, si, "parents", got.parents, len(got.features))
-	checkStoreWellFormed(t, si, "cells", got.spatial.store, len(got.features))
-	if !reflect.DeepEqual(got.temporal.byStart, want.temporal.byStart) ||
-		!reflect.DeepEqual(got.temporal.byEnd, want.temporal.byEnd) {
-		t.Fatalf("shard %d: temporal orders differ:\n got %v / %v\nwant %v / %v",
-			si, got.temporal.byStart, got.temporal.byEnd, want.temporal.byStart, want.temporal.byEnd)
-	}
-	for i := range want.temporal.starts {
-		if !got.temporal.starts[i].Equal(want.temporal.starts[i]) ||
-			!got.temporal.ends[i].Equal(want.temporal.ends[i]) {
-			t.Fatalf("shard %d: temporal key arrays differ at %d", si, i)
+		for i, p := range o.order {
+			if !o.keys[i].Equal(o.at[p]) {
+				t.Fatalf("shard %d: %s key %d does not follow its position", si, o.label, i)
+			}
+			if i == 0 {
+				continue
+			}
+			q := o.order[i-1]
+			c := o.sign * o.at[q].Compare(o.at[p])
+			if c > 0 || (c == 0 && q >= p) {
+				t.Fatalf("shard %d: %s order broken at %d", si, o.label, i)
+			}
 		}
 	}
 }
 
 // checkStoreWellFormed asserts the structural invariants of an interned
-// store after patching: a consistent dictionary (keys[ids[k]] == k, no
-// dangling lists), every container sorted, duplicate-free, in-bounds,
+// store: a consistent dictionary (keys[ids[k]] == k, no dangling
+// lists), every container non-empty, sorted, duplicate-free, in-bounds,
 // with an accurate length, and a representation matching the size
 // heuristic.
 func checkStoreWellFormed[K comparable](t *testing.T, si int, label string, st postingStore[K], shardLen int) {
 	t.Helper()
-	if len(st.keys) != len(st.lists) {
-		t.Fatalf("shard %d: %s store: %d keys vs %d lists", si, label, len(st.keys), len(st.lists))
+	if len(st.keys) != len(st.lists) || len(st.ids) != len(st.keys) {
+		t.Fatalf("shard %d: %s store: %d ids, %d keys, %d lists", si, label, len(st.ids), len(st.keys), len(st.lists))
 	}
 	for key, id := range st.ids {
 		if int(id) >= len(st.keys) || st.keys[id] != key {
@@ -141,7 +254,7 @@ func checkStoreWellFormed[K comparable](t *testing.T, si int, label string, st p
 	}
 	for id, list := range st.lists {
 		got := list.AppendTo(nil)
-		if len(got) != list.Len() {
+		if len(got) != list.Len() || len(got) == 0 {
 			t.Fatalf("shard %d: %s store: term %d Len()=%d but %d positions",
 				si, label, id, list.Len(), len(got))
 		}
@@ -154,17 +267,31 @@ func checkStoreWellFormed[K comparable](t *testing.T, si int, label string, st p
 			}
 		}
 		words := (shardLen + 63) / 64
-		if wantDense := list.Len() > 0 && 8*words < 4*list.Len(); list.dense() != wantDense {
+		if wantDense := 8*words < 4*list.Len(); list.dense() != wantDense {
 			t.Fatalf("shard %d: %s store: term %d dense=%v, heuristic says %v (n=%d, shardLen=%d)",
 				si, label, id, list.dense(), wantDense, list.Len(), shardLen)
 		}
 	}
 }
 
+// equivFeature is deltaFeature, plus, for every sixth feature, a second
+// raw variable wrangled to the first's name under the second's parent:
+// a name and a parent the feature carries twice, which must post once.
+func equivFeature(i, version int) *Feature {
+	f := deltaFeature(i, version)
+	if i%6 == 1 {
+		v := f.Variables[0]
+		v.RawName, v.Parent = "raw_"+v.Name, "fluorescence"
+		f.Variables = append(f.Variables, v)
+	}
+	return f
+}
+
 // TestSnapshotApplyDeltaEquivalence drives randomized add/modify/delete
 // deltas through ApplyDelta and checks after every round that the
-// incrementally patched snapshot is indistinguishable from a snapshot
-// rebuilt from scratch over the same features.
+// segmented snapshot serves exactly what a snapshot rebuilt from
+// scratch over the same features serves (requireSnapshotsEquivalent).
+// Every run must have stacked delta segments and merged some.
 func TestSnapshotApplyDeltaEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		for _, seed := range []int64{1, 7, 42} {
@@ -173,33 +300,34 @@ func TestSnapshotApplyDeltaEquivalence(t *testing.T) {
 				c := NewSharded(shards)
 				version := make(map[int]int) // live index → content version
 				next := 0
-				for i := 0; i < 40; i++ {
+				for i := 0; i < 120; i++ {
 					version[next] = 0
-					if err := c.Upsert(deltaFeature(next, 0)); err != nil {
+					if err := c.Upsert(equivFeature(next, 0)); err != nil {
 						t.Fatal(err)
 					}
 					next++
 				}
-				c.Snapshot() // materialize so later deltas patch, not rebuild
+				c.Snapshot() // materialize so later deltas push segments, not rebuild
 
-				for round := 0; round < 12; round++ {
+				stacked, merged := false, false
+				for round := 0; round < 30; round++ {
 					var changed []*Feature
 					var removed []string
-					// Adds.
-					for k := 0; k < rng.Intn(4); k++ {
-						version[next] = 0
-						changed = append(changed, deltaFeature(next, 0))
-						next++
-					}
-					// Modifies and deletes over the live set (each feature at
-					// most once per round).
+					// Modifies and deletes draw from the features live before
+					// this round's adds, each feature at most once per round.
 					live := make([]int, 0, len(version))
 					for i := range version {
 						live = append(live, i)
 					}
 					sort.Ints(live)
+					// Adds.
+					for k := 0; k < rng.Intn(4); k++ {
+						version[next] = 0
+						changed = append(changed, equivFeature(next, 0))
+						next++
+					}
 					touched := make(map[int]bool)
-					for k := 0; k < rng.Intn(5); k++ {
+					for k := 0; k < rng.Intn(7); k++ {
 						if len(live) == 0 {
 							break
 						}
@@ -209,11 +337,11 @@ func TestSnapshotApplyDeltaEquivalence(t *testing.T) {
 						}
 						touched[i] = true
 						if rng.Intn(3) == 0 {
-							removed = append(removed, deltaFeature(i, 0).ID)
+							removed = append(removed, equivFeature(i, 0).ID)
 							delete(version, i)
 						} else {
 							version[i]++
-							changed = append(changed, deltaFeature(i, version[i]))
+							changed = append(changed, equivFeature(i, version[i]))
 						}
 					}
 					sortFeaturesByID(changed)
@@ -230,9 +358,19 @@ func TestSnapshotApplyDeltaEquivalence(t *testing.T) {
 					want := newSnapshot(c.features, c.generation, c.shards)
 					c.mu.RUnlock()
 					requireSnapshotsEquivalent(t, got, want)
+					for _, id := range removed {
+						if f, ok := got.ByID(id); ok {
+							t.Fatalf("round %d: removed %s still served: %v", round, id, f)
+						}
+					}
 					if got.Generation() != want.Generation() {
 						t.Fatalf("round %d: generation %d, want %d", round, got.Generation(), want.Generation())
 					}
+					stacked = stacked || len(got.Segments()) > shards
+					merged = merged || c.LastMerge().Shards > 0
+				}
+				if !stacked || !merged {
+					t.Fatalf("no coverage: stacked=%v merged=%v", stacked, merged)
 				}
 			})
 		}
@@ -268,10 +406,11 @@ func TestApplyDeltaEmptyIsNoOp(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaLargeFallsBackToRebuild covers the full-rebuild branch:
-// a delta touching most of the catalog must still produce an equivalent
-// snapshot.
-func TestApplyDeltaLargeFallsBackToRebuild(t *testing.T) {
+// TestApplyDeltaLargeMergesBase covers the base merge: a delta
+// touching most of the catalog masks past the bound, so every shard
+// merges into one segment, and the snapshot still serves what a
+// from-scratch build does.
+func TestApplyDeltaLargeMergesBase(t *testing.T) {
 	c := New()
 	for i := 0; i < 12; i++ {
 		if err := c.Upsert(deltaFeature(i, 0)); err != nil {
@@ -292,6 +431,9 @@ func TestApplyDeltaLargeFallsBackToRebuild(t *testing.T) {
 	want := newSnapshot(c.features, c.generation, c.shards)
 	c.mu.RUnlock()
 	requireSnapshotsEquivalent(t, got, want)
+	if m := c.LastMerge(); !m.Base || m.Shards != c.shards || len(got.Segments()) != c.shards {
+		t.Fatalf("merge %+v left %d segments over %d shards, want one base merge per shard", m, len(got.Segments()), c.shards)
+	}
 }
 
 // TestApplyDeltaRejectsInvalid ensures validation still gates the write
@@ -375,21 +517,24 @@ func TestContentEqualsCoversEveryField(t *testing.T) {
 
 // TestApplyDeltaSharesCleanShards pins the dirty-shard-only publish
 // cost the sharded snapshot exists for: after ApplyDelta, every shard
-// the delta's IDs do not hash into IS the predecessor's shard — pointer
-// identity, not merely equal content — while every dirty shard was
-// freshly patched. Inside a dirty shard, features outside the delta
-// still share their Feature pointers with the predecessor.
+// the delta's IDs do not hash into keeps the predecessor's segments —
+// pointer identity, not merely equal content — and every dirty shard
+// keeps its base segment's indexes by pointer too, with the delta on
+// top. Inside a dirty shard, features outside the delta still share
+// their Feature pointers with the predecessor.
 func TestApplyDeltaSharesCleanShards(t *testing.T) {
 	const shards = 8
 	c := NewSharded(shards)
-	for i := 0; i < 64; i++ {
+	// 64 features a shard: the three masked versions stay under the
+	// masked bound, so no shard merges its base.
+	for i := 0; i < 64*shards; i++ {
 		if err := c.Upsert(deltaFeature(i, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := c.Snapshot()
 
-	changed := []*Feature{deltaFeature(3, 1), deltaFeature(17, 1)}
+	changed := []*Feature{deltaFeature(3, 1), deltaFeature(17, 1), deltaFeature(600, 0)}
 	sortFeaturesByID(changed)
 	removed := []string{deltaFeature(9, 0).ID}
 	dirty := make(map[int]bool)
@@ -403,26 +548,39 @@ func TestApplyDeltaSharesCleanShards(t *testing.T) {
 	if bumped, err := c.ApplyDelta(changed, removed); err != nil || !bumped {
 		t.Fatalf("ApplyDelta: bumped=%v err=%v", bumped, err)
 	}
+	if m := c.LastMerge(); m.Shards != 0 {
+		t.Fatalf("a three-feature delta merged: %+v", m)
+	}
 	after := c.Snapshot()
 	if after == before {
 		t.Fatal("snapshot did not advance")
 	}
-	sharedN, patchedN := 0, 0
+	sharedN, dirtyN := 0, 0
 	for si := range after.shards {
-		if dirty[si] {
-			patchedN++
-			if after.shards[si] == before.shards[si] {
-				t.Errorf("dirty shard %d not patched", si)
-			}
-		} else {
+		b, a := before.shards[si].segs, after.shards[si].segs
+		if !dirty[si] {
 			sharedN++
-			if after.shards[si] != before.shards[si] {
-				t.Errorf("clean shard %d not pointer-shared with predecessor", si)
+			if !slices.Equal(a, b) {
+				t.Errorf("clean shard %d does not keep the predecessor's segments", si)
+			}
+			continue
+		}
+		dirtyN++
+		if a[0].segment != b[0].segment {
+			t.Errorf("dirty shard %d rebuilt its base segment", si)
+		}
+		var want []*Feature
+		for _, f := range changed {
+			if shardIndex(f.ID, shards) == si {
+				want = append(want, f)
 			}
 		}
+		if top := a[len(a)-1]; len(want) > 0 && !slices.Equal(top.All(), want) {
+			t.Errorf("dirty shard %d: top segment holds %d features, want the delta's %d", si, top.Len(), len(want))
+		}
 	}
-	if patchedN == 0 || sharedN == 0 {
-		t.Fatalf("degenerate partition: %d patched, %d shared (want both > 0)", patchedN, sharedN)
+	if dirtyN == 0 || sharedN == 0 {
+		t.Fatalf("degenerate partition: %d dirty, %d shared (want both > 0)", dirtyN, sharedN)
 	}
 
 	// Unchanged features inside a dirty shard are shared, not re-cloned.
@@ -431,88 +589,29 @@ func TestApplyDeltaSharesCleanShards(t *testing.T) {
 		inDelta[f.ID] = true
 	}
 	checked := 0
-	for si := range after.shards {
-		if !dirty[si] {
+	for _, f := range after.All() {
+		if inDelta[f.ID] || !dirty[shardIndex(f.ID, shards)] {
 			continue
 		}
-		for _, f := range after.shards[si].features {
-			if inDelta[f.ID] {
-				continue
-			}
-			was, ok := before.ByID(f.ID)
-			if !ok {
-				t.Fatalf("feature %s missing from predecessor", f.ID)
-			}
-			if was != f {
-				t.Errorf("untouched feature %s re-cloned inside dirty shard %d", f.ID, si)
-			}
-			checked++
+		was, ok := before.ByID(f.ID)
+		if !ok {
+			t.Fatalf("feature %s missing from predecessor", f.ID)
 		}
+		if was != f {
+			t.Errorf("untouched feature %s re-cloned inside a dirty shard", f.ID)
+		}
+		checked++
 	}
 	if checked == 0 {
 		t.Fatal("no untouched features found in dirty shards; weaken the partition assumptions")
 	}
-
-	// Inside a dirty shard that only saw content modifications (no
-	// insert, no removal — positions unchanged), posting containers of
-	// terms the delta did not touch are shared with the predecessor's
-	// containers by storage, not rebuilt. The spatial cell store is the
-	// one with enough distinct keys to observe this: every feature sits
-	// in its own neighborhood, so the delta touches only the cells of
-	// the five features it names (old and new extents).
-	touchedCells := make(map[int32]bool)
-	for _, f := range []*Feature{
-		deltaFeature(3, 0), deltaFeature(3, 1),
-		deltaFeature(17, 0), deltaFeature(17, 1),
-		deltaFeature(9, 0),
-	} {
-		for _, cell := range bboxCells(f.BBox) {
-			touchedCells[cell] = true
-		}
+	// The predecessor still serves what the delta replaced and removed.
+	if f, ok := before.ByID(changed[0].ID); !ok || f == changed[0] {
+		t.Error("held snapshot serves the replacement")
 	}
-	shiftedShards := make(map[int]bool)
-	for _, id := range removed {
-		shiftedShards[shardIndex(id, shards)] = true
+	if _, ok := before.ByID(removed[0]); !ok {
+		t.Error("held snapshot lost a removed feature")
 	}
-	sharedLists := 0
-	for si := range after.shards {
-		if !dirty[si] || shiftedShards[si] {
-			continue
-		}
-		bs, as := before.shards[si].spatial.store, after.shards[si].spatial.store
-		for id, key := range bs.keys {
-			if touchedCells[key] || bs.lists[id].Len() == 0 {
-				continue
-			}
-			al, ok := as.lookup(key)
-			if !ok {
-				t.Fatalf("shard %d: untouched cell %d vanished from patched store", si, key)
-			}
-			if !sharesStorage(bs.lists[id], al) {
-				t.Errorf("shard %d: untouched cell %d rebuilt instead of shared", si, key)
-			}
-			sharedLists++
-		}
-	}
-	if sharedLists == 0 {
-		t.Fatal("no untouched posting lists found in modification-only dirty shards; weaken the partition assumptions")
-	}
-}
-
-// sharesStorage reports whether two posting containers share their
-// backing array — the pointer-identity form of "this list was not
-// rebuilt".
-func sharesStorage(a, b Postings) bool {
-	if a.n != b.n || a.n == 0 {
-		return false
-	}
-	if a.arr != nil && b.arr != nil {
-		return &a.arr[0] == &b.arr[0]
-	}
-	if a.bm != nil && b.bm != nil {
-		return &a.bm[0] == &b.bm[0]
-	}
-	return false
 }
 
 // TestSnapshotShardingInvariants checks the partition itself: shard
@@ -532,11 +631,13 @@ func TestSnapshotShardingInvariants(t *testing.T) {
 			t.Fatalf("NumShards = %d, want %d", s.NumShards(), shards)
 		}
 		total := 0
-		for si, size := range s.ShardSizes() {
+		for _, size := range s.ShardSizes() {
 			total += size
-			for _, f := range s.Shards()[si].All() {
-				if want := shardIndex(f.ID, shards); want != si {
-					t.Fatalf("feature %s in shard %d, hash says %d", f.ID, si, want)
+		}
+		for _, sg := range s.Segments() {
+			for _, f := range sg.All() {
+				if want := shardIndex(f.ID, shards); want != sg.Shard() {
+					t.Fatalf("feature %s in shard %d, hash says %d", f.ID, sg.Shard(), want)
 				}
 			}
 		}

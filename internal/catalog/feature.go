@@ -7,10 +7,10 @@
 // Two catalog instances play distinct roles in the wrangling process: the
 // *working catalog* that transformation chains mutate, and the published
 // *metadata catalog* that search serves. Publish diffs the two and
-// applies the difference to the latter as one delta, which patches the
-// served snapshot atomically. Both catalogs and every snapshot share one
-// copy of each feature: a stored feature is never edited in place (see
-// Catalog).
+// applies the difference to the latter as one delta, which reaches the
+// served snapshot atomically as delta segments. Both catalogs and every
+// snapshot share one copy of each feature: a stored feature is never
+// edited in place (see Catalog).
 package catalog
 
 import (

@@ -14,8 +14,8 @@ import (
 )
 
 // servedBytes renders everything a snapshot serves: each feature, read
-// through All and through ByID, and each shard's name, parent, spatial
-// and temporal index answers for the features it holds.
+// through All and through ByID, and each segment's mask and name,
+// parent, spatial and temporal index answers for the features it holds.
 func servedBytes(s *Snapshot) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "generation %d, %d features\n", s.Generation(), s.Len())
@@ -24,16 +24,19 @@ func servedBytes(s *Snapshot) []byte {
 		line, _ := json.Marshal(g)
 		b.Write(append(line, '\n'))
 	}
-	for si, sh := range s.Shards() {
+	for si, sh := range s.Segments() {
 		for p, f := range sh.All() {
+			fmt.Fprintf(&b, "%d/%d masked %v\n", si, p, sh.Masked(int32(p)))
 			for _, name := range f.SearchableNames() {
 				fmt.Fprintf(&b, "%d/%d name %s %v\n", si, p, name, sh.WithVariable(name))
 			}
-			eachSearchableParent(f, func(parent string) {
-				fmt.Fprintf(&b, "%d/%d parent %s %v\n", si, p, parent, sh.WithParent(parent))
-			})
-			near, _ := sh.SpatialCandidates(f.BBox, 0)
-			during, _ := sh.TimeCandidates(f.Time, 0)
+			for _, v := range f.Variables {
+				if !v.Excluded && v.Parent != "" {
+					fmt.Fprintf(&b, "%d/%d parent %s %v\n", si, p, v.Parent, sh.WithParent(v.Parent))
+				}
+			}
+			near, _ := sh.SpatialCandidatesAppend(f.BBox, 0, nil)
+			during, _ := sh.TimeCandidatesAppend(f.Time, 0, nil)
 			slices.Sort(near)
 			slices.Sort(during)
 			fmt.Fprintf(&b, "%d/%d near %v during %v\n", si, p, slices.Compact(near), during)

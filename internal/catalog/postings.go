@@ -1,29 +1,26 @@
 package catalog
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
-// This file implements the interned-postings layer under every shard
+// This file implements the interned-postings layer under every segment
 // index: a term dictionary mapping each key (variable name, hierarchy
 // parent, spatial grid cell) to a dense uint32 term ID, and one
-// compressed posting container per ID holding the sorted set of shard
+// compressed posting container per ID holding the sorted set of segment
 // positions carrying that term. Search resolves a query term to its ID
-// once per (query, shard) — a single map probe — and every later step
+// once per (query, segment) — a single map probe — and every later step
 // (candidate-tier intersection and union, batch building) runs over
 // integer containers with no string hashing and no per-term slice
 // headers in a map.
 //
 // Containers pick their representation per list: a sparse list stays a
 // sorted int32 array (4 bytes per posting); a dense one packs into a
-// bitmap over the shard's positions (shardLen/8 bytes total) whenever
+// bitmap over the segment's positions (shardLen/8 bytes total) whenever
 // that is strictly smaller. Both iterate in ascending position order,
 // so the planner's mark sweep and the executor's batches behave exactly
 // as they did over raw []int32 lists — the representations are an
 // encoding choice, never a semantics choice.
 
-// Postings is one compressed posting list: the set of shard positions
+// Postings is one compressed posting list: the set of segment positions
 // holding a term, iterated in ascending order. The zero value is an
 // empty list. Read-only, like everything a Snapshot hands out.
 type Postings struct {
@@ -33,7 +30,7 @@ type Postings struct {
 }
 
 // newPostings freezes a sorted, duplicate-free position list into the
-// smaller of the two representations for a shard of shardLen features.
+// smaller of the two representations for a segment of shardLen features.
 // It takes ownership of sorted.
 func newPostings(sorted []int32, shardLen int) Postings {
 	n := len(sorted)
@@ -92,41 +89,17 @@ func (p Postings) AppendTo(dst []int32) []int32 {
 	return dst
 }
 
-// filterRemap returns the surviving positions after a shard delta:
-// removed and dirty old positions drop out, the rest remap through the
-// monotone posMap (so the output is sorted). Appends to dst.
-func (p Postings) filterRemap(posMap []int32, dirtyOld []bool, dst []int32) []int32 {
-	if p.arr != nil {
-		for _, q := range p.arr {
-			if posMap[q] >= 0 && !dirtyOld[q] {
-				dst = append(dst, posMap[q])
-			}
-		}
-		return dst
-	}
-	for wi, w := range p.bm {
-		base := wi << 6
-		for w != 0 {
-			q := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			if posMap[q] >= 0 && !dirtyOld[q] {
-				dst = append(dst, posMap[q])
-			}
-		}
-	}
-	return dst
-}
-
 // --- term dictionary -------------------------------------------------
 
 // postingStore interns one key space (variable names, parents, or grid
 // cells) into dense term IDs with a posting container per ID. IDs are
-// assigned in first-appearance order during the build, and are stable
-// across ApplyDelta patches: a patch never renumbers, it only appends
-// IDs for newly seen terms. A term whose last posting is retracted
-// keeps its ID with an empty container (rebuilds reclaim them; the
-// catalog falls back to a rebuild whenever a delta exceeds half the
-// catalog, so stale IDs cannot accumulate unboundedly).
+// assigned in first-appearance order during the segment's build, and a
+// store is never patched afterwards: it holds exactly the terms of its
+// segment's features, masked ones included. A term whose last live
+// posting is retracted therefore keeps its ID only until a merge
+// rebuilds the segments that carry it, and the masked bound
+// (maskBound) caps how many masked features, and so how many such
+// terms, a shard holds between merges.
 type postingStore[K comparable] struct {
 	ids   map[K]uint32
 	keys  []K
@@ -152,9 +125,8 @@ func (st postingStore[K]) lookup(key K) (Postings, bool) {
 }
 
 // materialize expands the store back into the map-of-slices shape the
-// pre-interning indexes used — equivalence tests compare stores through
-// it, so representation choices stay invisible. Empty (retracted)
-// terms are omitted, matching a from-scratch build.
+// pre-interning indexes used — tests compare stores through it, so
+// representation choices stay invisible.
 func (st postingStore[K]) materialize() map[K][]int32 {
 	out := make(map[K][]int32, len(st.keys))
 	for i, key := range st.keys {
@@ -165,9 +137,11 @@ func (st postingStore[K]) materialize() map[K][]int32 {
 	return out
 }
 
-// storeBuilder accumulates raw posting lists during a shard build.
+// storeBuilder accumulates raw posting lists during a segment build.
 // Positions must arrive in ascending order (buildShard walks features
-// by position), so the frozen lists need no sort.
+// by position), so the frozen lists need no sort, and a repeat of the
+// position a term just recorded is dropped, so a feature naming a term
+// twice posts it once.
 type storeBuilder[K comparable] struct {
 	ids  map[K]uint32
 	keys []K
@@ -185,6 +159,8 @@ func (b *storeBuilder[K]) add(key K, pos int32) {
 		b.ids[key] = id
 		b.keys = append(b.keys, key)
 		b.raw = append(b.raw, nil)
+	} else if raw := b.raw[id]; raw[len(raw)-1] == pos {
+		return
 	}
 	b.raw[id] = append(b.raw[id], pos)
 }
@@ -199,75 +175,4 @@ func (b *storeBuilder[K]) build(shardLen int) postingStore[K] {
 		st.lists[id] = newPostings(raw, shardLen)
 	}
 	return st
-}
-
-// --- copy-on-write patching ------------------------------------------
-
-// storePatch builds a successor store for a shard delta. The dictionary
-// (ids map and keys slice) is shared with the predecessor by pointer
-// until a genuinely new term appears; posting containers of untouched
-// terms are shared outright when no position shifted, remapped when it
-// did, and touched terms are rebuilt from their surviving positions
-// plus the dirty features' fresh entries — the same discipline
-// patchPostings applied to raw map lists, now container-aware.
-type storePatch[K comparable] struct {
-	st     postingStore[K]
-	raw    map[K][]int32 // touched term → surviving + fresh positions
-	copied bool          // ids/keys copied-on-write already
-}
-
-// beginPatch classifies every existing term: untouched lists are shared
-// (or remapped when positions shifted), touched lists have their
-// survivors extracted for rebuilding.
-func (st postingStore[K]) beginPatch(touched map[K]bool, shifted bool, posMap []int32, dirtyOld []bool, newLen int) *storePatch[K] {
-	p := &storePatch[K]{
-		st: postingStore[K]{
-			ids:   st.ids,
-			keys:  st.keys,
-			lists: make([]Postings, len(st.lists)),
-		},
-		raw: make(map[K][]int32, len(touched)),
-	}
-	for id, list := range st.lists {
-		key := st.keys[id]
-		switch {
-		case touched[key]:
-			p.raw[key] = list.filterRemap(posMap, dirtyOld, nil)
-		case shifted:
-			p.st.lists[id] = newPostings(list.filterRemap(posMap, dirtyOld, nil), newLen)
-		default:
-			p.st.lists[id] = list // shared: membership and positions unchanged
-		}
-	}
-	return p
-}
-
-// add records one posting of a dirty feature, interning the term on
-// first sight (copying the dictionary at most once per patch).
-func (p *storePatch[K]) add(key K, pos int32) {
-	if _, ok := p.st.ids[key]; !ok {
-		if !p.copied {
-			ids := make(map[K]uint32, len(p.st.ids)+1)
-			for k, v := range p.st.ids {
-				ids[k] = v
-			}
-			p.st.ids = ids
-			p.st.keys = append([]K(nil), p.st.keys...)
-			p.copied = true
-		}
-		p.st.ids[key] = uint32(len(p.st.keys))
-		p.st.keys = append(p.st.keys, key)
-		p.st.lists = append(p.st.lists, Postings{})
-	}
-	p.raw[key] = append(p.raw[key], pos)
-}
-
-// finish freezes every touched term's rebuilt list and returns the
-// successor store.
-func (p *storePatch[K]) finish(newLen int) postingStore[K] {
-	for key, raw := range p.raw {
-		sort.Slice(raw, func(a, b int) bool { return raw[a] < raw[b] })
-		p.st.lists[p.st.ids[key]] = newPostings(raw, newLen)
-	}
-	return p.st
 }

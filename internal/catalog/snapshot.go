@@ -1,9 +1,12 @@
 package catalog
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -16,22 +19,31 @@ import (
 // the next mutation swaps in a successor, so queries touch no locks and
 // copy no features.
 //
-// The snapshot is partitioned into shards by a hash of the feature ID:
-// each shard owns its own ID-sorted feature slice, interned posting
-// stores, spatial grid, and temporal index, built and patched
-// independently of the others. Partitioning buys two things. Publish
-// cost tracks the dirty shards only — applyDelta shares every clean
-// shard with the predecessor snapshot by pointer and patches the rest
-// in parallel — and search scatters across shards, each worker running
-// the full planner/widening machinery over its shard before a single
-// merge heap gathers the per-shard top-Ks.
+// The snapshot is partitioned into shards by a hash of the feature ID,
+// and each shard is a stack of immutable segments: a base segment and,
+// above it, the delta segments later publishes pushed, oldest first.
+// Every segment carries its own ID-sorted feature slice, interned
+// posting stores, spatial grid and temporal index, built by buildShard
+// over exactly its features. A publish never edits a segment: it pushes
+// one new segment per dirty shard, built over that shard's changed
+// features, and hides the versions they replace or remove behind a
+// copy-on-write deleted mask. So a publish costs O(churn) plus the
+// merges the size tiers schedule (see shard.apply), every clean shard
+// and every untouched segment is shared with the predecessor by
+// pointer, and search scatters over segments as it would over shards —
+// each worker runs the full planner/widening machinery over one
+// segment's live positions before a single merge heap gathers the
+// per-segment top-Ks.
 //
 // The features a snapshot exposes are shared with the catalog it was
 // built from, and later catalog mutations cannot reach them: a stored
 // feature is never edited in place (see Catalog). In exchange, callers
 // must treat everything a Snapshot returns as read-only.
 type Snapshot struct {
-	shards     []*Shard
+	shards []shard
+	// segments lists every shard's segments, shard by shard, base first:
+	// the executor's scatter units.
+	segments   []*Segment
 	total      int
 	generation uint64
 
@@ -42,17 +54,40 @@ type Snapshot struct {
 	all     []*Feature
 }
 
-// Shard is one hash partition of a snapshot: an ID-sorted feature slice
-// plus the secondary indexes over exactly those features. Positions —
-// the integers the posting containers and candidate sets speak — index
-// into the shard's own All(). Each index is an interned postingStore:
-// terms (variable names, hierarchy parents, grid cells) map to dense
-// uint32 IDs, each ID owning a compressed posting container, so query
-// planning resolves strings once and then works in integers. A Shard is
-// immutable and read-only, like everything else a Snapshot hands out.
-// Feature-ID lookups binary-search the ID-sorted slice — no per-shard
-// string map retaining every ID twice.
-type Shard struct {
+// shard is one hash partition of a snapshot: its base segment, then its
+// delta segments, oldest first. Each live feature of the shard sits at
+// exactly one unmasked position, in the newest segment holding its ID.
+type shard struct {
+	segs   []*Segment
+	live   int // features the shard serves
+	masked int // masked positions across segs
+}
+
+// Segment is one scatter unit of a snapshot: an immutable index set
+// over an ID-sorted feature slice, plus this snapshot's deleted mask
+// over its positions. Positions — the integers the posting containers
+// and candidate sets speak — index into the segment's own All(), masked
+// ones included; readers skip a position for which Masked reports
+// true. Each index is an interned postingStore: terms (variable names,
+// hierarchy parents, grid cells) map to dense uint32 IDs, each ID
+// owning a compressed posting container, so query planning resolves
+// strings once and then works in integers. A Segment is read-only, like
+// everything else a Snapshot hands out.
+type Segment struct {
+	*segment
+	shard int
+	// dead has bit p set when position p is masked; nil while none is.
+	// A publish that masks more positions copies it first, so a held
+	// snapshot's masks never change.
+	dead   []uint64
+	masked int
+}
+
+// segment is the immutable part of a Segment, shared by pointer with
+// every later snapshot that keeps the segment. Feature-ID lookups
+// binary-search the ID-sorted slice — no per-segment string map
+// retaining every ID twice.
+type segment struct {
 	features []*Feature
 	// names indexes positions by current searchable variable name;
 	// parents by the hierarchy parent of searchable variables.
@@ -66,6 +101,13 @@ type Shard struct {
 // with no explicit count: one shard per schedulable CPU, so a parallel
 // publish and a scatter-gather search both saturate the machine.
 func DefaultShardCount() int { return runtime.GOMAXPROCS(0) }
+
+// maskBound is how many masked positions a shard serving live features
+// may carry. A publish that leaves more merges the shard's base and
+// deltas into one segment, so masked versions — still reachable, and
+// still holding their dictionary terms — never exceed a sixteenth of
+// the shard.
+func maskBound(live int) int { return live / 16 }
 
 // shardIndex assigns a feature ID to a shard: FNV-1a over the ID bytes,
 // reduced mod n. The hash is fixed (not seeded per process) so a given
@@ -87,235 +129,279 @@ func shardIndex(id string, n int) int {
 	return int(h % uint32(n))
 }
 
-// newSnapshot partitions the feature map and builds every shard, in
-// parallel when there is more than one. Callers synchronize access to
-// the map (the catalog holds its lock).
+func byID(a, b *Feature) int { return strings.Compare(a.ID, b.ID) }
+
+// newSnapshot partitions the feature map and builds every shard as one
+// base segment, in parallel when there is more than one. Callers
+// synchronize access to the map (the catalog holds its lock).
 func newSnapshot(features map[string]*Feature, generation uint64, nShards int) *Snapshot {
 	if nShards <= 0 {
 		nShards = DefaultShardCount()
 	}
-	ids := make([][]string, nShards)
-	for id := range features {
+	parts := make([][]*Feature, nShards)
+	for id, f := range features {
 		si := shardIndex(id, nShards)
-		ids[si] = append(ids[si], id)
+		parts[si] = append(parts[si], f)
 	}
-	s := &Snapshot{
-		shards:     make([]*Shard, nShards),
-		total:      len(features),
-		generation: generation,
+	shards := make([]shard, nShards)
+	sis := make([]int, nShards)
+	for si := range sis {
+		sis[si] = si
 	}
-	var wg sync.WaitGroup
-	for si := range s.shards {
-		sort.Strings(ids[si])
-		if nShards == 1 {
-			s.shards[si] = buildShard(features, ids[si])
-			continue
+	eachShard(sis, func(si int) {
+		slices.SortFunc(parts[si], byID)
+		shards[si] = shard{
+			segs: []*Segment{{segment: buildShard(parts[si]), shard: si}},
+			live: len(parts[si]),
 		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			s.shards[si] = buildShard(features, ids[si])
-		}(si)
+	})
+	return assemble(shards, generation)
+}
+
+// assemble wraps a snapshot around its shards.
+func assemble(shards []shard, generation uint64) *Snapshot {
+	s := &Snapshot{shards: shards, generation: generation}
+	for _, sh := range shards {
+		s.total += sh.live
+		s.segments = append(s.segments, sh.segs...)
 	}
-	wg.Wait()
 	return s
 }
 
-// buildShard builds the shard's interned indexes over the listed
-// features (ids pre-sorted), sharing them with the map. Positions are
-// handed to the builders in ascending order, so the frozen posting
-// lists are born sorted.
-func buildShard(features map[string]*Feature, ids []string) *Shard {
-	sh := &Shard{features: make([]*Feature, len(ids))}
+// eachShard runs fn for every listed shard, each on its own goroutine
+// when there are several.
+func eachShard(sis []int, fn func(si int)) {
+	if len(sis) == 1 {
+		fn(sis[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, si := range sis {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(si)
+		}()
+	}
+	wg.Wait()
+}
+
+// buildShard builds one segment's interned indexes over features, which
+// must be sorted by ID; the segment takes ownership of the slice and
+// shares the features. Positions are handed to the builders in
+// ascending order, so the frozen posting lists are born sorted.
+func buildShard(features []*Feature) *segment {
+	sg := &segment{features: features}
 	names := newStoreBuilder[string]()
 	parents := newStoreBuilder[string]()
 	cells := newStoreBuilder[int32]()
-	for i, id := range ids {
-		f := features[id]
-		sh.features[i] = f
+	var cellBuf []int32
+	for i, f := range features {
 		p := int32(i)
-		for _, name := range f.SearchableNames() {
-			names.add(name, p)
+		// A name or parent several searchable variables share is posted
+		// once: add ignores a repeat of the position it just recorded.
+		for _, v := range f.Variables {
+			if v.Excluded {
+				continue
+			}
+			names.add(v.Name, p)
+			if v.Parent != "" {
+				parents.add(v.Parent, p)
+			}
 		}
-		eachSearchableParent(f, func(parent string) { parents.add(parent, p) })
-		for _, cell := range bboxCells(f.BBox) {
+		cellBuf = appendBBoxCells(cellBuf[:0], f.BBox)
+		for _, cell := range cellBuf {
 			cells.add(cell, p)
 		}
 	}
-	n := len(ids)
-	sh.names = names.build(n)
-	sh.parents = parents.build(n)
-	sh.spatial = spatialGrid{store: cells.build(n)}
-	sh.temporal = buildTemporalIndex(sh.features)
-	return sh
+	n := len(features)
+	sg.names = names.build(n)
+	sg.parents = parents.build(n)
+	sg.spatial = spatialGrid{store: cells.build(n)}
+	sg.temporal = buildTemporalIndex(features)
+	return sg
 }
 
-// eachSearchableParent visits the distinct hierarchy parents of f's
-// searchable variables, in first-appearance order.
-func eachSearchableParent(f *Feature, visit func(string)) {
-	seen := make(map[string]bool)
-	for _, v := range f.Variables {
-		if v.Excluded || v.Parent == "" || seen[v.Parent] {
-			continue
-		}
-		seen[v.Parent] = true
-		visit(v.Parent)
+// MergeStat describes the segment merges one publish ran.
+type MergeStat struct {
+	// Start is when the first merge began; zero when none ran.
+	Start time.Time
+	// Dur runs from Start to the end of the last merge.
+	Dur time.Duration
+	// Shards counts the shards that merged.
+	Shards int
+	// Base reports that some shard merged its base segment.
+	Base bool
+}
+
+// add folds another shard's merges into m.
+func (m *MergeStat) add(o MergeStat) {
+	if o.Shards == 0 {
+		return
 	}
+	if m.Shards == 0 {
+		*m = o
+		return
+	}
+	end := m.Start.Add(m.Dur)
+	if e := o.Start.Add(o.Dur); e.After(end) {
+		end = e
+	}
+	if o.Start.Before(m.Start) {
+		m.Start = o.Start
+	}
+	m.Dur = end.Sub(m.Start)
+	m.Shards += o.Shards
+	m.Base = m.Base || o.Base
 }
 
-// applyDelta builds the successor snapshot incrementally. The delta is
-// routed to shards by the same ID hash that partitioned the snapshot:
-// a shard the delta does not touch is shared with s outright — pointer
-// equality, no copies, no index work — and each dirty shard is patched
-// independently (in parallel when there are several). The result is
-// indistinguishable from newSnapshot over the same feature set
-// (TestSnapshotApplyDeltaEquivalence); it just costs O(churn + dirty
-// shards' index size) instead of O(catalog · variables).
+// applyDelta builds the successor snapshot. The delta is routed to
+// shards by the same ID hash that partitioned the snapshot: a shard the
+// delta does not touch is shared with s outright — the same segments,
+// no copies, no index work — and each dirty shard applies its part
+// independently (in parallel when there are several). The result
+// serves exactly what newSnapshot over the same feature set would
+// (TestSnapshotApplyDeltaEquivalence).
 //
-// changed must be sorted by ID and is stored as is; removed must only
-// name IDs present in s and disjoint from changed.
-func (s *Snapshot) applyDelta(changed []*Feature, removed map[string]bool, generation uint64) *Snapshot {
+// changed must be sorted by ID, must not repeat an ID, and is stored as
+// is; removed must only name IDs live in s and disjoint from changed.
+func (s *Snapshot) applyDelta(changed []*Feature, removed map[string]bool, generation uint64) (*Snapshot, MergeStat) {
 	n := len(s.shards)
 	changedBy := make([][]*Feature, n)
 	for _, f := range changed {
 		si := shardIndex(f.ID, n)
 		changedBy[si] = append(changedBy[si], f) // keeps global ID order per shard
 	}
-	removedBy := make([]map[string]bool, n)
+	removedBy := make([][]string, n)
 	for id := range removed {
 		si := shardIndex(id, n)
-		if removedBy[si] == nil {
-			removedBy[si] = make(map[string]bool)
+		removedBy[si] = append(removedBy[si], id)
+	}
+	shards := slices.Clone(s.shards)
+	var dirty []int
+	for si := range shards {
+		if len(changedBy[si]) > 0 || len(removedBy[si]) > 0 {
+			dirty = append(dirty, si)
 		}
-		removedBy[si][id] = true
 	}
-
-	next := &Snapshot{
-		shards:     make([]*Shard, n),
-		generation: generation,
+	merges := make([]MergeStat, n)
+	eachShard(dirty, func(si int) {
+		shards[si], merges[si] = shards[si].apply(si, changedBy[si], removedBy[si])
+	})
+	var m MergeStat
+	for _, sm := range merges {
+		m.add(sm)
 	}
-	var wg sync.WaitGroup
-	for si := range s.shards {
-		if len(changedBy[si]) == 0 && len(removedBy[si]) == 0 {
-			next.shards[si] = s.shards[si] // clean: shared with the predecessor
-			continue
-		}
-		if n == 1 {
-			next.shards[si] = s.shards[si].applyDelta(changedBy[si], removedBy[si])
-			continue
-		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			next.shards[si] = s.shards[si].applyDelta(changedBy[si], removedBy[si])
-		}(si)
-	}
-	wg.Wait()
-	for _, sh := range next.shards {
-		next.total += len(sh.features)
-	}
-	return next
+	return assemble(shards, generation), m
 }
 
-// applyDelta patches one shard: unchanged features are shared with sh,
-// the ID-sorted slice is spliced, and each interned store is patched
-// through its copy-on-write protocol — containers of untouched terms
-// are shared with the predecessor when no position shifted, and only
-// the touched terms' lists are rebuilt.
-func (sh *Shard) applyDelta(changed []*Feature, removed map[string]bool) *Shard {
-	replace := make(map[string]*Feature)
-	var inserts []*Feature // sorted by ID (changed is)
-	for _, f := range changed {
-		if _, ok := sh.posOf(f.ID); ok {
-			replace[f.ID] = f
-		} else {
-			inserts = append(inserts, f)
-		}
-	}
-
-	// Splice the ID-sorted feature slice, tracking the old→new position
-	// map and which positions carry new content ("dirty").
-	old := sh.features
-	newLen := len(old) - len(removed) + len(inserts)
-	n := &Shard{features: make([]*Feature, 0, newLen)}
-	posMap := make([]int32, len(old)) // old position → new, -1 when removed
-	dirtyOld := make([]bool, len(old))
-	var dirtyNew []int32
-	i, j := 0, 0
-	for i < len(old) || j < len(inserts) {
-		takeOld := j >= len(inserts) || (i < len(old) && old[i].ID < inserts[j].ID)
-		if takeOld {
-			id := old[i].ID
-			if removed[id] {
-				posMap[i] = -1
-				dirtyOld[i] = true
-				i++
+// apply returns the shard after one publish: the versions the delta
+// replaces or removes are masked, and the changed features (sorted by
+// ID) land in a new top segment. Two rules then keep the stack small,
+// and both merge by buildShard over the live features of the segments
+// they merge:
+//
+//   - Size tiers. The new segment absorbs each segment below it whose
+//     length is less than twice its own. Afterwards every segment is at
+//     most half as long as the one below it, so a shard over a base of
+//     b positions carries at most log2(b) deltas, and a feature is
+//     rebuilt O(log) times before it reaches the base.
+//   - Masked bound. When more than maskBound(live) positions would stay
+//     masked, or the tiers reach the base, the base and every delta
+//     merge into one segment. The next base merge is then at least
+//     maskBound(live) masked positions away, so its O(live) build
+//     amortizes to a constant per changed feature.
+func (sh shard) apply(si int, changed []*Feature, removed []string) (shard, MergeStat) {
+	segs := slices.Clone(sh.segs)
+	next := shard{live: sh.live, masked: sh.masked}
+	copied := make([]bool, len(segs))
+	// mask hides id's live version and reports whether it had one. The
+	// newest segment holding id decides: its version is the live one
+	// unless a publish already masked it.
+	mask := func(id string) bool {
+		for k := len(segs) - 1; k >= 0; k-- {
+			p, ok := segs[k].posOf(id)
+			if !ok {
 				continue
 			}
-			p := int32(len(n.features))
-			if repl, ok := replace[id]; ok {
-				n.features = append(n.features, repl)
-				dirtyOld[i] = true
-				dirtyNew = append(dirtyNew, p)
-			} else {
-				n.features = append(n.features, old[i])
+			if segs[k].Masked(p) {
+				return false
 			}
-			posMap[i] = p
+			if !copied[k] {
+				segs[k] = segs[k].maskable()
+				copied[k] = true
+			}
+			segs[k].dead[p>>6] |= 1 << (uint(p) & 63)
+			segs[k].masked++
+			next.masked++
+			return true
+		}
+		return false
+	}
+	for _, f := range changed {
+		if !mask(f.ID) {
+			next.live++
+		}
+	}
+	for _, id := range removed {
+		if mask(id) {
+			next.live--
+		}
+	}
+
+	// k is the lowest segment the new one absorbs; len(segs) when none.
+	k, size, freed := len(segs), len(changed), 0
+	for size > 0 && k > 0 && 2*size > segs[k-1].Len() {
+		k--
+		size += segs[k].Len() - segs[k].masked
+		freed += segs[k].masked
+	}
+	if k == 0 || next.masked-freed > maskBound(next.live) {
+		k, freed = 0, next.masked
+	}
+	if k == len(segs) {
+		if len(changed) > 0 {
+			segs = append(segs, &Segment{segment: buildShard(changed), shard: si})
+		}
+		next.segs = segs
+		return next, MergeStat{}
+	}
+	t0 := time.Now()
+	live := changed
+	for j := len(segs) - 1; j >= k; j-- {
+		live = segs[j].mergeLive(live)
+	}
+	next.segs = append(segs[:k], &Segment{segment: buildShard(live), shard: si})
+	next.masked -= freed
+	return next, MergeStat{Start: t0, Dur: time.Since(t0), Shards: 1, Base: k == 0}
+}
+
+// maskable returns a copy of the segment view whose mask the caller may
+// extend: same immutable segment, private dead bitmap.
+func (sg *Segment) maskable() *Segment {
+	cp := *sg
+	cp.dead = make([]uint64, (sg.Len()+63)/64)
+	copy(cp.dead, sg.dead)
+	return &cp
+}
+
+// mergeLive merges the segment's live features into newer, which is
+// sorted by ID and holds no ID live in the segment, into a fresh
+// ID-sorted slice.
+func (sg *Segment) mergeLive(newer []*Feature) []*Feature {
+	out := make([]*Feature, 0, len(newer)+sg.Len()-sg.masked)
+	i := 0
+	for p, f := range sg.features {
+		if sg.Masked(int32(p)) {
+			continue
+		}
+		for i < len(newer) && newer[i].ID < f.ID {
+			out = append(out, newer[i])
 			i++
-		} else {
-			p := int32(len(n.features))
-			n.features = append(n.features, inserts[j])
-			dirtyNew = append(dirtyNew, p)
-			j++
 		}
+		out = append(out, f)
 	}
-	// When nothing was inserted or removed, positions are unchanged and
-	// untouched posting containers can be shared with sh outright.
-	shifted := len(inserts) > 0 || len(removed) > 0
-
-	// Names, parents, and grid cells whose posting lists the delta
-	// touches: those of every dirty old feature (their entries leave)
-	// and of every dirty new feature (their entries arrive).
-	touchedNames := make(map[string]bool)
-	touchedParents := make(map[string]bool)
-	touchedCells := make(map[int32]bool)
-	collect := func(f *Feature) {
-		for _, name := range f.SearchableNames() {
-			touchedNames[name] = true
-		}
-		eachSearchableParent(f, func(parent string) { touchedParents[parent] = true })
-		for _, cell := range bboxCells(f.BBox) {
-			touchedCells[cell] = true
-		}
-	}
-	for p, dirty := range dirtyOld {
-		if dirty {
-			collect(old[p])
-		}
-	}
-	for _, p := range dirtyNew {
-		collect(n.features[p])
-	}
-
-	namePatch := sh.names.beginPatch(touchedNames, shifted, posMap, dirtyOld, newLen)
-	parentPatch := sh.parents.beginPatch(touchedParents, shifted, posMap, dirtyOld, newLen)
-	cellPatch := sh.spatial.store.beginPatch(touchedCells, shifted, posMap, dirtyOld, newLen)
-	for _, p := range dirtyNew {
-		f := n.features[p]
-		for _, name := range f.SearchableNames() {
-			namePatch.add(name, p)
-		}
-		eachSearchableParent(f, func(parent string) { parentPatch.add(parent, p) })
-		for _, cell := range bboxCells(f.BBox) {
-			cellPatch.add(cell, p)
-		}
-	}
-	n.names = namePatch.finish(newLen)
-	n.parents = parentPatch.finish(newLen)
-	n.spatial = spatialGrid{store: cellPatch.finish(newLen)}
-
-	n.temporal = sh.temporal.applyDelta(n.features, posMap, dirtyOld, dirtyNew)
-	return n
+	return append(out, newer[i:]...)
 }
 
 // Len returns the number of features in the snapshot, across all shards.
@@ -324,117 +410,135 @@ func (s *Snapshot) Len() int { return s.total }
 // Generation returns the catalog generation the snapshot was built at.
 func (s *Snapshot) Generation() uint64 { return s.generation }
 
-// Shards returns the snapshot's shards. The slice and the shards are
-// read-only; shard order is stable for the lifetime of the catalog, and
-// a feature's shard depends only on its ID and the shard count.
-func (s *Snapshot) Shards() []*Shard { return s.shards }
+// Segments returns every shard's segments, shard by shard, base first:
+// the units search scatters over. The slice and the segments are
+// read-only. A feature is live in exactly one of them; every other
+// position holding its ID is masked.
+func (s *Snapshot) Segments() []*Segment { return s.segments }
 
 // NumShards returns the shard count.
 func (s *Snapshot) NumShards() int { return len(s.shards) }
 
-// ShardSizes returns the per-shard feature counts, in shard order — the
-// balance view /stats serves.
+// ShardSizes returns the per-shard live feature counts, in shard order
+// — the balance view /stats serves.
 func (s *Snapshot) ShardSizes() []int {
 	sizes := make([]int, len(s.shards))
 	for i, sh := range s.shards {
-		sizes[i] = len(sh.features)
+		sizes[i] = sh.live
 	}
 	return sizes
 }
 
-// All returns the snapshot's features sorted by ID, merged across
-// shards. The merge is computed once, on first use, and cached: search
-// never calls this — only whole-catalog readers (persistence,
-// validation, experiment sweeps) do. Callers must not mutate the slice
-// or the features; use Catalog.Get for a private copy.
+// All returns the snapshot's live features sorted by ID, merged across
+// shards and segments. The merge is computed once, on first use, and
+// cached: search never calls this — only whole-catalog readers
+// (persistence, validation, experiment sweeps) do. Callers must not
+// mutate the slice or the features; use Catalog.Get for a private copy.
 func (s *Snapshot) All() []*Feature {
 	s.allOnce.Do(func() {
-		if len(s.shards) == 1 {
-			s.all = s.shards[0].features
+		if len(s.segments) == 1 && s.segments[0].masked == 0 {
+			s.all = s.segments[0].features
 			return
 		}
 		merged := make([]*Feature, 0, s.total)
-		for _, sh := range s.shards {
-			merged = append(merged, sh.features...)
+		for _, sg := range s.segments {
+			for p, f := range sg.features {
+				if !sg.Masked(int32(p)) {
+					merged = append(merged, f)
+				}
+			}
 		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
+		slices.SortFunc(merged, byID)
 		s.all = merged
 	})
 	return s.all
 }
 
-// ByID returns the feature with the given ID without taking a lock or
-// copying: one hash to pick the shard, one binary search inside it —
-// the serving-path alternative to Catalog.Get, whose per-call copy is
-// wasted on read-only consumers. Read-only.
+// ByID returns the live feature with the given ID without taking a lock
+// or copying: one hash to pick the shard, then a binary search per
+// segment, newest first — the serving-path alternative to Catalog.Get,
+// whose per-call copy is wasted on read-only consumers. Read-only.
 func (s *Snapshot) ByID(id string) (*Feature, bool) {
-	return s.shards[shardIndex(id, len(s.shards))].ByID(id)
+	segs := s.shards[shardIndex(id, len(s.shards))].segs
+	for k := len(segs) - 1; k >= 0; k-- {
+		if p, ok := segs[k].posOf(id); ok {
+			if segs[k].Masked(p) {
+				return nil, false
+			}
+			return segs[k].features[p], true
+		}
+	}
+	return nil, false
 }
 
-// Len returns the number of features in the shard.
-func (sh *Shard) Len() int { return len(sh.features) }
+// Shard returns the hash shard the segment belongs to.
+func (sg *Segment) Shard() int { return sg.shard }
 
-// All returns the shard's shared feature slice, sorted by ID. Read-only.
-func (sh *Shard) All() []*Feature { return sh.features }
+// Masked reports whether position p is masked: its feature was replaced
+// or removed by a newer publish, and readers skip it.
+func (sg *Segment) Masked(p int32) bool {
+	return sg.dead != nil && sg.dead[p>>6]&(1<<(uint(p)&63)) != 0
+}
 
-// At returns the feature at a shard position. Read-only.
-func (sh *Shard) At(i int32) *Feature { return sh.features[i] }
+// Len returns the number of positions in the segment, masked ones
+// included.
+func (sg *segment) Len() int { return len(sg.features) }
+
+// All returns the segment's shared feature slice, sorted by ID, masked
+// positions included. Read-only.
+func (sg *segment) All() []*Feature { return sg.features }
+
+// At returns the feature at a segment position. Read-only.
+func (sg *segment) At(i int32) *Feature { return sg.features[i] }
 
 // posOf binary-searches the ID-sorted feature slice for id.
-func (sh *Shard) posOf(id string) (int32, bool) {
-	i := sort.Search(len(sh.features), func(i int) bool { return sh.features[i].ID >= id })
-	if i < len(sh.features) && sh.features[i].ID == id {
+func (sg *segment) posOf(id string) (int32, bool) {
+	i := sort.Search(len(sg.features), func(i int) bool { return sg.features[i].ID >= id })
+	if i < len(sg.features) && sg.features[i].ID == id {
 		return int32(i), true
 	}
 	return 0, false
 }
 
-// ByID returns the shard's feature with the given ID. Read-only.
-func (sh *Shard) ByID(id string) (*Feature, bool) {
-	i, ok := sh.posOf(id)
-	if !ok {
-		return nil, false
-	}
-	return sh.features[i], true
-}
-
-// VariableID resolves a searchable variable name to the shard's dense
-// term ID — one map probe, done once per (query, shard).
-func (sh *Shard) VariableID(name string) (uint32, bool) { return sh.names.id(name) }
+// VariableID resolves a searchable variable name to the segment's dense
+// term ID — one map probe, done once per (query, segment).
+func (sg *segment) VariableID(name string) (uint32, bool) { return sg.names.id(name) }
 
 // VariablePostings returns the compressed posting container for a term
 // ID obtained from VariableID. Read-only.
-func (sh *Shard) VariablePostings(id uint32) Postings { return sh.names.at(id) }
+func (sg *segment) VariablePostings(id uint32) Postings { return sg.names.at(id) }
 
-// ParentID resolves a hierarchy parent name to the shard's dense term ID.
-func (sh *Shard) ParentID(name string) (uint32, bool) { return sh.parents.id(name) }
+// ParentID resolves a hierarchy parent name to the segment's dense term
+// ID.
+func (sg *segment) ParentID(name string) (uint32, bool) { return sg.parents.id(name) }
 
 // ParentPostings returns the posting container for a parent term ID.
 // Read-only.
-func (sh *Shard) ParentPostings(id uint32) Postings { return sh.parents.at(id) }
+func (sg *segment) ParentPostings(id uint32) Postings { return sg.parents.at(id) }
 
-// WithVariable returns the shard positions of features whose searchable
-// variables include name, sorted ascending, in a freshly allocated
-// slice. Convenience wrapper over VariableID/VariablePostings for tests
-// and offline readers; the query path uses the containers directly.
-func (sh *Shard) WithVariable(name string) []int32 {
-	if l, ok := sh.names.lookup(name); ok && l.Len() > 0 {
+// WithVariable returns the segment positions of features whose
+// searchable variables include name, sorted ascending, in a freshly
+// allocated slice. Convenience wrapper over VariableID/VariablePostings
+// for tests and offline readers; the query path uses the containers
+// directly.
+func (sg *segment) WithVariable(name string) []int32 {
+	if l, ok := sg.names.lookup(name); ok && l.Len() > 0 {
 		return l.AppendTo(nil)
 	}
 	return nil
 }
 
-// WithParent returns the shard positions of features having a
+// WithParent returns the segment positions of features having a
 // searchable variable whose hierarchy parent is name, sorted ascending,
 // in a freshly allocated slice. Wrapper, like WithVariable.
-func (sh *Shard) WithParent(name string) []int32 {
-	if l, ok := sh.parents.lookup(name); ok && l.Len() > 0 {
+func (sg *segment) WithParent(name string) []int32 {
+	if l, ok := sg.parents.lookup(name); ok && l.Len() > 0 {
 		return l.AppendTo(nil)
 	}
 	return nil
 }
 
-// SpatialCandidatesAppend appends to dst the shard positions of every
+// SpatialCandidatesAppend appends to dst the segment positions of every
 // feature whose scoring distance from the query box (BBox.DistanceKm
 // for point-sized boxes, BBox.DistanceToBoxKm otherwise) can be at most
 // maxKm, and returns the extended slice. The set is a superset of the
@@ -443,26 +547,16 @@ func (sh *Shard) WithParent(name string) []int32 {
 // order and may repeat (a feature spanning several visited cells);
 // callers deduplicate. ok is false when the radius is too large to
 // prune (callers must treat every feature as a candidate).
-func (sh *Shard) SpatialCandidatesAppend(query geo.BBox, maxKm float64, dst []int32) (pos []int32, ok bool) {
-	return sh.spatial.candidates(query, maxKm, dst)
+func (sg *segment) SpatialCandidatesAppend(query geo.BBox, maxKm float64, dst []int32) (pos []int32, ok bool) {
+	return sg.spatial.candidates(query, maxKm, dst)
 }
 
-// SpatialCandidates is SpatialCandidatesAppend into a fresh slice.
-func (sh *Shard) SpatialCandidates(query geo.BBox, maxKm float64) (pos []int32, ok bool) {
-	return sh.spatial.candidates(query, maxKm, nil)
-}
-
-// TimeCandidatesAppend appends to dst the shard positions of every
+// TimeCandidatesAppend appends to dst the segment positions of every
 // feature whose temporal gap from the query range (TimeRange.Distance)
 // can be at most maxGap, again conservatively and in unspecified order.
 // ok is false when the gap is too large to prune.
-func (sh *Shard) TimeCandidatesAppend(query geo.TimeRange, maxGap time.Duration, dst []int32) (pos []int32, ok bool) {
-	return sh.temporal.candidates(query, maxGap, dst)
-}
-
-// TimeCandidates is TimeCandidatesAppend into a fresh slice.
-func (sh *Shard) TimeCandidates(query geo.TimeRange, maxGap time.Duration) (pos []int32, ok bool) {
-	return sh.temporal.candidates(query, maxGap, nil)
+func (sg *segment) TimeCandidatesAppend(query geo.TimeRange, maxGap time.Duration, dst []int32) (pos []int32, ok bool) {
+	return sg.temporal.candidates(query, maxGap, dst)
 }
 
 // --- spatial grid ---------------------------------------------------
@@ -513,21 +607,21 @@ func gridCol(lon float64) int32 {
 	return c
 }
 
-// bboxCells returns the grid cells a bounding box registers in; an
-// empty extent scores zero on the space dimension and occupies no cell.
-func bboxCells(b geo.BBox) []int32 {
+// appendBBoxCells appends the grid cells a bounding box registers in;
+// an empty extent scores zero on the space dimension and occupies no
+// cell.
+func appendBBoxCells(dst []int32, b geo.BBox) []int32 {
 	if b.IsEmpty() {
-		return nil
+		return dst
 	}
 	r0, r1 := gridRow(b.MinLat), gridRow(b.MaxLat)
 	c0, c1 := gridCol(b.MinLon), gridCol(b.MaxLon)
-	cells := make([]int32, 0, (r1-r0+1)*(c1-c0+1))
 	for r := r0; r <= r1; r++ {
 		for c := c0; c <= c1; c++ {
-			cells = append(cells, r*gridCols+c)
+			dst = append(dst, r*gridCols+c)
 		}
 	}
-	return cells
+	return dst
 }
 
 // candidates visits the cells of the query box padded by maxKm,
@@ -612,25 +706,17 @@ type temporalIndex struct {
 func buildTemporalIndex(features []*Feature) temporalIndex {
 	n := len(features)
 	t := temporalIndex{
-		byStart: make([]int32, n),
-		byEnd:   make([]int32, n),
 		startAt: make([]time.Time, n),
 		endAt:   make([]time.Time, n),
+		starts:  make([]time.Time, n),
+		ends:    make([]time.Time, n),
 	}
 	for i, f := range features {
-		t.byStart[i] = int32(i)
-		t.byEnd[i] = int32(i)
 		t.startAt[i] = f.Time.Start
 		t.endAt[i] = f.Time.End
 	}
-	sort.SliceStable(t.byStart, func(a, b int) bool {
-		return t.startAt[t.byStart[a]].Before(t.startAt[t.byStart[b]])
-	})
-	sort.SliceStable(t.byEnd, func(a, b int) bool {
-		return t.endAt[t.byEnd[a]].After(t.endAt[t.byEnd[b]])
-	})
-	t.starts = make([]time.Time, n)
-	t.ends = make([]time.Time, n)
+	t.byStart = instantOrder(t.startAt, 1)
+	t.byEnd = instantOrder(t.endAt, -1)
 	for i, p := range t.byStart {
 		t.starts[i] = t.startAt[p]
 	}
@@ -640,68 +726,34 @@ func buildTemporalIndex(features []*Feature) temporalIndex {
 	return t
 }
 
-// applyDelta patches the temporal index for a successor feature slice:
-// surviving entries are remapped in order (posMap is monotone, so both
-// sorted orders are preserved), and each dirty feature is merge-inserted
-// at the position a fresh stable sort would have given it — ascending
-// position among equal keys. The key arrays are then re-derived in one
-// linear pass.
-func (t temporalIndex) applyDelta(features []*Feature, posMap []int32, dirtyOld []bool, dirtyNew []int32) temporalIndex {
-	n := len(features)
-	out := temporalIndex{
-		byStart: make([]int32, 0, n),
-		byEnd:   make([]int32, 0, n),
-		startAt: make([]time.Time, n),
-		endAt:   make([]time.Time, n),
+// instantOrder returns the positions of at sorted by instant, ascending
+// for sign 1 and descending for sign -1, ties by ascending position: the
+// order a stable sort by instant alone gives. Seconds and nanoseconds
+// since the epoch order instants exactly, zero (year-1) times included,
+// without a time.Time comparison per step.
+func instantOrder(at []time.Time, sign int64) []int32 {
+	type key struct {
+		sec       int64
+		nsec, pos int32
 	}
-	for i, f := range features {
-		out.startAt[i] = f.Time.Start
-		out.endAt[i] = f.Time.End
+	keys := make([]key, len(at))
+	for i, t := range at {
+		keys[i] = key{sign * t.Unix(), int32(sign) * int32(t.Nanosecond()), int32(i)}
 	}
-	for _, p := range t.byStart {
-		if posMap[p] >= 0 && !dirtyOld[p] {
-			out.byStart = append(out.byStart, posMap[p])
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.sec, b.sec); c != 0 {
+			return c
 		}
-	}
-	for _, p := range t.byEnd {
-		if posMap[p] >= 0 && !dirtyOld[p] {
-			out.byEnd = append(out.byEnd, posMap[p])
+		if c := cmp.Compare(a.nsec, b.nsec); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	order := make([]int32, len(at))
+	for i, k := range keys {
+		order[i] = k.pos
 	}
-	for _, p := range dirtyNew {
-		s := out.startAt[p]
-		i := sort.Search(len(out.byStart), func(i int) bool {
-			q := out.byStart[i]
-			if !out.startAt[q].Equal(s) {
-				return out.startAt[q].After(s)
-			}
-			return q > p
-		})
-		out.byStart = append(out.byStart, 0)
-		copy(out.byStart[i+1:], out.byStart[i:])
-		out.byStart[i] = p
-
-		e := out.endAt[p]
-		i = sort.Search(len(out.byEnd), func(i int) bool {
-			q := out.byEnd[i]
-			if !out.endAt[q].Equal(e) {
-				return out.endAt[q].Before(e)
-			}
-			return q > p
-		})
-		out.byEnd = append(out.byEnd, 0)
-		copy(out.byEnd[i+1:], out.byEnd[i:])
-		out.byEnd[i] = p
-	}
-	out.starts = make([]time.Time, n)
-	out.ends = make([]time.Time, n)
-	for i, p := range out.byStart {
-		out.starts[i] = out.startAt[p]
-	}
-	for i, p := range out.byEnd {
-		out.ends[i] = out.endAt[p]
-	}
-	return out
+	return order
 }
 
 func (t temporalIndex) candidates(query geo.TimeRange, maxGap time.Duration, dst []int32) ([]int32, bool) {

@@ -143,8 +143,8 @@ func TestSpatialCandidatesSuperset(t *testing.T) {
 		p := geo.Point{Lat: -84 + rng.Float64()*168, Lon: -179 + rng.Float64()*358}
 		maxKm := []float64{10, 100, 500, 2000}[rng.Intn(4)]
 		qb := geo.BBox{MinLat: p.Lat, MinLon: p.Lon, MaxLat: p.Lat, MaxLon: p.Lon}
-		for si, sh := range snap.Shards() {
-			pos, ok := sh.SpatialCandidates(qb, maxKm)
+		for si, sh := range snap.Segments() {
+			pos, ok := sh.SpatialCandidatesAppend(qb, maxKm, nil)
 			if !ok {
 				continue
 			}
@@ -180,8 +180,8 @@ func TestTimeCandidatesSuperset(t *testing.T) {
 			0, 0, 0, 0, time.UTC)
 		q := geo.NewTimeRange(start, start.AddDate(0, 0, rng.Intn(90)))
 		maxGap := time.Duration(rng.Intn(1000)) * 24 * time.Hour
-		for si, sh := range snap.Shards() {
-			pos, ok := sh.TimeCandidates(q, maxGap)
+		for si, sh := range snap.Segments() {
+			pos, ok := sh.TimeCandidatesAppend(q, maxGap, nil)
 			if !ok {
 				t.Fatalf("TimeCandidates declined maxGap %v", maxGap)
 			}
@@ -235,7 +235,7 @@ func TestConcurrentSnapshotAndPublish(t *testing.T) {
 				default:
 				}
 				snap := published.Snapshot()
-				for _, sh := range snap.Shards() {
+				for _, sh := range snap.Segments() {
 					for _, p := range sh.WithVariable("salinity") {
 						if f := sh.At(p); len(f.Variables) == 0 {
 							t.Error("corrupted snapshot feature")
@@ -253,20 +253,24 @@ func TestConcurrentSnapshotAndPublish(t *testing.T) {
 	wg.Wait()
 }
 
-// countWithVariable sums WithVariable hits across every shard.
+// countWithVariable sums WithVariable's live hits across every segment.
 func countWithVariable(s *Snapshot, name string) int {
-	n := 0
-	for _, sh := range s.Shards() {
-		n += len(sh.WithVariable(name))
-	}
-	return n
+	return countLive(s, func(sg *Segment) []int32 { return sg.WithVariable(name) })
 }
 
-// countWithParent sums WithParent hits across every shard.
+// countWithParent sums WithParent's live hits across every segment.
 func countWithParent(s *Snapshot, name string) int {
+	return countLive(s, func(sg *Segment) []int32 { return sg.WithParent(name) })
+}
+
+func countLive(s *Snapshot, hits func(sg *Segment) []int32) int {
 	n := 0
-	for _, sh := range s.Shards() {
-		n += len(sh.WithParent(name))
+	for _, sg := range s.Segments() {
+		for _, p := range hits(sg) {
+			if !sg.Masked(p) {
+				n++
+			}
+		}
 	}
 	return n
 }

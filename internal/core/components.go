@@ -707,9 +707,9 @@ func (v Validate) Run(ctx *Context) (StepReport, error) {
 // clone-everything swap, it diffs working against published (ignoring
 // scan bookkeeping) over the run's scope (see Context.scope) and applies
 // exactly that delta: unchanged features are neither compared nor
-// re-cloned, the served snapshot is patched rather than rebuilt, and an
-// empty diff leaves the snapshot generation untouched, so a no-op
-// re-wrangle cannot evict generation-keyed query caches.
+// re-cloned, the served snapshot gains delta segments rather than a
+// rebuild, and an empty diff leaves the snapshot generation untouched,
+// so a no-op re-wrangle cannot evict generation-keyed query caches.
 type Publish struct{}
 
 // Name implements Component.
@@ -768,12 +768,14 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 // Commit is the one way a change reaches the published catalog — a
 // chain run's Publish step, a pushed batch's PublishDirect, a
 // replicated journal record, a checkpoint bootstrap or a catalog load
-// all end here. It patches the published catalog with the delta, then
+// all end here. It applies the delta to the published catalog, then
 // journals it with its generation stamp and a knowledge-epoch sidecar
 // (the journal itself skips the append when neither moved, so no-op
 // publishes stay quiet). Both stages feed
 // dnh_publish_stage_duration_seconds and open a span under the
-// context's trace, whichever writer ran them.
+// context's trace, whichever writer ran them; segment merges the apply
+// ran feed the stage "merge" and become a "merge" child of the
+// apply-delta span.
 //
 // at selects the generation rule. Zero commits at the next generation
 // (an empty delta keeps the current one) and journals the context's own
@@ -793,6 +795,14 @@ func (c *Context) Commit(changed []*catalog.Feature, removed []string, at uint64
 	applyDeltaSeconds.ObserveSeconds(time.Since(t0).Nanoseconds())
 	c.Trace.Attr(aid, "changed", int64(len(changed)))
 	c.Trace.Attr(aid, "removed", int64(len(removed)))
+	if m := c.Published.LastMerge(); err == nil && m.Shards > 0 {
+		mergeSeconds.ObserveSeconds(m.Dur.Nanoseconds())
+		mid := c.Trace.Record(aid, "merge", m.Start, m.Dur)
+		c.Trace.Attr(mid, "shards", int64(m.Shards))
+		if m.Base {
+			c.Trace.Attr(mid, "base", 1)
+		}
+	}
 	c.Trace.End(aid)
 	if err != nil || c.Journal == nil {
 		return bumped, false, err

@@ -245,9 +245,8 @@ func (c *Context) scope() (ids []string, all bool) {
 }
 
 // addScope records IDs whose working feature changed. A scope past half
-// the catalog becomes every feature, as an ApplyDelta that large becomes
-// a rebuild, which bounds the set on a node that takes pushes and never
-// wrangles.
+// the catalog becomes every feature, which bounds the set on a node
+// that takes pushes and never wrangles.
 func (c *Context) addScope(ids ...string) {
 	if c.scopeAll {
 		return
@@ -343,7 +342,7 @@ func NewContext(k *semdiv.Knowledge, scanCfg scan.Config) *Context {
 
 // NewContextSharded is NewContext with an explicit snapshot shard count
 // for both catalogs (0 or negative = default). The published catalog's
-// count decides how publish patching and search scatter; the working
+// count decides how publish segments and search scatter; the working
 // catalog matches it.
 func NewContextSharded(k *semdiv.Knowledge, scanCfg scan.Config, shards int) *Context {
 	return &Context{

@@ -21,6 +21,11 @@ var (
 	journalAppendSeconds = obs.Default().Histogram("dnh_publish_stage_duration_seconds",
 		"Publish sub-stage wall time in seconds.", obs.DurationBuckets,
 		"stage", "journal-append")
+	// mergeSeconds times the segment merges inside apply-delta, observed
+	// only by publishes that merged.
+	mergeSeconds = obs.Default().Histogram("dnh_publish_stage_duration_seconds",
+		"Publish sub-stage wall time in seconds.", obs.DurationBuckets,
+		"stage", "merge")
 )
 
 // observeWrangleStage records one component pass into the per-stage

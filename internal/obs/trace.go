@@ -105,6 +105,20 @@ func (t *Trace) End(id int32) {
 	t.mu.Unlock()
 }
 
+// Record adds a span that already ran — from start, for d — under
+// parent and returns its id: the form for work timed by a layer no
+// trace reaches. Nil-safe.
+func (t *Trace) Record(parent int32, name string, start time.Time, d time.Duration) int32 {
+	if t == nil {
+		return -1
+	}
+	t.mu.Lock()
+	id := int32(len(t.spans))
+	t.spans = append(t.spans, span{name: name, parent: parent, start: start.Sub(t.t0), dur: d})
+	t.mu.Unlock()
+	return id
+}
+
 // Attr attaches an integer attribute to a span (first maxSpanAttrs
 // stick). Nil-safe.
 func (t *Trace) Attr(id int32, key string, v int64) {

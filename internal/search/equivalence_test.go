@@ -210,7 +210,9 @@ func TestExpansionWeightsCappedAtOne(t *testing.T) {
 
 // requireIndexedMatchesLinear runs trials of random catalogs, each
 // searched by an indexed and a linear searcher that share the expander
-// and ParentWeight opts draws, and requires identical rankings.
+// and ParentWeight opts draws, and requires identical rankings — first
+// over the freshly built catalog, then over snapshots that random
+// deltas reach from it.
 func requireIndexedMatchesLinear(t *testing.T, seed int64, trials int, opts func(*rand.Rand, []string) (Expander, float64)) {
 	t.Helper()
 	// Force the parallel executor even on tiny catalogs and single-CPU
@@ -224,9 +226,13 @@ func requireIndexedMatchesLinear(t *testing.T, seed int64, trials int, opts func
 		"fluores375", "fluores410", "nitrate", "fluorescence",
 	}
 	rng := rand.New(rand.NewSource(seed))
+	stacked := false
 	for trial := 0; trial < trials; trial++ {
 		n := rng.Intn(140)
 		c := catalog.New()
+		if trial%3 == 0 {
+			c = catalog.NewSharded(1) // the monolithic path, over masks too
+		}
 		for _, f := range randomFeatures(rng, trial, n, names) {
 			if err := c.Upsert(f); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -242,20 +248,103 @@ func requireIndexedMatchesLinear(t *testing.T, seed int64, trials int, opts func
 		linOpts.Workers = 1 + rng.Intn(8)
 		indexed := New(c, idxOpts)
 		linear := New(c, linOpts)
+		check := func(stage string, queries int, fresh *Searcher) {
+			for qi := 0; qi < queries; qi++ {
+				q := randomQuery(rng, names, n)
+				a, err := indexed.Search(q)
+				if err != nil {
+					t.Fatalf("trial %d %s query %d: indexed: %v", trial, stage, qi, err)
+				}
+				b, err := linear.Search(q)
+				if err != nil {
+					t.Fatalf("trial %d %s query %d: linear: %v", trial, stage, qi, err)
+				}
+				requireSameResults(t, fmt.Sprintf("trial %d %s query %d (%+v): indexed vs linear", trial, stage, qi, q), a, b)
+				if fresh == nil {
+					continue
+				}
+				f, err := fresh.Search(q)
+				if err != nil {
+					t.Fatalf("trial %d %s query %d: fresh: %v", trial, stage, qi, err)
+				}
+				requireSameResults(t, fmt.Sprintf("trial %d %s query %d (%+v): segmented vs fresh", trial, stage, qi, q), a, f)
+			}
+		}
+		check("fresh", 8, nil)
 
-		for qi := 0; qi < 8; qi++ {
-			q := randomQuery(rng, names, n)
-			a, err := indexed.Search(q)
-			if err != nil {
-				t.Fatalf("trial %d query %d: indexed: %v", trial, qi, err)
+		// The same searchers over snapshots reached by publishes: each
+		// delta's segment holds replacements, removals' masks and exact
+		// ties with features in older segments, and the rankings must
+		// also match a linear scan of a catalog built from scratch.
+		for round := 0; round < 6; round++ {
+			changed, removed := randomDelta(rng, c, trial, round, names)
+			if round == 0 && n > 0 {
+				// A lone removal only masks: one segment per shard, one
+				// of them masked.
+				changed, removed = nil, []string{c.Snapshot().All()[rng.Intn(n)].ID}
 			}
-			b, err := linear.Search(q)
-			if err != nil {
-				t.Fatalf("trial %d query %d: linear: %v", trial, qi, err)
+			if _, err := c.ApplyDelta(changed, removed); err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
 			}
-			requireSameResults(t, fmt.Sprintf("trial %d query %d (%+v): indexed vs linear", trial, qi, q), a, b)
+			snap := c.Snapshot()
+			stacked = stacked || len(snap.Segments()) > snap.NumShards()
+			if round != 0 && round%2 == 0 {
+				continue
+			}
+			fc := catalog.New()
+			for _, f := range snap.All() {
+				if err := fc.Upsert(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(fmt.Sprintf("delta %d", round), 4, New(fc, linOpts))
 		}
 	}
+	if !stacked {
+		t.Fatal("no trial stacked a delta segment: the delta rounds test nothing")
+	}
+}
+
+// randomDelta draws one publish over c's live features: new features, a
+// third of them cloning a live feature's content under a fresh path;
+// replacements, half of them taking another live feature's content; and
+// removals. Clones tie exactly on every query with their source, which
+// usually sits in an older segment.
+func randomDelta(rng *rand.Rand, c *catalog.Catalog, trial, round int, names []string) (changed []*catalog.Feature, removed []string) {
+	live := c.Snapshot().All()
+	pick := func() *catalog.Feature { return live[rng.Intn(len(live))] }
+	for k := rng.Intn(6); k > 0; k-- {
+		var f *catalog.Feature
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			f = pick().Clone()
+		} else {
+			f = randomFeature(rng, trial, 0, names)
+		}
+		f.Path = fmt.Sprintf("t%d/r%d-%d.obs", trial, round, k)
+		f.ID = catalog.IDForPath(f.Path)
+		changed = append(changed, f)
+	}
+	touched := make(map[string]bool)
+	for k := rng.Intn(8); k > 0 && len(live) > 0; k-- {
+		old := pick()
+		if touched[old.ID] {
+			continue
+		}
+		touched[old.ID] = true
+		var f *catalog.Feature
+		switch rng.Intn(3) {
+		case 0:
+			removed = append(removed, old.ID)
+			continue
+		case 1:
+			f = pick().Clone()
+		default:
+			f = randomFeature(rng, trial, 0, names)
+		}
+		f.Path, f.ID = old.Path, old.ID
+		changed = append(changed, f)
+	}
+	return changed, removed
 }
 
 // requireSameResults fails unless the two rankings are identical in

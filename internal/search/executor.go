@@ -33,9 +33,13 @@ func canceled(ctx context.Context) bool {
 	}
 }
 
-// searchSnapshot runs the query over every shard of the snapshot and
+// searchSnapshot runs the query over every segment of the snapshot and
 // returns the exact global top-K, ranked, in freshly allocated memory
-// (all scratch is pooled and released before returning).
+// (all scratch is pooled and released before returning). Segments are
+// the scatter units — a shard is its base segment plus the delta
+// segments later publishes pushed — and the "shards" below are
+// segments; no batch takes a masked position, so each live feature is
+// examined in exactly one segment.
 //
 // Single-shard snapshots keep the monolithic path: one plan, with the
 // worker pool splitting candidate batches inside the shard. Multi-shard
@@ -55,17 +59,19 @@ func canceled(ctx context.Context) bool {
 // Exactness composes: the merge heap keeps the best K under the total
 // ranking order (score desc, ID asc — IDs are unique), and the stopping
 // rule is the same proof the single-shard executor uses. The result is
-// byte-identical for every shard count — the property
-// TestShardedSearchMatchesSingleShard pins.
+// byte-identical for every shard count and every segment stack — the
+// properties TestShardedSearchMatchesSingleShard and the delta rounds of
+// requireIndexedMatchesLinear pin.
 //
 // qo is the query's observability footprint (nil when unobserved — the
-// benchmark and library paths): stage timings, per-shard candidate
-// counts, and — when a trace is attached — plan/scatter/merge phase
-// spans with per-shard and per-tier children. Every hook is
+// benchmark and library paths): stage timings, per-hash-shard candidate
+// counts (creditShards), and — when a trace is attached —
+// plan/scatter/merge phase spans with per-shard and per-tier children.
+// Every hook is
 // nil-guarded, so the qo == nil path never reads the clock and never
 // allocates; the ranking itself is identical either way.
 func (s *Searcher) searchSnapshot(ctx context.Context, snap *catalog.Snapshot, q Query, expanded []expandedTerm, k int, qo *obs.QueryObs) []Result {
-	shards := snap.Shards()
+	shards := snap.Segments()
 	workers := s.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -140,6 +146,7 @@ func (s *Searcher) searchSnapshot(ctx context.Context, snap *catalog.Snapshot, q
 		for _, sc := range scs {
 			putScratch(sc)
 		}
+		creditShards(qo, shards, snap.NumShards())
 	}()
 
 	merge := newTopK(k)
@@ -228,14 +235,14 @@ func (s *Searcher) searchSnapshot(ctx context.Context, snap *catalog.Snapshot, q
 			was := sc.scored
 			batch := sc.batch[:0]
 			if t.all {
-				for i := 0; i < sh.Len(); i++ {
-					if !was[i] {
-						batch = append(batch, int32(i))
+				for i := int32(0); i < int32(sh.Len()); i++ {
+					if !was[i] && !sh.Masked(i) {
+						batch = append(batch, i)
 					}
 				}
 			} else {
 				for _, p := range t.pos {
-					if !was[p] {
+					if !was[p] && !sh.Masked(p) {
 						batch = append(batch, p)
 					}
 				}
@@ -293,6 +300,26 @@ func (s *Searcher) searchSnapshot(ctx context.Context, snap *catalog.Snapshot, q
 	return out
 }
 
+// creditShards folds the per-segment candidate and pruned counts into
+// per-hash-shard ones, so a footprint's shard counters mean hash shards
+// however many segments a shard carries. Segments are listed shard by
+// shard, so a segment's shard index never exceeds its own and the fold
+// runs in place, in ascending order.
+func creditShards(qo *obs.QueryObs, segs []*catalog.Segment, nShards int) {
+	if qo == nil || len(segs) == nShards {
+		return
+	}
+	for i, sg := range segs {
+		if si := sg.Shard(); si != i {
+			qo.ShardCandidates[si] += qo.ShardCandidates[i]
+			qo.ShardPruned[si] += qo.ShardPruned[i]
+			qo.ShardCandidates[i], qo.ShardPruned[i] = 0, 0
+		}
+	}
+	qo.ShardCandidates = qo.ShardCandidates[:nShards]
+	qo.ShardPruned = qo.ShardPruned[:nShards]
+}
+
 // parallelDo runs fn(0..n-1) across up to workers goroutines, claiming
 // indices off a shared counter; with one worker it stays on the calling
 // goroutine. It returns when every call has finished.
@@ -324,20 +351,23 @@ func parallelDo(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// linearShard computes one shard's exact top-K by full scan — the
-// linear ablation. The returned slice is unsorted, has at most k
-// elements, and aliases the scratch: callers copy out before releasing
-// sc. The whole scan is one "tier" span under parent, and every
-// position counts as an examined candidate for shard si. It scores
+// linearShard computes one shard's exact top-K by full scan of its
+// live positions — the linear ablation. The returned slice is
+// unsorted, has at most k elements, and aliases the scratch: callers
+// copy out before releasing sc. The whole scan is one "tier" span under
+// parent, and every live position counts as an examined candidate for
+// shard si. It scores
 // every candidate in full, never pruning, so it stays an oracle for
 // the pruned executor. Safe to call from scatter workers: it only
 // touches the (mutex-guarded) trace and shard si's own counter slots.
-func (s *Searcher) linearShard(ctx context.Context, sh *catalog.Shard, q Query, expanded []expandedTerm, k, workers int, sc *scratch, qo *obs.QueryObs, si int, parent int32) []Result {
+func (s *Searcher) linearShard(ctx context.Context, sh *catalog.Segment, q Query, expanded []expandedTerm, k, workers int, sc *scratch, qo *obs.QueryObs, si int, parent int32) []Result {
 	tr, _ := qo.Tracer()
 	tid := tr.Start(parent, "tier")
 	all := sc.batch[:0]
-	for i := 0; i < sh.Len(); i++ {
-		all = append(all, int32(i))
+	for i := int32(0); i < int32(sh.Len()); i++ {
+		if !sh.Masked(i) {
+			all = append(all, i)
+		}
 	}
 	sc.batch = all
 	res, scored, pruned := s.scorePositions(ctx, sh, all, q, expanded, k, workers, false, sc)
@@ -354,7 +384,7 @@ func (s *Searcher) linearShard(ctx context.Context, sh *catalog.Shard, q Query, 
 // heap at each tier barrier.) Only the single-shard path calls it, so
 // it runs on the request goroutine and may touch qo's tier counter
 // directly; each executed tier becomes a "tier" span under parent.
-func (s *Searcher) executePlan(ctx context.Context, sh *catalog.Shard, pln plan, q Query, expanded []expandedTerm, k, workers int, sc *scratch, qo *obs.QueryObs, si int, parent int32) []Result {
+func (s *Searcher) executePlan(ctx context.Context, sh *catalog.Segment, pln plan, q Query, expanded []expandedTerm, k, workers int, sc *scratch, qo *obs.QueryObs, si int, parent int32) []Result {
 	tr, _ := qo.Tracer()
 	n := sh.Len()
 	scored := sc.scoredFor(n)
@@ -366,14 +396,14 @@ func (s *Searcher) executePlan(ctx context.Context, sh *catalog.Shard, pln plan,
 		}
 		batch := sc.batch[:0]
 		if t.all {
-			for i := 0; i < n; i++ {
-				if !scored[i] {
-					batch = append(batch, int32(i))
+			for i := int32(0); i < int32(n); i++ {
+				if !scored[i] && !sh.Masked(i) {
+					batch = append(batch, i)
 				}
 			}
 		} else {
 			for _, p := range t.pos {
-				if !scored[p] {
+				if !scored[p] && !sh.Masked(p) {
 					batch = append(batch, p)
 				}
 			}
@@ -434,7 +464,7 @@ func endTier(qo *obs.QueryObs, tid int32, si, ti, batch, scored, pruned int) {
 // Parallel batches give each worker a bounded top-K min-heap so memory
 // stays O(K·workers) regardless of catalog size, and the merged heaps
 // contain a superset of the batch's true top-K.
-func (s *Searcher) scorePositions(ctx context.Context, sh *catalog.Shard, pos []int32, q Query, expanded []expandedTerm, k, workers int, prune bool, sc *scratch) (top []Result, scored, pruned int) {
+func (s *Searcher) scorePositions(ctx context.Context, sh *catalog.Segment, pos []int32, q Query, expanded []expandedTerm, k, workers int, prune bool, sc *scratch) (top []Result, scored, pruned int) {
 	workers = effectiveWorkers(workers, len(pos))
 	if workers <= 1 {
 		h := &sc.heap
@@ -485,7 +515,7 @@ func (s *Searcher) scorePositions(ctx context.Context, sh *catalog.Shard, pos []
 // each candidate is scored against h's floor, which only rises, so a
 // candidate score gives up on is one h would have rejected: the heap
 // comes out exactly as without pruning.
-func (s *Searcher) scoreInto(ctx context.Context, h *topK, sh *catalog.Shard, pos []int32, q Query, expanded []expandedTerm, prune bool) (scored, pruned int) {
+func (s *Searcher) scoreInto(ctx context.Context, h *topK, sh *catalog.Segment, pos []int32, q Query, expanded []expandedTerm, prune bool) (scored, pruned int) {
 	floor := math.Inf(-1)
 	for i, p := range pos {
 		if i%cancelCheckEvery == 0 && canceled(ctx) {

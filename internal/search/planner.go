@@ -9,11 +9,12 @@ import (
 )
 
 // The planner turns a query into tiers of candidate positions over one
-// snapshot shard, one per widening step. Plans are per-shard: every
-// shard carries the full set of secondary indexes over its own
-// features, so the same tiering and the same outside-score bounds apply
-// within each shard independently, and the scatter-gather executor can
-// prove per-shard exactness before merging. Each query dimension
+// snapshot segment (below, "shard"), one per widening step. Plans are
+// per-segment: every segment carries the full set of secondary indexes
+// over its own features, masked ones included, so the same tiering and
+// the same outside-score bounds apply within each shard independently,
+// and the scatter-gather executor can prove per-shard exactness before
+// merging. Each query dimension
 // contributes a candidate set from the shard's index:
 //
 //   - variables: union of the name and hierarchy-parent indexes over
@@ -68,7 +69,7 @@ type dimSet struct {
 	beta float64
 }
 
-func (s *Searcher) buildPlan(sh *catalog.Shard, q Query, expanded []expandedTerm, sc *scratch) plan {
+func (s *Searcher) buildPlan(sh *catalog.Segment, q Query, expanded []expandedTerm, sc *scratch) plan {
 	dims := sc.dims[:0]
 	w := s.opts.Weights
 	eps := s.opts.PruneScore

@@ -13,8 +13,9 @@ import (
 // The tracing properties: attaching a QueryObs (with a forced trace)
 // must be purely observational. Rankings are byte-identical with and
 // without it; the per-shard candidate counts it records are the real
-// examined sets — a traced linear scan examines every live feature
-// exactly once and prunes none, and the indexed executor's counters
+// examined sets, per hash shard however many segments a shard stacks —
+// a traced linear scan examines every live feature exactly once and
+// prunes none, and the indexed executor's counters
 // agree with the "candidates" and "pruned" attributes on its own tier
 // spans, each tier's batch split exactly into scored and pruned. Runs
 // under -race in CI, so the scatter workers' concurrent span recording
@@ -79,6 +80,7 @@ func TestTracedSearchObservational(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20260807))
 	var totalPruned int64
+	stacked := false
 	for trial := 0; trial < 10; trial++ {
 		// The 1-shard baseline plus a random scatter partitioning.
 		for _, sc := range []int{1, 2 + rng.Intn(15)} {
@@ -97,7 +99,17 @@ func TestTracedSearchObservational(t *testing.T) {
 			linOpts.Workers = 1 + rng.Intn(8)
 			linear := New(c, linOpts)
 
-			for qi := 0; qi < 6; qi++ {
+			for qi := 0; qi < 9; qi++ {
+				if qi >= 6 {
+					// The last queries run over snapshots publishes reached:
+					// stacked segments, masks and ties across segments.
+					changed, removed := randomDelta(rng, c, trial, qi, names)
+					if _, err := c.ApplyDelta(changed, removed); err != nil {
+						t.Fatal(err)
+					}
+					n = c.Len()
+					stacked = stacked || len(c.Snapshot().Segments()) > sc
+				}
 				q := randomQuery(rng, names, n)
 				label := fmt.Sprintf("trial %d shards %d query %d (%+v)", trial, sc, qi, q)
 
@@ -151,5 +163,8 @@ func TestTracedSearchObservational(t *testing.T) {
 	}
 	if totalPruned == 0 {
 		t.Fatal("the indexed executor pruned nothing in any trial")
+	}
+	if !stacked {
+		t.Fatal("no trial stacked a delta segment")
 	}
 }

@@ -42,7 +42,7 @@ type SearchStats struct {
 // ShardStats reports the published snapshot's partitioning: how many
 // shards the catalog is hashed across and how many features each holds
 // (sizes sum to Datasets). A skewed Sizes histogram means one shard
-// dominates publish patching and scatter-gather tail latency.
+// dominates publish merges and scatter-gather tail latency.
 type ShardStats struct {
 	Count int   `json:"count"`
 	Sizes []int `json:"sizes"`

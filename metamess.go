@@ -79,9 +79,9 @@ type Config struct {
 	ScanWorkers int
 	// SnapshotShards partitions the published snapshot by feature-ID
 	// hash (0 = GOMAXPROCS). Each shard carries its own indexes, a
-	// publish patches only the shards the delta hashes into, and a
-	// search scatters across shards before one merge heap gathers the
-	// per-shard top-Ks. Rankings are byte-identical for every value.
+	// publish pushes segments only onto the shards the delta hashes
+	// into, and a search scatters across their segments before one
+	// merge heap gathers the per-segment top-Ks. Rankings are byte-identical for every value.
 	SnapshotShards int
 	// FullReprocess disables delta-scoped re-wrangling: every Wrangle
 	// walks the whole catalog (the pre-delta behavior). An escape hatch
@@ -351,8 +351,8 @@ type Report struct {
 // call repeatedly; re-runs cost in proportion to archive churn — the
 // scan classifies added/changed/removed files into a delta, downstream
 // components process only the dirty features while curated knowledge is
-// unchanged, and publish patches the served snapshot with the real
-// differences. Concurrent searches see either the old or the new
+// unchanged, and publish applies the real differences to the served
+// snapshot as delta segments. Concurrent searches see either the old or the new
 // catalog, never a mix, and a re-wrangle that changes nothing leaves
 // the served snapshot (and its generation) untouched.
 func (s *System) Wrangle() (*Report, error) {
