@@ -63,7 +63,6 @@ func main() {
 	from := flag.String("from", "", "period start (YYYY-MM-DD)")
 	to := flag.String("to", "", "period end (YYYY-MM-DD)")
 	k := flag.Int("k", 10, "result count")
-	workers := flag.Int("workers", 0, "parallel search workers (0 = all cores)")
 	shards := flag.Int("shards", 0, "snapshot shards for publish segments and scatter-gather search (0 = all cores)")
 	showSummary := flag.Bool("summary", false, "print the full dataset summary page per hit")
 	textQuery := flag.String("q", "", `textual query, e.g. "near 45.5,-124.4 in mid-2010 with temperature between 5 and 10"`)
@@ -90,7 +89,6 @@ func main() {
 	}
 	sys, err := metamess.New(metamess.Config{
 		ArchiveRoot:    root,
-		SearchWorkers:  *workers,
 		SnapshotShards: *shards,
 		DataDir:        *dataDir,
 	})

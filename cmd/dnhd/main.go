@@ -97,7 +97,6 @@ func main() {
 	catalogPath := flag.String("catalog", "", "published catalog snapshot (skips wrangling)")
 	rewrangle := flag.Duration("rewrangle", 0, "background re-wrangle interval (0 = SIGHUP only)")
 	cacheSize := flag.Int("cache", server.DefaultCacheSize, "query cache entries (negative disables)")
-	workers := flag.Int("workers", 0, "parallel search workers (0 = all cores)")
 	shards := flag.Int("shards", 0, "snapshot shards for publish segments and scatter-gather search (0 = all cores)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	dataDir := flag.String("data", "", "data directory for the durable publish journal + checkpoint (enables warm restart)")
@@ -145,7 +144,6 @@ func main() {
 	}
 	sys, err := metamess.New(metamess.Config{
 		ArchiveRoot:     root,
-		SearchWorkers:   *workers,
 		SnapshotShards:  *shards,
 		DataDir:         *dataDir,
 		SyncPolicy:      *fsync,

@@ -215,11 +215,9 @@ func TestExpansionWeightsCappedAtOne(t *testing.T) {
 // deltas reach from it.
 func requireIndexedMatchesLinear(t *testing.T, seed int64, trials int, opts func(*rand.Rand, []string) (Expander, float64)) {
 	t.Helper()
-	// Force the parallel executor even on tiny catalogs and single-CPU
-	// hosts.
-	oldMin, oldCap := parallelMinWork, maxFanOutProcs
-	parallelMinWork, maxFanOutProcs = 1, 64
-	defer func() { parallelMinWork, maxFanOutProcs = oldMin, oldCap }()
+	// Each trial draws its scatter width, so widths 1–8 all run, in
+	// parallel even on single-CPU hosts.
+	defer func(old int) { maxFanOutProcs = old }(maxFanOutProcs)
 
 	names := []string{
 		"water_temperature", "salinity", "turbidity", "dissolved_oxygen",
@@ -231,7 +229,7 @@ func requireIndexedMatchesLinear(t *testing.T, seed int64, trials int, opts func
 		n := rng.Intn(140)
 		c := catalog.New()
 		if trial%3 == 0 {
-			c = catalog.NewSharded(1) // the monolithic path, over masks too
+			c = catalog.NewSharded(1) // one segment until a publish, over masks too
 		}
 		for _, f := range randomFeatures(rng, trial, n, names) {
 			if err := c.Upsert(f); err != nil {
@@ -240,12 +238,11 @@ func requireIndexedMatchesLinear(t *testing.T, seed int64, trials int, opts func
 		}
 		idxOpts := DefaultOptions()
 		idxOpts.Expander, idxOpts.ParentWeight = opts(rng, names)
-		idxOpts.Workers = 1 + rng.Intn(8)
+		maxFanOutProcs = 1 + rng.Intn(8)
 		idxOpts.PruneScore = []float64{0.05, 0.2, 0.01}[rng.Intn(3)]
 		linOpts := DefaultOptions()
 		linOpts.Expander, linOpts.ParentWeight = idxOpts.Expander, idxOpts.ParentWeight
 		linOpts.UseIndex = false
-		linOpts.Workers = 1 + rng.Intn(8)
 		indexed := New(c, idxOpts)
 		linear := New(c, linOpts)
 		check := func(stage string, queries int, fresh *Searcher) {

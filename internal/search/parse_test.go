@@ -91,6 +91,10 @@ func TestParseErrors(t *testing.T) {
 		"with",                           // missing name
 		"with temp between 5",            // incomplete between
 		"with temp between five and ten", // non-numeric bounds
+		"with x between 5 and inf",       // infinite bound
+		"with x between -Inf and 5",      //
+		"with x between nan and 5",       // NaN bound
+		"with x between 5 and NaN",       //
 		"top",                            // missing count
 		"top zero",                       // bad count
 		"top -3 with x",                  // non-positive count
@@ -115,6 +119,38 @@ func TestParseNeverPanics(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParseQuery holds the parser to the query contract: it never
+// panics, and whatever it accepts passes Validate with finite, ordered
+// term bounds — the scorer's range fit and the response cache key both
+// assume them.
+func FuzzParseQuery(f *testing.F) {
+	for _, seed := range []string{
+		`near 45.5,-124.4 in mid-2010 with temperature between 5 and 10`,
+		`from 2010-05-01 to 2010-08-01 with salinity with "sea surface temperature" top 5`,
+		`with salinity between 5 and inf`,
+		`with salinity between nan and 5`,
+		`with salinity between -1e308 and 1e308`,
+		`with salinity between 0x1p-2 and 1_000`,
+		`near 46.2,-123.8 and with salinity and with turbidity`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := ParseQuery(src)
+		if err != nil {
+			return
+		}
+		if err := q.Validate(); err != nil {
+			t.Fatalf("ParseQuery(%q) accepted a query Validate rejects: %v", src, err)
+		}
+		for _, term := range q.Terms {
+			if r := term.Range; r != nil && !(finite(r.Min) && finite(r.Max) && r.Min <= r.Max) {
+				t.Fatalf("ParseQuery(%q): term %q range %v", src, term.Name, *r)
+			}
+		}
+	})
 }
 
 func TestParsedQueryRunsAgainstCatalog(t *testing.T) {

@@ -10,11 +10,11 @@ import (
 
 // Query-scratch pooling: everything a steady-state query needs beyond
 // its response — candidate position buffers, the planner's mark array,
-// the executor's scored set and batch, the bounded top-K heap, the
-// accumulator — lives in one scratch struct recycled through a
-// sync.Pool. A query takes one scratch per shard it plans over, and the
-// only per-query allocations left are the response slice and its ≤K
-// explanations. Results are copied out of pooled memory before the
+// the executor's scored set and batch, the bounded top-K heap — lives
+// in one scratch struct recycled through a sync.Pool. A query takes one
+// scratch per segment it plans over, and the only per-query allocations
+// left are the response slice, its ≤K explanations and the scatter's
+// bookkeeping. Results are copied out of pooled memory before the
 // scratch is released, and released scratches drop their Feature
 // pointers so a pooled buffer never pins a retired snapshot.
 type scratch struct {
@@ -29,7 +29,6 @@ type scratch struct {
 	dims   []dimSet
 	tiers  []tier
 	heap   topK
-	acc    []Result
 }
 
 var scratchPool sync.Pool
@@ -72,11 +71,6 @@ func putScratch(sc *scratch) {
 		items[i] = Result{}
 	}
 	sc.heap.items = items[:0]
-	acc := sc.acc[:cap(sc.acc)]
-	for i := range acc {
-		acc[i] = Result{}
-	}
-	sc.acc = acc[:0]
 	scratchPool.Put(sc)
 }
 
@@ -103,48 +97,22 @@ func (sc *scratch) scoredFor(n int) []bool {
 	return sc.scored
 }
 
-// effectiveWorkers clamps a scoring fan-out to what the work can feed:
-// one worker per parallelMinWork candidates, never more than requested,
-// and serial below the threshold. Fan-out overhead (goroutines, one
-// bounded heap per worker, the merge) only pays for itself when every
-// worker gets a meaningful batch — without the clamp an 8-worker
-// configuration loses to 1-worker on every small tier.
-func effectiveWorkers(workers, work int) int {
-	if workers < 1 {
-		workers = 1
-	}
-	if byWork := work / parallelMinWork; workers > byWork {
-		workers = byWork
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// maxFanOutProcs overrides the scheduler-parallelism ceiling clampFanOut
-// applies (0 = use runtime.GOMAXPROCS at query time). A package variable
-// so equivalence and race tests can lift the ceiling and drive the
-// parallel paths on single-CPU machines.
+// maxFanOutProcs overrides the width fanOutWidth returns (0 = the
+// machine's parallelism at query time). A package variable so
+// equivalence and race tests can vary the fan-out, and drive the
+// parallel scatter on single-CPU machines.
 var maxFanOutProcs = 0
 
-// clampFanOut caps a requested worker count at the machine's actual
-// parallelism — min(GOMAXPROCS, NumCPU): workers beyond GOMAXPROCS
-// cannot be scheduled concurrently, and scoring is CPU-bound, so
-// threads beyond the physical cores only time-slice one another. With
-// the cap, an 8-worker configuration on a 1-core host degrades to the
-// serial path instead of paying goroutine and per-worker-heap overhead
-// for concurrency the hardware cannot deliver.
-func clampFanOut(workers int) int {
-	limit := maxFanOutProcs
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-		if n := runtime.NumCPU(); n < limit {
-			limit = n
-		}
+// fanOutWidth is how many goroutines a query's scatter rounds use:
+// min(GOMAXPROCS, NumCPU). Workers beyond GOMAXPROCS cannot be
+// scheduled concurrently, and scoring is CPU-bound, so threads beyond
+// the physical cores only time-slice one another. A round never uses
+// more workers than it has segments, so the shard count (default
+// GOMAXPROCS) is the parallelism grain: a one-segment snapshot is
+// scored serially on the request goroutine.
+func fanOutWidth() int {
+	if maxFanOutProcs > 0 {
+		return maxFanOutProcs
 	}
-	if workers > limit {
-		return limit
-	}
-	return workers
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }

@@ -185,98 +185,94 @@ func TestTopKPooledReset(t *testing.T) {
 	requireIDs(t, "merged", rankedIDs(merge), []string{"s1-1", "s2-2", "s2-0"})
 }
 
-// TestEffectiveWorkersSerialFallback pins the adaptive fan-out clamp:
-// one worker per parallelMinWork candidates, serial below the
-// threshold, never exceeding the request — so a small tier runs on the
-// calling goroutine no matter how many workers were configured.
-func TestEffectiveWorkersSerialFallback(t *testing.T) {
-	min := parallelMinWork
-	cases := []struct {
-		workers, work, want int
-	}{
-		{8, 0, 1},
-		{8, min - 1, 1},   // below threshold: serial despite 8 workers
-		{8, min, 1},       // one threshold's worth still serial-equivalent
-		{8, 2 * min, 2},   // enough for two real batches
-		{8, 16 * min, 8},  // clamped by the request, not the work
-		{2, 16 * min, 2},  //
-		{1, 16 * min, 1},  // explicit serial config stays serial
-		{0, 16 * min, 1},  // non-positive request normalizes to serial
-		{8, 8*min - 1, 7}, // floor division: just under 8 batches
-		{8, 8 * min, 8},   //
-	}
-	for _, c := range cases {
-		if got := effectiveWorkers(c.workers, c.work); got != c.want {
-			t.Errorf("effectiveWorkers(%d, %d) = %d, want %d", c.workers, c.work, got, c.want)
-		}
-	}
-}
-
-// TestClampFanOutProcsCeiling pins the scheduler-parallelism cap: a
-// worker request beyond GOMAXPROCS (or the test override) is cut to the
-// ceiling, so on a 1-core host every configuration degrades to the
-// serial path instead of paying goroutine overhead for no concurrency.
+// TestClampFanOutProcsCeiling pins the scatter width: by default the
+// machine's parallelism, min(GOMAXPROCS, NumCPU), so on a 1-core host
+// every search runs serially instead of paying goroutine overhead for
+// no concurrency; the test seam replaces it outright.
 func TestClampFanOutProcsCeiling(t *testing.T) {
-	oldCap := maxFanOutProcs
-	defer func() { maxFanOutProcs = oldCap }()
+	defer func(old int) { maxFanOutProcs = old }(maxFanOutProcs)
 
 	maxFanOutProcs = 0 // default: machine parallelism
 	limit := runtime.GOMAXPROCS(0)
 	if n := runtime.NumCPU(); n < limit {
 		limit = n
 	}
-	if got := clampFanOut(limit + 5); got != limit {
-		t.Errorf("clampFanOut(%d) = %d, want min(GOMAXPROCS, NumCPU) = %d", limit+5, got, limit)
-	}
-	if got := clampFanOut(1); got != 1 {
-		t.Errorf("clampFanOut(1) = %d, want 1", got)
+	if got := fanOutWidth(); got != limit {
+		t.Errorf("fanOutWidth() = %d, want min(GOMAXPROCS, NumCPU) = %d", got, limit)
 	}
 
-	maxFanOutProcs = 4
-	for workers, want := range map[int]int{1: 1, 4: 4, 8: 4} {
-		if got := clampFanOut(workers); got != want {
-			t.Errorf("cap=4: clampFanOut(%d) = %d, want %d", workers, got, want)
+	for _, width := range []int{1, 4, 8} {
+		maxFanOutProcs = width
+		if got := fanOutWidth(); got != width {
+			t.Errorf("maxFanOutProcs=%d: fanOutWidth() = %d", width, got)
 		}
 	}
 }
 
 // TestSearchSteadyStateAllocs pins the pooling payoff: once the scratch
-// pool is warm, a single-shard indexed query allocates only its
-// response — bounded by a small constant independent of catalog size,
-// checked at 400 features and at the 5 000 the serving benchmark uses.
+// pool is warm, an indexed query allocates only its response and the
+// scatter's per-query bookkeeping — bounded by a small constant
+// independent of catalog size, checked at 400 features and at the
+// 5 000 the serving benchmark uses, over 1, 2 and 4 shards, each as
+// built and again after a 25-feature publish has stacked a delta
+// segment over masked base positions.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
 	names := []string{"water_temperature", "salinity", "turbidity", "nitrate"}
+	q := Query{
+		Location: &geo.Point{Lat: 44.6, Lon: -124.0},
+		Time:     &geo.TimeRange{Start: date(2010, 6, 1), End: date(2010, 8, 1)},
+		Terms:    []Term{{Name: "salinity", Range: &geo.ValueRange{Min: 25, Max: 35}}},
+		K:        10,
+	}
+	const budget = 48 // response slice + K explanations + query bookkeeping
 	for _, n := range []int{400, 5000} {
-		c := catalog.NewSharded(1)
-		for i := 0; i < n; i++ {
-			if err := c.Upsert(benchishFeature(i, names)); err != nil {
+		for _, shards := range []int{1, 2, 4} {
+			c := catalog.NewSharded(shards)
+			for i := 0; i < n; i++ {
+				if err := c.Upsert(benchishFeature(i, names)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Snapshot()
+			s := New(c, DefaultOptions())
+			measure := func(shape string) {
+				for i := 0; i < 4; i++ { // warm the pool and the lazy snapshot state
+					if _, err := s.Search(q); err != nil {
+						t.Fatal(err)
+					}
+				}
+				avg := testing.AllocsPerRun(50, func() {
+					if _, err := s.Search(q); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("%d features, %d shards, %s: %.1f allocs/op", n, shards, shape, avg)
+				if avg > budget {
+					t.Fatalf("%d features, %d shards, %s: steady-state Search allocates %.1f/op, budget %d",
+						n, shards, shape, avg, budget)
+				}
+			}
+			measure("as built")
+
+			// Replace 25 features: each dirty shard pushes a delta
+			// segment and masks the replaced base positions.
+			changed := make([]*catalog.Feature, 25)
+			for i := range changed {
+				f := benchishFeature(i*(n/25), names)
+				f.ContentHash += "-v2"
+				f.RowCount++
+				changed[i] = f
+			}
+			if _, err := c.ApplyDelta(changed, nil); err != nil {
 				t.Fatal(err)
 			}
-		}
-		c.Snapshot()
-		s := New(c, DefaultOptions())
-		q := Query{
-			Location: &geo.Point{Lat: 44.6, Lon: -124.0},
-			Time:     &geo.TimeRange{Start: date(2010, 6, 1), End: date(2010, 8, 1)},
-			Terms:    []Term{{Name: "salinity", Range: &geo.ValueRange{Min: 25, Max: 35}}},
-			K:        10,
-		}
-		for i := 0; i < 4; i++ { // warm the pool and the lazy snapshot state
-			if _, err := s.Search(q); err != nil {
-				t.Fatal(err)
+			if segs := len(c.Snapshot().Segments()); segs <= shards {
+				t.Fatalf("%d shards: %d segments after a delta, want a stacked one", shards, segs)
 			}
-		}
-		const budget = 48 // response slice + K explanations + query bookkeeping
-		avg := testing.AllocsPerRun(50, func() {
-			if _, err := s.Search(q); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg > budget {
-			t.Fatalf("%d features: steady-state Search allocates %.1f/op, budget %d", n, avg, budget)
+			measure("after a delta")
 		}
 	}
 }

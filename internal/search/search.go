@@ -59,9 +59,14 @@ func (q Query) Validate() error {
 		if t.Name == "" {
 			return fmt.Errorf("search: term %d has no name", i)
 		}
+		if r := t.Range; r != nil && !(finite(r.Min) && finite(r.Max)) {
+			return fmt.Errorf("search: term %q range %v is not finite", t.Name, *r)
+		}
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Weights balances the query dimensions; zero values default to 1.
 type Weights struct {
@@ -95,13 +100,6 @@ type Options struct {
 	// scoring. Disable for the linear-scan ablation, which scores every
 	// feature; both paths return identical rankings.
 	UseIndex bool
-	// Workers is the number of goroutines scoring candidates in
-	// parallel, each with a bounded top-K heap. Over a multi-shard
-	// snapshot the workers scatter across shards (one shard per worker
-	// at a time); over a single-shard snapshot they split candidate
-	// batches within the shard. 0 means GOMAXPROCS; small batches stay
-	// on the calling goroutine either way.
-	Workers int
 	// PruneScore is the per-dimension score ε below which the spatial
 	// and temporal indexes may prune a candidate. Exactness is kept by
 	// the planner's widening bounds regardless of the value; smaller ε

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,15 @@ func TestSearchEmptyAndInvalidQueries(t *testing.T) {
 	r := geo.EmptyBBox()
 	if _, err := s.Search(Query{Region: &r}); err == nil {
 		t.Error("empty region accepted")
+	}
+	for _, vr := range []geo.ValueRange{
+		{Min: 5, Max: math.Inf(1)},
+		{Min: math.Inf(-1), Max: 5},
+		{Min: math.NaN(), Max: 5},
+	} {
+		if _, err := s.Search(Query{Terms: []Term{{Name: "salinity", Range: &vr}}}); err == nil {
+			t.Errorf("non-finite term range %v accepted", vr)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // N-shard snapshot returns byte-identical ranked results to the same
 // search over a 1-shard build — same order, same IDs, same scores to
 // the last bit, same per-term explanations — for randomized shard
-// counts (1–16), catalogs, queries, worker counts, and publish deltas.
+// counts (1–16), catalogs, queries, fan-out widths, and publish deltas.
 // The same feature set is maintained in one catalog per shard count;
 // deltas go through ApplyDelta so the sharded incremental patch path
 // (clean shards pointer-shared, dirty shards spliced) is what the
@@ -21,11 +21,9 @@ import (
 // the 1-shard catalog rides along as the ablation oracle, closing the
 // triangle: sharded ≡ single-shard ≡ full scan.
 func TestShardedSearchMatchesSingleShard(t *testing.T) {
-	// Force the scatter/parallel machinery even on tiny catalogs and
-	// single-CPU hosts.
-	oldMin, oldCap := parallelMinWork, maxFanOutProcs
-	parallelMinWork, maxFanOutProcs = 1, 64
-	defer func() { parallelMinWork, maxFanOutProcs = oldMin, oldCap }()
+	// Each trial draws its scatter width, so widths 1–8 all run, in
+	// parallel even on single-CPU hosts.
+	defer func(old int) { maxFanOutProcs = old }(maxFanOutProcs)
 
 	names := []string{
 		"water_temperature", "salinity", "turbidity", "dissolved_oxygen",
@@ -55,16 +53,15 @@ func TestShardedSearchMatchesSingleShard(t *testing.T) {
 			}
 		}
 
+		maxFanOutProcs = 1 + rng.Intn(8)
 		searchers := make([]*Searcher, len(cats))
 		for ci, c := range cats {
 			opts := DefaultOptions()
-			opts.Workers = 1 + rng.Intn(8)
 			opts.PruneScore = []float64{0.05, 0.2, 0.01}[rng.Intn(3)]
 			searchers[ci] = New(c, opts)
 		}
 		linOpts := DefaultOptions()
 		linOpts.UseIndex = false
-		linOpts.Workers = 1 + rng.Intn(8)
 		linear := New(cats[0], linOpts)
 
 		nextID := n

@@ -68,11 +68,9 @@ func sumTiers(t *testing.T, label string, n *obs.SpanTree) (candidates, pruned i
 }
 
 func TestTracedSearchObservational(t *testing.T) {
-	// Force the scatter/parallel machinery even on tiny catalogs and
-	// single-CPU hosts.
-	oldMin, oldCap := parallelMinWork, maxFanOutProcs
-	parallelMinWork, maxFanOutProcs = 1, 64
-	defer func() { parallelMinWork, maxFanOutProcs = oldMin, oldCap }()
+	// Each catalog draws its scatter width, so widths 1–8 all run, in
+	// parallel even on single-CPU hosts.
+	defer func(old int) { maxFanOutProcs = old }(maxFanOutProcs)
 
 	names := []string{
 		"water_temperature", "salinity", "turbidity", "dissolved_oxygen",
@@ -91,12 +89,10 @@ func TestTracedSearchObservational(t *testing.T) {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 			}
-			idxOpts := DefaultOptions()
-			idxOpts.Workers = 1 + rng.Intn(8)
-			indexed := New(c, idxOpts)
+			maxFanOutProcs = 1 + rng.Intn(8)
+			indexed := New(c, DefaultOptions())
 			linOpts := DefaultOptions()
 			linOpts.UseIndex = false
-			linOpts.Workers = 1 + rng.Intn(8)
 			linear := New(c, linOpts)
 
 			for qi := 0; qi < 9; qi++ {

@@ -69,11 +69,6 @@ type Config struct {
 	// StrictValidation makes Wrangle fail (and skip publishing) when any
 	// validation check errors.
 	StrictValidation bool
-	// SearchWorkers is the number of goroutines scoring search
-	// candidates in parallel (0 = GOMAXPROCS). Searches run over the
-	// immutable snapshot published by Wrangle, so workers never contend
-	// with wrangling.
-	SearchWorkers int
 	// ScanWorkers is the number of goroutines parsing archive files in
 	// parallel during Wrangle (0 = GOMAXPROCS).
 	ScanWorkers int
@@ -82,6 +77,9 @@ type Config struct {
 	// publish pushes segments only onto the shards the delta hashes
 	// into, and a search scatters across their segments before one
 	// merge heap gathers the per-segment top-Ks. Rankings are byte-identical for every value.
+	// It is search's only parallelism grain: a search fans out over
+	// min(GOMAXPROCS, NumCPU) goroutines, one segment each at a time,
+	// so a 1-shard catalog holding one segment is searched serially.
 	SnapshotShards int
 	// FullReprocess disables delta-scoped re-wrangling: every Wrangle
 	// walks the whole catalog (the pre-delta behavior). An escape hatch
@@ -170,7 +168,6 @@ func New(cfg Config) (*System, error) {
 
 	opts := search.DefaultOptions()
 	opts.Expander = search.NewKnowledgeExpander(k)
-	opts.Workers = cfg.SearchWorkers
 	s.searcher = search.New(ctx.Published, opts)
 	if cfg.DataDir != "" {
 		if err := s.openDurable(); err != nil {
