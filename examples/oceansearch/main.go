@@ -35,8 +35,12 @@ func main() {
 	}
 
 	// Raw catalog: scan only, names as harvested.
+	scanned := catalog.NewWorking()
+	if _, err := scan.New(scan.Config{Root: root}).ScanInto(scanned); err != nil {
+		log.Fatal(err)
+	}
 	raw := catalog.New()
-	if _, err := scan.New(scan.Config{Root: root}).ScanInto(raw); err != nil {
+	if _, err := raw.ApplyDelta(raw.DiffTo(scanned)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -74,7 +78,7 @@ func main() {
 	}
 
 	fmt.Printf("archive: %d datasets, %d distinct raw names, %d canonical variables\n\n",
-		raw.Len(), len(raw.DistinctVariableNames()), len(vocab.Standard()))
+		raw.Len(), len(scanned.DistinctVariableNames()), len(vocab.Standard()))
 	fmt.Println("querying by canonical variable name:")
 	score("raw catalog (exact match)", search.New(raw, search.DefaultOptions()))
 

@@ -31,8 +31,32 @@ func feat(path string, vars ...string) *Feature {
 	return f
 }
 
+// served builds a served catalog of the given shard count (0 =
+// default) from feats with one ApplyDelta; the features are upserted in
+// order into a working catalog first, as a publish would see them.
+func served(t testing.TB, shards int, feats ...*Feature) *Catalog {
+	t.Helper()
+	w := NewWorking()
+	for _, f := range feats {
+		if err := w.Upsert(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return serve(t, shards, w)
+}
+
+// serve publishes w into a fresh served catalog with one ApplyDelta.
+func serve(t testing.TB, shards int, w *Working) *Catalog {
+	t.Helper()
+	c := NewSharded(shards)
+	if _, err := c.ApplyDelta(c.DiffTo(w)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestUpsertGetDelete(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	f := feat("stations/2010/saturn01.csv", "water_temperature", "salinity")
 	if err := c.Upsert(f); err != nil {
 		t.Fatal(err)
@@ -62,7 +86,7 @@ func TestUpsertGetDelete(t *testing.T) {
 }
 
 func TestUpsertValidates(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	bad := feat("a.csv")
 	bad.ID = "wrong"
 	if err := c.Upsert(bad); err == nil {
@@ -81,7 +105,7 @@ func TestUpsertValidates(t *testing.T) {
 }
 
 func TestUpsertReplacesAndReindexes(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	f := feat("a.csv", "old_name")
 	if err := c.Upsert(f); err != nil {
 		t.Fatal(err)
@@ -93,10 +117,10 @@ func TestUpsertReplacesAndReindexes(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	if n := countWithVariable(c.Snapshot(), "old_name"); n != 0 {
+	if n := countWithVariable(serve(t, 0, c).Snapshot(), "old_name"); n != 0 {
 		t.Errorf("old index entry survived: %d", n)
 	}
-	if n := countWithVariable(c.Snapshot(), "new_name"); n != 1 {
+	if n := countWithVariable(serve(t, 0, c).Snapshot(), "new_name"); n != 1 {
 		t.Errorf("new index entry missing: %d", n)
 	}
 	if names := c.DistinctVariableNames(); len(names) != 1 || names[0] != "new_name" {
@@ -105,7 +129,7 @@ func TestUpsertReplacesAndReindexes(t *testing.T) {
 }
 
 func TestIndexExcludesExcludedVariables(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	f := feat("a.csv", "salinity")
 	f.Variables = append(f.Variables, VarFeature{
 		RawName: "qa_level", Name: "qa_level", Excluded: true, Count: 10,
@@ -113,10 +137,10 @@ func TestIndexExcludesExcludedVariables(t *testing.T) {
 	if err := c.Upsert(f); err != nil {
 		t.Fatal(err)
 	}
-	if n := countWithVariable(c.Snapshot(), "qa_level"); n != 0 {
+	if n := countWithVariable(serve(t, 0, c).Snapshot(), "qa_level"); n != 0 {
 		t.Errorf("excluded variable indexed %d times", n)
 	}
-	if n := countWithVariable(c.Snapshot(), "salinity"); n != 1 {
+	if n := countWithVariable(serve(t, 0, c).Snapshot(), "salinity"); n != 1 {
 		t.Errorf("searchable variable indexed %d times", n)
 	}
 	// But the variable remains in the detailed feature view.
@@ -127,13 +151,14 @@ func TestIndexExcludesExcludedVariables(t *testing.T) {
 }
 
 func TestAllSortedAndIsolated(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	for i := 0; i < 10; i++ {
 		if err := c.Upsert(feat(fmt.Sprintf("d%02d.csv", i), "v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	all := c.Snapshot().All()
+	served := serve(t, 0, c)
+	all := served.Snapshot().All()
 	if len(all) != 10 {
 		t.Fatalf("All = %d", len(all))
 	}
@@ -143,14 +168,14 @@ func TestAllSortedAndIsolated(t *testing.T) {
 		}
 	}
 	i := 0
-	c.ForEach(func(f *Feature) {
+	served.ForEach(func(f *Feature) {
 		if f != all[i] {
 			t.Errorf("ForEach visited %s at %d, snapshot holds %s", f.ID, i, all[i].ID)
 		}
 		i++
 	})
 	// Get hands out a private copy: editing it reaches neither the
-	// catalog nor its snapshot.
+	// working catalog nor the served snapshot that shares its features.
 	got, _ := c.Get(all[0].ID)
 	got.Variables[0].Name = "edited"
 	if again, _ := c.Get(all[0].ID); again.Variables[0].Name != "v" || all[0].Variables[0].Name != "v" {
@@ -159,7 +184,7 @@ func TestAllSortedAndIsolated(t *testing.T) {
 }
 
 func TestVariableNameCounts(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	_ = c.Upsert(feat("a.csv", "salinity", "temp"))
 	_ = c.Upsert(feat("b.csv", "salinity"))
 	counts := c.VariableNameCounts()
@@ -173,7 +198,7 @@ func TestVariableNameCounts(t *testing.T) {
 }
 
 func TestMutateVariables(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	_ = c.Upsert(feat("a.csv", "airtemp"))
 	_ = c.Upsert(feat("b.csv", "salinity"))
 	gen := c.Generation()
@@ -192,16 +217,16 @@ func TestMutateVariables(t *testing.T) {
 	if c.Generation() == gen {
 		t.Error("generation not bumped")
 	}
-	if n := countWithVariable(c.Snapshot(), "air_temperature"); n != 1 {
+	if n := countWithVariable(serve(t, 0, c).Snapshot(), "air_temperature"); n != 1 {
 		t.Errorf("index not updated: %d", n)
 	}
-	if n := countWithVariable(c.Snapshot(), "airtemp"); n != 0 {
+	if n := countWithVariable(serve(t, 0, c).Snapshot(), "airtemp"); n != 0 {
 		t.Errorf("stale index: %d", n)
 	}
 }
 
 func TestToTableApplyTableRoundTrip(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	_ = c.Upsert(feat("a.csv", "airtemp", "salinity"))
 	_ = c.Upsert(feat("b.csv", "ATastn"))
 	grid := c.ToTable()
@@ -233,7 +258,7 @@ func TestToTableApplyTableRoundTrip(t *testing.T) {
 }
 
 func TestApplyTableErrors(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	_ = c.Upsert(feat("a.csv", "x", "y"))
 	grid := c.ToTable()
 	// Drop a row: row count mismatch must fail.

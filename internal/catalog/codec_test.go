@@ -406,19 +406,17 @@ func TestRecordKernelTakesWhatWeWrite(t *testing.T) {
 	before := kernelDeclines.Load()
 	dir := t.TempDir()
 	writeGoldenStore(t, dir)
-	c := New()
+	var feats []*Feature
 	for i := 0; i < 500; i++ {
 		f := deltaFeature(i, i%3)
 		f.Variables[0].Unit, f.Variables[0].CanonicalUnit = "µg/L", "ug/L"
 		if i%7 == 0 {
 			f.Variables[1].Contexts = []string{"station", "cruise"}
 		}
-		if err := c.Upsert(f); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, f)
 	}
 	ckpt := filepath.Join(dir, "500.snap")
-	if err := Save(ckpt, c); err != nil {
+	if err := Save(ckpt, served(t, 0, feats...)); err != nil {
 		t.Fatal(err)
 	}
 	lines := 0

@@ -6,15 +6,27 @@ import (
 	"testing"
 )
 
-// TestConcurrentReadersAndWriters hammers the catalog from parallel
-// goroutines: upserts, deletes, index queries, table extraction, and
-// publishes, verifying no data race (run under -race) and that the final
-// state is consistent.
+// TestConcurrentReadersAndWriters hammers a working catalog from
+// parallel goroutines: upserts, deletes, reads, table extraction, and
+// publishes into a served catalog with index queries over it, verifying
+// no data race (run under -race) and that the final state is
+// consistent.
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	c := New()
+	c := NewWorking()
 	for i := 0; i < 50; i++ {
 		if err := c.Upsert(feat(fmt.Sprintf("seed-%02d.csv", i), "salinity", "water_temperature")); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// Publishes are serialized, as the publish path serializes them;
+	// index reads of the served snapshot take no lock.
+	pub := New()
+	var pubMu sync.Mutex
+	publish := func() {
+		pubMu.Lock()
+		defer pubMu.Unlock()
+		if _, err := pub.ApplyDelta(pub.DiffTo(c)); err != nil {
+			t.Error(err)
 		}
 	}
 	var wg sync.WaitGroup
@@ -30,8 +42,9 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				case 1:
 					c.Delete(IDForPath(fmt.Sprintf("w%d-%03d.csv", w, i-1)))
 				case 2:
-					_ = countWithVariable(c.Snapshot(), "salinity")
-					_ = countWithParent(c.Snapshot(), "fluorescence")
+					publish()
+					_ = countWithVariable(pub.Snapshot(), "salinity")
+					_ = countWithParent(pub.Snapshot(), "fluorescence")
 				case 3:
 					if f, ok := c.Get(IDForPath("seed-00.csv")); ok && f.Path != "seed-00.csv" {
 						t.Error("corrupted read")
@@ -59,7 +72,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 	// Index, tally and store agree.
-	for _, sh := range c.Snapshot().Segments() {
+	publish()
+	if pub.Len() != c.Len() {
+		t.Errorf("served %d features, working catalog holds %d", pub.Len(), c.Len())
+	}
+	for _, sh := range pub.Snapshot().Segments() {
 		for _, p := range sh.WithVariable("salinity") {
 			if _, ok := c.Get(sh.At(p).ID); !ok && !sh.Masked(p) {
 				t.Errorf("index points at missing feature %s", sh.At(p).ID)
@@ -73,8 +90,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 // ApplyDelta) with read traffic, the working/published handoff under
 // load.
 func TestConcurrentPublishAndSearchReads(t *testing.T) {
-	published := New()
-	_ = published.Upsert(feat("initial.csv", "salinity"))
+	published := served(t, 0, feat("initial.csv", "salinity"))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -82,7 +98,7 @@ func TestConcurrentPublishAndSearchReads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			working := New()
+			working := NewWorking()
 			for j := 0; j <= i%5; j++ {
 				_ = working.Upsert(feat(fmt.Sprintf("gen%d-%d.csv", i, j), "salinity"))
 			}
@@ -110,7 +126,7 @@ func TestConcurrentPublishAndSearchReads(t *testing.T) {
 					// A listed feature may legitimately vanish between calls
 					// (publish swapped); it must never be returned in a
 					// corrupted state.
-					if f, ok := published.Get(id); ok && len(f.Variables) == 0 {
+					if f, ok := published.Snapshot().ByID(id); ok && len(f.Variables) == 0 {
 						t.Error("corrupted feature during publish")
 						return
 					}

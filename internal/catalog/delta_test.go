@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -297,17 +298,23 @@ func TestSnapshotApplyDeltaEquivalence(t *testing.T) {
 		for _, seed := range []int64{1, 7, 42} {
 			t.Run(fmt.Sprintf("shards%d/seed%d", shards, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				c := NewSharded(shards)
 				version := make(map[int]int) // live index → content version
+				// live holds the served feature of each live index: the
+				// from-scratch oracle shares them, as the snapshot does.
+				live := make(map[int]*Feature)
 				next := 0
+				var initial []*Feature
 				for i := 0; i < 120; i++ {
 					version[next] = 0
-					if err := c.Upsert(equivFeature(next, 0)); err != nil {
-						t.Fatal(err)
-					}
+					live[next] = equivFeature(next, 0)
+					initial = append(initial, live[next])
 					next++
 				}
-				c.Snapshot() // materialize so later deltas push segments, not rebuild
+				c := NewSharded(shards)
+				if _, err := c.ApplyDelta(initial, nil); err != nil {
+					t.Fatal(err)
+				}
+				gen := c.Generation()
 
 				stacked, merged := false, false
 				for round := 0; round < 30; round++ {
@@ -315,23 +322,24 @@ func TestSnapshotApplyDeltaEquivalence(t *testing.T) {
 					var removed []string
 					// Modifies and deletes draw from the features live before
 					// this round's adds, each feature at most once per round.
-					live := make([]int, 0, len(version))
+					liveIdx := make([]int, 0, len(version))
 					for i := range version {
-						live = append(live, i)
+						liveIdx = append(liveIdx, i)
 					}
-					sort.Ints(live)
+					sort.Ints(liveIdx)
 					// Adds.
 					for k := 0; k < rng.Intn(4); k++ {
 						version[next] = 0
-						changed = append(changed, equivFeature(next, 0))
+						live[next] = equivFeature(next, 0)
+						changed = append(changed, live[next])
 						next++
 					}
 					touched := make(map[int]bool)
 					for k := 0; k < rng.Intn(7); k++ {
-						if len(live) == 0 {
+						if len(liveIdx) == 0 {
 							break
 						}
-						i := live[rng.Intn(len(live))]
+						i := liveIdx[rng.Intn(len(liveIdx))]
 						if touched[i] {
 							continue
 						}
@@ -339,9 +347,11 @@ func TestSnapshotApplyDeltaEquivalence(t *testing.T) {
 						if rng.Intn(3) == 0 {
 							removed = append(removed, equivFeature(i, 0).ID)
 							delete(version, i)
+							delete(live, i)
 						} else {
 							version[i]++
-							changed = append(changed, equivFeature(i, version[i]))
+							live[i] = equivFeature(i, version[i])
+							changed = append(changed, live[i])
 						}
 					}
 					sortFeaturesByID(changed)
@@ -353,10 +363,15 @@ func TestSnapshotApplyDeltaEquivalence(t *testing.T) {
 						t.Fatalf("round %d: bumped = %v with %d changed, %d removed",
 							round, bumped, len(changed), len(removed))
 					}
+					if bumped {
+						gen++
+					}
 					got := c.Snapshot()
-					c.mu.RLock()
-					want := newSnapshot(c.features, c.generation, c.shards)
-					c.mu.RUnlock()
+					var liveFeats []*Feature
+					for _, f := range live {
+						liveFeats = append(liveFeats, f)
+					}
+					want := rebuilt(shards, liveFeats, gen)
 					requireSnapshotsEquivalent(t, got, want)
 					for _, id := range removed {
 						if f, ok := got.ByID(id); ok {
@@ -381,12 +396,11 @@ func TestSnapshotApplyDeltaEquivalence(t *testing.T) {
 // an empty delta must leave the generation and the served snapshot
 // untouched, so a no-op re-wrangle cannot evict generation-keyed caches.
 func TestApplyDeltaEmptyIsNoOp(t *testing.T) {
-	c := New()
+	var feats []*Feature
 	for i := 0; i < 10; i++ {
-		if err := c.Upsert(deltaFeature(i, 0)); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, deltaFeature(i, 0))
 	}
+	c := served(t, 0, feats...)
 	before := c.Snapshot()
 	gen := c.Generation()
 	bumped, err := c.ApplyDelta(nil, nil)
@@ -411,13 +425,11 @@ func TestApplyDeltaEmptyIsNoOp(t *testing.T) {
 // merges into one segment, and the snapshot still serves what a
 // from-scratch build does.
 func TestApplyDeltaLargeMergesBase(t *testing.T) {
-	c := New()
+	var feats []*Feature
 	for i := 0; i < 12; i++ {
-		if err := c.Upsert(deltaFeature(i, 0)); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, deltaFeature(i, 0))
 	}
-	c.Snapshot()
+	c := served(t, 0, feats...)
 	var changed []*Feature
 	for i := 0; i < 12; i++ {
 		changed = append(changed, deltaFeature(i, 9))
@@ -427,22 +439,17 @@ func TestApplyDeltaLargeMergesBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := c.Snapshot()
-	c.mu.RLock()
-	want := newSnapshot(c.features, c.generation, c.shards)
-	c.mu.RUnlock()
-	requireSnapshotsEquivalent(t, got, want)
-	if m := c.LastMerge(); !m.Base || m.Shards != c.shards || len(got.Segments()) != c.shards {
-		t.Fatalf("merge %+v left %d segments over %d shards, want one base merge per shard", m, len(got.Segments()), c.shards)
+	shards := got.NumShards()
+	requireSnapshotsEquivalent(t, got, rebuilt(shards, changed, got.Generation()))
+	if m := c.LastMerge(); !m.Base || m.Shards != shards || len(got.Segments()) != shards {
+		t.Fatalf("merge %+v left %d segments over %d shards, want one base merge per shard", m, len(got.Segments()), shards)
 	}
 }
 
 // TestApplyDeltaRejectsInvalid ensures validation still gates the write
 // path: a malformed feature fails the whole delta before any mutation.
 func TestApplyDeltaRejectsInvalid(t *testing.T) {
-	c := New()
-	if err := c.Upsert(deltaFeature(0, 0)); err != nil {
-		t.Fatal(err)
-	}
+	c := served(t, 0, deltaFeature(0, 0))
 	gen := c.Generation()
 	bad := deltaFeature(1, 0)
 	bad.ID = "mismatched"
@@ -452,6 +459,185 @@ func TestApplyDeltaRejectsInvalid(t *testing.T) {
 	if c.Generation() != gen || c.Len() != 1 {
 		t.Fatal("failed delta mutated the catalog")
 	}
+}
+
+// TestApplyDeltaRefusesRepeatedID: a delta whose changed features name
+// one ID twice is refused whole, unpinned or pinned, before anything
+// changes — the snapshot would otherwise serve the ID at two live
+// positions. The same record is refused as a journal frame.
+func TestApplyDeltaRefusesRepeatedID(t *testing.T) {
+	var feats []*Feature
+	for i := 0; i < 40; i++ {
+		feats = append(feats, deltaFeature(i, 0))
+	}
+	c := served(t, 2, feats...)
+	before, gen := servedBytes(c.Snapshot()), c.Generation()
+	x, x2 := deltaFeature(3, 1), deltaFeature(3, 2)
+	if _, err := c.ApplyDelta([]*Feature{x, deltaFeature(50, 0), x2}, nil); err == nil {
+		t.Error("ApplyDelta accepted a delta changing one ID twice")
+	}
+	if err := c.ApplyDeltaAt(gen+1, []*Feature{x, x2}, nil); err == nil {
+		t.Error("ApplyDeltaAt accepted a delta changing one ID twice")
+	}
+	if c.Generation() != gen || !bytes.Equal(servedBytes(c.Snapshot()), before) {
+		t.Fatal("a refused delta changed the catalog")
+	}
+	line, err := encodeRecord(nil, logRecord{Op: "delta", Gen: gen + 1, Changed: []*Feature{x, x2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeDeltaFrame(strings.TrimSuffix(string(line), "\n")); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("frame changing one ID twice: err = %v", err)
+	}
+}
+
+// TestDiffMatchesMapOracle: the one diff body reads the served
+// snapshot — stacked delta segments, masked positions — and must return
+// exactly the delta an oracle computes from two plain ID maps, over the
+// whole catalog (DiffTo) and at random ID subsets (DiffOf). The served
+// catalog's deltas include removals of absent IDs and IDs both removed
+// and changed; the working catalog differs from it by content, by
+// ScannedAt alone (not a change), and by IDs on either side only.
+func TestDiffMatchesMapOracle(t *testing.T) {
+	const pool = 320 // 80 features a shard at 4 shards: masks survive up to 5
+	for _, shards := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(int64(41 + shards)))
+		servedMap, workingMap := map[string]*Feature{}, map[string]*Feature{}
+		var initial []*Feature
+		for i := 0; i < pool; i += 2 {
+			f := deltaFeature(i, 0)
+			initial = append(initial, f)
+			servedMap[f.ID], workingMap[f.ID] = f, f
+		}
+		c, w := NewSharded(shards), NewWorking()
+		if _, err := c.ApplyDelta(initial, nil); err != nil {
+			t.Fatal(err)
+		}
+		w.SeedFrom(c.Snapshot())
+		variant := func() *Feature {
+			f := deltaFeature(rng.Intn(pool), rng.Intn(3))
+			if rng.Intn(4) == 0 {
+				f.ScannedAt = f.ScannedAt.Add(time.Duration(1+rng.Intn(9)) * time.Hour)
+			}
+			return f
+		}
+		stacked, masked := false, false
+		for round := 0; round < 60; round++ {
+			// Move the served catalog by a delta.
+			var changed []*Feature
+			var removed []string
+			inDelta := map[string]bool{}
+			for k := rng.Intn(6); k > 0; k-- {
+				if f := variant(); !inDelta[f.ID] {
+					inDelta[f.ID] = true
+					changed = append(changed, f)
+				}
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				switch id := deltaFeature(rng.Intn(pool), 0).ID; rng.Intn(3) {
+				case 0:
+					removed = append(removed, "absent-"+id)
+				default:
+					removed = append(removed, id) // live, absent, or in changed
+				}
+			}
+			if len(changed) > 0 && rng.Intn(3) == 0 {
+				removed = append(removed, changed[0].ID)
+			}
+			if _, err := c.ApplyDelta(changed, removed); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range removed {
+				delete(servedMap, id)
+			}
+			for _, f := range changed {
+				servedMap[f.ID] = f
+			}
+			// Move the working catalog: upserts, some of them the served
+			// content, and deletes.
+			for k := rng.Intn(8); k > 0; k-- {
+				f := variant()
+				if s, ok := servedMap[f.ID]; ok && rng.Intn(2) == 0 {
+					f = s.Clone()
+				}
+				if err := w.Upsert(f); err != nil {
+					t.Fatal(err)
+				}
+				workingMap[f.ID] = f
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				id := deltaFeature(rng.Intn(pool), 0).ID
+				w.Delete(id)
+				delete(workingMap, id)
+			}
+
+			snap := c.Snapshot()
+			stacked = stacked || len(snap.Segments()) > shards
+			for _, sg := range snap.Segments() {
+				masked = masked || sg.masked > 0
+			}
+			if snap.Len() != len(servedMap) {
+				t.Fatalf("round %d: serving %d features, oracle %d", round, snap.Len(), len(servedMap))
+			}
+			oracle := func(ids []string) string {
+				var ch []*Feature
+				var rm []string
+				for _, id := range ids {
+					f, inW := workingMap[id]
+					old, inS := servedMap[id]
+					switch {
+					case inW && !(inS && old.ContentEquals(f)):
+						ch = append(ch, f)
+					case !inW && inS:
+						rm = append(rm, id)
+					}
+				}
+				sortFeaturesByID(ch)
+				sort.Strings(rm)
+				return featureBytes(ch) + fmt.Sprint(rm)
+			}
+			var all []string
+			for id := range workingMap {
+				all = append(all, id)
+			}
+			for id := range servedMap {
+				if _, ok := workingMap[id]; !ok {
+					all = append(all, id)
+				}
+			}
+			ch, rm := c.DiffTo(w)
+			if got, want := featureBytes(ch)+fmt.Sprint(rm), oracle(all); got != want {
+				t.Fatalf("shards %d round %d: DiffTo\n got %s\nwant %s", shards, round, got, want)
+			}
+			subset := map[string]bool{}
+			for k := rng.Intn(12); k > 0; k-- {
+				subset[deltaFeature(rng.Intn(pool+5), 0).ID] = true
+			}
+			ids := make([]string, 0, len(subset))
+			for id := range subset {
+				ids = append(ids, id)
+			}
+			ch, rm = c.DiffOf(w, ids)
+			if got, want := featureBytes(ch)+fmt.Sprint(rm), oracle(ids); got != want {
+				t.Fatalf("shards %d round %d: DiffOf(%v)\n got %s\nwant %s", shards, round, ids, got, want)
+			}
+		}
+		if !stacked || !masked {
+			t.Fatalf("shards %d: no coverage: stacked=%v masked=%v", shards, stacked, masked)
+		}
+	}
+}
+
+// rebuilt is the from-scratch oracle: feats served by one apply onto an
+// empty catalog of the given shard count, at generation gen.
+func rebuilt(shards int, feats []*Feature, gen uint64) *Snapshot {
+	c := NewSharded(shards)
+	folded := make(map[string]*Feature, len(feats))
+	for _, f := range feats {
+		folded[f.ID] = f
+	}
+	c.load(folded, gen)
+	return c.Snapshot()
 }
 
 func sortFeaturesByID(fs []*Feature) {
@@ -524,14 +710,13 @@ func TestContentEqualsCoversEveryField(t *testing.T) {
 // their Feature pointers with the predecessor.
 func TestApplyDeltaSharesCleanShards(t *testing.T) {
 	const shards = 8
-	c := NewSharded(shards)
 	// 64 features a shard: the three masked versions stay under the
 	// masked bound, so no shard merges its base.
+	var feats []*Feature
 	for i := 0; i < 64*shards; i++ {
-		if err := c.Upsert(deltaFeature(i, 0)); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, deltaFeature(i, 0))
 	}
+	c := served(t, shards, feats...)
 	before := c.Snapshot()
 
 	changed := []*Feature{deltaFeature(3, 1), deltaFeature(17, 1), deltaFeature(600, 0)}
@@ -620,13 +805,11 @@ func TestApplyDeltaSharesCleanShards(t *testing.T) {
 // the shard count.
 func TestSnapshotShardingInvariants(t *testing.T) {
 	for _, shards := range []int{1, 2, 5, 16} {
-		c := NewSharded(shards)
+		var feats []*Feature
 		for i := 0; i < 50; i++ {
-			if err := c.Upsert(deltaFeature(i, 0)); err != nil {
-				t.Fatal(err)
-			}
+			feats = append(feats, deltaFeature(i, 0))
 		}
-		s := c.Snapshot()
+		s := served(t, shards, feats...).Snapshot()
 		if s.NumShards() != shards {
 			t.Fatalf("NumShards = %d, want %d", s.NumShards(), shards)
 		}

@@ -124,14 +124,8 @@ func FuzzJournalReplay(f *testing.F) {
 // record and two puts.
 func fuzzSeedCheckpoint(t testing.TB) []byte {
 	t.Helper()
-	c := New()
-	for i := 0; i < 2; i++ {
-		if err := c.Upsert(deltaFeature(i, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	path := filepath.Join(t.TempDir(), "checkpoint")
-	if err := Save(path, c); err != nil {
+	if err := Save(path, served(t, 0, deltaFeature(0, 0), deltaFeature(1, 0))); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

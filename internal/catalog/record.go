@@ -174,12 +174,14 @@ func readRecordFile(path string, tornTail bool, fn func(line []byte, rec logReco
 }
 
 // deltaOf checks that a decoded record is a well-formed publish delta —
-// op "delta", no null feature, every feature valid — and returns it. It
-// is the one check journal replay and follower frame decoding share.
+// op "delta", no null feature, every feature valid, no ID changed twice
+// — and returns it. It is the one check journal replay and follower
+// frame decoding share.
 func deltaOf(rec logRecord) (DeltaRecord, error) {
 	if rec.Op != "delta" {
 		return DeltaRecord{}, fmt.Errorf("unexpected op %q", rec.Op)
 	}
+	seen := make(map[string]bool, len(rec.Changed))
 	for _, feat := range rec.Changed {
 		if feat == nil {
 			return DeltaRecord{}, fmt.Errorf("null feature")
@@ -187,6 +189,10 @@ func deltaOf(rec logRecord) (DeltaRecord, error) {
 		if err := feat.Validate(); err != nil {
 			return DeltaRecord{}, err
 		}
+		if seen[feat.ID] {
+			return DeltaRecord{}, fmt.Errorf("feature %s changed twice", feat.ID)
+		}
+		seen[feat.ID] = true
 	}
 	return DeltaRecord{Gen: rec.Gen, Changed: rec.Changed, Removed: rec.Removed, Sidecar: rec.Sidecar}, nil
 }
@@ -250,12 +256,13 @@ func writeCheckpoint(path string, feats []*Feature, gen uint64, sidecar json.Raw
 	return nil
 }
 
-// checkpointLoad is one checkpoint read in progress: each record goes
-// into the catalog or, for the meta header, into gen and sidecar. A file
-// without a meta header (put-only, as Save wrote before checkpoints had
-// one) loads at generation 0.
+// checkpointLoad is one checkpoint read in progress: each put record,
+// validated, goes into feats (a later put of an ID replaces an earlier
+// one) and the meta header into gen and sidecar. A file without a meta
+// header (put-only, as Save wrote before checkpoints had one) loads at
+// generation 0.
 type checkpointLoad struct {
-	into    *Catalog
+	feats   map[string]*Feature
 	lines   int
 	gen     uint64
 	sidecar json.RawMessage
@@ -273,32 +280,36 @@ func (ck *checkpointLoad) add(_ []byte, rec logRecord) error {
 		if rec.Feature == nil {
 			return fmt.Errorf("put without feature")
 		}
-		return ck.into.upsertOwned(rec.Feature)
+		if err := rec.Feature.Validate(); err != nil {
+			return err
+		}
+		ck.feats[rec.Feature.ID] = rec.Feature
 	default:
 		return fmt.Errorf("unexpected op %q", rec.Op)
 	}
 	return nil
 }
 
-// loadCheckpoint reads the checkpoint at path into the catalog and
-// returns its generation stamp and sidecar. A missing file is an empty
-// store.
-func loadCheckpoint(path string, into *Catalog) (uint64, json.RawMessage, error) {
-	ck := checkpointLoad{into: into}
+// loadCheckpoint reads the checkpoint at path. A missing file is an
+// empty store.
+func loadCheckpoint(path string) (*checkpointLoad, error) {
+	ck := &checkpointLoad{feats: make(map[string]*Feature)}
 	if err := readRecordFile(path, false, ck.add); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return ck.gen, ck.sidecar, nil
+	return ck, nil
 }
 
-// LoadCheckpointFrom is loadCheckpoint over an arbitrary reader — the
-// follower bootstrap path, where the checkpoint arrives over HTTP instead
-// of from disk.
+// LoadCheckpointFrom loads the checkpoint read from r into the given
+// empty catalog and returns its generation stamp and sidecar — the
+// follower bootstrap path, where the checkpoint arrives over HTTP
+// instead of from disk. On error the catalog is unchanged.
 func LoadCheckpointFrom(r io.Reader, into *Catalog) (uint64, json.RawMessage, error) {
-	ck := checkpointLoad{into: into}
+	ck := &checkpointLoad{feats: make(map[string]*Feature)}
 	if err := readRecords(r, MaxStreamLine, false, ck.add); err != nil {
 		return 0, nil, err
 	}
+	into.load(ck.feats, ck.gen)
 	return ck.gen, ck.sidecar, nil
 }
 
@@ -322,13 +333,16 @@ func Save(path string, c *Catalog) error {
 }
 
 // Load imports a catalog from a checkpoint file: a Save export, a
-// Store's checkpoint, or a put-only snapshot from an older build. A
-// missing file is an empty catalog; on any error Load returns a nil
-// catalog.
+// Store's checkpoint, or a put-only snapshot from an older build. The
+// catalog serves the file's features at its generation stamp (0 for a
+// put-only file). A missing file is an empty catalog; on any error Load
+// returns a nil catalog.
 func Load(path string) (*Catalog, error) {
-	c := New()
-	if _, _, err := loadCheckpoint(path, c); err != nil {
+	ck, err := loadCheckpoint(path)
+	if err != nil {
 		return nil, err
 	}
+	c := New()
+	c.load(ck.feats, ck.gen)
 	return c, nil
 }

@@ -211,13 +211,11 @@ func TestReplayMissingFile(t *testing.T) {
 func saveLines(t testing.TB, n int) []string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "base.snap")
-	c := New()
+	var feats []*Feature
 	for i := 0; i < n; i++ {
-		if err := c.Upsert(feat(fmt.Sprintf("d%d.csv", i), "salinity")); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, feat(fmt.Sprintf("d%d.csv", i), "salinity"))
 	}
-	if err := Save(path, c); err != nil {
+	if err := Save(path, served(t, 0, feats...)); err != nil {
 		t.Fatal(err)
 	}
 	return strings.SplitAfter(string(readFile(t, path)), "\n")
@@ -296,12 +294,11 @@ func TestCompactAndLoad(t *testing.T) {
 func TestSaveLoadSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.log")
-	c := New()
+	var feats []*Feature
 	for i := 0; i < 20; i++ {
-		if err := c.Upsert(feat(fmt.Sprintf("d%02d.csv", i), "salinity", "temp")); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, feat(fmt.Sprintf("d%02d.csv", i), "salinity", "temp"))
 	}
+	c := served(t, 0, feats...)
 	if err := Save(path, c); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +311,7 @@ func TestSaveLoadSnapshot(t *testing.T) {
 	}
 	for _, orig := range c.Snapshot().All() {
 		id := orig.ID
-		got, ok := back.Get(id)
+		got, ok := back.Snapshot().ByID(id)
 		if !ok {
 			t.Fatalf("feature %s missing", id)
 		}
@@ -349,11 +346,11 @@ func TestLogSizeMissing(t *testing.T) {
 func BenchmarkLoad1000(b *testing.B) {
 	dir := b.TempDir()
 	path := filepath.Join(dir, "bench.snap")
-	c := New()
+	var feats []*Feature
 	for i := 0; i < 1000; i++ {
-		_ = c.Upsert(feat(fmt.Sprintf("d%04d.csv", i), "salinity", "temp"))
+		feats = append(feats, feat(fmt.Sprintf("d%04d.csv", i), "salinity", "temp"))
 	}
-	if err := Save(path, c); err != nil {
+	if err := Save(path, served(b, 0, feats...)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -373,12 +370,11 @@ func BenchmarkLoad1000(b *testing.B) {
 func TestSaveLoadShardedCatalog(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sharded.log")
-	c := NewSharded(5)
+	var feats []*Feature
 	for i := 0; i < 40; i++ {
-		if err := c.Upsert(deltaFeature(i, i%3)); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, deltaFeature(i, i%3))
 	}
+	c := served(t, 5, feats...)
 	if err := Save(path, c); err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +398,7 @@ func TestSaveLoadShardedCatalog(t *testing.T) {
 	}
 	for _, orig := range c.Snapshot().All() {
 		id := orig.ID
-		got, ok := back.Get(id)
+		got, ok := back.Snapshot().ByID(id)
 		if !ok {
 			t.Fatalf("feature %s missing after round trip", id)
 		}

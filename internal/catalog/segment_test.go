@@ -20,18 +20,17 @@ import (
 // — and the merges the bound forces drop them.
 func TestDictionaryBoundedByMerges(t *testing.T) {
 	const shards, n = 2, 100
-	c := NewSharded(shards)
 	start := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
 	path := func(i int) string { return fmt.Sprintf("d%03d.obs", i) }
+	var feats []*Feature
 	for i := 0; i < n; i++ {
-		if err := c.Upsert(snapFeat(path(i), 45, -124, start, 5, "salinity", "turbidity")); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, snapFeat(path(i), 45, -124, start, 5, "salinity", "turbidity"))
 	}
-	c.Snapshot()
+	c := served(t, shards, feats...)
 	rng := rand.New(rand.NewSource(3))
 	for d := 0; d < 500; d++ {
-		f, _ := c.Get(IDForPath(path(rng.Intn(n))))
+		live, _ := c.Snapshot().ByID(IDForPath(path(rng.Intn(n))))
+		f := live.Clone()
 		f.Variables[0].Name = fmt.Sprintf("renamed-%d", d)
 		if _, err := c.ApplyDelta([]*Feature{f}, nil); err != nil {
 			t.Fatal(err)
@@ -85,13 +84,14 @@ func TestApplyAllocationsTrackChurn(t *testing.T) {
 func applyBytesPerDelta(t *testing.T, n int) float64 {
 	t.Helper()
 	const shards, churn = 2, 25
-	c := NewSharded(shards)
-	for i := 0; i < n; i++ {
-		if err := c.upsertOwned(leanFeature(i, 0)); err != nil {
-			t.Fatal(err)
-		}
+	feats := make([]*Feature, n)
+	for i := range feats {
+		feats[i] = leanFeature(i, 0)
 	}
-	c.Snapshot()
+	c := NewSharded(shards)
+	if _, err := c.ApplyDelta(feats, nil); err != nil {
+		t.Fatal(err)
+	}
 	period := maskBound(n/shards)/(churn/shards) + 1
 	window := max(2*period+1, 200)
 	rng := rand.New(rand.NewSource(int64(n)))

@@ -13,11 +13,11 @@ import (
 	"metamess/internal/geo"
 )
 
-// Snapshot is an immutable, index-carrying view of a catalog at one
-// generation. It is built once — at publish time, or lazily on the
-// first read after a mutation — and then shared by every search until
-// the next mutation swaps in a successor, so queries touch no locks and
-// copy no features.
+// Snapshot is an immutable, index-carrying view of the served catalog
+// at one generation. Each publish builds one from its predecessor (see
+// applyDelta), and it is then shared by every search until the next
+// publish swaps in a successor, so queries touch no locks and copy no
+// features.
 //
 // The snapshot is partitioned into shards by a hash of the feature ID,
 // and each shard is a stack of immutable segments: a base segment and,
@@ -35,10 +35,10 @@ import (
 // segment's live positions before a single merge heap gathers the
 // per-segment top-Ks.
 //
-// The features a snapshot exposes are shared with the catalog it was
-// built from, and later catalog mutations cannot reach them: a stored
-// feature is never edited in place (see Catalog). In exchange, callers
-// must treat everything a Snapshot returns as read-only.
+// The features a snapshot exposes are shared with the working catalog
+// they were diffed from, and later mutations there cannot reach them: a
+// stored feature is never edited in place (see Catalog). In exchange,
+// callers must treat everything a Snapshot returns as read-only.
 type Snapshot struct {
 	shards []shard
 	// segments lists every shard's segments, shard by shard, base first:
@@ -48,7 +48,7 @@ type Snapshot struct {
 	generation uint64
 
 	// all is the lazily merged, globally ID-sorted feature slice for
-	// whole-catalog readers (persistence, validation, experiments);
+	// whole-catalog readers (persistence, experiments);
 	// search never needs it.
 	allOnce sync.Once
 	all     []*Feature
@@ -130,33 +130,6 @@ func shardIndex(id string, n int) int {
 }
 
 func byID(a, b *Feature) int { return strings.Compare(a.ID, b.ID) }
-
-// newSnapshot partitions the feature map and builds every shard as one
-// base segment, in parallel when there is more than one. Callers
-// synchronize access to the map (the catalog holds its lock).
-func newSnapshot(features map[string]*Feature, generation uint64, nShards int) *Snapshot {
-	if nShards <= 0 {
-		nShards = DefaultShardCount()
-	}
-	parts := make([][]*Feature, nShards)
-	for id, f := range features {
-		si := shardIndex(id, nShards)
-		parts[si] = append(parts[si], f)
-	}
-	shards := make([]shard, nShards)
-	sis := make([]int, nShards)
-	for si := range sis {
-		sis[si] = si
-	}
-	eachShard(sis, func(si int) {
-		slices.SortFunc(parts[si], byID)
-		shards[si] = shard{
-			segs: []*Segment{{segment: buildShard(parts[si]), shard: si}},
-			live: len(parts[si]),
-		}
-	})
-	return assemble(shards, generation)
-}
 
 // assemble wraps a snapshot around its shards.
 func assemble(shards []shard, generation uint64) *Snapshot {
@@ -260,8 +233,8 @@ func (m *MergeStat) add(o MergeStat) {
 // delta does not touch is shared with s outright — the same segments,
 // no copies, no index work — and each dirty shard applies its part
 // independently (in parallel when there are several). The result
-// serves exactly what newSnapshot over the same feature set would
-// (TestSnapshotApplyDeltaEquivalence).
+// serves exactly what one apply of the same feature set onto an empty
+// snapshot would (TestSnapshotApplyDeltaEquivalence).
 //
 // changed must be sorted by ID, must not repeat an ID, and is stored as
 // is; removed must only name IDs live in s and disjoint from changed.
@@ -432,8 +405,8 @@ func (s *Snapshot) ShardSizes() []int {
 // All returns the snapshot's live features sorted by ID, merged across
 // shards and segments. The merge is computed once, on first use, and
 // cached: search never calls this — only whole-catalog readers
-// (persistence, validation, experiment sweeps) do. Callers must not
-// mutate the slice or the features; use Catalog.Get for a private copy.
+// (persistence, experiment sweeps) do. Callers must not mutate the
+// slice or the features; Feature.Clone gives a private copy.
 func (s *Snapshot) All() []*Feature {
 	s.allOnce.Do(func() {
 		if len(s.segments) == 1 && s.segments[0].masked == 0 {
@@ -441,23 +414,28 @@ func (s *Snapshot) All() []*Feature {
 			return
 		}
 		merged := make([]*Feature, 0, s.total)
-		for _, sg := range s.segments {
-			for p, f := range sg.features {
-				if !sg.Masked(int32(p)) {
-					merged = append(merged, f)
-				}
-			}
-		}
+		s.forEachLive(func(f *Feature) { merged = append(merged, f) })
 		slices.SortFunc(merged, byID)
 		s.all = merged
 	})
 	return s.all
 }
 
+// forEachLive calls fn for every live feature, segment by segment, in
+// no particular order and without caching anything.
+func (s *Snapshot) forEachLive(fn func(f *Feature)) {
+	for _, sg := range s.segments {
+		for p, f := range sg.features {
+			if !sg.Masked(int32(p)) {
+				fn(f)
+			}
+		}
+	}
+}
+
 // ByID returns the live feature with the given ID without taking a lock
 // or copying: one hash to pick the shard, then a binary search per
-// segment, newest first — the serving-path alternative to Catalog.Get,
-// whose per-call copy is wasted on read-only consumers. Read-only.
+// segment, newest first. Read-only.
 func (s *Snapshot) ByID(id string) (*Feature, bool) {
 	segs := s.shards[shardIndex(id, len(s.shards))].segs
 	for k := len(segs) - 1; k >= 0; k-- {

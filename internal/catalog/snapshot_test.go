@@ -30,43 +30,41 @@ func snapFeat(path string, lat, lon float64, start time.Time, days int, vars ...
 	return f
 }
 
+// TestSnapshotCachedUntilMutation: a new catalog serves an empty
+// snapshot at generation 0, and the served snapshot changes only when
+// an apply swaps in a successor.
 func TestSnapshotCachedUntilMutation(t *testing.T) {
 	c := New()
+	s0 := c.Snapshot()
+	if s0 == nil || s0.Len() != 0 || s0.Generation() != 0 || len(s0.All()) != 0 {
+		t.Fatalf("new catalog serves %v, want an empty snapshot at generation 0", s0)
+	}
 	base := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
-	if err := c.Upsert(snapFeat("a.obs", 45, -124, base, 10, "salinity")); err != nil {
+	if _, err := c.ApplyDelta([]*Feature{snapFeat("a.obs", 45, -124, base, 10, "salinity")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s1 := c.Snapshot()
-	if s2 := c.Snapshot(); s2 != s1 {
-		t.Error("snapshot rebuilt without a mutation")
+	if s1 == s0 {
+		t.Fatal("apply did not swap the snapshot")
 	}
-	if err := c.Upsert(snapFeat("b.obs", 45, -124, base, 10, "turbidity")); err != nil {
+	if s2 := c.Snapshot(); s2 != s1 {
+		t.Error("snapshot changed without an apply")
+	}
+	if _, err := c.ApplyDelta([]*Feature{snapFeat("b.obs", 45, -124, base, 10, "turbidity")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s3 := c.Snapshot()
-	if s3 == s1 {
-		t.Fatal("snapshot not invalidated by Upsert")
+	if s3 == s1 || s1.Len() != 1 || s3.Len() != 2 || s0.Len() != 0 {
+		t.Errorf("lens = %d, %d, %d", s0.Len(), s1.Len(), s3.Len())
 	}
-	if s1.Len() != 1 || s3.Len() != 2 {
-		t.Errorf("lens = %d, %d", s1.Len(), s3.Len())
-	}
-	// A publish stores its snapshot eagerly: the atomic fast path serves
-	// it without a rebuild.
-	if _, err := c.ApplyDelta([]*Feature{snapFeat("c.obs", 45, -124, base, 10, "salinity")}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.snap.Load(); s == nil || s.Len() != 3 {
-		t.Fatalf("ApplyDelta left snapshot %v, want a ready 3-feature snapshot", s)
+	if s1.Generation() != 1 || s3.Generation() != 2 {
+		t.Errorf("generations = %d, %d, want 1, 2", s1.Generation(), s3.Generation())
 	}
 }
 
 func TestSnapshotByID(t *testing.T) {
-	c := New()
 	base := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
-	if err := c.Upsert(snapFeat("a.obs", 45, -124, base, 10, "salinity")); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Snapshot()
+	s := served(t, 0, snapFeat("a.obs", 45, -124, base, 10, "salinity")).Snapshot()
 	f, ok := s.ByID(IDForPath("a.obs"))
 	if !ok || f.Path != "a.obs" {
 		t.Fatalf("ByID = %v, %v", f, ok)
@@ -81,34 +79,37 @@ func TestSnapshotByID(t *testing.T) {
 }
 
 func TestSnapshotIsolatedFromMutation(t *testing.T) {
-	c := New()
+	w := NewWorking()
 	base := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
-	if err := c.Upsert(snapFeat("a.obs", 45, -124, base, 10, "salinity")); err != nil {
+	if err := w.Upsert(snapFeat("a.obs", 45, -124, base, 10, "salinity")); err != nil {
 		t.Fatal(err)
 	}
+	c := serve(t, 0, w)
 	snap := c.Snapshot()
-	c.MutateVariables(func(f *Feature) bool {
+	w.MutateVariables(func(f *Feature) bool {
 		f.Variables[0].Name = "renamed"
 		return true
 	})
 	if got := snap.All()[0].Variables[0].Name; got != "salinity" {
 		t.Errorf("snapshot mutated: variable name = %q", got)
 	}
+	if _, err := c.ApplyDelta(c.DiffTo(w)); err != nil {
+		t.Fatal(err)
+	}
 	if got := c.Snapshot().All()[0].Variables[0].Name; got != "renamed" {
-		t.Errorf("fresh snapshot stale: variable name = %q", got)
+		t.Errorf("published snapshot stale: variable name = %q", got)
+	}
+	if got := snap.All()[0].Variables[0].Name; got != "salinity" {
+		t.Errorf("held snapshot changed by a publish: variable name = %q", got)
 	}
 }
 
 func TestSnapshotNameAndParentIndexes(t *testing.T) {
-	c := New()
 	base := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
 	f := snapFeat("a.obs", 45, -124, base, 10, "fluores375", "qa")
 	f.Variables[0].Parent = "fluorescence"
 	f.Variables[1].Excluded = true
-	if err := c.Upsert(f); err != nil {
-		t.Fatal(err)
-	}
-	snap := c.Snapshot()
+	snap := served(t, 0, f).Snapshot()
 	if n := countWithVariable(snap, "fluores375"); n != 1 {
 		t.Errorf("WithVariable(fluores375) count = %d", n)
 	}
@@ -130,15 +131,13 @@ func TestSnapshotNameAndParentIndexes(t *testing.T) {
 func TestSpatialCandidatesSuperset(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	base := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
-	c := NewSharded(3)
+	var feats []*Feature
 	for i := 0; i < 300; i++ {
 		lat := -84 + rng.Float64()*168
 		lon := -179 + rng.Float64()*358
-		if err := c.Upsert(snapFeat(fmt.Sprintf("s%03d.obs", i), lat, lon, base, 5, "v")); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, snapFeat(fmt.Sprintf("s%03d.obs", i), lat, lon, base, 5, "v"))
 	}
-	snap := c.Snapshot()
+	snap := served(t, 3, feats...).Snapshot()
 	for qi := 0; qi < 200; qi++ {
 		p := geo.Point{Lat: -84 + rng.Float64()*168, Lon: -179 + rng.Float64()*358}
 		maxKm := []float64{10, 100, 500, 2000}[rng.Intn(4)]
@@ -166,15 +165,13 @@ func TestSpatialCandidatesSuperset(t *testing.T) {
 // feature within maxGap of the query range is a candidate.
 func TestTimeCandidatesSuperset(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	c := NewSharded(3)
+	var feats []*Feature
 	for i := 0; i < 300; i++ {
 		start := time.Date(2000+rng.Intn(15), time.Month(1+rng.Intn(12)), 1+rng.Intn(28),
 			0, 0, 0, 0, time.UTC)
-		if err := c.Upsert(snapFeat(fmt.Sprintf("t%03d.obs", i), 45, -124, start, rng.Intn(300), "v")); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, snapFeat(fmt.Sprintf("t%03d.obs", i), 45, -124, start, rng.Intn(300), "v"))
 	}
-	snap := c.Snapshot()
+	snap := served(t, 3, feats...).Snapshot()
 	for qi := 0; qi < 200; qi++ {
 		start := time.Date(2000+rng.Intn(15), time.Month(1+rng.Intn(12)), 1+rng.Intn(28),
 			0, 0, 0, 0, time.UTC)
@@ -202,9 +199,8 @@ func TestTimeCandidatesSuperset(t *testing.T) {
 // TestConcurrentSnapshotAndPublish hammers the lock-free read path
 // against publishes (run under -race).
 func TestConcurrentSnapshotAndPublish(t *testing.T) {
-	published := New()
 	base := time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC)
-	_ = published.Upsert(snapFeat("init.obs", 45, -124, base, 5, "salinity"))
+	published := served(t, 0, snapFeat("init.obs", 45, -124, base, 5, "salinity"))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -212,7 +208,7 @@ func TestConcurrentSnapshotAndPublish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			working := New()
+			working := NewWorking()
 			for j := 0; j <= i%4; j++ {
 				_ = working.Upsert(snapFeat(fmt.Sprintf("g%d-%d.obs", i, j), 45, -124, base, 5, "salinity"))
 			}

@@ -166,12 +166,12 @@ func (st *Store) nextOldPath() (string, error) {
 }
 
 // OpenStore opens (creating if needed) the store at dir and restores
-// its state into the given empty catalog: the checkpoint's features are
-// loaded, then every journaled delta at or past the checkpoint's
-// generation is applied in order, and the catalog's generation is
-// pinned to the last durable publish — so generation-keyed caches and
-// logs stay continuous across a restart. On error the catalog's
-// contents are undefined and must be discarded.
+// its state into the given empty catalog: the checkpoint's features and
+// every journaled delta at or past the checkpoint's generation are
+// folded in order, and the catalog serves the result at the last
+// durable publish's generation — so generation-keyed caches and logs
+// stay continuous across a restart. If recovery fails, the catalog is
+// unchanged.
 func OpenStore(dir string, into *Catalog, opts StoreOptions) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -205,23 +205,23 @@ func OpenStore(dir string, into *Catalog, opts StoreOptions) (*Store, error) {
 }
 
 // recoverState is OpenStore's pure recovery core (also the fuzz
-// target): load the checkpoint into the catalog, replay any rotated
-// journals (compactions that died mid-flight) then the journal, and pin
-// the catalog's generation to the last durable publish. On error the
-// catalog's contents are undefined.
+// target): fold the checkpoint, any rotated journals (compactions that
+// died mid-flight) and then the journal into one ID map, and serve it
+// with one apply at the last durable publish's generation. On error the
+// catalog is unchanged.
 func recoverState(dir string, into *Catalog) (gen, ckGen uint64, sidecar json.RawMessage, hadOld bool, err error) {
-	gen, sidecar, err = loadCheckpoint(filepath.Join(dir, "checkpoint"), into)
+	ck, err := loadCheckpoint(filepath.Join(dir, "checkpoint"))
 	if err != nil {
 		return 0, 0, nil, false, err
 	}
-	ckGen = gen
+	ckGen = ck.gen
 	// Publishes stamp strictly increasing generations, and the replay
 	// order (rotated journals in rotation order, then the live journal)
 	// reconstructs append order — so the raw record stream must be
 	// non-decreasing. A regression means the files were reordered or
 	// hand-edited; applying around it would be silent partial state.
 	lastRec := uint64(0)
-	apply := func(rec DeltaRecord) error {
+	fold := func(rec DeltaRecord) error {
 		if rec.Gen < lastRec {
 			return fmt.Errorf("catalog: journal generation went backwards (%d after %d)", rec.Gen, lastRec)
 		}
@@ -230,22 +230,20 @@ func recoverState(dir string, into *Catalog) (gen, ckGen uint64, sidecar json.Ra
 		// by the compaction that rotated them out; records at the current
 		// generation are sidecar refreshes (or already-checkpointed
 		// content replaying idempotently after an interrupted compaction).
-		if rec.Gen < gen {
+		if rec.Gen < ck.gen {
 			return nil
 		}
 		for _, id := range rec.Removed {
-			into.Delete(id)
+			delete(ck.feats, id)
 		}
+		// deltaOf validated the decoded features, which are private to
+		// this replay: the map takes them as they are.
 		for _, f := range rec.Changed {
-			// Decoded records are private to this replay: hand ownership
-			// to the catalog instead of paying a second copy.
-			if err := into.upsertOwned(f); err != nil {
-				return err
-			}
+			ck.feats[f.ID] = f
 		}
-		gen = rec.Gen
+		ck.gen = rec.Gen
 		if rec.Sidecar != nil {
-			sidecar = rec.Sidecar
+			ck.sidecar = rec.Sidecar
 		}
 		return nil
 	}
@@ -255,15 +253,15 @@ func recoverState(dir string, into *Catalog) (gen, ckGen uint64, sidecar json.Ra
 	}
 	for _, oldPath := range olds {
 		hadOld = true
-		if _, err := ReplayJournal(oldPath, apply); err != nil {
+		if _, err := ReplayJournal(oldPath, fold); err != nil {
 			return 0, 0, nil, false, err
 		}
 	}
-	if _, err := ReplayJournal(filepath.Join(dir, "journal"), apply); err != nil {
+	if _, err := ReplayJournal(filepath.Join(dir, "journal"), fold); err != nil {
 		return 0, 0, nil, false, err
 	}
-	into.restoreGeneration(gen)
-	return gen, ckGen, sidecar, hadOld, nil
+	into.load(ck.feats, ck.gen)
+	return ck.gen, ckGen, ck.sidecar, hadOld, nil
 }
 
 // Generation returns the last durable publish generation.

@@ -52,7 +52,9 @@ func resyncFromCheckpoint(t testing.TB, st *Store, follower *Catalog) {
 	if ckGen <= follower.Generation() {
 		return
 	}
-	changed, removed := follower.DiffTo(scratch)
+	next := NewWorking()
+	next.SeedFrom(scratch.Snapshot())
+	changed, removed := follower.DiffTo(next)
 	if err := follower.ApplyDeltaAt(ckGen, changed, removed); err != nil {
 		t.Fatalf("apply checkpoint delta: %v", err)
 	}
@@ -88,7 +90,9 @@ func TestTailFramesServesFullHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := New()
-	mid.restoreGeneration(4)
+	if err := mid.ApplyDeltaAt(4, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if n := applyFrames(t, mid, partial); n != 2 {
 		t.Fatalf("mid-history tail applied %d records, want 2", n)
 	}

@@ -24,7 +24,7 @@ func tallyFeature(i, version int) *Feature {
 // hooks maintained, and with what their readers (ForEachVariableName,
 // VariableNameCounts, DistinctVariableNames, ForEachDirectory,
 // DistinctUnits) report.
-func requireTallyMatchesFeatures(t *testing.T, c *Catalog, when string) {
+func requireTallyMatchesFeatures(t *testing.T, c *Working, when string) {
 	t.Helper()
 	want := map[string]nameTally{}
 	wantDirs := map[string]map[string]int{}
@@ -110,15 +110,15 @@ func requireTallyMatchesFeatures(t *testing.T, c *Catalog, when string) {
 	}
 }
 
-// TestNameTallyTracksEveryMutation drives a catalog through a random
-// sequence of every mutation path — including adopting another
-// catalog's state and reloading from a store — and requires the
-// maintained name, directory and unit tallies to equal a recount after
-// each step. "apply-delta"
-// runs the one apply body both unpinned and pinned (ApplyDeltaAt).
+// TestNameTallyTracksEveryMutation drives a working catalog through a
+// random sequence of every mutation path — including seeding from what
+// a served catalog serves after a delta or a reload from a store — and
+// requires the maintained name, directory and unit tallies to equal a
+// recount after each step. "apply-delta" runs the one apply body both
+// unpinned and pinned (ApplyDeltaAt).
 func TestNameTallyTracksEveryMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	c := NewSharded(3)
+	c := NewWorking()
 	const ids = 40
 	ops := map[string]int{}
 	for step := 0; step < 400; step++ {
@@ -168,47 +168,51 @@ func TestNameTallyTracksEveryMutation(t *testing.T) {
 			if _, err := c.ApplyTable(grid); err != nil {
 				t.Fatal(err)
 			}
-		case "apply-delta":
-			changed := []*Feature{tallyFeature(rng.Intn(ids), rng.Intn(3)), tallyFeature(ids+rng.Intn(5), 1)}
-			removed := []string{deltaFeature(rng.Intn(ids), 0).ID}
-			if rng.Intn(2) == 0 {
-				if _, err := c.ApplyDelta(changed, removed); err != nil {
-					t.Fatal(err)
-				}
-			} else if err := c.ApplyDeltaAt(c.Generation()+2, changed, removed); err != nil {
-				t.Fatal(err)
-			}
 		case "clone":
 			c = c.Clone()
-		case "seed-from":
-			next := NewSharded(3)
-			next.SeedFrom(c)
-			c = next
-		case "reload":
-			// Checkpoint the catalog into a store and recover it into a
-			// fresh one: the recovery path indexes through upsertOwned.
-			dir := t.TempDir()
-			st, err := OpenStore(dir, NewSharded(3), StoreOptions{})
-			if err != nil {
-				t.Fatal(err)
+		case "seed-from", "apply-delta", "reload":
+			// Publish the catalog, move the served one by a delta or
+			// through a checkpoint and a recovery, and seed a fresh
+			// working catalog from what it then serves.
+			served := serve(t, 3, c)
+			switch op {
+			case "apply-delta":
+				changed := []*Feature{tallyFeature(rng.Intn(ids), rng.Intn(3)), tallyFeature(ids+rng.Intn(5), 1)}
+				removed := []string{deltaFeature(rng.Intn(ids), 0).ID}
+				if rng.Intn(2) == 0 {
+					if _, err := served.ApplyDelta(changed, removed); err != nil {
+						t.Fatal(err)
+					}
+				} else if err := served.ApplyDeltaAt(served.Generation()+2, changed, removed); err != nil {
+					t.Fatal(err)
+				}
+			case "reload":
+				dir := t.TempDir()
+				st, err := OpenStore(dir, NewSharded(3), StoreOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Compact(served); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				next := NewSharded(3)
+				st, err = OpenStore(dir, next, StoreOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if next.Len() != c.Len() {
+					t.Fatalf("step %d: reload recovered %d features of %d", step, next.Len(), c.Len())
+				}
+				served = next
 			}
-			if err := st.Compact(c); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			next := NewSharded(3)
-			st, err = OpenStore(dir, next, StoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if next.Len() != c.Len() {
-				t.Fatalf("step %d: reload recovered %d features of %d", step, next.Len(), c.Len())
-			}
+			next := NewWorking()
+			next.SeedFrom(served.Snapshot())
 			c = next
 		}
 		requireTallyMatchesFeatures(t, c, op)

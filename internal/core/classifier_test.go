@@ -105,7 +105,7 @@ func TestContextClassifierFollowsKnowledge(t *testing.T) {
 
 // messByWalk is the mess metric computed the slow way — a walk over
 // every feature — as the oracle for the tally-driven messOf.
-func messByWalk(c *catalog.Catalog, k *semdiv.Knowledge) MessReport {
+func messByWalk(c *catalog.Working, k *semdiv.Knowledge) MessReport {
 	cls := semdiv.NewClassifier(k)
 	counts, excluded, grouped := map[string]int{}, map[string]bool{}, map[string]bool{}
 	c.ForEach(func(f *catalog.Feature) {

@@ -85,7 +85,7 @@ func (d *Delta) Dirty() []string {
 // registry, and the rules discovered so far.
 type Context struct {
 	// Working is the working catalog components mutate.
-	Working *catalog.Catalog
+	Working *catalog.Working
 	// Published is the catalog search serves; only Commit touches it.
 	Published *catalog.Catalog
 	// Knowledge is the curated state (synonym table, abbreviations,
@@ -341,12 +341,11 @@ func NewContext(k *semdiv.Knowledge, scanCfg scan.Config) *Context {
 }
 
 // NewContextSharded is NewContext with an explicit snapshot shard count
-// for both catalogs (0 or negative = default). The published catalog's
-// count decides how publish segments and search scatter; the working
-// catalog matches it.
+// for the published catalog (0 or negative = default), which decides
+// how publish segments and search scatter.
 func NewContextSharded(k *semdiv.Knowledge, scanCfg scan.Config, shards int) *Context {
 	return &Context{
-		Working:    catalog.NewSharded(shards),
+		Working:    catalog.NewWorking(),
 		Published:  catalog.NewSharded(shards),
 		Knowledge:  k,
 		Units:      units.NewRegistry(),
@@ -487,7 +486,7 @@ type MessReport struct {
 }
 
 // Mess computes the metric for a catalog against a knowledge base.
-func Mess(c *catalog.Catalog, k *semdiv.Knowledge) MessReport {
+func Mess(c *catalog.Working, k *semdiv.Knowledge) MessReport {
 	if c == nil || k == nil {
 		return MessReport{}
 	}
@@ -498,7 +497,7 @@ func Mess(c *catalog.Catalog, k *semdiv.Knowledge) MessReport {
 // one classification per distinct name, no walk over the features: the
 // metric runs after every chain step, so it must cost in proportion to
 // the names, not the catalog.
-func messOf(c *catalog.Catalog, cls *semdiv.Classifier) MessReport {
+func messOf(c *catalog.Working, cls *semdiv.Classifier) MessReport {
 	r := MessReport{}
 	totalOcc, wrangledOcc := 0, 0
 	c.ForEachVariableName(func(name string, count, excluded, parented int) {

@@ -14,6 +14,7 @@ import (
 	"metamess/internal/scan"
 	"metamess/internal/semdiv"
 	"metamess/internal/synonym"
+	"metamess/internal/table"
 	"metamess/internal/vocab"
 )
 
@@ -485,7 +486,7 @@ func TestDeletionRetractsFromPublished(t *testing.T) {
 	if _, ok := ctx.Working.Get(id); ok {
 		t.Error("deleted dataset still in working catalog")
 	}
-	if _, ok := ctx.Published.Get(id); ok {
+	if _, ok := ctx.Published.Snapshot().ByID(id); ok {
 		t.Error("deleted dataset still in published catalog")
 	}
 	if ctx.Published.Len() != len(m.Datasets)-1 {
@@ -502,6 +503,14 @@ func (failAfterScan) Run(*Context) (StepReport, error) {
 	return StepReport{}, fmt.Errorf("transient failure")
 }
 
+// servedNameCounts tallies the variable names the published catalog
+// serves.
+func servedNameCounts(ctx *Context) []table.ValueCount {
+	w := catalog.NewWorking()
+	w.SeedFrom(ctx.Published.Snapshot())
+	return w.VariableNameCounts()
+}
+
 // TestAbortedRunDoesNotStrandDirtyFeatures reproduces the mid-chain
 // failure hazard: run N re-parses a churned file into Working (raw
 // names) and then aborts before Publish; run N+1's scan sees the file
@@ -514,7 +523,7 @@ func TestAbortedRunDoesNotStrandDirtyFeatures(t *testing.T) {
 	if _, err := p.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	namesBefore := ctx.Published.VariableNameCounts()
+	namesBefore := servedNameCounts(ctx)
 
 	// Churn one file (names unchanged, content changed), then run a
 	// chain that scans and aborts.
@@ -555,7 +564,7 @@ func TestAbortedRunDoesNotStrandDirtyFeatures(t *testing.T) {
 	}
 	// The published name multiset must be unchanged: a stranded raw
 	// feature would leak messy names into the served catalog.
-	namesAfter := ctx.Published.VariableNameCounts()
+	namesAfter := servedNameCounts(ctx)
 	if len(namesBefore) != len(namesAfter) {
 		t.Fatalf("published distinct names changed: %d -> %d", len(namesBefore), len(namesAfter))
 	}

@@ -74,8 +74,12 @@ func buildRaw(dir string, datasets int, seed int64) (*catalog.Catalog, *archive.
 	if err != nil {
 		return nil, nil, err
 	}
+	w := catalog.NewWorking()
+	if _, err := scan.New(scan.Config{Root: dir}).ScanInto(w); err != nil {
+		return nil, nil, err
+	}
 	c := catalog.New()
-	if _, err := scan.New(scan.Config{Root: dir}).ScanInto(c); err != nil {
+	if _, err := c.ApplyDelta(c.DiffTo(w)); err != nil {
 		return nil, nil, err
 	}
 	return c, m, nil
@@ -315,13 +319,17 @@ func Figure2CatalogBuild(dirs []string, sizes []int, seed int64) (*Table, error)
 		if _, err := archive.Generate(dir, archive.DefaultGenConfig(n, seed)); err != nil {
 			return nil, err
 		}
-		c := catalog.New()
+		w := catalog.NewWorking()
 		start := time.Now()
-		res, err := scan.New(scan.Config{Root: dir}).ScanInto(c)
+		res, err := scan.New(scan.Config{Root: dir}).ScanInto(w)
 		if err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
+		c := catalog.New()
+		if _, err := c.ApplyDelta(c.DiffTo(w)); err != nil {
+			return nil, err
+		}
 		snapPath := dir + "/catalog.snapshot"
 		if err := catalog.Save(snapPath, c); err != nil {
 			return nil, err

@@ -340,7 +340,7 @@ func AblationValidation(dir string, seed int64) (*Table, error) {
 		Title:  "Validation checks: fault injection",
 		Header: []string{"fault", "check", "detected"},
 	}
-	injectAndCheck := func(fault string, checkName string, mutate func(c *catalog.Catalog), vctxMod func(v *validate.Context)) error {
+	injectAndCheck := func(fault string, checkName string, mutate func(c *catalog.Working), vctxMod func(v *validate.Context)) error {
 		c := ctx.Working.Clone()
 		if mutate != nil {
 			mutate(c)
@@ -375,7 +375,7 @@ func AblationValidation(dir string, seed int64) (*Table, error) {
 		return nil, fmt.Errorf("experiments: archive has no stations datasets")
 	}
 	intruderPath := stationsDir + "/intruder.csv"
-	if err := injectAndCheck("mixed file type in stations dir", "same-type-directory", func(c *catalog.Catalog) {
+	if err := injectAndCheck("mixed file type in stations dir", "same-type-directory", func(c *catalog.Working) {
 		f := &catalog.Feature{
 			ID: catalog.IDForPath(intruderPath), Path: intruderPath,
 			Source: "stations", Format: "csv",
@@ -388,7 +388,7 @@ func AblationValidation(dir string, seed int64) (*Table, error) {
 		return nil, err
 	}
 	// Fault 2: an uncovered variable name.
-	if err := injectAndCheck("uncovered variable name", "synonym-coverage", func(c *catalog.Catalog) {
+	if err := injectAndCheck("uncovered variable name", "synonym-coverage", func(c *catalog.Working) {
 		c.MutateVariables(func(f *catalog.Feature) bool {
 			f.Variables[0].Name = "zz_unintelligible_name"
 			return true
@@ -403,7 +403,7 @@ func AblationValidation(dir string, seed int64) (*Table, error) {
 		return nil, err
 	}
 	// Fault 4: unknown unit string.
-	if err := injectAndCheck("unknown unit string", "units-resolved", func(c *catalog.Catalog) {
+	if err := injectAndCheck("unknown unit string", "units-resolved", func(c *catalog.Working) {
 		c.MutateVariables(func(f *catalog.Feature) bool {
 			f.Variables[0].Unit = "cubits per fortnight"
 			f.Variables[0].CanonicalUnit = ""
@@ -413,7 +413,7 @@ func AblationValidation(dir string, seed int64) (*Table, error) {
 		return nil, err
 	}
 	// Fault 5: physically implausible range.
-	if err := injectAndCheck("implausible value range", "plausible-ranges", func(c *catalog.Catalog) {
+	if err := injectAndCheck("implausible value range", "plausible-ranges", func(c *catalog.Working) {
 		c.MutateVariables(func(f *catalog.Feature) bool {
 			for i := range f.Variables {
 				if f.Variables[i].Name == "salinity" {

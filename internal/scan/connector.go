@@ -32,7 +32,7 @@ type Connector interface {
 	// ScanInto ingests the source incrementally against c: unchanged
 	// datasets (by content hash) are skipped, parsed features are
 	// upserted, and datasets that vanished from the source are deleted.
-	ScanInto(c *catalog.Catalog) (*Result, error)
+	ScanInto(c *catalog.Working) (*Result, error)
 }
 
 // DefaultMaxEntryBytes bounds a single streamed entry when a connector's
@@ -45,7 +45,7 @@ const DefaultMaxEntryBytes = 8 << 20
 // finish computes removals against the existing catalog — the same
 // added/changed/removed contract the walker produces.
 type ingester struct {
-	existing *catalog.Catalog
+	existing *catalog.Working
 	max      int64
 	exts     map[string]bool
 	now      time.Time
@@ -53,7 +53,7 @@ type ingester struct {
 	seen     map[string]bool
 }
 
-func newIngester(existing *catalog.Catalog, maxBytes int64, extensions []string) *ingester {
+func newIngester(existing *catalog.Working, maxBytes int64, extensions []string) *ingester {
 	exts := extensions
 	if len(exts) == 0 {
 		exts = []string{".csv", ".obs", ".jsonl"}
@@ -170,7 +170,7 @@ func (in *ingester) finish() *Result {
 
 // applyResult upserts the parsed features and deletes the removed IDs —
 // the connector half of Scanner.ScanInto's contract.
-func applyResult(c *catalog.Catalog, res *Result) {
+func applyResult(c *catalog.Working, res *Result) {
 	rejected := map[string]bool{}
 	for _, f := range res.Features {
 		if err := c.Upsert(f); err != nil {
@@ -226,7 +226,7 @@ func TarBytesConnector(data []byte) *TarConnector {
 func (t *TarConnector) Name() string { return "tar" }
 
 // ScanInto implements Connector.
-func (t *TarConnector) ScanInto(c *catalog.Catalog) (*Result, error) {
+func (t *TarConnector) ScanInto(c *catalog.Working) (*Result, error) {
 	start := time.Now()
 	if t.Open == nil {
 		return nil, fmt.Errorf("scan: tar connector needs an Open function")
@@ -298,7 +298,7 @@ func ZipBytesConnector(data []byte) *ZipConnector {
 func (z *ZipConnector) Name() string { return "zip" }
 
 // ScanInto implements Connector.
-func (z *ZipConnector) ScanInto(c *catalog.Catalog) (*Result, error) {
+func (z *ZipConnector) ScanInto(c *catalog.Working) (*Result, error) {
 	start := time.Now()
 	if z.ReaderAt == nil {
 		return nil, fmt.Errorf("scan: zip connector needs a ReaderAt")
@@ -377,7 +377,7 @@ type HTTPConnector struct {
 func (h *HTTPConnector) Name() string { return "http" }
 
 // ScanInto implements Connector.
-func (h *HTTPConnector) ScanInto(c *catalog.Catalog) (*Result, error) {
+func (h *HTTPConnector) ScanInto(c *catalog.Working) (*Result, error) {
 	start := time.Now()
 	if h.ListURL == "" {
 		return nil, fmt.Errorf("scan: http connector needs a ListURL")

@@ -19,7 +19,7 @@ const fuzzTarMax = 1 << 16
 
 // canonicalDump renders a catalog as deterministic bytes: features
 // sorted by path, scan timestamps (wall-clock bookkeeping) zeroed.
-func canonicalDump(t *testing.T, c *catalog.Catalog) []byte {
+func canonicalDump(t *testing.T, c *catalog.Working) []byte {
 	t.Helper()
 	var feats []*catalog.Feature
 	c.ForEach(func(f *catalog.Feature) {
@@ -74,10 +74,10 @@ func FuzzTarConnector(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		run := func() (*catalog.Catalog, *Result, error) {
+		run := func() (*catalog.Working, *Result, error) {
 			conn := TarBytesConnector(data)
 			conn.MaxFileBytes = fuzzTarMax
-			c := catalog.New()
+			c := catalog.NewWorking()
 			res, err := conn.ScanInto(c)
 			return c, res, err
 		}

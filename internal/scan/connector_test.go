@@ -112,7 +112,7 @@ func zipArchive(t testing.TB, root string) []byte {
 }
 
 // catalogByPath snapshots a catalog into a path-keyed map of clones.
-func catalogByPath(c *catalog.Catalog) map[string]*catalog.Feature {
+func catalogByPath(c *catalog.Working) map[string]*catalog.Feature {
 	out := make(map[string]*catalog.Feature)
 	c.ForEach(func(f *catalog.Feature) {
 		out[f.Path] = f.Clone()
@@ -122,7 +122,7 @@ func catalogByPath(c *catalog.Catalog) map[string]*catalog.Feature {
 
 // requireSameCatalog asserts two catalogs hold content-equal features
 // (ScannedAt aside) for identical path sets.
-func requireSameCatalog(t *testing.T, want, got *catalog.Catalog, label string) {
+func requireSameCatalog(t *testing.T, want, got *catalog.Working, label string) {
 	t.Helper()
 	w, g := catalogByPath(want), catalogByPath(got)
 	if len(w) != len(g) {
@@ -143,7 +143,7 @@ func requireSameCatalog(t *testing.T, want, got *catalog.Catalog, label string) 
 
 func TestTarConnectorMatchesWalker(t *testing.T) {
 	root, _ := genArchive(t, 12, 5)
-	walked := catalog.New()
+	walked := catalog.NewWorking()
 	wres, err := New(Config{Root: root}).ScanInto(walked)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestTarConnectorMatchesWalker(t *testing.T) {
 	}
 
 	image := tarArchive(t, root)
-	tarred := catalog.New()
+	tarred := catalog.NewWorking()
 	tres, err := TarBytesConnector(image).ScanInto(tarred)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestTarConnectorMatchesWalker(t *testing.T) {
 	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
-	gzipped := catalog.New()
+	gzipped := catalog.NewWorking()
 	if _, err := TarBytesConnector(gzBuf.Bytes()).ScanInto(gzipped); err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestZipConnectorMatchesWalker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walked := catalog.New()
+	walked := catalog.NewWorking()
 	if _, err := New(Config{Root: root}).ScanInto(walked); err != nil {
 		t.Fatal(err)
 	}
-	zipped := catalog.New()
+	zipped := catalog.NewWorking()
 	res, err := ZipBytesConnector(zipArchive(t, root)).ScanInto(zipped)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestZipConnectorMatchesWalker(t *testing.T) {
 func TestTarConnectorIncremental(t *testing.T) {
 	root, m := genArchive(t, 9, 23)
 	image := tarArchive(t, root)
-	c := catalog.New()
+	c := catalog.NewWorking()
 	if _, err := TarBytesConnector(image).ScanInto(c); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestIngesterBoundsAndHostileNames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := catalog.New()
+	c := catalog.NewWorking()
 	conn := TarBytesConnector(buf.Bytes())
 	conn.MaxFileBytes = 128 // huge.csv (384 bytes) must be skipped, not buffered
 	res, err := conn.ScanInto(c)
@@ -375,12 +375,12 @@ func TestHTTPConnectorMatchesWalkerAndSkipsByHash(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	walked := catalog.New()
+	walked := catalog.NewWorking()
 	if _, err := New(Config{Root: root}).ScanInto(walked); err != nil {
 		t.Fatal(err)
 	}
 	conn := &HTTPConnector{ListURL: srv.URL + "/list", Client: srv.Client()}
-	fetched := catalog.New()
+	fetched := catalog.NewWorking()
 	res, err := conn.ScanInto(fetched)
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestHTTPConnectorMatchesWalkerAndSkipsByHash(t *testing.T) {
 func TestTarConnectorTruncatedStreamAborts(t *testing.T) {
 	root, _ := genArchive(t, 6, 41)
 	image := tarArchive(t, root)
-	c := catalog.New()
+	c := catalog.NewWorking()
 	if _, err := TarBytesConnector(image).ScanInto(c); err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestStatCallsCounter(t *testing.T) {
 	// Streaming ingest never touches the filesystem.
 	image := tarArchive(t, root)
 	before = StatCalls()
-	if _, err := TarBytesConnector(image).ScanInto(catalog.New()); err != nil {
+	if _, err := TarBytesConnector(image).ScanInto(catalog.NewWorking()); err != nil {
 		t.Fatal(err)
 	}
 	if got := StatCalls(); got != before {

@@ -133,7 +133,7 @@ func (s *Scanner) ScanAll() (*Result, error) {
 // features whose files vanished are deleted. This is the poster's
 // "running & rerunning process" made cheap — the work tracks archive
 // churn, not archive size.
-func (s *Scanner) ScanInto(c *catalog.Catalog) (*Result, error) {
+func (s *Scanner) ScanInto(c *catalog.Working) (*Result, error) {
 	res, err := s.scan(c)
 	if err != nil {
 		return nil, err
@@ -210,7 +210,7 @@ type statEntry struct {
 // the past of the recorded scan is trusted-skipped without a read.
 const racyWindow = 2 * time.Second
 
-func (s *Scanner) scan(existing *catalog.Catalog) (*Result, error) {
+func (s *Scanner) scan(existing *catalog.Working) (*Result, error) {
 	start := s.now()
 	if s.cfg.Root == "" {
 		return nil, fmt.Errorf("scan: config needs a root directory")

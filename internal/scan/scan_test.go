@@ -117,7 +117,7 @@ func TestScanDirsRestrict(t *testing.T) {
 
 func TestScanIntoIncremental(t *testing.T) {
 	root, m := genArchive(t, 9, 17)
-	c := catalog.New()
+	c := catalog.NewWorking()
 	sc := New(Config{Root: root})
 	res1, err := sc.ScanInto(c)
 	if err != nil {
@@ -321,7 +321,7 @@ func BenchmarkScanArchive30(b *testing.B) {
 
 func TestScanDeltaClassification(t *testing.T) {
 	root, m := genArchive(t, 10, 31)
-	c := catalog.New()
+	c := catalog.NewWorking()
 	sc := New(Config{Root: root})
 	res1, err := sc.ScanInto(c)
 	if err != nil {
@@ -377,7 +377,7 @@ func TestScanDeltaClassification(t *testing.T) {
 
 func TestScanRemovalRespectsDirScope(t *testing.T) {
 	root, m := genArchive(t, 12, 7)
-	c := catalog.New()
+	c := catalog.NewWorking()
 	if _, err := New(Config{Root: root}).ScanInto(c); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestScanCatchesMtimePreservingEdit(t *testing.T) {
 	if err := os.WriteFile(target, []byte(body(1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := catalog.New()
+	c := catalog.NewWorking()
 	sc := New(Config{Root: root})
 	if res, err := sc.ScanInto(c); err != nil || res.Stats.Failed != 0 {
 		t.Fatalf("initial scan: err=%v stats=%+v errors=%v", err, res.Stats, res.Errors)
@@ -444,7 +444,7 @@ func TestScanCatchesMtimePreservingEdit(t *testing.T) {
 
 func TestScanHashVerifyStampsThenTrustsStat(t *testing.T) {
 	root, m := genArchive(t, 5, 19)
-	c := catalog.New()
+	c := catalog.NewWorking()
 	sc := New(Config{Root: root})
 	if _, err := sc.ScanInto(c); err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestScanOversizedSkipCounters(t *testing.T) {
 func TestScanParallelMatchesSerial(t *testing.T) {
 	root, m := genArchive(t, 150, 77) // > maxBatch files per directory
 	dirs := []string{"stations", ".", "cruises", "stations", filepath.Join("auv", "gone")}
-	scanWith := func(workers int, c *catalog.Catalog) *Result {
+	scanWith := func(workers int, c *catalog.Working) *Result {
 		t.Helper()
 		sc := New(Config{Root: root, Dirs: dirs, Workers: workers, MaxFileBytes: 1 << 19})
 		sc.now = func() time.Time { return time.Unix(2e9, 0) } // ScannedAt is a clock read
@@ -555,7 +555,7 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 	}
 	const tiny = "time,latitude,longitude,x\n2010-05-01T00:00:00Z,1,2,3\n"
 	write(filepath.Join("auv", "gone", "kept.csv"), tiny)
-	base := catalog.New()
+	base := catalog.NewWorking()
 	scanWith(1, base)
 
 	// auv/gone stops being walkable (its own Dirs entry errors at its
@@ -653,7 +653,7 @@ func TestRelUnderMatchesFilepathRel(t *testing.T) {
 
 func TestWalkErrorDoesNotRetractSubtree(t *testing.T) {
 	root, m := genArchive(t, 10, 29)
-	c := catalog.New()
+	c := catalog.NewWorking()
 	sc := New(Config{Root: root, Dirs: []string{"stations", "cruises", "auv"}})
 	if _, err := sc.ScanInto(c); err != nil {
 		t.Fatal(err)
@@ -722,7 +722,7 @@ func TestWalkErrorDoesNotRetractSubtree(t *testing.T) {
 // be retracted.
 func TestRootWalkErrorSuppressesAllRemovals(t *testing.T) {
 	root, m := genArchive(t, 6, 37)
-	c := catalog.New()
+	c := catalog.NewWorking()
 	sc2 := New(Config{Root: root, Dirs: []string{"stations", "cruises", "auv"}})
 	if _, err := sc2.ScanInto(c); err != nil {
 		t.Fatal(err)
@@ -760,7 +760,7 @@ func TestRejectedUpsertLeavesDelta(t *testing.T) {
 		[]byte("time,latitude,longitude,temp [degC],temp [degC]\n2010-05-01T00:00:00Z,45.1,-124.2,10.0,11.0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := catalog.New()
+	c := catalog.NewWorking()
 	sc := New(Config{Root: root})
 	res, err := sc.ScanInto(c)
 	if err != nil {

@@ -227,15 +227,11 @@ func requireIndexedMatchesLinear(t *testing.T, seed int64, trials int, opts func
 	stacked := false
 	for trial := 0; trial < trials; trial++ {
 		n := rng.Intn(140)
-		c := catalog.New()
+		shards := 0
 		if trial%3 == 0 {
-			c = catalog.NewSharded(1) // one segment until a publish, over masks too
+			shards = 1 // one segment until a publish, over masks too
 		}
-		for _, f := range randomFeatures(rng, trial, n, names) {
-			if err := c.Upsert(f); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-		}
+		c := served(t, shards, randomFeatures(rng, trial, n, names)...)
 		idxOpts := DefaultOptions()
 		idxOpts.Expander, idxOpts.ParentWeight = opts(rng, names)
 		maxFanOutProcs = 1 + rng.Intn(8)
@@ -288,13 +284,7 @@ func requireIndexedMatchesLinear(t *testing.T, seed int64, trials int, opts func
 			if round != 0 && round%2 == 0 {
 				continue
 			}
-			fc := catalog.New()
-			for _, f := range snap.All() {
-				if err := fc.Upsert(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check(fmt.Sprintf("delta %d", round), 4, New(fc, linOpts))
+			check(fmt.Sprintf("delta %d", round), 4, New(served(t, 0, snap.All()...), linOpts))
 		}
 	}
 	if !stacked {
@@ -379,15 +369,12 @@ func requireSameResults(t *testing.T, label string, a, b []Result) {
 // before a publish keeps its consistent view while new searches see the
 // replacement catalog.
 func TestSearchSnapshotStableAcrossPublish(t *testing.T) {
-	c := catalog.New()
-	if err := c.Upsert(mkFeature("old.obs", astoria, june2010, v("salinity", 0, 30))); err != nil {
-		t.Fatal(err)
-	}
+	c := served(t, 0, mkFeature("old.obs", astoria, june2010, v("salinity", 0, 30)))
 	s := New(c, DefaultOptions())
 	if res, err := s.Search(Query{Terms: []Term{{Name: "salinity"}}}); err != nil || len(res) != 1 || res[0].Feature.Path != "old.obs" {
 		t.Fatalf("pre-publish search: %v %v", res, err)
 	}
-	next := catalog.New()
+	next := catalog.NewWorking()
 	if err := next.Upsert(mkFeature("new.obs", astoria, june2010, v("salinity", 0, 30))); err != nil {
 		t.Fatal(err)
 	}

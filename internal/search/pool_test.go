@@ -230,13 +230,11 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 	const budget = 48 // response slice + K explanations + query bookkeeping
 	for _, n := range []int{400, 5000} {
 		for _, shards := range []int{1, 2, 4} {
-			c := catalog.NewSharded(shards)
-			for i := 0; i < n; i++ {
-				if err := c.Upsert(benchishFeature(i, names)); err != nil {
-					t.Fatal(err)
-				}
+			feats := make([]*catalog.Feature, n)
+			for i := range feats {
+				feats[i] = benchishFeature(i, names)
 			}
-			c.Snapshot()
+			c := served(t, shards, feats...)
 			s := New(c, DefaultOptions())
 			measure := func(shape string) {
 				for i := 0; i < 4; i++ { // warm the pool and the lazy snapshot state

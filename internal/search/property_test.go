@@ -30,7 +30,6 @@ func TestScoreBoundsProperty(t *testing.T) {
 		if vHi < vLo {
 			vLo, vHi = vHi, vLo
 		}
-		c := catalog.New()
 		feat := &catalog.Feature{
 			ID:   catalog.IDForPath("p.obs"),
 			Path: "p.obs", Source: "s", Format: "obs",
@@ -41,10 +40,7 @@ func TestScoreBoundsProperty(t *testing.T) {
 				Range: geo.NewValueRange(vLo, vHi), Count: 10,
 			}},
 		}
-		if err := c.Upsert(feat); err != nil {
-			return false
-		}
-		s := New(c, DefaultOptions())
+		s := New(served(t, 0, feat), DefaultOptions())
 		loc := geo.Point{Lat: pLat, Lon: pLon}
 		tr := geo.NewTimeRange(base, base.AddDate(0, 0, 30))
 		qr := geo.NewValueRange(0, 10)
@@ -75,17 +71,14 @@ func TestScoreBoundsProperty(t *testing.T) {
 // TestScoreMonotoneInDistance verifies that, all else equal, a farther
 // dataset never outranks a nearer one.
 func TestScoreMonotoneInDistance(t *testing.T) {
-	c := catalog.New()
 	tr := june2010
 	dists := []float64{0.0, 0.2, 0.5, 1.0, 2.0, 5.0}
+	var feats []*catalog.Feature
 	for i, d := range dists {
-		f := mkFeature(pathN(i), geo.Point{Lat: astoria.Lat + d, Lon: astoria.Lon}, tr,
-			v("salinity", 0, 30))
-		if err := c.Upsert(f); err != nil {
-			t.Fatal(err)
-		}
+		feats = append(feats, mkFeature(pathN(i), geo.Point{Lat: astoria.Lat + d, Lon: astoria.Lon}, tr,
+			v("salinity", 0, 30)))
 	}
-	s := New(c, DefaultOptions())
+	s := New(served(t, 0, feats...), DefaultOptions())
 	res, err := s.Search(Query{Location: &astoria, Terms: []Term{{Name: "salinity"}}, K: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -108,16 +101,9 @@ func TestScoreMonotoneInDistance(t *testing.T) {
 // TestMoreVariableMatchesScoreHigher verifies the variable dimension
 // aggregates across terms.
 func TestMoreVariableMatchesScoreHigher(t *testing.T) {
-	c := catalog.New()
 	both := mkFeature("both.obs", astoria, june2010, v("salinity", 0, 30), v("turbidity", 0, 50))
 	one := mkFeature("one.obs", astoria, june2010, v("salinity", 0, 30))
-	if err := c.Upsert(both); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Upsert(one); err != nil {
-		t.Fatal(err)
-	}
-	s := New(c, DefaultOptions())
+	s := New(served(t, 0, both, one), DefaultOptions())
 	res, err := s.Search(Query{Terms: []Term{{Name: "salinity"}, {Name: "turbidity"}}})
 	if err != nil {
 		t.Fatal(err)
@@ -131,16 +117,13 @@ func TestMoreVariableMatchesScoreHigher(t *testing.T) {
 }
 
 func BenchmarkSearchLinear1000(b *testing.B) {
-	c := catalog.New()
 	names := []string{"water_temperature", "salinity", "turbidity", "dissolved_oxygen"}
+	var feats []*catalog.Feature
 	for i := 0; i < 1000; i++ {
 		p := geo.Point{Lat: 45.8 + float64(i%80)*0.01, Lon: -124.3 + float64(i%150)*0.01}
-		f := mkFeature(pathN(i), p, june2010, v(names[i%len(names)], 0, 30))
-		if err := c.Upsert(f); err != nil {
-			b.Fatal(err)
-		}
+		feats = append(feats, mkFeature(pathN(i), p, june2010, v(names[i%len(names)], 0, 30)))
 	}
-	s := New(c, linearOpts())
+	s := New(served(b, 0, feats...), linearOpts())
 	q := Query{Location: &astoria, Time: &june2010, Terms: []Term{{Name: "salinity"}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -62,6 +62,9 @@ func (q Query) Validate() error {
 		if r := t.Range; r != nil && !(finite(r.Min) && finite(r.Max)) {
 			return fmt.Errorf("search: term %q range %v is not finite", t.Name, *r)
 		}
+		if r := t.Range; r != nil && r.Min > r.Max {
+			return fmt.Errorf("search: term %q range %v has min above max", t.Name, *r)
+		}
 	}
 	return nil
 }

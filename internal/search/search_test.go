@@ -45,9 +45,26 @@ func v(name string, min, max float64) catalog.VarFeature {
 	}
 }
 
+// served publishes feats, upserted in order as a working catalog takes
+// them, into a fresh served catalog of the given shard count (0 =
+// default) with one ApplyDelta.
+func served(t testing.TB, shards int, feats ...*catalog.Feature) *catalog.Catalog {
+	t.Helper()
+	w := catalog.NewWorking()
+	for _, f := range feats {
+		if err := w.Upsert(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := catalog.NewSharded(shards)
+	if _, err := c.ApplyDelta(c.DiffTo(w)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func testCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
-	c := catalog.New()
 	feats := []*catalog.Feature{
 		mkFeature("near.obs", astoria, june2010, v("water_temperature", 5, 10), v("salinity", 10, 30)),
 		mkFeature("far.obs", portland, june2010, v("water_temperature", 5, 10)),
@@ -58,12 +75,7 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 			v("water_temperature", 15, 22)),
 		mkFeature("novar.obs", astoria, june2010, v("turbidity", 0, 50)),
 	}
-	for _, f := range feats {
-		if err := c.Upsert(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return c
+	return served(t, 0, feats...)
 }
 
 func TestSearchRanksNearnessFirst(t *testing.T) {
@@ -182,6 +194,20 @@ func TestSearchEmptyAndInvalidQueries(t *testing.T) {
 			t.Errorf("non-finite term range %v accepted", vr)
 		}
 	}
+	// A reversed range would score differently from the same range in
+	// order; geo.NewValueRange orders it, a hand-built one is refused.
+	for _, vr := range []geo.ValueRange{
+		{Min: 10, Max: 5},
+		{Min: 0, Max: -1e-9},
+	} {
+		if _, err := s.Search(Query{Terms: []Term{{Name: "water_temperature", Range: &vr}}}); err == nil {
+			t.Errorf("reversed term range %v accepted", vr)
+		}
+	}
+	point := geo.ValueRange{Min: 7, Max: 7}
+	if _, err := s.Search(Query{Terms: []Term{{Name: "water_temperature", Range: &point}}}); err != nil {
+		t.Errorf("one-value range refused: %v", err)
+	}
 }
 
 func TestSearchRegionQuery(t *testing.T) {
@@ -225,15 +251,12 @@ func TestSearchIndexVsLinearScanAgree(t *testing.T) {
 }
 
 func TestSearchExcludedVariablesInvisible(t *testing.T) {
-	c := catalog.New()
 	f := mkFeature("qa.obs", astoria, june2010, v("salinity", 10, 30))
 	f.Variables = append(f.Variables, catalog.VarFeature{
 		RawName: "qa_level", Name: "qa_level", Excluded: true, Count: 10,
 		Range: geo.ValueRange{Min: 0, Max: 4},
 	})
-	if err := c.Upsert(f); err != nil {
-		t.Fatal(err)
-	}
+	c := served(t, 0, f)
 	s := New(c, DefaultOptions())
 	res, err := s.Search(Query{Terms: []Term{{Name: "qa_level"}}})
 	if err != nil {
@@ -301,12 +324,9 @@ func TestSearchWithKnowledgeExpander(t *testing.T) {
 }
 
 func TestSearchHierarchyParentMatch(t *testing.T) {
-	c := catalog.New()
 	f := mkFeature("optics.obs", astoria, june2010, v("fluores375", 0, 100))
 	f.Variables[0].Parent = "fluorescence"
-	if err := c.Upsert(f); err != nil {
-		t.Fatal(err)
-	}
+	c := served(t, 0, f)
 	s := New(c, DefaultOptions())
 	res, err := s.Search(Query{Terms: []Term{{Name: "fluorescence"}}})
 	if err != nil {
@@ -442,16 +462,13 @@ func TestSummaryRender(t *testing.T) {
 }
 
 func BenchmarkSearch1000(b *testing.B) {
-	c := catalog.New()
 	names := []string{"water_temperature", "salinity", "turbidity", "dissolved_oxygen"}
+	var feats []*catalog.Feature
 	for i := 0; i < 1000; i++ {
 		p := geo.Point{Lat: 45.8 + float64(i%80)*0.01, Lon: -124.3 + float64(i%150)*0.01}
-		f := mkFeature(pathN(i), p, june2010, v(names[i%len(names)], 0, 30), v(names[(i+1)%len(names)], 0, 30))
-		if err := c.Upsert(f); err != nil {
-			b.Fatal(err)
-		}
+		feats = append(feats, mkFeature(pathN(i), p, june2010, v(names[i%len(names)], 0, 30), v(names[(i+1)%len(names)], 0, 30)))
 	}
-	s := New(c, DefaultOptions())
+	s := New(served(b, 0, feats...), DefaultOptions())
 	q := Query{Location: &astoria, Time: &june2010, Terms: []Term{{Name: "salinity"}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -35,22 +35,17 @@ func TestShardedSearchMatchesSingleShard(t *testing.T) {
 		// Always include the 1-shard baseline; add two random counts in
 		// [2,16] so most trials cross-check three partitionings.
 		shardCounts := []int{1, 2 + rng.Intn(15), 2 + rng.Intn(15)}
-		cats := make([]*catalog.Catalog, len(shardCounts))
-		for ci, sc := range shardCounts {
-			cats[ci] = catalog.NewSharded(sc)
-		}
-
 		n := 20 + rng.Intn(120)
 		live := make(map[int]bool)
 		features := make(map[int]*catalog.Feature)
-		for i, f := range randomFeatures(rng, trial, n, names) {
+		initial := randomFeatures(rng, trial, n, names)
+		for i, f := range initial {
 			features[i] = f
 			live[i] = true
-			for _, c := range cats {
-				if err := c.Upsert(f); err != nil {
-					t.Fatalf("trial %d: %v", trial, err)
-				}
-			}
+		}
+		cats := make([]*catalog.Catalog, len(shardCounts))
+		for ci, sc := range shardCounts {
+			cats[ci] = served(t, sc, initial...)
 		}
 
 		maxFanOutProcs = 1 + rng.Intn(8)

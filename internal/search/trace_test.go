@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"metamess/internal/catalog"
 	"metamess/internal/obs"
 )
 
@@ -83,12 +82,7 @@ func TestTracedSearchObservational(t *testing.T) {
 		// The 1-shard baseline plus a random scatter partitioning.
 		for _, sc := range []int{1, 2 + rng.Intn(15)} {
 			n := 20 + rng.Intn(100)
-			c := catalog.NewSharded(sc)
-			for _, f := range randomFeatures(rng, trial, n, names) {
-				if err := c.Upsert(f); err != nil {
-					t.Fatalf("trial %d: %v", trial, err)
-				}
-			}
+			c := served(t, sc, randomFeatures(rng, trial, n, names)...)
 			maxFanOutProcs = 1 + rng.Intn(8)
 			indexed := New(c, DefaultOptions())
 			linOpts := DefaultOptions()

@@ -72,7 +72,7 @@ func (r *Report) OK() bool { return r.Errors() == 0 }
 
 // Context supplies the curated state checks consult.
 type Context struct {
-	Catalog   *catalog.Catalog
+	Catalog   *catalog.Working
 	Knowledge *semdiv.Knowledge
 	Units     *units.Registry
 	// ExpectedPaths lists dataset paths that must be present.

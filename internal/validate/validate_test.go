@@ -38,7 +38,7 @@ func mkVar(name string, min, max float64) catalog.VarFeature {
 
 func ctxWith(t *testing.T, feats ...*catalog.Feature) *Context {
 	t.Helper()
-	c := catalog.New()
+	c := catalog.NewWorking()
 	for _, f := range feats {
 		if err := c.Upsert(f); err != nil {
 			t.Fatal(err)
@@ -102,7 +102,7 @@ func TestSynonymCoverage(t *testing.T) {
 		t.Errorf("excessive name flagged: %v", got)
 	}
 	// Missing knowledge is itself an error.
-	noK := &Context{Catalog: catalog.New()}
+	noK := &Context{Catalog: catalog.NewWorking()}
 	if got := (SynonymCoverage{}).Run(noK); len(got) != 1 || got[0].Severity != Error {
 		t.Errorf("missing knowledge findings = %v", got)
 	}

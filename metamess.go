@@ -213,7 +213,7 @@ func (s *System) openDurable() error {
 		// Seed the working catalog with the recovered (wrangled) features
 		// so the reconciliation scan stat-skips everything that did not
 		// change while the process was down.
-		s.ctx.Working.SeedFrom(s.ctx.Published)
+		s.ctx.Working.SeedFrom(s.ctx.Published.Snapshot())
 		if sc := store.Sidecar(); sc != nil {
 			// Restoring the epoch marks the context as having completed a
 			// run, so the next Wrangle is delta-scoped. Without a sidecar

@@ -143,7 +143,7 @@ func (s *System) PublishFeatures(req *PublishRequest) (PublishReceipt, error) {
 	}
 	// Rule-based validation over the batch alone, before the lock: a
 	// batch that fails the checks is rejected without blocking wrangles.
-	scratch := catalog.New()
+	scratch := catalog.NewWorking()
 	for _, f := range req.Features {
 		if err := scratch.Upsert(f); err != nil {
 			return PublishReceipt{}, fmt.Errorf("%w: %v", ErrPublishRejected, err)

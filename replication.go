@@ -162,7 +162,9 @@ func (s *System) BootstrapFromCheckpoint(r io.Reader) (uint64, error) {
 // next generation when at is 0 — so a load disturbs only the features
 // that differ and is journaled like any publish. Callers hold pubMu.
 func (s *System) commitCatalog(scratch *catalog.Catalog, at uint64, sidecar []byte) error {
-	changed, removed := s.ctx.Published.DiffTo(scratch)
+	next := catalog.NewWorking()
+	next.SeedFrom(scratch.Snapshot())
+	changed, removed := s.ctx.Published.DiffTo(next)
 	_, _, err := s.ctx.Commit(changed, removed, at, sidecar)
 	return err
 }

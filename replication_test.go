@@ -3,6 +3,7 @@ package metamess
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -78,5 +79,54 @@ func TestReplicatedFramesSequencing(t *testing.T) {
 		if publishedFingerprint(t, sys) != publishedFingerprint(t, good) {
 			t.Errorf("%s batch: %d datasets served, %d at the leader's generation 2", name, sys.DatasetCount(), good.DatasetCount())
 		}
+	}
+}
+
+// TestReplicatedFrameChangingAnIDTwiceRefused: a frame whose delta
+// changes one ID twice carries a valid checksum, but the follower
+// refuses it whole — its generation and the bytes it serves stay where
+// they were, instead of serving the ID at two live positions.
+func TestReplicatedFrameChangingAnIDTwiceRefused(t *testing.T) {
+	root := t.TempDir()
+	if _, err := archive.Generate(root, archive.DefaultGenConfig(40, 5)); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(Config{ArchiveRoot: root, SnapshotShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Wrangle(); err != nil {
+		t.Fatal(err)
+	}
+	gen, datasets := sys.SnapshotGeneration(), sys.DatasetCount()
+	before := servedJSON(t, sys.ctx.Published.Snapshot())
+
+	x := sys.ctx.Published.Snapshot().All()[0].Clone()
+	x2 := x.Clone()
+	x2.RowCount++
+	path := filepath.Join(t.TempDir(), "journal")
+	j, err := catalog.OpenJournal(path, catalog.SyncAlways, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(catalog.DeltaRecord{Gen: gen + 1, Changed: []*catalog.Feature{x, x2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sys.ApplyReplicatedFrames(frame); err == nil || n != 0 {
+		t.Fatalf("frame changing %s twice: applied %d, err %v", x.ID, n, err)
+	}
+	if sys.SnapshotGeneration() != gen || sys.DatasetCount() != datasets {
+		t.Fatalf("generation %d, %d datasets after the refused frame; want %d, %d",
+			sys.SnapshotGeneration(), sys.DatasetCount(), gen, datasets)
+	}
+	if servedJSON(t, sys.ctx.Published.Snapshot()) != before {
+		t.Fatal("the refused frame changed the served bytes")
 	}
 }

@@ -387,10 +387,11 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 				// (a fixed point of the chain, even with a unit no registry
 				// resolves) under pushed/ and retract an older push, to both
 				// persistent systems.
-				src, ok := deltaSys.ctx.Published.Get(catalog.IDForPath(trapRel))
+				trap, ok := deltaSys.ctx.Published.Snapshot().ByID(catalog.IDForPath(trapRel))
 				if !ok {
 					t.Fatalf("round %d: trap feature not published", round)
 				}
+				src := trap.Clone()
 				src.Path = fmt.Sprintf("pushed/p%d.obs", round)
 				src.ID = catalog.IDForPath(src.Path)
 				src.Variables[0].Unit = "furlongs"
