@@ -142,7 +142,7 @@ func runConfigured(configPath, archiveRoot, dirs, catalogOut, rulesOut string) e
 		fmt.Println("catalog snapshot written to", catalogOut)
 	}
 	if rulesOut != "" {
-		rules, err := refine.ExportJSON(ctx.DiscoveredRules)
+		rules, err := refine.ExportJSON(ctx.Curation().DiscoveredRules)
 		if err != nil {
 			return err
 		}

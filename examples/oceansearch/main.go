@@ -83,7 +83,7 @@ func main() {
 	score("raw catalog (exact match)", search.New(raw, search.DefaultOptions()))
 
 	opts := search.DefaultOptions()
-	opts.Expander = search.NewKnowledgeExpander(k)
+	opts.Expander = search.NewKnowledgeExpander(func() *semdiv.Knowledge { return ctx.Curation().Knowledge })
 	score("raw catalog + expander", search.New(raw, opts))
 	score("wrangled catalog", search.New(ctx.Published, search.DefaultOptions()))
 	score("wrangled + expander", search.New(ctx.Published, opts))

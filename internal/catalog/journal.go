@@ -12,7 +12,7 @@ import (
 // The publish journal is the catalog's write-ahead log: every publish
 // appends one delta record — the features upserted, the IDs retracted,
 // the resulting generation stamp, and the wrangling layer's opaque
-// knowledge-epoch sidecar — as a single checksummed line. Because a
+// knowledge sidecar when it moved — as a single checksummed line. Because a
 // record is one line, record application is all-or-nothing by
 // construction: a crash mid-append leaves a torn final line that replay
 // drops, so recovery always lands on the state before or after a
@@ -63,8 +63,8 @@ type DeltaRecord struct {
 	// Changed and Removed are the publish delta.
 	Changed []*Feature
 	Removed []string
-	// Sidecar is the knowledge-epoch state at publish time, opaque to
-	// the catalog.
+	// Sidecar is the knowledge state at publish time, opaque to the
+	// catalog, or nil when it did not move.
 	Sidecar json.RawMessage
 }
 

@@ -21,7 +21,7 @@ import (
 //
 // and there are three kinds of record:
 //
-//	meta   the generation stamp and knowledge-epoch sidecar; the first line
+//	meta   the generation stamp and knowledge sidecar; the first line
 //	       of a checkpoint
 //	put    one feature; every other line of a checkpoint
 //	delta  one publish (changed features, removed IDs, generation stamp,
@@ -56,9 +56,9 @@ type logRecord struct {
 	// publish upserted and the IDs it retracted.
 	Changed []*Feature `json:"changed,omitempty"`
 	Removed []string   `json:"removed,omitempty"`
-	// Sidecar is the opaque knowledge-epoch state (discovered rules,
-	// curator decisions, curated synonyms) serialized by the wrangling
-	// layer; the catalog stores and returns it without interpreting it.
+	// Sidecar is the opaque knowledge state (discovered rules, curator
+	// decisions, curated synonyms) serialized by the wrangling layer when
+	// it moved; the catalog keeps the last one without interpreting it.
 	Sidecar json.RawMessage `json:"sidecar,omitempty"`
 }
 

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -271,7 +270,7 @@ func (st *Store) Generation() uint64 {
 	return st.gen
 }
 
-// Sidecar returns the most recent knowledge-epoch sidecar (nil when
+// Sidecar returns the most recent knowledge sidecar (nil when
 // none has been journaled or checkpointed yet).
 func (st *Store) Sidecar() json.RawMessage {
 	st.mu.Lock()
@@ -280,11 +279,11 @@ func (st *Store) Sidecar() json.RawMessage {
 }
 
 // AppendPublish journals one publish: the delta that produced gen, plus
-// the knowledge-epoch sidecar. It is the publish path's durability
-// point — when it returns nil the publish survives a crash (per the
-// store's sync policy). A call that changes neither the generation nor
-// the sidecar appends nothing (no-op re-wrangles keep the journal
-// quiet). If an append fails, the store goes degraded — the in-memory
+// the knowledge sidecar if it moved (nil otherwise). It is the publish
+// path's durability point — when it returns nil the publish survives a
+// crash (per the store's sync policy). An empty delta at the current
+// generation without a sidecar appends nothing (no-op re-wrangles keep
+// the journal quiet). If an append fails, the store goes degraded — the in-memory
 // catalog is now ahead of the journal, so subsequent appends are
 // refused (a later delta over a missing earlier one would corrupt
 // recovery) until a compaction rewrites the full state from the live
@@ -296,7 +295,7 @@ func (st *Store) AppendPublish(gen uint64, changed []*Feature, removed []string,
 		st.mu.Unlock()
 		return fmt.Errorf("catalog: store degraded (a journal append failed); publish not durable until the next compaction")
 	}
-	if gen == st.gen && len(changed) == 0 && len(removed) == 0 && bytes.Equal(sidecar, st.sidecar) {
+	if gen == st.gen && len(changed) == 0 && len(removed) == 0 && len(sidecar) == 0 {
 		st.skipped++
 		st.mu.Unlock()
 		return nil
@@ -317,7 +316,7 @@ func (st *Store) AppendPublish(gen uint64, changed []*Feature, removed []string,
 	}
 	st.appends++
 	st.gen = gen
-	if sidecar != nil {
+	if len(sidecar) > 0 {
 		st.sidecar = sidecar
 	}
 	if st.pubCh != nil {

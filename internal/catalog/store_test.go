@@ -28,11 +28,20 @@ func storeFingerprint(t testing.TB, c *Catalog) string {
 }
 
 // storeHistory drives a store through n publishes (each a small delta
-// of upserts, edits, and deletes) and returns the fingerprint of the
-// catalog after every generation — the ground truth crash recovery is
-// checked against. Generation g is produced by publish g; generation 0
-// is the empty store.
+// of upserts, edits, and deletes, each with a sidecar) and returns the
+// fingerprint of the catalog after every generation — the ground truth
+// crash recovery is checked against — and the sidecar recovery must
+// report at it. Generation g is produced by publish g; generation 0 is
+// the empty store.
 func storeHistory(t testing.TB, dir string, n int, opts StoreOptions) (st *Store, c *Catalog, states map[uint64]string, sidecars map[uint64]string) {
+	t.Helper()
+	return storeHistoryEvery(t, dir, n, 1, opts)
+}
+
+// storeHistoryEvery is storeHistory with a sidecar on every publish
+// i with i%every == 0 only, the way a writer journals one only when its
+// curated state moved; sidecars[g] is then the last one at or before g.
+func storeHistoryEvery(t testing.TB, dir string, n, every int, opts StoreOptions) (st *Store, c *Catalog, states map[uint64]string, sidecars map[uint64]string) {
 	t.Helper()
 	c = NewSharded(3)
 	st, err := OpenStore(dir, c, opts)
@@ -61,12 +70,18 @@ func storeHistory(t testing.TB, dir string, n int, opts StoreOptions) (st *Store
 			t.Fatalf("publish %d applied nothing", i)
 		}
 		gen := c.Generation()
-		sidecar := fmt.Sprintf(`{"epoch":%d}`, gen)
-		if err := st.AppendPublish(gen, changed, removed, []byte(sidecar)); err != nil {
+		var sidecar []byte
+		if i%every == 0 {
+			sidecar = []byte(fmt.Sprintf(`{"epoch":%d}`, gen))
+		}
+		if err := st.AppendPublish(gen, changed, removed, sidecar); err != nil {
 			t.Fatal(err)
 		}
 		states[gen] = storeFingerprint(t, c)
-		sidecars[gen] = sidecar
+		sidecars[gen] = sidecars[gen-1]
+		if sidecar != nil {
+			sidecars[gen] = string(sidecar)
+		}
 	}
 	return st, c, states, sidecars
 }
@@ -159,8 +174,8 @@ func TestStoreSkipsNoopAppends(t *testing.T) {
 	sidecar := []byte(fmt.Sprintf(`{"epoch":%d}`, gen))
 	size := st.Stats().JournalBytes
 
-	// Same generation, same sidecar, empty delta: a no-op re-wrangle.
-	if err := st.AppendPublish(gen, nil, nil, sidecar); err != nil {
+	// Same generation, no sidecar, empty delta: a no-op re-wrangle.
+	if err := st.AppendPublish(gen, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Stats().JournalBytes; got != size {
@@ -191,9 +206,20 @@ func TestStoreSkipsNoopAppends(t *testing.T) {
 // filesystem can leave — and require every recovery to land exactly on
 // a previously published generation with that generation's exact
 // catalog bytes and sidecar: pre- or post-publish, never in between.
+// Two histories: every record carries a sidecar (journals written
+// before sidecars became conditional), and only every third does, so
+// recovery must keep the last one it saw.
 func TestStoreCrashRecoveryProperty(t *testing.T) {
+	for _, every := range []int{1, 3} {
+		t.Run(fmt.Sprintf("sidecarEvery%d", every), func(t *testing.T) {
+			storeCrashRecovery(t, every)
+		})
+	}
+}
+
+func storeCrashRecovery(t *testing.T, every int) {
 	dir := t.TempDir()
-	st, _, states, sidecars := storeHistory(t, dir, 12, StoreOptions{})
+	st, _, states, sidecars := storeHistoryEvery(t, dir, 12, every, StoreOptions{})
 	st.Close()
 	journal, err := os.ReadFile(filepath.Join(dir, "journal"))
 	if err != nil {

@@ -81,8 +81,8 @@ func tailFile(path string, fromGen uint64, maxBytes int64, buf *bytes.Buffer) (f
 		}
 		// Records at or below fromGen are already applied on the follower
 		// (sidecar-only refreshes re-stamp the current generation and are
-		// skipped with it — followers do not wrangle, so the knowledge
-		// epoch only matters to them at restart, via their own journal).
+		// skipped with it — followers do not wrangle, so the curated state
+		// only matters to them at restart, via their own journal).
 		if rec.Gen <= fromGen {
 			return nil
 		}

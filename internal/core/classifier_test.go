@@ -46,7 +46,7 @@ func TestContextClassifierEqualsFreshClassifier(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for n := range names {
-			want := semdiv.NewClassifier(ctx.Knowledge).Classify(n)
+			want := semdiv.NewClassifier(ctx.Curation().Knowledge).Classify(n)
 			if got := ctx.Classifier().Classify(n); !reflect.DeepEqual(got, want) {
 				t.Fatalf("pass %d: context classifier says %+v for %q, a fresh one %+v", pass, got, n, want)
 			}
@@ -55,9 +55,9 @@ func TestContextClassifierEqualsFreshClassifier(t *testing.T) {
 }
 
 // TestContextClassifierFollowsKnowledge checks every way knowledge moves
-// is honoured by the very next classification: a direct write to
-// ctx.Knowledge between runs, and a table merged by AddExternalMetadata
-// in the middle of a run.
+// is honoured by the very next classification: a curator's synonym
+// published through Curate between runs, and a table merged by
+// AddExternalMetadata in the middle of a run.
 func TestContextClassifierFollowsKnowledge(t *testing.T) {
 	ctx, _ := newTestContext(t, 8, 3)
 	p := NewProcess("full", DefaultChain()...)
@@ -71,12 +71,14 @@ func TestContextClassifierFollowsKnowledge(t *testing.T) {
 		}
 	}
 
-	// Between runs: the curator writes the synonym table directly.
-	if err := ctx.Knowledge.Synonyms.Add("water_temperature", direct); err != nil {
+	// Between runs: the curator adds a synonym.
+	if _, err := ctx.Curate(func(next *Curation) error {
+		return next.Knowledge.Synonyms.Add("water_temperature", direct)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if f := ctx.Classifier().Classify(direct); f.Category != semdiv.CatSynonym || f.Canonical != "water_temperature" {
-		t.Errorf("after a direct synonym add, %q = %s -> %q", direct, f.Category, f.Canonical)
+		t.Errorf("after a curated synonym add, %q = %s -> %q", direct, f.Category, f.Canonical)
 	}
 
 	// Mid-run: the probe before the merge must still see the old
@@ -182,6 +184,43 @@ type messWalkProbe struct{ out *[]MessReport }
 func (messWalkProbe) Name() string { return "mess-walk-probe" }
 
 func (p messWalkProbe) Run(ctx *Context) (StepReport, error) {
-	*p.out = append(*p.out, messByWalk(ctx.Working, ctx.Knowledge))
+	*p.out = append(*p.out, messByWalk(ctx.Working, ctx.Curation().Knowledge))
 	return StepReport{}, nil
+}
+
+// funcProbe is a chain component that runs itself against the context.
+type funcProbe func(*Context)
+
+func (funcProbe) Name() string { return "func-probe" }
+
+func (p funcProbe) Run(ctx *Context) (StepReport, error) {
+	p(ctx)
+	return StepReport{}, nil
+}
+
+// TestCurationMidRunWidensTheRun: a curation change in the middle of a
+// delta-scoped run marks the rest of the run full, since a new synonym
+// or rule can change features the scan saw as clean.
+func TestCurationMidRunWidensTheRun(t *testing.T) {
+	ctx, _ := newTestContext(t, 8, 3)
+	if _, err := NewProcess("full", DefaultChain()...).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ext := synonym.NewTable()
+	if err := ext.Add("water_temperature", "partner_site_wtemp"); err != nil {
+		t.Fatal(err)
+	}
+	var before, after bool
+	chain := NewProcess("merge",
+		ScanArchive{},
+		funcProbe(func(c *Context) { before = c.fullRun() }),
+		AddExternalMetadata{Tables: []*synonym.Table{ext}},
+		funcProbe(func(c *Context) { after = c.fullRun() }),
+	)
+	if _, err := chain.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if before || !after {
+		t.Fatalf("full run before the merge %v, after it %v; want false, true", before, after)
+	}
 }

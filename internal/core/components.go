@@ -32,16 +32,9 @@ func (ScanArchive) Name() string { return "scan-archive" }
 
 // Run implements Component.
 func (ScanArchive) Run(ctx *Context) (StepReport, error) {
-	// The previous run's delta is spent; drop it before epoch checks so
-	// a knowledge bump cannot scribble on stale state.
+	// The previous run's delta is spent; drop it so a curation change
+	// cannot scribble on stale state.
 	ctx.Delta = nil
-	// Catch knowledge mutated behind the Context's back (curator tools
-	// and tests write Knowledge directly) plus undecided rulings: both
-	// can retroactively re-resolve names in features the scan will
-	// report as unchanged.
-	if fp := knowledgeFingerprint(ctx.Knowledge, ctx.Units, len(ctx.PendingDecisions)); ctx.hasRun && fp != ctx.lastKnowledgeFP {
-		ctx.KnowledgeEpoch++
-	}
 	conn := ctx.Connector
 	if conn == nil {
 		conn = scan.New(ctx.ScanConfig)
@@ -55,8 +48,7 @@ func (ScanArchive) Run(ctx *Context) (StepReport, error) {
 		Changed:   res.Changed,
 		Removed:   res.Removed,
 		Unchanged: res.Stats.SkippedUnchanged,
-		Epoch:     ctx.KnowledgeEpoch,
-		Full:      !ctx.hasRun || ctx.KnowledgeEpoch != ctx.lastRunEpoch || ctx.ForceFullReprocess,
+		Full:      !ctx.hasRun || ctx.Curation().Version != ctx.lastRunVersion || ctx.ForceFullReprocess,
 	}
 	// Fold in dirty IDs stranded by runs that aborted before Publish:
 	// their re-parsed raw state sits in Working and the scan just
@@ -126,6 +118,7 @@ func (KnownTransforms) Name() string { return "known-transforms" }
 
 // Run implements Component.
 func (KnownTransforms) Run(ctx *Context) (StepReport, error) {
+	cur := ctx.Curation()
 	cls := ctx.Classifier()
 	counts := ctx.Working.VariableNameCounts()
 	names := make([]string, len(counts))
@@ -133,16 +126,13 @@ func (KnownTransforms) Run(ctx *Context) (StepReport, error) {
 		names[i] = vc.Value
 	}
 	plan := semdiv.Resolve(cls.ClassifyAll(names))
-	if len(ctx.PendingDecisions) > 0 {
-		if err := plan.ApplyDecisions(ctx.PendingDecisions); err != nil {
+	if len(cur.PendingDecisions) > 0 {
+		if err := plan.ApplyDecisions(cur.PendingDecisions); err != nil {
 			return StepReport{}, err
 		}
-		ctx.PendingDecisions = nil
-		// Decisions are knowledge: one may have landed after ScanArchive's
-		// fingerprint check (a curator racing the background rewrangler),
-		// and its translations must reach every feature — not just the
-		// scan delta — before this run consumes it.
-		ctx.NoteKnowledgeChange()
+		// Decisions are knowledge: consuming them moves the version, so
+		// their translations reach every feature, not just the scan delta.
+		ctx.Curate(func(next *Curation) error { next.PendingDecisions = nil; return nil })
 	}
 
 	// The plan is global (classification is per-name, so it is cheap to
@@ -202,8 +192,8 @@ func (KnownTransforms) Run(ctx *Context) (StepReport, error) {
 	for _, e := range plan.Exclusions {
 		excluded[e] = true
 	}
-	vocabUnit := make(map[string]string, len(ctx.Knowledge.Vocabulary))
-	for _, cv := range ctx.Knowledge.Vocabulary {
+	vocabUnit := make(map[string]string, len(cur.Knowledge.Vocabulary))
+	for _, cv := range cur.Knowledge.Vocabulary {
 		vocabUnit[cv.Name] = cv.Unit
 	}
 	unitMiss := make(map[string]bool)
@@ -218,7 +208,7 @@ func (KnownTransforms) Run(ctx *Context) (StepReport, error) {
 				changed = true
 			}
 			if v.Unit != "" && v.CanonicalUnit == "" {
-				u, ok := ctx.Units.Lookup(v.Unit)
+				u, ok := cur.Units.Lookup(v.Unit)
 				if !ok {
 					unitMiss[v.Unit] = true
 					continue
@@ -231,8 +221,8 @@ func (KnownTransforms) Run(ctx *Context) (StepReport, error) {
 					changed = true
 					continue
 				}
-				lo, err1 := ctx.Units.Convert(v.Range.Min, v.Unit, target)
-				hi, err2 := ctx.Units.Convert(v.Range.Max, v.Unit, target)
+				lo, err1 := cur.Units.Convert(v.Range.Min, v.Unit, target)
+				hi, err2 := cur.Units.Convert(v.Range.Max, v.Unit, target)
 				if err1 != nil || err2 != nil {
 					// Cross-family surprise: keep the resolved symbol and
 					// leave values alone for the curator to inspect.
@@ -275,8 +265,7 @@ func (AddExternalMetadata) Name() string { return "add-external-metadata" }
 
 // Run implements Component.
 func (a AddExternalMetadata) Run(ctx *Context) (StepReport, error) {
-	before := knowledgeFingerprint(ctx.Knowledge, ctx.Units, 0)
-	merged := 0
+	var tables []*synonym.Table
 	for _, p := range a.TablePaths {
 		f, err := os.Open(p)
 		if err != nil {
@@ -287,23 +276,28 @@ func (a AddExternalMetadata) Run(ctx *Context) (StepReport, error) {
 		if err != nil {
 			return StepReport{}, fmt.Errorf("external table %s: %w", p, err)
 		}
-		if err := ctx.Knowledge.Synonyms.Merge(t); err != nil {
-			return StepReport{}, fmt.Errorf("external table %s: %w", p, err)
-		}
-		merged++
+		tables = append(tables, t)
 	}
-	for _, t := range a.Tables {
-		if err := ctx.Knowledge.Synonyms.Merge(t); err != nil {
-			return StepReport{}, err
-		}
-		merged++
+	tables = append(tables, a.Tables...)
+	step := StepReport{Counters: map[string]int{"tablesMerged": len(tables)}}
+	if len(tables) == 0 {
+		return step, nil
 	}
-	step := StepReport{Counters: map[string]int{"tablesMerged": merged}}
 	// Re-merging a table already absorbed on an earlier run is a no-op;
 	// only an actual knowledge change forces the rest of the chain (and
 	// the next run, until published) onto the full path.
-	if merged > 0 && knowledgeFingerprint(ctx.Knowledge, ctx.Units, 0) != before {
-		ctx.NoteKnowledgeChange()
+	changed, err := ctx.Curate(func(next *Curation) error {
+		for _, t := range tables {
+			if err := next.Knowledge.Synonyms.Merge(t); err != nil {
+				return fmt.Errorf("external table: %w", err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return StepReport{}, err
+	}
+	if changed {
 		step.Counters["knowledgeChanged"] = 1
 	}
 	return step, nil
@@ -346,7 +340,8 @@ func (d DiscoverTransforms) Run(ctx *Context) (StepReport, error) {
 	// runs after discovery); treating those as fresh mess would mint
 	// near-duplicate rules and needlessly re-trigger full reprocessing
 	// on every churned re-wrangle.
-	ruled := ruledNames(ctx.DiscoveredRules)
+	rules := ctx.Curation().DiscoveredRules
+	ruled := ruledNames(rules)
 	counts := ctx.Working.VariableNameCounts()
 	var residual []string
 	for _, vc := range counts {
@@ -367,8 +362,8 @@ func (d DiscoverTransforms) Run(ctx *Context) (StepReport, error) {
 	// Serialized forms of the accumulated rules, computed once: a rule
 	// already on the books must not be re-appended (it would re-trigger
 	// a full reprocess on every run for a residual that never resolves).
-	known := make(map[string]bool, len(ctx.DiscoveredRules))
-	for _, r := range ctx.DiscoveredRules {
+	known := make(map[string]bool, len(rules))
+	for _, r := range rules {
 		if s, ok := serializeRule(r); ok {
 			known[s] = true
 		}
@@ -379,7 +374,7 @@ func (d DiscoverTransforms) Run(ctx *Context) (StepReport, error) {
 	// residual name not folded yet. One method's clusters are disjoint, so
 	// the seeds taken before its loop stay exact while the loop folds.
 	folded := make(map[string]bool)
-	rules := 0
+	var minted []refine.Operation
 	for _, m := range methods {
 		var seeds []string
 		for _, r := range residual {
@@ -418,16 +413,18 @@ func (d DiscoverTransforms) Run(ctx *Context) (StepReport, error) {
 				}
 				known[s] = true
 			}
-			ctx.DiscoveredRules = append(ctx.DiscoveredRules, op)
-			rules++
+			minted = append(minted, op)
 		}
 	}
-	step.Counters["rulesDiscovered"] = rules
-	if rules > 0 {
+	step.Counters["rulesDiscovered"] = len(minted)
+	if len(minted) > 0 {
 		// A discovered fold can rename occurrences in features the scan
 		// classified as unchanged — rules are curated knowledge, so the
 		// rest of this run must walk the whole catalog.
-		ctx.NoteKnowledgeChange()
+		ctx.Curate(func(next *Curation) error {
+			next.DiscoveredRules = append(next.DiscoveredRules, minted...)
+			return nil
+		})
 	}
 	return step, nil
 }
@@ -487,8 +484,9 @@ func (PerformDiscovered) Name() string { return "perform-discovered" }
 
 // Run implements Component.
 func (PerformDiscovered) Run(ctx *Context) (StepReport, error) {
-	step := StepReport{Counters: map[string]int{"rules": len(ctx.DiscoveredRules)}}
-	if len(ctx.DiscoveredRules) == 0 {
+	rules := ctx.Curation().DiscoveredRules
+	step := StepReport{Counters: map[string]int{"rules": len(rules)}}
+	if len(rules) == 0 {
 		return step, nil
 	}
 	// With stable knowledge (no new rules this run) the accumulated
@@ -511,7 +509,7 @@ func (PerformDiscovered) Run(ctx *Context) (StepReport, error) {
 		grid = ctx.Working.ToTableOf(dirty)
 	}
 	project := refine.NewProject(grid)
-	if _, err := project.ApplyAll(ctx.DiscoveredRules); err != nil {
+	if _, err := project.ApplyAll(rules); err != nil {
 		return StepReport{}, err
 	}
 	changed, err := ctx.Working.ApplyTable(project.Table())
@@ -561,7 +559,7 @@ func (g GenerateHierarchies) Run(ctx *Context) (StepReport, error) {
 
 	// Context links per canonical variable.
 	contextsFor := make(map[string][]string)
-	for _, v := range ctx.Knowledge.Vocabulary {
+	for _, v := range ctx.Curation().Knowledge.Vocabulary {
 		if v.Context != "" {
 			contextsFor[v.Name] = []string{v.Context}
 		}
@@ -662,14 +660,13 @@ func (v Validate) Run(ctx *Context) (StepReport, error) {
 	if checks == nil {
 		checks = validate.DefaultChecks()
 	}
+	cur := ctx.Curation()
 	vctx := &validate.Context{
 		Catalog:       ctx.Working,
-		Knowledge:     ctx.Knowledge,
-		Units:         ctx.Units,
+		Knowledge:     cur.Knowledge,
+		Units:         cur.Units,
 		ExpectedPaths: ctx.ExpectedPaths,
-	}
-	if ctx.Knowledge != nil {
-		vctx.Classifier = ctx.Classifier()
+		Classifier:    ctx.Classifier(),
 	}
 	if ctx.validation == nil {
 		ctx.validation = &validate.Memo{}
@@ -739,8 +736,7 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 	// published. Validation findings survive only if they describe the
 	// working catalog as it is now.
 	ctx.hasRun = true
-	ctx.lastRunEpoch = ctx.KnowledgeEpoch
-	ctx.lastKnowledgeFP = knowledgeFingerprint(ctx.Knowledge, ctx.Units, len(ctx.PendingDecisions))
+	ctx.lastRunVersion = ctx.Curation().Version
 	ctx.pendingDirty = nil
 	ctx.scoped, ctx.scopeAll, ctx.publishedGen = nil, false, ctx.Published.Generation()
 	if ctx.validatedGen != ctx.Working.Generation() {
@@ -769,9 +765,9 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 // chain run's Publish step, a pushed batch's PublishDirect, a
 // replicated journal record, a checkpoint bootstrap or a catalog load
 // all end here. It applies the delta to the published catalog, then
-// journals it with its generation stamp and a knowledge-epoch sidecar
-// (the journal itself skips the append when neither moved, so no-op
-// publishes stay quiet). Both stages feed
+// journals it with its generation stamp and, when the curation or the
+// names hash moved, a knowledge sidecar (an empty delta without one
+// appends nothing, so no-op publishes stay quiet). Both stages feed
 // dnh_publish_stage_duration_seconds and open a span under the
 // context's trace, whichever writer ran them; segment merges the apply
 // ran feed the stage "merge" and become a "merge" child of the
@@ -779,10 +775,13 @@ func (Publish) Run(ctx *Context) (StepReport, error) {
 //
 // at selects the generation rule. Zero commits at the next generation
 // (an empty delta keeps the current one) and journals the context's own
-// sidecar. Non-zero pins the commit to a leader's journaled generation,
-// which must be ahead of the catalog's, and journals sidecar — that
-// record's — verbatim. Callers serialize commits; the facade holds one
-// publish lock across every writer.
+// sidecar when its (version, names hash) differs from the last one
+// journaled — or, on a generation-advancing record, from the last one
+// such a record carried, since followers skip the others; the first
+// commit after opening always journals one. Non-zero pins the commit to
+// a leader's journaled generation, which must be ahead of the catalog's,
+// and journals sidecar — that record's — verbatim. Callers serialize
+// commits; the facade holds one publish lock across every writer.
 func (c *Context) Commit(changed []*catalog.Feature, removed []string, at uint64, sidecar []byte) (bumped, journaled bool, err error) {
 	aid := c.Trace.Start(c.TraceSpan, "apply-delta")
 	t0 := time.Now()
@@ -807,19 +806,26 @@ func (c *Context) Commit(changed []*catalog.Feature, removed []string, at uint64
 	if err != nil || c.Journal == nil {
 		return bumped, false, err
 	}
-	if at == 0 {
-		if sidecar, err = c.EpochSidecar(); err != nil {
-			return bumped, false, err
-		}
-	}
-	// The journal-append span covers encode + write + flush and, under
-	// the always-fsync policy, the fsync itself; fsyncs are aggregated
-	// separately in dnh_journal_fsync_duration_seconds.
+	// The journal-append span covers the sidecar and record encodes,
+	// write + flush and, under the always-fsync policy, the fsync itself;
+	// fsyncs are aggregated separately in dnh_journal_fsync_duration_seconds.
 	jid := c.Trace.Start(c.TraceSpan, "journal-append")
 	t0 = time.Now()
-	err = c.Journal.AppendPublish(c.Published.Generation(), changed, removed, sidecar)
+	key := sidecarKey{true, c.Curation().Version, c.lastNamesHash}
+	if at == 0 && key != c.shippedKey && (bumped || key != c.journaledKey) {
+		sidecar, err = c.EpochSidecar()
+	}
+	if err == nil {
+		err = c.Journal.AppendPublish(c.Published.Generation(), changed, removed, sidecar)
+	}
 	journalAppendSeconds.ObserveSeconds(time.Since(t0).Nanoseconds())
 	c.Trace.End(jid)
+	if err == nil && at == 0 && sidecar != nil {
+		c.journaledKey = key
+		if bumped {
+			c.shippedKey = key
+		}
+	}
 	return bumped, err == nil, err
 }
 

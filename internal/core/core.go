@@ -18,11 +18,11 @@
 //     StepReport counts processed vs. skipped), and Publish pushes only
 //     real differences into the published catalog, leaving the served
 //     snapshot generation untouched when nothing changed.
-//  3. Improving the process: mutate the Context's Knowledge (add synonym
-//     entries, unit aliases, scan directories, hierarchy edits) between
-//     runs. Any knowledge change moves the knowledge epoch, and the
-//     next run falls back to a full reprocess — curated knowledge can
-//     retroactively change features the scan saw as clean.
+//  3. Improving the process: edit the curation (synonym entries, unit
+//     aliases, curator decisions) between runs through Context.Curate,
+//     which publishes a new immutable Curation one version on. A moved
+//     version makes the next run a full reprocess — curated knowledge
+//     can retroactively change features the scan saw as clean.
 //  4. Validating results: the Validate component gates Publish.
 package core
 
@@ -30,13 +30,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
+	"sync/atomic"
 	"time"
 
 	"metamess/internal/catalog"
 	"metamess/internal/hierarchy"
 	"metamess/internal/obs"
-	"metamess/internal/refine"
 	"metamess/internal/scan"
 	"metamess/internal/semdiv"
 	"metamess/internal/units"
@@ -55,12 +54,11 @@ type Delta struct {
 	Added, Changed, Removed []string
 	// Unchanged counts the features the scan skipped.
 	Unchanged int
-	// Epoch is the knowledge epoch the delta was computed at.
-	Epoch uint64
 	// Full forces components to reprocess every feature: set when the
-	// curated knowledge moved since the last completed run (a synonym
-	// add, curator decision, merged external table, or newly discovered
-	// rule can retroactively change features the scan saw as clean).
+	// curation's version moved since the last completed run, or moves
+	// mid-run (a synonym add, curator decision, merged external table,
+	// or newly discovered rule can retroactively change features the
+	// scan saw as clean).
 	Full bool
 }
 
@@ -80,19 +78,15 @@ func (d *Delta) Dirty() []string {
 	return out
 }
 
-// Context carries the mutable state a chain threads through its
-// components: the working catalog, the curated knowledge, the unit
-// registry, and the rules discovered so far.
+// Context carries the state a chain threads through its components:
+// the working catalog, the published catalog and the curation.
 type Context struct {
 	// Working is the working catalog components mutate.
 	Working *catalog.Working
 	// Published is the catalog search serves; only Commit touches it.
 	Published *catalog.Catalog
-	// Knowledge is the curated state (synonym table, abbreviations,
-	// contexts, vocabulary). Curators improve it between runs.
-	Knowledge *semdiv.Knowledge
-	// Units resolves unit strings.
-	Units *units.Registry
+	// cur is the current curation (see Curation and Curate).
+	cur atomic.Pointer[Curation]
 	// ScanConfig selects directories and file types.
 	ScanConfig scan.Config
 	// Connector, when set, replaces the filesystem walker as the scan
@@ -101,13 +95,6 @@ type Context struct {
 	// (transforms, validation, publish, journal, replication) is
 	// connector-agnostic: every source produces the same Delta shape.
 	Connector scan.Connector
-	// DiscoveredRules accumulates the mass edits produced by the
-	// discovery component, applied by PerformDiscovered and exportable as
-	// the poster's JSON rule files.
-	DiscoveredRules []refine.Operation
-	// PendingDecisions holds curator rulings applied by the next
-	// KnownTransforms run.
-	PendingDecisions []semdiv.Decision
 	// ExpectedPaths parameterizes the expected-datasets validation check.
 	ExpectedPaths []string
 	// LastValidation holds the most recent validation report.
@@ -117,22 +104,15 @@ type Context struct {
 	// run (custom chains), which components treat as "process all".
 	Delta *Delta
 	// ForceFullReprocess disables delta-scoped processing: every run
-	// walks the whole catalog as if the knowledge epoch had moved. The
+	// walks the whole catalog as if the curation's version had moved. The
 	// escape hatch for operators who suspect drift, and the ablation the
 	// equivalence property test compares the delta path against.
 	ForceFullReprocess bool
 	// Journal, when set, is the durable store Commit appends every
-	// applied delta to (with its generation stamp and the
-	// knowledge-epoch sidecar). A commit fails if the append does, so an
+	// applied delta to (with its generation stamp and, when it moved, the
+	// knowledge sidecar). A commit fails if the append does, so an
 	// acknowledged publish is on disk.
 	Journal *catalog.Store
-	// KnowledgeEpoch counts curated-knowledge changes. It moves when a
-	// component or the facade calls NoteKnowledgeChange, and when
-	// ScanArchive detects that the knowledge fingerprint drifted from
-	// the last completed run (direct mutation of Knowledge). A run
-	// whose epoch differs from the last completed run's reprocesses
-	// everything.
-	KnowledgeEpoch uint64
 	// Trace, when set, receives write-path spans: Process.Run opens one
 	// span per component under TraceSpan, and instrumented components
 	// (Publish) nest their own stages beneath it. Nil disables tracing
@@ -142,9 +122,11 @@ type Context struct {
 	TraceSpan int32
 
 	// Bookkeeping recorded by Publish at the end of a completed run.
-	hasRun          bool
-	lastRunEpoch    uint64
-	lastKnowledgeFP uint64
+	hasRun         bool
+	lastRunVersion uint64
+	// journaledKey and shippedKey name the last sidecar Commit journaled
+	// and the last a generation-advancing record carried (see Commit).
+	journaledKey, shippedKey sidecarKey
 	// pendingDirty carries dirty feature IDs across runs that failed
 	// before Publish: the scan upserted their re-parsed (raw) state
 	// into Working, so until a run publishes them the next scan — which
@@ -172,11 +154,9 @@ type Context struct {
 	tax    *hierarchy.Taxonomy
 	taxKey taxonomyKey
 	// cls is the one classifier every component of a run shares, so a
-	// variable name is classified once per knowledge state instead of once
-	// per component; clsFP is the knowledge fingerprint it was built at.
-	// See Classifier.
-	cls   *semdiv.Classifier
-	clsFP uint64
+	// variable name is classified once per knowledge value instead of
+	// once per component. See Classifier.
+	cls *semdiv.Classifier
 }
 
 // taxonomyKey is what hierarchy.Generate reads: the distinct-name set
@@ -187,40 +167,24 @@ type taxonomyKey struct {
 }
 
 // Classifier returns the context's memoizing classifier, rebuilt — memo
-// dropped — whenever the knowledge differs from what it was built over:
-// knowledgeFingerprint(k, nil, 0) covers everything a classifier reads,
-// so a synonym added through the facade, a direct write to Knowledge, a
-// table merged mid-run and NoteKnowledgeChange are all seen by the next
-// component that classifies. Knowledge must be non-nil. The memo is not
+// dropped — whenever the current curation holds other knowledge than it
+// was built over: a knowledge value is never edited, so a synonym added
+// through the facade, a table merged mid-run and a restored sidecar are
+// all seen by the next component that classifies. The memo is not
 // synchronized: callers serialize with the wrangle path (the facade
 // holds its publish lock).
 func (c *Context) Classifier() *semdiv.Classifier {
-	fp := knowledgeFingerprint(c.Knowledge, nil, 0)
-	if c.cls == nil || fp != c.clsFP {
-		c.cls = semdiv.NewClassifier(c.Knowledge)
-		c.clsFP = fp
+	if k := c.Curation().Knowledge; c.cls == nil || c.cls.Knowledge() != k {
+		c.cls = semdiv.NewClassifier(k)
 	}
 	return c.cls
 }
 
-// NoteKnowledgeChange records that the curated knowledge (synonym
-// table, decisions, vocabulary, discovered rules) changed, forcing the
-// next run — or, mid-run, the remaining components — to reprocess every
-// feature instead of only the scan delta.
-func (c *Context) NoteKnowledgeChange() {
-	c.KnowledgeEpoch++
-	if c.Delta != nil {
-		c.Delta.Full = true
-	}
-}
-
 // fullRun reports whether components must ignore the delta and process
-// the whole catalog: no delta (custom chain without a scan), the delta
-// marked full outright, or the live knowledge epoch having moved past
-// the epoch the delta was scoped at (a mid-run knowledge change means
-// the dirty set no longer bounds what needs reprocessing).
+// the whole catalog: no delta (custom chain without a scan), or the
+// delta marked full — at scan time, or by a curation change mid-run.
 func (c *Context) fullRun() bool {
-	return c.Delta == nil || c.Delta.Full || c.KnowledgeEpoch != c.Delta.Epoch
+	return c.Delta == nil || c.Delta.Full
 }
 
 // scope is the one scoping rule behind Validate and Publish: the sorted
@@ -262,68 +226,6 @@ func (c *Context) addScope(ids ...string) {
 	}
 }
 
-// knowledgeFingerprint hashes the curated knowledge's observable state
-// — the semdiv knowledge base, the unit registry's aliases and symbols,
-// and the number of undecided curator rulings. ScanArchive compares it
-// against the last completed run's to catch curation mutated behind the
-// Context's back (tests and curator tools edit Knowledge and Units
-// directly), and Publish re-records it so a mid-run merge is not
-// mistaken for a fresh curator edit on the next run.
-func knowledgeFingerprint(k *semdiv.Knowledge, reg *units.Registry, pendingDecisions int) uint64 {
-	h := fnv.New64a()
-	w := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	w(fmt.Sprintf("pending=%d", pendingDecisions))
-	if reg != nil {
-		w("units")
-		w(reg.Symbols()...)
-		w(reg.Aliases()...)
-	}
-	if k == nil {
-		return h.Sum64()
-	}
-	for _, pref := range k.Synonyms.PreferredNames() {
-		w("syn", pref)
-		w(k.Synonyms.AlternatesOf(pref)...)
-	}
-	abbrevs := make([]string, 0, len(k.Abbrevs))
-	for a, c := range k.Abbrevs {
-		abbrevs = append(abbrevs, a+"="+c)
-	}
-	sort.Strings(abbrevs)
-	w("abbrevs")
-	w(abbrevs...)
-	w("prefixes")
-	w(k.ExcessivePrefixes...)
-	w("suffixes")
-	w(k.ExcessiveSuffixes...)
-	amb := make([]string, 0, len(k.Ambiguous))
-	for a, opts := range k.Ambiguous {
-		amb = append(amb, a+"="+strings.Join(opts, ","))
-	}
-	sort.Strings(amb)
-	w("ambiguous")
-	w(amb...)
-	for _, v := range k.Vocabulary {
-		w("vocab", v.Name, v.Base, v.Context, v.Unit)
-		w(v.Synonyms...)
-		w(v.Abbrevs...)
-	}
-	if k.Contexts != nil {
-		for _, name := range k.Contexts.Names() {
-			if tax, ok := k.Contexts.Get(name); ok {
-				w("context", name)
-				w(tax.Menu(0)...)
-			}
-		}
-	}
-	return h.Sum64()
-}
-
 // namesHash fingerprints a sorted distinct-name set.
 func namesHash(names []string) uint64 {
 	h := fnv.New64a()
@@ -344,13 +246,13 @@ func NewContext(k *semdiv.Knowledge, scanCfg scan.Config) *Context {
 // for the published catalog (0 or negative = default), which decides
 // how publish segments and search scatter.
 func NewContextSharded(k *semdiv.Knowledge, scanCfg scan.Config, shards int) *Context {
-	return &Context{
+	c := &Context{
 		Working:    catalog.NewWorking(),
 		Published:  catalog.NewSharded(shards),
-		Knowledge:  k,
-		Units:      units.NewRegistry(),
 		ScanConfig: scanCfg,
 	}
+	c.cur.Store(&Curation{Knowledge: k, Units: units.NewRegistry()})
+	return c
 }
 
 // Component is one composable step of a metadata processing chain.
@@ -400,7 +302,7 @@ func NewProcess(name string, components ...Component) *Process {
 // Run executes the chain in order, stopping at the first component
 // error. The report records the mess metric before and after every
 // step. The metric is memoized on (catalog generation, knowledge
-// epoch): a step that mutated neither — validate, publish, an
+// value): a step that changed neither — validate, publish, an
 // incremental no-op — reuses the previous computation. What it does
 // cost is summed into RunReport.MessDuration and observed as the "mess"
 // wrangle stage.
@@ -408,24 +310,18 @@ func (p *Process) Run(ctx *Context) (*RunReport, error) {
 	start := time.Now()
 	report := &RunReport{Process: p.Name}
 	var memo struct {
-		valid bool
-		gen   uint64
-		epoch uint64
-		rep   MessReport
+		gen uint64
+		k   *semdiv.Knowledge
+		rep MessReport
 	}
 	mess := func() MessReport {
-		gen := ctx.Working.Generation()
-		if memo.valid && memo.gen == gen && memo.epoch == ctx.KnowledgeEpoch {
+		gen, k := ctx.Working.Generation(), ctx.Curation().Knowledge
+		if memo.k == k && memo.gen == gen {
 			return memo.rep
 		}
 		t0 := time.Now()
-		memo.valid = true
-		memo.gen = gen
-		memo.epoch = ctx.KnowledgeEpoch
-		memo.rep = MessReport{}
-		if ctx.Knowledge != nil {
-			memo.rep = messOf(ctx.Working, ctx.Classifier())
-		}
+		memo.gen, memo.k = gen, k
+		memo.rep = messOf(ctx.Working, ctx.Classifier())
 		report.MessDuration += time.Since(t0)
 		return memo.rep
 	}

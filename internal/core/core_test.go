@@ -184,17 +184,22 @@ func TestCuratorImprovementLoop(t *testing.T) {
 	// Curatorial activity 3: add the unresolved names to the synonym
 	// table, and rule on source-context names (simulating a curator
 	// consulting the ground truth).
-	cls := semdiv.NewClassifier(ctx.Knowledge)
-	for _, vc := range ctx.Working.VariableNameCounts() {
-		switch f := cls.Classify(vc.Value); f.Category {
-		case semdiv.CatUnknown, semdiv.CatAmbiguous:
-			if err := ctx.Knowledge.Synonyms.Add("water_velocity", vc.Value); err != nil {
-				t.Logf("curation skip %q: %v", vc.Value, err)
+	cls := semdiv.NewClassifier(ctx.Curation().Knowledge)
+	if _, err := ctx.Curate(func(next *Curation) error {
+		for _, vc := range ctx.Working.VariableNameCounts() {
+			switch f := cls.Classify(vc.Value); f.Category {
+			case semdiv.CatUnknown, semdiv.CatAmbiguous:
+				if err := next.Knowledge.Synonyms.Add("water_velocity", vc.Value); err != nil {
+					t.Logf("curation skip %q: %v", vc.Value, err)
+				}
+			case semdiv.CatSourceContext:
+				next.PendingDecisions = append(next.PendingDecisions,
+					semdiv.Decision{RawName: vc.Value, Action: semdiv.ClarifyTo, Target: "water_temperature"})
 			}
-		case semdiv.CatSourceContext:
-			ctx.PendingDecisions = append(ctx.PendingDecisions,
-				semdiv.Decision{RawName: vc.Value, Action: semdiv.ClarifyTo, Target: "water_temperature"})
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	r2, err := p.Run(ctx)
 	if err != nil {
@@ -222,9 +227,10 @@ func TestCuratorDecisionsFlowThroughChain(t *testing.T) {
 	if !hasTemp {
 		t.Skip("no ambiguous name at this seed")
 	}
-	ctx.PendingDecisions = []semdiv.Decision{
-		{RawName: "temp", Action: semdiv.ClarifyTo, Target: "water_temperature"},
-	}
+	ctx.Curate(func(next *Curation) error {
+		next.PendingDecisions = []semdiv.Decision{{RawName: "temp", Action: semdiv.ClarifyTo, Target: "water_temperature"}}
+		return nil
+	})
 	if _, err := p.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +239,7 @@ func TestCuratorDecisionsFlowThroughChain(t *testing.T) {
 			t.Error("clarified name still present after decision")
 		}
 	}
-	if ctx.PendingDecisions != nil {
+	if ctx.Curation().PendingDecisions != nil {
 		t.Error("decisions not consumed")
 	}
 }
@@ -277,10 +283,11 @@ func TestDiscoveredRulesExportable(t *testing.T) {
 	if _, err := p.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(ctx.DiscoveredRules) == 0 {
+	rules := ctx.Curation().DiscoveredRules
+	if len(rules) == 0 {
 		t.Skip("no rules discovered at this seed")
 	}
-	data, err := refine.ExportJSON(ctx.DiscoveredRules)
+	data, err := refine.ExportJSON(rules)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +298,8 @@ func TestDiscoveredRulesExportable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(ctx.DiscoveredRules) {
-		t.Errorf("round trip = %d rules, want %d", len(back), len(ctx.DiscoveredRules))
+	if len(back) != len(rules) {
+		t.Errorf("round trip = %d rules, want %d", len(back), len(rules))
 	}
 }
 
@@ -310,7 +317,7 @@ func TestAddExternalMetadataComponent(t *testing.T) {
 	if step.Counters["tablesMerged"] != 1 {
 		t.Errorf("counters = %v", step.Counters)
 	}
-	if !ctx.Knowledge.Synonyms.Covers("exotic_wt_name") {
+	if !ctx.Curation().Knowledge.Synonyms.Covers("exotic_wt_name") {
 		t.Error("external table not merged")
 	}
 	// Missing file path fails loudly.
@@ -322,14 +329,14 @@ func TestAddExternalMetadataComponent(t *testing.T) {
 
 func TestMessMetric(t *testing.T) {
 	ctx, _ := newTestContext(t, 9, 2)
-	empty := Mess(ctx.Working, ctx.Knowledge)
+	empty := Mess(ctx.Working, ctx.Curation().Knowledge)
 	if empty.DistinctNames != 0 || empty.OccurrenceCoverage != 0 {
 		t.Errorf("empty mess = %+v", empty)
 	}
 	if _, err := NewProcess("scan", ScanArchive{}).Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	raw := Mess(ctx.Working, ctx.Knowledge)
+	raw := Mess(ctx.Working, ctx.Curation().Knowledge)
 	if raw.DistinctNames == 0 {
 		t.Fatal("no names after scan")
 	}
@@ -421,25 +428,27 @@ func TestDeltaRerunProcessesOnlyChurn(t *testing.T) {
 	}
 }
 
-// TestKnowledgeChangeForcesFullReprocess mutates the knowledge between
-// runs (as curator tooling does, directly) and checks the epoch falls
-// the chain back to a full pass — including features the scan skipped.
+// TestKnowledgeChangeForcesFullReprocess curates the knowledge between
+// runs and checks the moved version falls the chain back to a full pass
+// — including features the scan skipped.
 func TestKnowledgeChangeForcesFullReprocess(t *testing.T) {
 	ctx, _ := newTestContext(t, 12, 13)
 	p := NewProcess("full", DefaultChain()...)
 	if _, err := p.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	epoch := ctx.KnowledgeEpoch
-	if err := ctx.Knowledge.Synonyms.Add("water_temperature", "brand_new_alias"); err != nil {
+	version := ctx.Curation().Version
+	if _, err := ctx.Curate(func(next *Curation) error {
+		return next.Knowledge.Synonyms.Add("water_temperature", "brand_new_alias")
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := p.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.KnowledgeEpoch == epoch {
-		t.Fatal("direct knowledge mutation not detected")
+	if ctx.Curation().Version == version {
+		t.Fatal("curated knowledge change did not move the version")
 	}
 	if r2.Steps[0].Counters["fullReprocess"] != 1 {
 		t.Fatalf("knowledge change did not force full reprocess: %v", r2.Steps[0].Counters)
@@ -585,15 +594,17 @@ func TestAbortedRunDoesNotStrandDirtyFeatures(t *testing.T) {
 }
 
 // TestUnitAliasChangeForcesFullReprocess guards the package doc's
-// promise that "unit aliases" added between runs move the knowledge
-// epoch: the unit registry is part of the curated-state fingerprint.
+// promise that "unit aliases" added between runs move the curation's
+// version: the unit registry is part of the curation.
 func TestUnitAliasChangeForcesFullReprocess(t *testing.T) {
 	ctx, _ := newTestContext(t, 8, 41)
 	p := NewProcess("full", DefaultChain()...)
 	if _, err := p.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.Units.AddAlias("curator_degrees", ctx.Units.Symbols()[0]); err != nil {
+	if _, err := ctx.Curate(func(next *Curation) error {
+		return next.Units.AddAlias("curator_degrees", next.Units.Symbols()[0])
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := p.Run(ctx)

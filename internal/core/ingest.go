@@ -10,8 +10,8 @@ import (
 // PublishDirect applies an externally produced feature delta — a push
 // from a live producer, not a wrangle over the working catalog — through
 // the same Commit a chain Publish uses: the published catalog's sharded
-// ApplyDelta, the knowledge-epoch sidecar, and the durable journal
-// append. Durability, replication tailing, and generation-keyed cache
+// ApplyDelta and the durable journal append (with the knowledge sidecar
+// when the curation moved). Durability, replication tailing, and generation-keyed cache
 // invalidation therefore work unchanged for pushed metadata.
 //
 // The working catalog is kept in sync so the next Wrangle's publish

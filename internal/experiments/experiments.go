@@ -226,7 +226,7 @@ func Figure1RankedSearch(dirRaw, dirWrangled string, datasets, queries int, seed
 		return nil, err
 	}
 
-	expander := search.NewKnowledgeExpander(ctx.Knowledge)
+	expander := search.NewKnowledgeExpander(func() *semdiv.Knowledge { return ctx.Curation().Knowledge })
 	configs := []struct {
 		name string
 		s    *search.Searcher

@@ -300,20 +300,23 @@ func AblationCuratorLoop(dir string, datasets int, seed int64, maxIters int) (*T
 		// Curate: map every unresolved name using ground truth (the
 		// curator knows the archive).
 		added := 0
-		cls := semdiv.NewClassifier(ctx.Knowledge)
-		for _, vc := range ctx.Working.VariableNameCounts() {
-			f := cls.Classify(vc.Value)
-			if f.Category != semdiv.CatUnknown && f.Category != semdiv.CatAmbiguous {
-				continue
+		cls := semdiv.NewClassifier(ctx.Curation().Knowledge)
+		ctx.Curate(func(next *core.Curation) error {
+			for _, vc := range ctx.Working.VariableNameCounts() {
+				f := cls.Classify(vc.Value)
+				if f.Category != semdiv.CatUnknown && f.Category != semdiv.CatAmbiguous {
+					continue
+				}
+				canon := canonical[vc.Value]
+				if canon == "" || canon == vc.Value {
+					continue
+				}
+				if err := next.Knowledge.Synonyms.Add(canon, vc.Value); err == nil {
+					added++
+				}
 			}
-			canon := canonical[vc.Value]
-			if canon == "" || canon == vc.Value {
-				continue
-			}
-			if err := ctx.Knowledge.Synonyms.Add(canon, vc.Value); err == nil {
-				added++
-			}
-		}
+			return nil
+		})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", iter),
 			fmt.Sprintf("%d", report.MessAfter.UnresolvedNames),
@@ -334,7 +337,7 @@ func AblationValidation(dir string, seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := ctx.Knowledge
+	cur := ctx.Curation()
 	t := &Table{
 		ID:     "A2",
 		Title:  "Validation checks: fault injection",
@@ -345,7 +348,7 @@ func AblationValidation(dir string, seed int64) (*Table, error) {
 		if mutate != nil {
 			mutate(c)
 		}
-		vctx := &validate.Context{Catalog: c, Knowledge: k, Units: ctx.Units}
+		vctx := &validate.Context{Catalog: c, Knowledge: cur.Knowledge, Units: cur.Units}
 		if vctxMod != nil {
 			vctxMod(vctx)
 		}

@@ -19,7 +19,7 @@ import (
 // to wrangling, which finds curated-messy names even in an unwrangled
 // catalog.
 type KnowledgeExpander struct {
-	k *semdiv.Knowledge
+	load func() *semdiv.Knowledge
 	// ContextWeight is the weight of context-qualified expansions
 	// (default 0.9).
 	ContextWeight float64
@@ -32,16 +32,18 @@ type KnowledgeExpander struct {
 	canonByKey map[string]string
 }
 
-// NewKnowledgeExpander builds an expander over the knowledge base.
-func NewKnowledgeExpander(k *semdiv.Knowledge) *KnowledgeExpander {
+// NewKnowledgeExpander builds an expander over the knowledge base load
+// returns, called once per Expand: loading an atomically published,
+// never-edited value lets curators publish knowledge while searches run.
+func NewKnowledgeExpander(load func() *semdiv.Knowledge) *KnowledgeExpander {
 	e := &KnowledgeExpander{
-		k:                 k,
+		load:              load,
 		ContextWeight:     0.9,
 		AlternateWeight:   0.95,
 		IncludeAlternates: true,
 		canonByKey:        make(map[string]string),
 	}
-	for _, v := range k.Vocabulary {
+	for _, v := range load().Vocabulary {
 		e.canonByKey[normKey(v.Name)] = v.Name
 	}
 	return e
@@ -59,16 +61,17 @@ func (e *KnowledgeExpander) Expand(term string) []Expansion {
 		}
 	}
 	add(term, 1)
+	k := e.load()
 
 	// Abbreviation dictionary.
-	if canon, ok := e.k.Abbrevs[normKey(term)]; ok {
+	if canon, ok := k.Abbrevs[normKey(term)]; ok {
 		add(canon, 1)
 	}
 	// Synonym table, plus reverse expansion to the curated surface forms.
-	if pref, st := e.k.Synonyms.Resolve(term); st != 0 { // Preferred or Alternate
+	if pref, st := k.Synonyms.Resolve(term); st != 0 { // Preferred or Alternate
 		add(pref, 1)
 		if e.IncludeAlternates {
-			for _, alt := range e.k.Synonyms.AlternatesOf(pref) {
+			for _, alt := range k.Synonyms.AlternatesOf(pref) {
 				add(alt, e.AlternateWeight)
 			}
 		}
@@ -76,7 +79,7 @@ func (e *KnowledgeExpander) Expand(term string) []Expansion {
 	// Context qualification: a bare base concept expands to each
 	// qualified canonical variable.
 	base := term
-	if ctxs := e.k.Contexts.TaxonomiesOf(base); len(ctxs) > 0 {
+	if ctxs := k.Contexts.TaxonomiesOf(base); len(ctxs) > 0 {
 		for _, ctx := range ctxs {
 			qualified := hierarchy.Qualified(ctx, base)
 			if canon, ok := e.canonByKey[normKey(qualified)]; ok {

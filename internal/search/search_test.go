@@ -279,7 +279,7 @@ func TestSearchWithKnowledgeExpander(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Expander = NewKnowledgeExpander(k)
+	opts.Expander = NewKnowledgeExpander(func() *semdiv.Knowledge { return k })
 	s := New(c, opts)
 
 	// "wtemp" is a curated synonym of water_temperature.
@@ -383,7 +383,7 @@ func TestExpanderWeightsAndDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewKnowledgeExpander(k)
+	e := NewKnowledgeExpander(func() *semdiv.Knowledge { return k })
 	exps := e.Expand("temperature")
 	names := map[string]float64{}
 	for _, x := range exps {

@@ -3,16 +3,14 @@ package semdiv
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"metamess/internal/synonym"
-	"metamess/internal/vocab"
 )
 
-// knowledgeFile is the on-disk form of the curated knowledge base, so a
+// knowledgeFile is the encoded form of the curated knowledge base, so a
 // curator's accumulated work (synonyms, abbreviations, ambiguity rulings)
-// survives across sessions and ships with the process config.
+// survives a restart.
 type knowledgeFile struct {
 	Version int `json:"version"`
 	// Synonyms maps preferred names to alternates.
@@ -28,8 +26,7 @@ type knowledgeFile struct {
 
 // EncodeKnowledge renders the mutable, curator-owned parts of the
 // knowledge base (the vocabulary itself is code, not curation) as JSON
-// — the payload SaveKnowledge writes to disk and the publish journal's
-// knowledge-epoch sidecar embeds.
+// — the payload the publish journal's knowledge sidecar embeds.
 func EncodeKnowledge(k *Knowledge) ([]byte, error) {
 	kf := knowledgeFile{
 		Version:           1,
@@ -50,19 +47,6 @@ func EncodeKnowledge(k *Knowledge) ([]byte, error) {
 		return nil, fmt.Errorf("semdiv: encode knowledge: %w", err)
 	}
 	return data, nil
-}
-
-// SaveKnowledge persists the mutable, curator-owned parts of the
-// knowledge base (the vocabulary itself is code, not curation).
-func SaveKnowledge(k *Knowledge, path string) error {
-	data, err := EncodeKnowledge(k)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("semdiv: write knowledge: %w", err)
-	}
-	return nil
 }
 
 // MergeEncodedKnowledge merges curation previously produced by
@@ -105,23 +89,4 @@ func MergeEncodedKnowledge(k *Knowledge, data []byte) error {
 		k.Ambiguous[short] = cands
 	}
 	return nil
-}
-
-// LoadKnowledge rebuilds a knowledge base from a saved file plus the
-// canonical vocabulary (which always comes from code). Saved curation is
-// merged over the vocabulary-derived seed, so a curator's file only
-// needs their additions.
-func LoadKnowledge(path string, vars []vocab.Variable) (*Knowledge, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("semdiv: read knowledge: %w", err)
-	}
-	k, err := NewKnowledge(vars)
-	if err != nil {
-		return nil, err
-	}
-	if err := MergeEncodedKnowledge(k, data); err != nil {
-		return nil, err
-	}
-	return k, nil
 }

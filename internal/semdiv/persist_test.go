@@ -1,14 +1,12 @@
 package semdiv
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"metamess/internal/vocab"
 )
 
-func TestKnowledgeSaveLoadRoundTrip(t *testing.T) {
+func TestKnowledgeEncodeMergeRoundTrip(t *testing.T) {
 	k, err := NewKnowledge(vocab.Standard())
 	if err != nil {
 		t.Fatal(err)
@@ -20,12 +18,15 @@ func TestKnowledgeSaveLoadRoundTrip(t *testing.T) {
 	k.Abbrevs["xwt"] = "water_temperature"
 	k.Ambiguous["vel"] = []string{"water_velocity", "velocity_flag"}
 
-	path := filepath.Join(t.TempDir(), "knowledge.json")
-	if err := SaveKnowledge(k, path); err != nil {
+	data, err := EncodeKnowledge(k)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadKnowledge(path, vocab.Standard())
+	back, err := NewKnowledge(vocab.Standard())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := MergeEncodedKnowledge(back, data); err != nil {
 		t.Fatal(err)
 	}
 	if !back.Synonyms.Covers("exotic_wtemp_v9") {
@@ -44,8 +45,16 @@ func TestKnowledgeSaveLoadRoundTrip(t *testing.T) {
 	if len(back.Contexts.Names()) < 2 {
 		t.Error("contexts not rebuilt")
 	}
+	// A full dump merged over a fresh seed reproduces the original.
+	again, err := EncodeKnowledge(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Error("encode -> merge -> encode is not the identity")
+	}
 
-	// The loaded knowledge classifies like the original.
+	// The merged knowledge classifies like the original.
 	a, b := NewClassifier(k), NewClassifier(back)
 	for _, name := range []string{"exotic_wtemp_v9", "xwt", "airtemp", "qa_level", "temp"} {
 		fa, fb := a.Classify(name), b.Classify(name)
@@ -56,32 +65,15 @@ func TestKnowledgeSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadKnowledgeErrors(t *testing.T) {
-	if _, err := LoadKnowledge(filepath.Join(t.TempDir(), "ghost.json"), vocab.Standard()); err == nil {
-		t.Error("missing file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadKnowledge(bad, vocab.Standard()); err == nil {
-		t.Error("bad JSON accepted")
-	}
-	wrongVersion := filepath.Join(t.TempDir(), "v9.json")
-	if err := os.WriteFile(wrongVersion, []byte(`{"version": 9}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadKnowledge(wrongVersion, vocab.Standard()); err == nil {
-		t.Error("unknown version accepted")
-	}
-}
-
-func TestSaveKnowledgeUnwritablePath(t *testing.T) {
+func TestMergeEncodedKnowledgeErrors(t *testing.T) {
 	k, err := NewKnowledge(vocab.Standard())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveKnowledge(k, filepath.Join(t.TempDir(), "no", "such", "dir", "k.json")); err == nil {
-		t.Error("unwritable path accepted")
+	if err := MergeEncodedKnowledge(k, []byte("not json")); err == nil {
+		t.Error("bad JSON accepted")
+	}
+	if err := MergeEncodedKnowledge(k, []byte(`{"version": 9}`)); err == nil {
+		t.Error("unknown version accepted")
 	}
 }

@@ -8,6 +8,8 @@ package semdiv
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -102,6 +104,18 @@ type Knowledge struct {
 	Vocabulary []vocab.Variable
 }
 
+// Clone returns a copy of k sharing only the contexts and vocabulary,
+// which curation does not edit.
+func (k *Knowledge) Clone() *Knowledge {
+	c := *k
+	c.Synonyms = k.Synonyms.Clone()
+	c.Abbrevs = maps.Clone(k.Abbrevs)
+	c.ExcessivePrefixes = slices.Clone(k.ExcessivePrefixes)
+	c.ExcessiveSuffixes = slices.Clone(k.ExcessiveSuffixes)
+	c.Ambiguous = maps.Clone(k.Ambiguous)
+	return &c
+}
+
 // NewKnowledge builds the knowledge base from a canonical vocabulary,
 // seeding the synonym table, abbreviation dictionary, exclusion markers,
 // ambiguity dictionary, and per-context taxonomies.
@@ -148,11 +162,10 @@ func NewKnowledge(vars []vocab.Variable) (*Knowledge, error) {
 // Classifier sorts raw names into categories against a knowledge base.
 //
 // A Classifier is a snapshot of the knowledge it was built over: it
-// memoizes one Finding per raw name, so a caller that mutates the
-// Knowledge must build a new Classifier to see the change (core.Context
-// does so whenever the knowledge fingerprint moves). The memo also makes
-// a Classifier unsafe for concurrent use; concurrent callers each build
-// their own.
+// memoizes one Finding per raw name, so new knowledge needs a new
+// Classifier (core.Context builds one per knowledge value it publishes).
+// The memo also makes a Classifier unsafe for concurrent use; concurrent
+// callers each build their own.
 type Classifier struct {
 	k *Knowledge
 	// MinorVariationThreshold is the minimum normalized Levenshtein
@@ -204,6 +217,9 @@ func NewClassifier(k *Knowledge) *Classifier {
 	c.bases = sortedKeyed(c.baseByKey)
 	return c
 }
+
+// Knowledge returns the knowledge base the classifier was built over.
+func (c *Classifier) Knowledge() *Knowledge { return c.k }
 
 // sortedKeyed lists a normKey->name map in ascending name order.
 func sortedKeyed(byKey map[string]string) []keyedName {

@@ -14,6 +14,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 
@@ -52,7 +53,7 @@ type Table struct {
 	alternate map[string]string // normalized alternate -> preferred display form
 	// altPref is alternate's value normalized (alternate key -> preferred
 	// key), so AlternatesOf compares keys instead of re-normalizing every
-	// entry: the knowledge fingerprint asks once per preferred name.
+	// entry: EncodeKnowledge asks once per preferred name.
 	altPref map[string]string
 	// altDisplay preserves the first display form seen for each alternate
 	// key, so reverse expansion can reproduce surface forms like "ATastn".
@@ -70,10 +71,11 @@ func NewTable() *Table {
 }
 
 // Add registers a preferred name with zero or more alternates. Adding an
-// existing preferred name extends its alternates. An alternate equal to
-// the preferred name is ignored. Conflicting alternates (already mapped
-// to a different preferred name) are rejected so silent remaps cannot
-// corrupt the table.
+// existing preferred name extends its alternates and keeps its first
+// display form. An alternate equal to the preferred name is ignored.
+// Conflicting alternates (already mapped to a different preferred name)
+// are rejected so silent remaps cannot corrupt the table. The table is
+// add-only: every change Add makes grows Len or AlternateCount.
 func (t *Table) Add(preferred string, alternates ...string) error {
 	pk := norm(preferred)
 	if pk == "" {
@@ -81,6 +83,9 @@ func (t *Table) Add(preferred string, alternates ...string) error {
 	}
 	if existing, ok := t.alternate[pk]; ok {
 		return fmt.Errorf("synonym: %q is already an alternate of %q", preferred, existing)
+	}
+	if disp, ok := t.preferred[pk]; ok {
+		preferred = disp
 	}
 	t.preferred[pk] = preferred
 	for _, a := range alternates {
@@ -157,32 +162,44 @@ func (t *Table) Len() int { return len(t.preferred) }
 // AlternateCount returns the number of alternate mappings.
 func (t *Table) AlternateCount() int { return len(t.alternate) }
 
-// Merge folds another table into this one; conflicts abort with an error
-// and leave already-merged entries in place (the caller decides whether
-// partial merges matter; the wrangling chain treats any error as fatal).
+// Merge folds another table into this one, keeping this table's display
+// forms, so a merge, like Add, only grows the table. Conflicts abort
+// with an error and leave already-merged entries in place (the
+// wrangling chain merges into a clone and drops it on any error).
 func (t *Table) Merge(o *Table) error {
 	for pk, disp := range o.preferred {
 		if existing, ok := t.alternate[pk]; ok {
 			return fmt.Errorf("synonym: merge: %q is preferred in one table, alternate of %q in the other", disp, existing)
 		}
-		t.preferred[pk] = disp
+		if _, ok := t.preferred[pk]; !ok {
+			t.preferred[pk] = disp
+		}
 	}
 	for ak, pref := range o.alternate {
 		if _, isPref := t.preferred[ak]; isPref && norm(pref) != ak {
 			return fmt.Errorf("synonym: merge: %q is alternate in one table, preferred in the other", ak)
 		}
-		if existing, ok := t.alternate[ak]; ok && norm(existing) != norm(pref) {
+		existing, ok := t.alternate[ak]
+		if ok && norm(existing) != norm(pref) {
 			return fmt.Errorf("synonym: merge: alternate %q maps to both %q and %q", ak, existing, pref)
 		}
-		t.alternate[ak] = pref
-		t.altPref[ak] = o.altPref[ak]
-		if disp, ok := o.altDisplay[ak]; ok {
-			if _, seen := t.altDisplay[ak]; !seen {
-				t.altDisplay[ak] = disp
-			}
+		if !ok {
+			t.alternate[ak] = t.preferred[o.altPref[ak]]
+			t.altPref[ak] = o.altPref[ak]
+			t.altDisplay[ak] = o.altDisplay[ak]
 		}
 	}
 	return nil
+}
+
+// Clone returns a copy of the table that shares no map with t.
+func (t *Table) Clone() *Table {
+	return &Table{
+		preferred:  maps.Clone(t.preferred),
+		alternate:  maps.Clone(t.alternate),
+		altPref:    maps.Clone(t.altPref),
+		altDisplay: maps.Clone(t.altDisplay),
+	}
 }
 
 // ToMassEdit builds the "perform known transformations" rule: one mass

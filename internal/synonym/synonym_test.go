@@ -117,6 +117,41 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// TestTableIsAddOnly: re-adding or re-merging what a table holds — in
+// another display form too — changes nothing, so Len and
+// AlternateCount see every change; and a clone shares nothing.
+func TestTableIsAddOnly(t *testing.T) {
+	a := NewTable()
+	_ = a.Add("salinity", "salt")
+	var before strings.Builder
+	if err := a.WriteCSV(&before); err != nil {
+		t.Fatal(err)
+	}
+	clone := a.Clone()
+	if err := a.Add("SALINITY", "SALT"); err != nil {
+		t.Fatal(err)
+	}
+	b := NewTable()
+	_ = b.Add("Salinity", "Salt")
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	var after strings.Builder
+	if err := a.WriteCSV(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.String() != before.String() {
+		t.Fatalf("re-adding held entries changed the table:\n%s\n%s", before.String(), after.String())
+	}
+	if got, _ := a.Resolve("salt"); got != "salinity" {
+		t.Errorf("salt resolves to %q, want the first display form", got)
+	}
+	_ = a.Add("salinity", "psu_val")
+	if clone.Covers("psu_val") || clone.AlternateCount() != 1 {
+		t.Error("an add to the table reached its clone")
+	}
+}
+
 func TestToMassEdit(t *testing.T) {
 	tb := NewTable()
 	_ = tb.Add("air_temperature", "airtemp", "ATastn")

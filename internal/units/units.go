@@ -7,6 +7,7 @@ package units
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"metamess/internal/fingerprint"
@@ -161,16 +162,27 @@ func (r *Registry) Canonicalize(raw string) (string, bool) {
 }
 
 // AddAlias registers a curator-supplied alias for an existing canonical
-// symbol. It fails if the symbol is unknown, so typos surface immediately.
+// symbol. It fails if the symbol is unknown, so typos surface
+// immediately, and if the alias already names another symbol, so the
+// aliases are add-only: every change grows AliasCount.
 func (r *Registry) AddAlias(alias, canonicalSymbol string) error {
 	if _, ok := r.units[canonicalSymbol]; !ok {
 		return fmt.Errorf("units: unknown canonical symbol %q", canonicalSymbol)
+	}
+	if sym, ok := r.aliases[normalize(alias)]; ok && sym != canonicalSymbol {
+		return fmt.Errorf("units: alias %q already names %q", alias, sym)
 	}
 	r.aliases[normalize(alias)] = canonicalSymbol
 	return nil
 }
 
-// AddUnit registers a new unit (and its canonical-symbol alias).
+// Clone returns a copy of the registry that shares no map with r.
+func (r *Registry) Clone() *Registry {
+	return &Registry{units: maps.Clone(r.units), aliases: maps.Clone(r.aliases)}
+}
+
+// AddUnit registers a new unit (and its canonical-symbol alias). It
+// refuses to redefine a unit, and stops at an alias AddAlias refuses.
 func (r *Registry) AddUnit(u Unit, aliases ...string) error {
 	if u.Symbol == "" {
 		return fmt.Errorf("units: unit needs a symbol")
@@ -178,10 +190,14 @@ func (r *Registry) AddUnit(u Unit, aliases ...string) error {
 	if u.Scale == 0 {
 		return fmt.Errorf("units: unit %q needs a non-zero scale", u.Symbol)
 	}
+	if _, ok := r.units[u.Symbol]; ok {
+		return fmt.Errorf("units: unit %q is already defined", u.Symbol)
+	}
 	r.units[u.Symbol] = u
-	r.aliases[normalize(u.Symbol)] = u.Symbol
-	for _, a := range aliases {
-		r.aliases[normalize(a)] = u.Symbol
+	for _, a := range append([]string{u.Symbol}, aliases...) {
+		if err := r.AddAlias(a, u.Symbol); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -240,17 +256,5 @@ func (r *Registry) Symbols() []string {
 
 // AliasCount returns the number of registered aliases (diagnostics).
 func (r *Registry) AliasCount() int { return len(r.aliases) }
-
-// Aliases returns every registered alias as sorted "alias=symbol"
-// pairs — a deterministic enumeration for fingerprinting the registry's
-// curated state.
-func (r *Registry) Aliases() []string {
-	out := make([]string, 0, len(r.aliases))
-	for a, sym := range r.aliases {
-		out = append(out, a+"="+sym)
-	}
-	sort.Strings(out)
-	return out
-}
 
 func normalize(s string) string { return fingerprint.Normalize(s) }

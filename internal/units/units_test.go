@@ -106,6 +106,21 @@ func TestAddAlias(t *testing.T) {
 	if err := r.AddAlias("x", "no_such_symbol"); err == nil {
 		t.Error("alias to unknown symbol should fail")
 	}
+	// Aliases are add-only: re-adding one is a no-op, remapping refused.
+	n := r.AliasCount()
+	if err := r.AddAlias("Grados", "degC"); err != nil || r.AliasCount() != n {
+		t.Errorf("re-adding an alias: err %v, %d aliases, want %d", err, r.AliasCount(), n)
+	}
+	if err := r.AddAlias("grados", "degF"); err == nil {
+		t.Error("remapping an alias accepted")
+	}
+	clone := r.Clone()
+	if err := r.AddAlias("gradi", "degC"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := clone.Lookup("gradi"); ok {
+		t.Error("an alias added to the registry reached its clone")
+	}
 }
 
 func TestAddUnit(t *testing.T) {
@@ -122,6 +137,12 @@ func TestAddUnit(t *testing.T) {
 	}
 	if err := r.AddUnit(Unit{Symbol: "zero", Family: Length, Scale: 0}); err == nil {
 		t.Error("zero scale should fail")
+	}
+	if err := r.AddUnit(Unit{Symbol: "mm", Family: Length, Scale: 0.01}); err == nil {
+		t.Error("redefining a unit accepted")
+	}
+	if err := r.AddUnit(Unit{Symbol: "cm", Family: Length, Scale: 0.01}, "mm"); err == nil {
+		t.Error("remapping an alias through AddUnit accepted")
 	}
 }
 

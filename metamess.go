@@ -87,9 +87,9 @@ type Config struct {
 	// property test runs against.
 	FullReprocess bool
 	// DataDir, when set, makes the system durable: every publish appends
-	// its delta (with a generation stamp and the knowledge-epoch
-	// sidecar) to a write-ahead journal in this directory, a compactor
-	// periodically folds the journal into a checkpoint, and New/
+	// its delta (with a generation stamp and, when the curation moved,
+	// the knowledge sidecar) to a write-ahead journal in this directory,
+	// a compactor periodically folds the journal into a checkpoint, and New/
 	// OpenDurable recovers the published catalog plus the curated state
 	// by checkpoint-replay + journal-replay — so a restarted process
 	// serves the pre-crash generation and its next Wrangle costs
@@ -167,7 +167,7 @@ func New(cfg Config) (*System, error) {
 	s.process = core.NewProcess("metamess", chain...)
 
 	opts := search.DefaultOptions()
-	opts.Expander = search.NewKnowledgeExpander(k)
+	opts.Expander = search.NewKnowledgeExpander(func() *semdiv.Knowledge { return ctx.Curation().Knowledge })
 	s.searcher = search.New(ctx.Published, opts)
 	if cfg.DataDir != "" {
 		if err := s.openDurable(); err != nil {
@@ -179,8 +179,8 @@ func New(cfg Config) (*System, error) {
 
 // OpenDurable is New for long-lived deployments: it requires
 // Config.DataDir and recovers the published catalog, its generation,
-// and the knowledge-epoch state (discovered rules, curated synonyms,
-// pending curator decisions) from the data directory's checkpoint and
+// and the curation (discovered rules, curated synonyms, pending curator
+// decisions, version) from the data directory's checkpoint and
 // journal before wiring the publish path through the write-ahead
 // journal. On a warm restart the recovered catalog serves searches
 // immediately at the pre-crash generation, and the next Wrangle is a
@@ -215,8 +215,8 @@ func (s *System) openDurable() error {
 		// change while the process was down.
 		s.ctx.Working.SeedFrom(s.ctx.Published.Snapshot())
 		if sc := store.Sidecar(); sc != nil {
-			// Restoring the epoch marks the context as having completed a
-			// run, so the next Wrangle is delta-scoped. Without a sidecar
+			// Restoring the curation marks the context as having completed
+			// a run, so the next Wrangle is delta-scoped. Without a sidecar
 			// (legacy checkpoint) the first run falls back to a full
 			// reprocess — slower, never wrong.
 			if err := s.ctx.RestoreEpochSidecar(sc); err != nil {
@@ -608,17 +608,21 @@ func (s *System) SnapshotShardSizes() []int {
 	return s.ctx.Published.Snapshot().ShardSizes()
 }
 
-// The curator calls below read or write the wrangling context's curated
-// and per-run state (knowledge, pending decisions, discovered rules,
-// taxonomy, last validation), so each holds pubMu like Wrangle: they
-// wait out a running wrangle instead of racing it.
+// The curator calls below that edit the curation or read the wrangling
+// context's per-run state (classifier memo, taxonomy, last validation)
+// hold pubMu like Wrangle: they wait out a running wrangle instead of
+// racing it. Reads of the immutable curation take no lock.
 
 // AddSynonym records a curated synonym mapping (curatorial activity 3:
-// adding entries to a synonym table). Takes effect on the next Wrangle.
+// adding entries to a synonym table). Takes effect on the next Wrangle;
+// a mapping that conflicts with the table adds nothing.
 func (s *System) AddSynonym(preferred string, alternates ...string) error {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
-	return s.ctx.Knowledge.Synonyms.Add(preferred, alternates...)
+	_, err := s.ctx.Curate(func(next *core.Curation) error {
+		return next.Knowledge.Synonyms.Add(preferred, alternates...)
+	})
+	return err
 }
 
 // CuratorQueue lists the names awaiting a curator decision, with the
@@ -642,26 +646,28 @@ func (s *System) CuratorQueue() []string {
 // name to a canonical target; Hide excludes it instead. Decisions apply
 // on the next Wrangle.
 func (s *System) Clarify(rawName, target string) {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	s.ctx.PendingDecisions = append(s.ctx.PendingDecisions,
-		semdiv.Decision{RawName: rawName, Action: semdiv.ClarifyTo, Target: target})
+	s.decide(semdiv.Decision{RawName: rawName, Action: semdiv.ClarifyTo, Target: target})
 }
 
 // Hide records a curator decision to exclude a name from search.
 func (s *System) Hide(rawName string) {
+	s.decide(semdiv.Decision{RawName: rawName, Action: semdiv.Hide})
+}
+
+// decide queues one curator decision.
+func (s *System) decide(d semdiv.Decision) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
-	s.ctx.PendingDecisions = append(s.ctx.PendingDecisions,
-		semdiv.Decision{RawName: rawName, Action: semdiv.Hide})
+	s.ctx.Curate(func(next *core.Curation) error {
+		next.PendingDecisions = append(next.PendingDecisions, d)
+		return nil
+	})
 }
 
 // ExportRules renders the transformation rules discovered so far in the
 // poster's JSON format (audit, versioning, replay elsewhere).
 func (s *System) ExportRules() ([]byte, error) {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	return refine.ExportJSON(s.ctx.DiscoveredRules)
+	return refine.ExportJSON(s.ctx.Curation().DiscoveredRules)
 }
 
 // VariableMenu renders the generated variable hierarchy as an indented
@@ -716,7 +722,7 @@ func (s *System) DatasetCount() int { return s.ctx.Published.Len() }
 // Vocabulary returns the canonical variable names the system wrangles
 // toward.
 func (s *System) Vocabulary() []string {
-	return vocab.Names(s.ctx.Knowledge.Vocabulary)
+	return vocab.Names(s.ctx.Curation().Knowledge.Vocabulary)
 }
 
 // ValidationOK reports whether the last run's validation passed.

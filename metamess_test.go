@@ -290,9 +290,11 @@ func TestExportRulesAndMenu(t *testing.T) {
 
 // TestCuratorCallsBesideWrangle makes every curator call while a
 // goroutine re-wrangles, the way dnhd serves /curator/queue beside its
-// rewrangler. Under -race it fails if any of them touches the wrangle's
-// context state (taxonomy, last validation, pending decisions,
-// knowledge, rules) without the publish lock.
+// rewrangler, and another searches with synonym-expanded terms, the way
+// dnhd serves queries beside both. Under -race it fails if any of them
+// touches the wrangle's context state (taxonomy, last validation,
+// pending decisions, knowledge, rules) without the publish lock, or if
+// a curator edit reaches knowledge a search is expanding with.
 func TestCuratorCallsBesideWrangle(t *testing.T) {
 	sys, _ := newSystem(t, 12, 5)
 	if _, err := sys.Wrangle(); err != nil {
@@ -309,6 +311,26 @@ func TestCuratorCallsBesideWrangle(t *testing.T) {
 	var runs atomic.Int64
 	stop := make(chan struct{})
 	done := make(chan error, 1)
+	searched := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				searched <- nil
+				return
+			default:
+			}
+			alias := fmt.Sprintf("zz_water_temp_%d", i%8)
+			if _, err := sys.Search(Query{Variables: []VariableTerm{{Name: alias}, {Name: "temperature"}}, K: 3}); err != nil {
+				searched <- err
+				return
+			}
+			if _, err := sys.SearchText("with " + alias + " top 3"); err != nil {
+				searched <- err
+				return
+			}
+		}
+	}()
 	go func() {
 		for {
 			select {
@@ -347,6 +369,9 @@ func TestCuratorCallsBesideWrangle(t *testing.T) {
 	}
 	close(stop)
 	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-searched; err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // archive, a live producer parses its own datasets (scan.ParseBytes, or
 // any process producing catalog features) and publishes the batch
 // directly. The batch flows through the same pipeline a wrangle's
-// publish uses — sharded ApplyDelta, knowledge-epoch sidecar, durable
-// journal append — so durability, follower replication, and
+// publish uses — sharded ApplyDelta, durable journal append — so
+// durability, follower replication, and
 // generation-keyed cache invalidation need no push-specific machinery,
 // and a warm publish costs zero filesystem stat calls.
 
@@ -141,18 +141,20 @@ func (s *System) PublishFeatures(req *PublishRequest) (PublishReceipt, error) {
 	if err := validatePublishRequest(req); err != nil {
 		return PublishReceipt{}, err
 	}
-	// Rule-based validation over the batch alone, before the lock: a
-	// batch that fails the checks is rejected without blocking wrangles.
+	// Rule-based validation over the batch alone, before the lock (the
+	// curation is an immutable value): a batch that fails the checks is
+	// rejected without blocking wrangles.
 	scratch := catalog.NewWorking()
 	for _, f := range req.Features {
 		if err := scratch.Upsert(f); err != nil {
 			return PublishReceipt{}, fmt.Errorf("%w: %v", ErrPublishRejected, err)
 		}
 	}
+	cur := s.ctx.Curation()
 	report := validate.Run(&validate.Context{
 		Catalog:   scratch,
-		Knowledge: s.ctx.Knowledge,
-		Units:     s.ctx.Units,
+		Knowledge: cur.Knowledge,
+		Units:     cur.Units,
 	}, publishChecks()...)
 	if !report.OK() {
 		findings := ""

@@ -21,12 +21,11 @@ import (
 // through the ordinary OpenStore path and resumes tailing from its last
 // applied generation — no full re-sync.
 //
-// One deliberate asymmetry: the knowledge-epoch sidecar riding each
-// record is journaled by a durable follower but not applied to the
-// running process (merging curated knowledge mutates state the query
-// expander reads without locking). A follower picks up curated
-// knowledge at restart, exactly like a restarted leader; the catalog
-// content itself replicates live.
+// One deliberate asymmetry: the knowledge sidecar a record carries is
+// journaled by a durable follower but not restored into the running
+// process: a follower runs no wrangle, so only its query expander would
+// gain. A follower picks up curated knowledge at restart, exactly like
+// a restarted leader; the catalog content itself replicates live.
 
 // ErrNotDurable is returned by the replication entry points when the
 // system has no data directory: there is no journal to tail or mirror.

@@ -5,9 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"metamess/internal/archive"
+	"metamess/internal/catalog"
 )
 
 // TestWarmRestartEquivalence is the durability tentpole's correctness
@@ -243,5 +246,122 @@ func TestWarmRestartCurationSurvives(t *testing.T) {
 	}
 	if len(hitsAfter) != len(hitsBefore) || hitsAfter[0].Path != hitsBefore[0].Path {
 		t.Fatal("curated synonym stopped resolving after restart")
+	}
+}
+
+// TestPushRecordsCarryNoSidecar pins when the journal carries the
+// knowledge sidecar: a wrangle journals it with its publish, five pushes
+// that change no curation journal none, and a restart from that journal
+// still restores the same rules, curator queue and curation version —
+// so its next wrangle is delta-scoped.
+func TestPushRecordsCarryNoSidecar(t *testing.T) {
+	root := t.TempDir()
+	if _, err := archive.Generate(root, archive.DefaultGenConfig(12, 9)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{ArchiveRoot: root, DataDir: t.TempDir()}
+	sys, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddSynonym("salinity", "saltiness_index"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Wrangle(); err != nil {
+		t.Fatal(err)
+	}
+	base := sys.ctx.Published.Snapshot().All()[0]
+	for i := 0; i < 5; i++ {
+		f := base.Clone()
+		f.Path = fmt.Sprintf("push/%d-%s", i, filepath.Base(base.Path))
+		f.ID = catalog.IDForPath(f.Path)
+		if _, err := sys.PublishFeatures(&PublishRequest{Features: []*catalog.Feature{f}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames, _, _, err := sys.JournalTail(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(frames), "\n"), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("journal holds %d records, want the wrangle's and 5 pushes'", len(lines))
+	}
+	for i, line := range lines {
+		rec, err := catalog.DecodeDeltaFrame(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rec.Sidecar != nil, i == 0; got != want {
+			t.Fatalf("record %d (generation %d) carries a sidecar: %v, want %v", i, rec.Gen, got, want)
+		}
+	}
+	rules, err := sys.ExportRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue, version := sys.CuratorQueue(), sys.ctx.Curation().Version
+	if version == 0 {
+		t.Fatal("the curated synonym did not move the version")
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	back, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	backRules, err := back.ExportRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(backRules) != string(rules) {
+		t.Fatalf("ExportRules changed across restart:\nbefore: %s\nafter: %s", rules, backRules)
+	}
+	if got := back.CuratorQueue(); !reflect.DeepEqual(got, queue) {
+		t.Fatalf("CuratorQueue changed across restart:\nbefore: %q\nafter: %q", queue, got)
+	}
+	if got := back.ctx.Curation().Version; got != version {
+		t.Fatalf("version %d after restart, want %d", got, version)
+	}
+	rep, err := back.Wrangle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Delta.FullReprocess || rep.Steps[0].Counters["fullReprocess"] != 0 {
+		t.Fatalf("the wrangle after restart reprocessed everything: %v", rep.Steps[0].Counters)
+	}
+
+	// A sidecar that rode a record at an unchanged generation — a
+	// curation-only wrangle — is repeated on the next push, since
+	// followers skip such records; the push after that carries none.
+	push := func(i int) bool {
+		f := base.Clone()
+		f.Path = fmt.Sprintf("push/again-%d-%s", i, filepath.Base(base.Path))
+		f.ID = catalog.IDForPath(f.Path)
+		gen := back.DurableGeneration()
+		if _, err := back.PublishFeatures(&PublishRequest{Features: []*catalog.Feature{f}}); err != nil {
+			t.Fatal(err)
+		}
+		frames, _, _, err := back.JournalTail(gen, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := catalog.DecodeDeltaFrame(strings.TrimSuffix(string(frames), "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Sidecar != nil
+	}
+	if err := back.AddSynonym("salinity", "brine_index"); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := back.Wrangle(); err != nil || !rep.Delta.GenerationStable {
+		t.Fatalf("curation-only wrangle: %+v, %v", rep, err)
+	}
+	if first, second := push(1), push(2); !first || second {
+		t.Fatalf("pushes after a curation-only wrangle carry sidecars %v, %v; want true, false", first, second)
 	}
 }

@@ -151,8 +151,8 @@ func requireValidationMatchesOracle(t *testing.T, sys *System, when string) {
 	t.Helper()
 	want := validate.Run(&validate.Context{
 		Catalog:       sys.ctx.Working,
-		Knowledge:     sys.ctx.Knowledge,
-		Units:         sys.ctx.Units,
+		Knowledge:     sys.ctx.Curation().Knowledge,
+		Units:         sys.ctx.Curation().Units,
 		ExpectedPaths: sys.ctx.ExpectedPaths,
 	}, validate.DefaultChecks()...)
 	if got := sys.ctx.LastValidation; !reflect.DeepEqual(got, want) {
