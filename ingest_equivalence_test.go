@@ -4,6 +4,7 @@ import (
 	"archive/tar"
 	"bytes"
 	"encoding/json"
+	"io"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -204,9 +205,12 @@ func TestIngestPathEquivalence(t *testing.T) {
 	check("walker", walker)
 
 	// Streaming tar connector over a no-filesystem system.
+	image := tarOfDir(t, root)
 	tarSys, err := New(Config{
 		ArchiveRoot: t.TempDir(),
-		Connector:   scan.TarBytesConnector(tarOfDir(t, root)),
+		Connector: &scan.TarConnector{Open: func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(image)), nil
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

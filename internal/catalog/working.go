@@ -35,6 +35,9 @@ type Working struct {
 	// generation counts mutations, so memos over the catalog (validation,
 	// the mess metric) can tell that it changed.
 	generation uint64
+	// statGeneration counts the mutations a filesystem scan can observe
+	// (see StatGeneration).
+	statGeneration uint64
 }
 
 // NewWorking returns an empty working catalog.
@@ -65,6 +68,16 @@ func (w *Working) Generation() uint64 {
 	return w.generation
 }
 
+// StatGeneration counts the mutations a filesystem scan compares
+// against: a feature stored, replaced or deleted, a scan stamp reset,
+// the contents reseeded. Variable edits do not move it. A scanner that
+// follows a change feed walks when it moved behind its back.
+func (w *Working) StatGeneration() uint64 {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	return w.statGeneration
+}
+
 // Upsert validates and stores a feature, replacing any previous feature
 // with the same ID. The catalog stores a private clone, so callers may
 // keep mutating their copy.
@@ -81,6 +94,7 @@ func (w *Working) Upsert(f *Feature) error {
 	w.features[f.ID] = f
 	w.tallyLocked(f, 1)
 	w.generation++
+	w.statGeneration++
 	return nil
 }
 
@@ -106,6 +120,7 @@ func (w *Working) Delete(id string) bool {
 	w.tallyLocked(f, -1)
 	delete(w.features, id)
 	w.generation++
+	w.statGeneration++
 	return true
 }
 
@@ -276,6 +291,7 @@ func (w *Working) SetScanStamp(id string, scannedAt time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if f, ok := w.features[id]; ok {
+		w.statGeneration++
 		w.copyOnWriteLocked(f, func(f *Feature) bool {
 			changed := !f.ScannedAt.Equal(scannedAt)
 			f.ScannedAt = scannedAt
@@ -297,7 +313,7 @@ func (w *Working) Clone() *Working {
 		n.dirs[d] = maps.Clone(formats)
 	}
 	maps.Copy(n.units, w.units)
-	n.generation = w.generation
+	n.generation, n.statGeneration = w.generation, w.statGeneration
 	return n
 }
 
@@ -314,6 +330,7 @@ func (w *Working) SeedFrom(s *Snapshot) {
 	defer w.mu.Unlock()
 	w.features, w.names, w.dirs, w.units = n.features, n.names, n.dirs, n.units
 	w.generation++
+	w.statGeneration++
 }
 
 // ForEach calls fn for every feature in ID order under the read lock,

@@ -14,7 +14,6 @@ import (
 	"metamess/internal/geo"
 	"metamess/internal/hierarchy"
 	"metamess/internal/refine"
-	"metamess/internal/scan"
 	"metamess/internal/semdiv"
 	"metamess/internal/synonym"
 	"metamess/internal/table"
@@ -37,7 +36,7 @@ func (ScanArchive) Run(ctx *Context) (StepReport, error) {
 	ctx.Delta = nil
 	conn := ctx.Connector
 	if conn == nil {
-		conn = scan.New(ctx.ScanConfig)
+		conn = ctx.walkerScanner()
 	}
 	res, err := conn.ScanInto(ctx.Working)
 	if err != nil {
@@ -97,6 +96,12 @@ func (ScanArchive) Run(ctx *Context) (StepReport, error) {
 		"removed":          len(res.Removed),
 		"carriedOver":      carried,
 	}}
+	if ctx.Connector == nil {
+		step.Counters["fullWalk"] = 0
+		if res.Stats.FullWalk {
+			step.Counters["fullWalk"] = 1
+		}
+	}
 	if ctx.Delta.Full {
 		step.Counters["fullReprocess"] = 1
 	}

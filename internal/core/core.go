@@ -29,6 +29,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -95,6 +96,12 @@ type Context struct {
 	// (transforms, validation, publish, journal, replication) is
 	// connector-agnostic: every source produces the same Delta shape.
 	Connector scan.Connector
+	// walker is the filesystem scanner ScanArchive runs when Connector is
+	// nil. It lives as long as the context, so that from its third scan
+	// on it follows its change feed (see scan.Scanner); walkerCfg is the
+	// ScanConfig it was built for. Close releases it.
+	walker    *scan.Scanner
+	walkerCfg scan.Config
 	// ExpectedPaths parameterizes the expected-datasets validation check.
 	ExpectedPaths []string
 	// LastValidation holds the most recent validation report.
@@ -253,6 +260,30 @@ func NewContextSharded(k *semdiv.Knowledge, scanCfg scan.Config, shards int) *Co
 	}
 	c.cur.Store(&Curation{Knowledge: k, Units: units.NewRegistry()})
 	return c
+}
+
+// walkerScanner returns the context's walker, built anew when
+// ScanConfig changed since the last was built (a new scanner's first
+// scan walks).
+func (c *Context) walkerScanner() *scan.Scanner {
+	cfg := c.ScanConfig
+	if c.walker == nil || cfg.Root != c.walkerCfg.Root || !slices.Equal(cfg.Dirs, c.walkerCfg.Dirs) ||
+		!slices.Equal(cfg.Extensions, c.walkerCfg.Extensions) || cfg.MaxFileBytes != c.walkerCfg.MaxFileBytes ||
+		cfg.Workers != c.walkerCfg.Workers {
+		c.Close()
+		cfg.Dirs, cfg.Extensions = slices.Clone(cfg.Dirs), slices.Clone(cfg.Extensions)
+		c.walker, c.walkerCfg = scan.New(cfg), cfg
+	}
+	return c.walker
+}
+
+// Close releases the walker's change feed. The context stays usable: a
+// later run builds a new walker, whose first scan walks.
+func (c *Context) Close() {
+	if c.walker != nil {
+		c.walker.Close()
+		c.walker = nil
+	}
 }
 
 // Component is one composable step of a metadata processing chain.

@@ -102,6 +102,11 @@ type epochState struct {
 	// PendingDecisions are curator rulings submitted but not yet folded
 	// into a completed run.
 	PendingDecisions []semdiv.Decision `json:"pendingDecisions,omitempty"`
+	// Units and UnitAliases are the unit registry's curated additions
+	// (units.Registry.Added). Sidecars written before they were kept
+	// restore the standard registry.
+	Units       []units.Unit  `json:"units,omitempty"`
+	UnitAliases []units.Alias `json:"unitAliases,omitempty"`
 }
 
 // sidecarKey names a sidecar's content; the zero key names none.
@@ -120,6 +125,7 @@ func (c *Context) EpochSidecar() ([]byte, error) {
 		NamesHash:        c.lastNamesHash,
 		PendingDecisions: cur.PendingDecisions,
 	}
+	es.Units, es.UnitAliases = cur.Units.Added()
 	kdata, err := semdiv.EncodeKnowledge(cur.Knowledge)
 	if err != nil {
 		return nil, err
@@ -156,6 +162,22 @@ func (c *Context) RestoreEpochSidecar(data []byte) error {
 		next.Knowledge = next.Knowledge.Clone()
 		if err := semdiv.MergeEncodedKnowledge(next.Knowledge, es.Knowledge); err != nil {
 			return err
+		}
+	}
+	if len(es.Units)+len(es.UnitAliases) > 0 {
+		next.Units = next.Units.Clone()
+		for _, u := range es.Units {
+			if have, ok := next.Units.Lookup(u.Symbol); ok && have == u {
+				continue
+			}
+			if err := next.Units.AddUnit(u); err != nil {
+				return fmt.Errorf("core: restore units: %w", err)
+			}
+		}
+		for _, a := range es.UnitAliases {
+			if err := next.Units.AddAlias(a.Alias, a.Symbol); err != nil {
+				return fmt.Errorf("core: restore units: %w", err)
+			}
 		}
 	}
 	if es.Rules != nil {

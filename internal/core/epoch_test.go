@@ -11,6 +11,7 @@ import (
 	"metamess/internal/scan"
 	"metamess/internal/semdiv"
 	"metamess/internal/synonym"
+	"metamess/internal/units"
 	"metamess/internal/vocab"
 )
 
@@ -41,6 +42,13 @@ func TestEpochSidecarRoundTrip(t *testing.T) {
 		// A pending curator decision submitted mid-run.
 		next.PendingDecisions = append(next.PendingDecisions,
 			semdiv.Decision{RawName: "cond", Action: semdiv.ClarifyTo, Target: "conductivity"})
+		// A curated unit and unit alias.
+		if err := next.Units.AddUnit(units.Unit{Symbol: "furlong/fortnight", Family: units.Speed, Scale: 1.663e-4}, "ff"); err != nil {
+			return err
+		}
+		if err := next.Units.AddAlias("grados_c", "degC"); err != nil {
+			return err
+		}
 		// A synonym a crash must not forget.
 		return next.Knowledge.Synonyms.Add("water_temperature", "wassertemperatur")
 	}); err != nil {
@@ -74,6 +82,11 @@ func TestEpochSidecarRoundTrip(t *testing.T) {
 	}
 	if len(cur.PendingDecisions) != 1 || cur.PendingDecisions[0].Target != "conductivity" {
 		t.Fatalf("pending decisions = %+v", cur.PendingDecisions)
+	}
+	for _, raw := range []string{"grados_c", "Grados C", "ff", "furlong/fortnight"} {
+		if _, ok := cur.Units.Lookup(raw); !ok {
+			t.Fatalf("curated unit string %q lost", raw)
+		}
 	}
 	wantRules, err := refine.ExportJSON(ctx.Curation().DiscoveredRules)
 	if err != nil {

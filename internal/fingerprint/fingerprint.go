@@ -69,6 +69,15 @@ func NGram(s string, n int) string {
 	return b.String()
 }
 
+// phoneticReplacer collapses Phonetic's digraph confusions. A Replacer
+// is immutable and safe for concurrent use, so one serves every call.
+var phoneticReplacer = strings.NewReplacer(
+	"ph", "f", "gh", "g", "ck", "k", "sch", "sk",
+	"qu", "kw", "x", "ks", "z", "s", "wr", "r",
+	"mb", "m", "tio", "sho", "tia", "sha", "ce", "se",
+	"ci", "si", "cy", "sy", "c", "k",
+)
+
 // Phonetic returns a simplified metaphone-style phonetic code for s: the
 // normalized string with vowels (except a leading one) removed and
 // common digraph confusions collapsed (ph→f, ck→k, etc.), then
@@ -79,13 +88,7 @@ func Phonetic(s string) string {
 	if norm == "" {
 		return ""
 	}
-	replacer := strings.NewReplacer(
-		"ph", "f", "gh", "g", "ck", "k", "sch", "sk",
-		"qu", "kw", "x", "ks", "z", "s", "wr", "r",
-		"mb", "m", "tio", "sho", "tia", "sha", "ce", "se",
-		"ci", "si", "cy", "sy", "c", "k",
-	)
-	norm = replacer.Replace(norm)
+	norm = phoneticReplacer.Replace(norm)
 	var b strings.Builder
 	var last rune = -1
 	for i, r := range norm {

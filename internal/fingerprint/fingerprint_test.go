@@ -190,3 +190,31 @@ func BenchmarkNGram2(b *testing.B) {
 		NGram("Water_Temperature_Near_Surface (degC)", 2)
 	}
 }
+
+func TestPhoneticCodes(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"fluorescence", "flrsns"},
+		{"Sea_Water_Temperature", "swtrtmprtr"},
+		{"chlorophyll-a", "khlrfyl"},
+		{"Schmidt quench", "skmdtkwnkh"},
+		{"dissolved oxygen", "dslvdksygn"},
+		{"wrx zmb tion ciacy", "rksmshnsy"},
+		{"ph", "f"},
+		{"", ""},
+		{"Ångström 375", "angstrm375"},
+		{"phytoplankton_conc", "fytplnktnknk"},
+	} {
+		if got := Phonetic(tc.in); got != tc.want {
+			t.Errorf("Phonetic(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestPhoneticAllocs bounds a call's allocations. Building the digraph
+// replacer allocated ~30 more per call; discovery keys every distinct
+// name with it every run.
+func TestPhoneticAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Phonetic("sea_water_temperature") }); n > 12 {
+		t.Fatalf("Phonetic allocates %v times per call, want at most 12", n)
+	}
+}

@@ -3,7 +3,6 @@ package scan
 import (
 	"archive/tar"
 	"archive/zip"
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -214,14 +213,6 @@ type TarConnector struct {
 	Extensions []string
 }
 
-// TarBytesConnector ingests an in-memory tar (or tar.gz) image — the
-// test and fuzz harness entry point.
-func TarBytesConnector(data []byte) *TarConnector {
-	return &TarConnector{Open: func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(data)), nil
-	}}
-}
-
 // Name implements Connector.
 func (t *TarConnector) Name() string { return "tar" }
 
@@ -287,11 +278,6 @@ type ZipConnector struct {
 	MaxFileBytes int64
 	// Extensions whitelists entry extensions (empty = the known formats).
 	Extensions []string
-}
-
-// ZipBytesConnector ingests an in-memory zip image.
-func ZipBytesConnector(data []byte) *ZipConnector {
-	return &ZipConnector{ReaderAt: bytes.NewReader(data), Size: int64(len(data))}
 }
 
 // Name implements Connector.

@@ -75,7 +75,7 @@ func FuzzTarConnector(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		run := func() (*catalog.Working, *Result, error) {
-			conn := TarBytesConnector(data)
+			conn := tarBytesConnector(data)
 			conn.MaxFileBytes = fuzzTarMax
 			c := catalog.NewWorking()
 			res, err := conn.ScanInto(c)

@@ -154,7 +154,7 @@ func TestTarConnectorMatchesWalker(t *testing.T) {
 
 	image := tarArchive(t, root)
 	tarred := catalog.NewWorking()
-	tres, err := TarBytesConnector(image).ScanInto(tarred)
+	tres, err := tarBytesConnector(image).ScanInto(tarred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTarConnectorMatchesWalker(t *testing.T) {
 		t.Fatal(err)
 	}
 	gzipped := catalog.NewWorking()
-	if _, err := TarBytesConnector(gzBuf.Bytes()).ScanInto(gzipped); err != nil {
+	if _, err := tarBytesConnector(gzBuf.Bytes()).ScanInto(gzipped); err != nil {
 		t.Fatal(err)
 	}
 	requireSameCatalog(t, walked, gzipped, "tar.gz")
@@ -206,7 +206,7 @@ func TestZipConnectorMatchesWalker(t *testing.T) {
 		t.Fatal(err)
 	}
 	zipped := catalog.NewWorking()
-	res, err := ZipBytesConnector(zipArchive(t, root)).ScanInto(zipped)
+	res, err := zipBytesConnector(zipArchive(t, root)).ScanInto(zipped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestTarConnectorIncremental(t *testing.T) {
 	root, m := genArchive(t, 9, 23)
 	image := tarArchive(t, root)
 	c := catalog.NewWorking()
-	if _, err := TarBytesConnector(image).ScanInto(c); err != nil {
+	if _, err := tarBytesConnector(image).ScanInto(c); err != nil {
 		t.Fatal(err)
 	}
 	n := c.Len()
@@ -228,7 +228,7 @@ func TestTarConnectorIncremental(t *testing.T) {
 
 	// Re-ingesting the identical stream is a hash-skip for every entry:
 	// no churn, no generation movement.
-	res, err := TarBytesConnector(image).ScanInto(c)
+	res, err := tarBytesConnector(image).ScanInto(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestTarConnectorIncremental(t *testing.T) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err = TarBytesConnector(pruned.Bytes()).ScanInto(c)
+	res, err = tarBytesConnector(pruned.Bytes()).ScanInto(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestIngesterBoundsAndHostileNames(t *testing.T) {
 	}
 
 	c := catalog.NewWorking()
-	conn := TarBytesConnector(buf.Bytes())
+	conn := tarBytesConnector(buf.Bytes())
 	conn.MaxFileBytes = 128 // huge.csv (384 bytes) must be skipped, not buffered
 	res, err := conn.ScanInto(c)
 	if err != nil {
@@ -422,13 +422,13 @@ func TestTarConnectorTruncatedStreamAborts(t *testing.T) {
 	root, _ := genArchive(t, 6, 41)
 	image := tarArchive(t, root)
 	c := catalog.NewWorking()
-	if _, err := TarBytesConnector(image).ScanInto(c); err != nil {
+	if _, err := tarBytesConnector(image).ScanInto(c); err != nil {
 		t.Fatal(err)
 	}
 	n := c.Len()
 	// A connection dropped mid-archive must abort the scan — a half-read
 	// stream must not masquerade as one with most datasets removed.
-	if _, err := TarBytesConnector(image[:len(image)/3]).ScanInto(c); err == nil {
+	if _, err := tarBytesConnector(image[:len(image)/3]).ScanInto(c); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 	if c.Len() != n {
@@ -442,8 +442,8 @@ func TestConnectorNames(t *testing.T) {
 		want string
 	}{
 		{New(Config{Root: "."}), "walker"},
-		{TarBytesConnector(nil), "tar"},
-		{ZipBytesConnector(nil), "zip"},
+		{tarBytesConnector(nil), "tar"},
+		{zipBytesConnector(nil), "zip"},
 		{&HTTPConnector{}, "http"},
 	} {
 		if got := tc.conn.Name(); got != tc.want {
@@ -455,7 +455,7 @@ func TestConnectorNames(t *testing.T) {
 func TestStatCallsCounter(t *testing.T) {
 	root, _ := genArchive(t, 6, 51)
 	before := StatCalls()
-	if _, err := New(Config{Root: root}).ScanAll(); err != nil {
+	if _, err := scanAll(New(Config{Root: root})); err != nil {
 		t.Fatal(err)
 	}
 	if StatCalls() == before {
@@ -464,10 +464,22 @@ func TestStatCallsCounter(t *testing.T) {
 	// Streaming ingest never touches the filesystem.
 	image := tarArchive(t, root)
 	before = StatCalls()
-	if _, err := TarBytesConnector(image).ScanInto(catalog.NewWorking()); err != nil {
+	if _, err := tarBytesConnector(image).ScanInto(catalog.NewWorking()); err != nil {
 		t.Fatal(err)
 	}
 	if got := StatCalls(); got != before {
 		t.Errorf("tar ingest performed %d stat calls", got-before)
 	}
+}
+
+// tarBytesConnector ingests an in-memory tar (or tar.gz) image.
+func tarBytesConnector(data []byte) *TarConnector {
+	return &TarConnector{Open: func() (io.ReadCloser, error) {
+		return io.NopCloser(bytes.NewReader(data)), nil
+	}}
+}
+
+// zipBytesConnector ingests an in-memory zip image.
+func zipBytesConnector(data []byte) *ZipConnector {
+	return &ZipConnector{ReaderAt: bytes.NewReader(data), Size: int64(len(data))}
 }

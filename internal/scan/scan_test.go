@@ -28,7 +28,7 @@ func genArchive(t testing.TB, n int, seed int64) (string, *archive.Manifest) {
 
 func TestScanAllMatchesManifest(t *testing.T) {
 	root, m := genArchive(t, 12, 21)
-	res, err := New(Config{Root: root}).ScanAll()
+	res, err := scanAll(New(Config{Root: root}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestScanAllMatchesManifest(t *testing.T) {
 
 func TestScanDirsRestrict(t *testing.T) {
 	root, m := genArchive(t, 12, 3)
-	res, err := New(Config{Root: root, Dirs: []string{"stations"}}).ScanAll()
+	res, err := scanAll(New(Config{Root: root, Dirs: []string{"stations"}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestScanDirsRestrict(t *testing.T) {
 		}
 	}
 	// Adding a directory (curatorial improvement) widens the scan.
-	res2, err := New(Config{Root: root, Dirs: []string{"stations", "cruises"}}).ScanAll()
+	res2, err := scanAll(New(Config{Root: root, Dirs: []string{"stations", "cruises"}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestScanSurvivesCorruptFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("#fields:\tx\nnot_a_number\t1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(Config{Root: root}).ScanAll()
+	res, err := scanAll(New(Config{Root: root}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestScanSkipsOversizedAndUnknown(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "stations", "readme.txt"), []byte("hello"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(Config{Root: root, MaxFileBytes: 1}).ScanAll()
+	res, err := scanAll(New(Config{Root: root, MaxFileBytes: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +193,10 @@ func TestScanSkipsOversizedAndUnknown(t *testing.T) {
 }
 
 func TestScanMissingRoot(t *testing.T) {
-	if _, err := New(Config{}).ScanAll(); err == nil {
+	if _, err := scanAll(New(Config{})); err == nil {
 		t.Error("empty root accepted")
 	}
-	if _, err := New(Config{Root: filepath.Join(t.TempDir(), "ghost")}).ScanAll(); err == nil {
+	if _, err := scanAll(New(Config{Root: filepath.Join(t.TempDir(), "ghost")})); err == nil {
 		t.Error("missing root accepted")
 	}
 }
@@ -245,7 +245,7 @@ func TestSplitNameUnit(t *testing.T) {
 
 func TestValueRangesWithinTypical(t *testing.T) {
 	root, m := genArchive(t, 9, 23)
-	res, err := New(Config{Root: root}).ScanAll()
+	res, err := scanAll(New(Config{Root: root}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestParseErrorsAreDescriptive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := New(Config{Root: root}).ScanAll()
+	res, err := scanAll(New(Config{Root: root}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func BenchmarkScanArchive30(b *testing.B) {
 	cfg := Config{Root: root}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := New(cfg).ScanAll()
+		res, err := scanAll(New(cfg))
 		if err != nil || len(res.Errors) > 0 {
 			b.Fatalf("%v %v", err, res.Errors)
 		}
@@ -487,7 +487,7 @@ func TestScanStatFailureCountsAsFailed(t *testing.T) {
 		filepath.Join(root, "stations", "dangling.csv")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(Config{Root: root}).ScanAll()
+	res, err := scanAll(New(Config{Root: root}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestScanOversizedSkipCounters(t *testing.T) {
 	if err := os.WriteFile(big, []byte("time,latitude,longitude,x\n"+strings.Repeat("1,2,3,4\n", 1<<17)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(Config{Root: root, MaxFileBytes: 1 << 19}).ScanAll()
+	res, err := scanAll(New(Config{Root: root, MaxFileBytes: 1 << 19}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -792,3 +792,7 @@ func TestRejectedUpsertLeavesDelta(t *testing.T) {
 		t.Error("persistent failure not re-surfaced")
 	}
 }
+
+// scanAll walks the configured directories and parses every candidate
+// file, against no catalog ("scan once").
+func scanAll(s *Scanner) (*Result, error) { return s.walk(nil, false) }

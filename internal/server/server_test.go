@@ -513,6 +513,10 @@ func TestConcurrentRewrangleUnderLoad(t *testing.T) {
 		t.Errorf("generation = %d, want a churn-observing publish", stats.Generation)
 	}
 
+	// A connection the client dialed and never sent a request on stays
+	// new on the server, and Shutdown counts a new connection as idle
+	// only after five seconds: close the client's idle ones first.
+	http.DefaultClient.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

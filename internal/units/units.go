@@ -34,12 +34,12 @@ const (
 // family's canonical unit: canonical = value*Scale + Offset.
 type Unit struct {
 	// Symbol is the canonical display symbol, e.g. "degC".
-	Symbol string
+	Symbol string `json:"symbol"`
 	// Family is the unit family the unit converts within.
-	Family Family
+	Family Family `json:"family"`
 	// Scale and Offset define the affine map to the canonical unit.
-	Scale  float64
-	Offset float64
+	Scale  float64 `json:"scale"`
+	Offset float64 `json:"offset"`
 }
 
 // Canonical reports whether this unit is its family's canonical unit.
@@ -252,6 +252,38 @@ func (r *Registry) Symbols() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Alias is one alias mapping: a normalized unit string and the
+// canonical symbol it names.
+type Alias struct {
+	Alias  string `json:"alias"`
+	Symbol string `json:"symbol"`
+}
+
+// standard is the table NewRegistry loads, what Added leaves out.
+var standard = NewRegistry()
+
+// Added returns what was added to the registry beyond the standard
+// table: the units, by symbol, and the aliases, by alias. A new registry
+// given the units (AddUnit) and then the aliases (AddAlias) resolves
+// every unit string as r does.
+func (r *Registry) Added() ([]Unit, []Alias) {
+	var us []Unit
+	for sym, u := range r.units {
+		if _, ok := standard.units[sym]; !ok {
+			us = append(us, u)
+		}
+	}
+	sort.Slice(us, func(i, j int) bool { return us[i].Symbol < us[j].Symbol })
+	var as []Alias
+	for a, sym := range r.aliases {
+		if _, ok := standard.aliases[a]; !ok {
+			as = append(as, Alias{Alias: a, Symbol: sym})
+		}
+	}
+	sort.Slice(as, func(i, j int) bool { return as[i].Alias < as[j].Alias })
+	return us, as
 }
 
 // AliasCount returns the number of registered aliases (diagnostics).

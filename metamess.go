@@ -233,10 +233,13 @@ func (s *System) openDurable() error {
 // directory.
 func (s *System) Durable() bool { return s.ctx.Journal != nil }
 
-// Close drains the publish journal (flush + fsync) and closes it.
-// Idempotent; a no-op for non-durable systems. After Close, Wrangle
-// fails on its publish step.
+// Close releases the filesystem walker's change feed, then drains the
+// publish journal (flush + fsync) and closes it. Idempotent. After
+// Close, a durable system's Wrangle fails on its publish step.
 func (s *System) Close() error {
+	s.pubMu.Lock()
+	s.ctx.Close()
+	s.pubMu.Unlock()
 	if s.ctx.Journal == nil {
 		return nil
 	}

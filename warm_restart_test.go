@@ -11,6 +11,7 @@ import (
 
 	"metamess/internal/archive"
 	"metamess/internal/catalog"
+	"metamess/internal/core"
 )
 
 // TestWarmRestartEquivalence is the durability tentpole's correctness
@@ -246,6 +247,47 @@ func TestWarmRestartCurationSurvives(t *testing.T) {
 	}
 	if len(hitsAfter) != len(hitsBefore) || hitsAfter[0].Path != hitsBefore[0].Path {
 		t.Fatal("curated synonym stopped resolving after restart")
+	}
+}
+
+// TestWarmRestartUnitAliasSurvives: a unit alias curated through Curate
+// is journaled with the next wrangle's sidecar and still resolves after
+// a restart, at the same curation version.
+func TestWarmRestartUnitAliasSurvives(t *testing.T) {
+	root := t.TempDir()
+	if _, err := archive.Generate(root, archive.DefaultGenConfig(12, 7)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{ArchiveRoot: root, DataDir: t.TempDir()}
+	sys, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Wrangle(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.ctx.Curate(func(next *core.Curation) error { return next.Units.AddAlias("grados_c", "degC") }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Wrangle(); err != nil {
+		t.Fatal(err)
+	}
+	version := sys.ctx.Curation().Version
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	back, err := OpenDurable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	cur := back.ctx.Curation()
+	if _, ok := cur.Units.Lookup("grados_c"); !ok {
+		t.Fatal("curated unit alias lost across the restart")
+	}
+	if cur.Version != version {
+		t.Fatalf("curation version %d after the restart, want %d", cur.Version, version)
 	}
 }
 

@@ -3,10 +3,12 @@ package metamess
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"metamess/internal/archive"
 	"metamess/internal/catalog"
+	"metamess/internal/scan"
 	"metamess/internal/validate"
 )
 
@@ -230,6 +233,13 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer deltaSys.Close()
+			walkCfg := cfg
+			walkCfg.Connector = walkOnly{scan.Config{Root: root, Dirs: dirs}}
+			walkSys, err := New(walkCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			fullCfg := cfg
 			fullCfg.FullReprocess = true
 			fullSys, err := New(fullCfg)
@@ -242,6 +252,9 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 			if _, err := fullSys.Wrangle(); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := walkSys.Wrangle(); err != nil {
+				t.Fatal(err)
+			}
 
 			// Mutable working set: handcrafted files this test added.
 			var added []string
@@ -252,6 +265,7 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 				}
 			}
 			nextTag := 0
+			followed := 0
 
 			// The trap file: created with a pinned mtime, then edited
 			// each round with same-size content and the mtime
@@ -325,6 +339,25 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 				}
 				if _, err := fullSys.Wrangle(); err != nil {
 					t.Fatalf("round %d: full wrangle: %v", round, err)
+				}
+				repWalk, err := walkSys.Wrangle()
+				if err != nil {
+					t.Fatalf("round %d: walk-only wrangle: %v", round, err)
+				}
+				// The delta system's walker follows its change feed from its
+				// third scan on; the walk-only system walks every time. Same
+				// scan, same delta, same catalog.
+				feedCounters, walkCounters := scanCounters(repDelta), scanCounters(repWalk)
+				if feedCounters["fullWalk"] == 0 {
+					followed++
+				}
+				delete(feedCounters, "fullWalk")
+				if !reflect.DeepEqual(feedCounters, walkCounters) || repDelta.Delta != repWalk.Delta {
+					t.Fatalf("round %d: the feed's scan diverged from the walk's\nfeed: %v %+v\nwalk: %v %+v",
+						round, feedCounters, repDelta.Delta, walkCounters, repWalk.Delta)
+				}
+				if got, want := publishedFingerprint(t, deltaSys), publishedFingerprint(t, walkSys); got != want {
+					t.Fatalf("round %d: the feed's published catalog diverged from the walk's\n%s", round, firstDiff(got, want))
 				}
 				coldSys, err := New(cfg)
 				if err != nil {
@@ -402,11 +435,16 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 					delete(pushed, gone)
 				}
 				pushed[src.Path] = src
-				for name, sys := range map[string]*System{"delta": deltaSys, "full-ablation": fullSys} {
+				for name, sys := range map[string]*System{"delta": deltaSys, "full-ablation": fullSys, "walk-only": walkSys} {
 					if _, err := sys.PublishFeatures(req); err != nil {
 						t.Fatalf("round %d: %s push: %v", round, name, err)
 					}
 				}
+			}
+
+			t.Logf("%d of 5 rounds followed the change feed", followed)
+			if runtime.GOOS == "linux" && followed == 0 {
+				t.Fatal("the delta system's scans never followed the change feed")
 			}
 
 			// Coda: a no-op round — nothing mutated — must publish nothing
@@ -421,6 +459,27 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// walkOnly scans with a new walker every run. A scanner's first scan
+// is a plain walk, so a system with this connector never opens a change
+// feed: the oracle for a system whose walker follows one.
+type walkOnly struct{ cfg scan.Config }
+
+func (w walkOnly) Name() string { return "walker" }
+
+func (w walkOnly) ScanInto(c *catalog.Working) (*scan.Result, error) {
+	return scan.New(w.cfg).ScanInto(c)
+}
+
+// scanCounters copies a report's scan-archive counters.
+func scanCounters(rep *Report) map[string]int {
+	for _, st := range rep.Steps {
+		if st.Component == "scan-archive" {
+			return maps.Clone(st.Counters)
+		}
+	}
+	return nil
 }
 
 // firstDiff renders the first differing line of two multiline strings.
