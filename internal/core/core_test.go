@@ -30,7 +30,9 @@ func newTestContext(t testing.TB, datasets int, seed int64) (*Context, *archive.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewContext(k, scan.Config{Root: root}), m
+	ctx := NewContext(k, scan.Config{Root: root})
+	t.Cleanup(ctx.Close)
+	return ctx, m
 }
 
 func TestFullChainReducesMess(t *testing.T) {

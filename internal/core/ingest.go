@@ -56,31 +56,13 @@ func (c *Context) PublishDirect(features []*catalog.Feature, removeIDs []string)
 	slices.Sort(ids)
 	ids = slices.Compact(ids)
 	c.addScope(ids...)
-	mirror := func() error {
-		for _, f := range features {
-			if err := c.Working.Upsert(f); err != nil {
-				return fmt.Errorf("core: publish: %w", err)
-			}
+	for _, f := range features {
+		if err := c.Working.Upsert(f); err != nil {
+			return 0, 0, 0, fmt.Errorf("core: publish: %w", err)
 		}
-		for _, id := range removeIDs {
-			c.Working.Delete(id)
-		}
-		return nil
 	}
-	if c.walker == nil {
-		err = mirror()
-	} else {
-		// The walker re-examines every path the mirror touches as a walk
-		// would, instead of walking because the catalog moved.
-		paths := make([]string, 0, len(features)+len(removeIDs))
-		for _, f := range features {
-			paths = append(paths, f.Path)
-		}
-		c.Working.ForEachOf(removeIDs, func(f *catalog.Feature) { paths = append(paths, f.Path) })
-		err = c.walker.Edit(c.Working, paths, mirror)
-	}
-	if err != nil {
-		return 0, 0, 0, err
+	for _, id := range removeIDs {
+		c.Working.Delete(id)
 	}
 	applyChanged, applyRemoved := c.Published.DiffOf(c.Working, ids)
 

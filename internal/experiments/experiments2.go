@@ -36,6 +36,7 @@ func Figure3WranglingChain(dir string, datasets int, seed int64) (*Table, error)
 		return nil, err
 	}
 	ctx := core.NewContext(k, scan.Config{Root: dir})
+	defer ctx.Close() // a second run arms the walker's change feed
 	p := core.NewProcess("figure3", core.DefaultChain()...)
 
 	firstStart := time.Now()
@@ -285,6 +286,7 @@ func AblationCuratorLoop(dir string, datasets int, seed int64, maxIters int) (*T
 		return nil, err
 	}
 	ctx := core.NewContext(k, scan.Config{Root: dir})
+	defer ctx.Close() // a second run arms the walker's change feed
 	p := core.NewProcess("curator-loop", core.DefaultChain()...)
 
 	t := &Table{

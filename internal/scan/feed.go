@@ -62,7 +62,7 @@ const (
 	walkWalkError   = "walk-error"  // the last walk could not read part of the tree
 	walkUnavailable = "unavailable" // no feed: not Linux, a watch limit, a closed scanner
 	walkPeriodic    = "periodic"    // walkEvery scans since the last walk
-	walkCatalog     = "catalog"     // the catalog was edited where the scanner cannot account for it
+	walkCatalog     = "catalog"     // the catalog changed outside a scan (a pushed batch)
 )
 
 var (

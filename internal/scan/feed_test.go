@@ -163,10 +163,12 @@ func requireSameScan(t *testing.T, label string, got, want *Result) {
 // random archive operations — edits, mtime moves, same-size edits with
 // the mtime restored, adds, removes, renames, new and removed
 // subdirectories, a scanned directory that goes and comes back, an
-// unreadable subtree, corrupt, oversized and symlinked candidates, a
-// file whose mtime is in the future, and catalog edits with and without
-// Edit — every scan of one long-lived scanner equals a fresh scanner's
-// walk of the same catalog, Result and resulting catalog alike.
+// unreadable subtree, corrupt, oversized and symlinked candidates,
+// writes through a symlinked directory, a file whose mtime is in the
+// future, and catalog edits between scans — every scan of one
+// long-lived scanner equals a fresh scanner's walk of the same catalog,
+// Result and resulting catalog alike. Half the seeds scan named
+// directories, some of them written unclean.
 func TestFeedScanMatchesWalk(t *testing.T) {
 	requireFeedAvailable(t)
 	for _, seed := range []int64{1, 2, 3, 4} {
@@ -189,8 +191,11 @@ func TestFeedScanMatchesWalk(t *testing.T) {
 				stamp(d.Path)
 			}
 			cfg := Config{Root: root, MaxFileBytes: 1 << 16, Workers: 2}
-			if seed%2 == 1 {
+			switch seed % 4 {
+			case 1:
 				cfg.Dirs = []string{"stations", ".", "cruises"}
+			case 3:
+				cfg.Dirs = []string{"stations/", "./cruises"}
 			}
 			write := func(rel string, data []byte) {
 				t.Helper()
@@ -344,7 +349,7 @@ func TestFeedScanMatchesWalk(t *testing.T) {
 					}
 				},
 				func() { writeTrap(n + rng.Intn(9)) },
-				func() { // a push mirrored through Edit: in scope with and without a file, out of scope, a removal
+				func() { // a catalog edit between scans (a mirrored push): in scope with and without a file, out of scope, a removal
 					var fs []*catalog.Feature
 					cat.ForEach(func(f *catalog.Feature) { fs = append(fs, f) })
 					if len(fs) == 0 {
@@ -354,24 +359,23 @@ func TestFeedScanMatchesWalk(t *testing.T) {
 					src := fs[rng.Intn(len(fs))].Clone()
 					src.Path = []string{filepath.Join("stations", fmt.Sprintf("pushed-%d.obs", n)), filepath.Join("pushed", fmt.Sprintf("p%d.obs", n)), pick()}[rng.Intn(3)]
 					src.ID = catalog.IDForPath(src.Path)
-					gone := fs[rng.Intn(len(fs))]
-					err := sc.Edit(cat, []string{src.Path, gone.Path}, func() error {
-						if err := cat.Upsert(src); err != nil {
-							return err
-						}
-						cat.Delete(gone.ID)
-						return nil
-					})
-					if err != nil {
+					if err := cat.Upsert(src); err != nil {
 						t.Fatal(err)
 					}
+					cat.Delete(fs[rng.Intn(len(fs))].ID)
 				},
-				func() { // an edit the scanner is not told of
-					var f *catalog.Feature
-					cat.ForEach(func(g *catalog.Feature) { f = g })
-					if f != nil {
-						cat.Delete(f.ID)
+				func() { // a symlinked directory, and files written through it into the directory it names
+					link := filepath.Join(root, "stations", "linkdir")
+					if _, err := os.Lstat(link); os.IsNotExist(err) {
+						if err := os.Symlink(filepath.Join(root, "auv"), link); err != nil {
+							t.Fatal(err)
+						}
+						return
 					}
+					n++
+					rel := filepath.Join("stations", "linkdir", fmt.Sprintf("via-%d.csv", n))
+					write(rel, read(pick()))
+					stamp(rel)
 				},
 			}
 			t.Cleanup(func() {

@@ -122,19 +122,19 @@ type Result struct {
 type Scanner struct {
 	cfg  Config
 	exts map[string]bool
-	// bases are the scanned directories in Config.Dirs order.
+	// bases are the scanned directories in Config.Dirs order; scope holds
+	// the root-relative form of each one the walk reaches, the directories
+	// whose cataloged files a scan may retract.
 	bases []scanBase
+	scope []string
 	// now is stubbed in tests.
 	now func() time.Time
 
 	// feed is the armed change feed, nil until the second scan and
-	// whenever it could not be armed (armFailed).
+	// whenever it could not be armed (armFailed); closed is set by Close.
 	feed      *feed
 	armFailed bool
-	// feedable: every Config.Dirs entry is clean, so the walk's reach and
-	// its removal scope (pathInScope) agree, as a scan through the feed
-	// assumes, and Close has not run.
-	feedable bool
+	closed    bool
 	// scans counts completed scans, sinceWalk those since the last walk;
 	// walkErr is set when the last scan could not read part of the tree.
 	scans, sinceWalk int
@@ -142,7 +142,7 @@ type Scanner struct {
 	// inStep and gen name the catalog the last scan left and its
 	// StatGeneration: the feed knows what changed on disk, so a scan
 	// through it is exact only against the catalog as the scanner left
-	// it (or as Edit accounted for).
+	// it.
 	inStep *catalog.Working
 	gen    uint64
 	// files is the last scan's FilesSeen.
@@ -150,9 +150,8 @@ type Scanner struct {
 	// sticky holds the candidates a trusted stat cannot settle, which
 	// every scan re-examines as the walk would: a fingerprint inside the
 	// racy window (a mtime in the future stays there), a failed, oversized
-	// or refused file, a symlink. touched maps the paths Edit saw to
-	// whether each was a candidate on disk at the last scan.
-	sticky, touched map[string]bool
+	// or refused file, a symlink.
+	sticky map[string]bool
 }
 
 // scanBase is one scanned directory: its path and its root-relative
@@ -172,14 +171,14 @@ func New(cfg Config) *Scanner {
 	for _, e := range exts {
 		set[strings.ToLower(e)] = true
 	}
-	s := &Scanner{cfg: cfg, exts: set, now: time.Now, feedable: true}
+	s := &Scanner{cfg: cfg, exts: set, now: time.Now}
 	for _, dir := range s.dirs() {
 		abs := filepath.Join(cfg.Root, dir)
 		rel, err := filepath.Rel(cfg.Root, abs)
 		rel = filepath.Clean(rel) // Rel("arch", ".") is "../."
 		s.bases = append(s.bases, scanBase{abs: abs, rel: rel, relErr: err})
-		if d := filepath.ToSlash(dir); err != nil || (d == "." || d == "") != (rel == ".") || (rel != "." && d != filepath.ToSlash(rel)) {
-			s.feedable = false
+		if err == nil {
+			s.scope = append(s.scope, rel)
 		}
 	}
 	return s
@@ -200,7 +199,7 @@ func (s *Scanner) Name() string { return "walker" }
 // Close releases the change feed; the scanner still scans, by walking.
 // Idempotent.
 func (s *Scanner) Close() {
-	s.feedable = false
+	s.closed = true
 	if s.feed != nil {
 		s.feed.close()
 		s.feed = nil
@@ -224,7 +223,7 @@ func (s *Scanner) ScanInto(c *catalog.Working) (*Result, error) {
 	}
 	if reason != "" {
 		walksByReason[reason].Inc()
-		res, err = s.walk(c, reason != walkFirst && s.feedable)
+		res, err = s.walk(c, reason != walkFirst && !s.closed)
 	}
 	if err != nil {
 		s.walkErr = true
@@ -272,7 +271,6 @@ func (s *Scanner) ScanInto(c *catalog.Working) (*Result, error) {
 	for _, rel := range res.recheck {
 		s.sticky[rel] = true
 	}
-	s.touched = nil
 	s.files = res.Stats.FilesSeen
 	s.inStep, s.gen = c, c.StatGeneration()
 	s.scans++
@@ -290,7 +288,7 @@ func (s *Scanner) walkReason(c *catalog.Working) string {
 	switch {
 	case s.scans == 0:
 		return walkFirst
-	case !s.feedable || (s.feed == nil && s.armFailed):
+	case s.closed || (s.feed == nil && s.armFailed):
 		return walkUnavailable
 	case s.feed == nil:
 		return walkArm
@@ -302,38 +300,6 @@ func (s *Scanner) walkReason(c *catalog.Working) string {
 		return walkPeriodic
 	}
 	return ""
-}
-
-// Edit runs edit, a change to c made outside a scan (a pushed batch
-// mirrored into the working catalog), and notes paths — the
-// root-relative path of every feature edit stores or deletes — so that
-// the next scan through the feed re-examines them as a walk would. Any
-// other change to c between two scans makes the next scan walk.
-func (s *Scanner) Edit(c *catalog.Working, paths []string, edit func() error) error {
-	inStep := s.feed != nil && s.inStep == c && c.StatGeneration() == s.gen
-	for _, p := range paths {
-		if filepath.IsAbs(p) || filepath.Clean(p) != p {
-			inStep = false // no walk forms such a path
-		}
-	}
-	if inStep {
-		if s.touched == nil {
-			s.touched = make(map[string]bool, len(paths))
-		}
-		for _, p := range paths {
-			if _, ok := s.touched[p]; !ok {
-				_, _, _, _, cataloged := c.StatView(catalog.IDForPath(p))
-				s.touched[p] = s.sticky[p] || (cataloged && s.rank(p) >= 0)
-			}
-		}
-	}
-	if err := edit(); err != nil {
-		return err
-	}
-	if inStep {
-		s.gen = c.StatGeneration()
-	}
-	return nil
 }
 
 // candidate is one file the walk selected for scanning.
@@ -617,11 +583,10 @@ func (s *Scanner) walk(existing *catalog.Working, arm bool) (*Result, error) {
 	}
 
 	if existing != nil && !suppressRemovals {
-		dirs := s.dirs()
 		for path, e := range view {
 			// Beneath a walk error a file is unreached, not deleted: its
 			// absence proves nothing.
-			if !seen[path] && pathInScope(path, dirs) && !pathInScope(path, walkErrored) {
+			if !seen[path] && pathInScope(path, s.scope) && !pathInScope(path, walkErrored) {
 				res.Removed = append(res.Removed, e.id)
 			}
 		}
@@ -632,7 +597,7 @@ func (s *Scanner) walk(existing *catalog.Working, arm bool) (*Result, error) {
 }
 
 // follow scans through the feed: it examines the paths that had an
-// event, the paths Edit noted and the sticky candidates, and counts
+// event and the sticky candidates, and counts
 // every other candidate as the walk would find it, stat-unchanged and
 // trusted. It returns a reason instead of a Result when the scan must
 // walk after all: a scanned directory is no longer the one the feed
@@ -654,9 +619,6 @@ func (s *Scanner) follow(c *catalog.Working) (*Result, string, error) {
 	if reason != "" {
 		return nil, reason, nil
 	}
-	for rel := range s.touched {
-		paths[rel] = true
-	}
 	for rel := range s.sticky {
 		paths[rel] = true
 	}
@@ -665,8 +627,8 @@ func (s *Scanner) follow(c *catalog.Working) (*Result, string, error) {
 	files := s.files
 	view := make(map[string]statEntry)
 	var cands []candidate
-	dirs := s.dirs()
 	for rel := range paths {
+		// A path some scanned directory reaches is in the removal scope.
 		rank := s.rank(rel)
 		if rank < 0 {
 			continue // no walk reaches it
@@ -681,10 +643,7 @@ func (s *Scanner) follow(c *catalog.Working) (*Result, string, error) {
 		}
 		present := err == nil && !st.IsDir()
 		if s.exts[strings.ToLower(filepath.Ext(rel))] {
-			existed, ok := s.touched[rel]
-			if !ok {
-				existed = s.sticky[rel] || cataloged
-			}
+			existed := s.sticky[rel] || cataloged
 			switch {
 			case present && !existed:
 				files++
@@ -704,14 +663,9 @@ func (s *Scanner) follow(c *catalog.Working) (*Result, string, error) {
 				}
 			}
 		}
-		if !present && cataloged && pathInScope(rel, dirs) {
+		if !present && cataloged {
 			res.Removed = append(res.Removed, id)
 		}
-	}
-	if files < len(cands) {
-		// The count the feed carries cannot hold what it examines: some
-		// edit escaped the bookkeeping, and only a walk can recount.
-		return nil, walkCatalog, nil
 	}
 	slices.SortFunc(cands, func(a, b candidate) int {
 		if a.rank != b.rank {
@@ -801,8 +755,8 @@ func relUnder(base, baseRel, path string) string {
 }
 
 // pathInScope reports whether an archive-relative path lies inside one
-// of the scanned directories — deletion detection must not retract
-// features that simply live outside the current scan's scope.
+// of dirs, clean root-relative directories — deletion detection must not
+// retract features that simply live outside the current scan's scope.
 func pathInScope(rel string, dirs []string) bool {
 	p := filepath.ToSlash(rel)
 	for _, dir := range dirs {

@@ -395,6 +395,40 @@ func TestScanRemovalRespectsDirScope(t *testing.T) {
 	}
 }
 
+// TestScanRemovalUncleanDirs: a Dirs entry is a directory however it is
+// written — "stations/" and "./stations" retract a deleted file there as
+// "stations" does, and nothing outside it.
+func TestScanRemovalUncleanDirs(t *testing.T) {
+	for _, dir := range []string{"stations", "stations/", "./stations", "stations/../stations"} {
+		t.Run(dir, func(t *testing.T) {
+			root, m := genArchive(t, 12, 7)
+			c := catalog.NewWorking()
+			if _, err := New(Config{Root: root}).ScanInto(c); err != nil {
+				t.Fatal(err)
+			}
+			var victim string
+			for _, d := range m.Datasets {
+				if strings.HasPrefix(d.Path, "stations/") {
+					victim = filepath.FromSlash(d.Path)
+				}
+			}
+			if err := os.Remove(filepath.Join(root, victim)); err != nil {
+				t.Fatal(err)
+			}
+			res, err := New(Config{Root: root, Dirs: []string{dir}}).ScanInto(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []string{catalog.IDForPath(victim)}; !reflect.DeepEqual(res.Removed, want) {
+				t.Fatalf("removed %v, want %v", res.Removed, want)
+			}
+			if c.Len() != len(m.Datasets)-1 {
+				t.Fatalf("catalog holds %d, want %d", c.Len(), len(m.Datasets)-1)
+			}
+		})
+	}
+}
+
 func TestScanCatchesMtimePreservingEdit(t *testing.T) {
 	root, _ := genArchive(t, 6, 11)
 	// A handcrafted dataset whose edit we fully control: both versions

@@ -416,10 +416,15 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 					}
 				}
 
-				// Between rounds, push a copy of the wrangled trap feature
-				// (a fixed point of the chain, even with a unit no registry
-				// resolves) under pushed/ and retract an older push, to both
-				// persistent systems.
+				// After every other round, push a copy of the wrangled trap
+				// feature (a fixed point of the chain, even with a unit no
+				// registry resolves) under pushed/ and retract the older
+				// push, to the persistent systems. A push changes the
+				// working catalog outside a scan, so the next scan walks;
+				// the rounds after no push follow the change feed.
+				if round%2 == 1 {
+					continue
+				}
 				trap, ok := deltaSys.ctx.Published.Snapshot().ByID(catalog.IDForPath(trapRel))
 				if !ok {
 					t.Fatalf("round %d: trap feature not published", round)
@@ -429,8 +434,8 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 				src.ID = catalog.IDForPath(src.Path)
 				src.Variables[0].Unit = "furlongs"
 				req := &PublishRequest{Features: []*catalog.Feature{src}}
-				if round%2 == 1 {
-					gone := fmt.Sprintf("pushed/p%d.obs", round-1)
+				if round >= 2 {
+					gone := fmt.Sprintf("pushed/p%d.obs", round-2)
 					req.Remove = []string{gone}
 					delete(pushed, gone)
 				}
@@ -443,8 +448,8 @@ func TestDeltaWrangleEquivalentToFromScratch(t *testing.T) {
 			}
 
 			t.Logf("%d of 5 rounds followed the change feed", followed)
-			if runtime.GOOS == "linux" && followed == 0 {
-				t.Fatal("the delta system's scans never followed the change feed")
+			if runtime.GOOS == "linux" && followed < 2 {
+				t.Fatal("the delta system's scans after a round without a push did not follow the change feed")
 			}
 
 			// Coda: a no-op round — nothing mutated — must publish nothing
